@@ -531,9 +531,14 @@ def tensor_diagonal(M: Module, N: Module, check: bool = True) -> Module:
     acts = []
     for i in range(A.ngens):
         out = np.zeros((M.dim * N.dim, M.dim * N.dim), dtype=np.int64)
+        # kron pairs (r, s) -> r * N.dim + s, so out4[r, s, c, t] is out[r*N.dim + s, c*N.dim + t]
+        out4 = out.reshape(M.dim, N.dim, M.dim, N.dim)
         for coeff, u, v in A.coproduct_terms(i):
-            out += coeff * np.kron(M.act_mono(u).a, N.act_mono(v).a)
-        acts.append(FpMatrix(A.p, out))
+            a = (coeff * M.act_mono(u).a) % A.p
+            b = N.act_mono(v).a
+            for r in np.flatnonzero(a.any(axis=1)):
+                out4[r] += a[r, None, :, None] * b[:, None, :]
+        acts.append(FpMatrix._adopt(A.p, out))
     return Module(A, acts, check=check)
 
 

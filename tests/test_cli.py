@@ -32,6 +32,12 @@ def test_chain_rank4_is_usage_error(capsys):
     assert code == 64
 
 
+def test_characteristic_above_2_pow_20_is_usage_error(capsys):
+    code = run_cli(["certify", "--mode", "chain", "--char", "2147483647", "--exponents", "2"])
+    assert code == 64
+    assert "2**20" in capsys.readouterr().err
+
+
 def test_missing_mode_is_usage_error(capsys):
     code = run_cli(["certify"])
     assert code == 64

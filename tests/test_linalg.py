@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smallhom.linalg import (
+    BLAS_MIN_WORK,
+    FLOAT32_EXACT,
     FieldSpec,
     FpMatrix,
     block,
@@ -23,6 +25,13 @@ def test_fieldspec_rejects_composites():
         FieldSpec(1)
     assert FieldSpec(2).p == 2
     assert FieldSpec(3).inv(2) == 2
+
+
+def test_fieldspec_bounds_the_characteristic():
+    assert FieldSpec(1048573).p == 1048573  # largest prime <= 2**20
+    for p in (1048583, 2**31 - 1):
+        with pytest.raises(ValueError, match="2\\*\\*20"):
+            FieldSpec(p)
 
 
 def test_is_prime_small():
@@ -64,6 +73,58 @@ def test_solve_underdetermined_witness():
 def test_solve_shape_mismatch_is_error():
     with pytest.raises(ValueError):
         FpMatrix.identity(3, 3).solve(FpMatrix.zeros(3, 2, 1))
+
+
+def _reference_product(a, b, p):
+    """Schoolbook product in Python integers, which never overflow."""
+    a, b = a.tolist(), b.tolist()
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) % p for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def test_product_that_could_overflow_int64_raises():
+    p = 2**31 - 1
+    m = FpMatrix(p, np.full((8, 8), p - 1))
+    with pytest.raises(ValueError, match="overflow"):
+        m @ m
+
+
+def test_product_at_largest_prime_is_exact():
+    p = 1048573
+    a = FpMatrix(p, np.full((6, 40), p - 1))
+    b = FpMatrix(p, np.full((40, 5), p - 1))
+    assert (a @ b).a.tolist() == _reference_product(a.a, b.a, p)
+
+
+@pytest.mark.parametrize("k, fill", [(1, 4092), (2, 4092), (3, 4091)])
+def test_float_path_boundary(k, fill):
+    # at p = 4093, k = 1 is the last inner dimension with k * (p - 1)**2 < 2**24;
+    # with entries 4091 and k = 3, float32 partial sums would round
+    p = 4093
+    assert 200 * k * 200 >= BLAS_MIN_WORK
+    assert (k * (p - 1) ** 2 < FLOAT32_EXACT) == (k == 1)
+    a = FpMatrix(p, np.full((200, k), fill))
+    b = FpMatrix(p, np.full((k, 200), fill))
+    assert (a @ b).a.tolist() == _reference_product(a.a, b.a, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_products_either_side_of_blas_threshold(p):
+    rng = np.random.RandomState(p)
+    # m * k * n: the first and third fall below 32**3 (int64), the rest reach it (float32)
+    for m, k, n in [(31, 32, 32), (32, 32, 32), (16, 16, 16), (40, 64, 13), (1, 5000, 7), (70, 3, 200)]:
+        a = rng.randint(0, p, size=(m, k))
+        b = rng.randint(0, p, size=(k, n))
+        assert np.array_equal((FpMatrix(p, a) @ FpMatrix(p, b)).a, (a @ b) % p)
+
+
+def test_power_small_exponents():
+    m = FpMatrix(5, np.random.RandomState(0).randint(0, 5, size=(6, 6)))
+    assert m.power(0) == FpMatrix.identity(5, 6)
+    assert m.power(1) == m
+    assert m.power(4) == m @ m @ m @ m
+    with pytest.raises(ValueError):
+        m.power(-1)
 
 
 def test_kron_scalars_and_identities():

@@ -1,14 +1,11 @@
-"""Rank-3 oracle equivalence, opt-in (several minutes of dense arithmetic).
+"""Rank-3 oracle equivalence, the largest chain-level run in the suite.
 
-Run with ``pytest -m slow``.  Uses characteristic 2 so the base algebra has
-dimension 8 (the smallest coproduct-carrying family), which keeps the
-three-fold tensor at 4096 total dimensions; homology is compared through
-the rank-based route.
+Uses characteristic 2 so the base algebra has dimension 8 (the smallest
+coproduct-carrying family), which keeps the three-fold tensor at 4096 total
+dimensions; homology is compared through the rank-based route.
 """
 
 import time
-
-import pytest
 
 from smallhom.linalg import FieldSpec
 from smallhom.algebra import Budget, DiagonalTensor, is_projective, minimal_resolution, qci_algebra, trivial_module
@@ -23,7 +20,6 @@ from smallhom.construction import (
 from smallhom.lefschetz import LefschetzModel, cone_oracle
 
 
-@pytest.mark.slow
 def test_rank3_hypercube_and_cone_oracle(capsys):
     t0 = time.perf_counter()
     F2 = FieldSpec(2)
