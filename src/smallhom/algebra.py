@@ -25,7 +25,7 @@ from math import prod
 
 import numpy as np
 
-from .linalg import FieldSpec, FpMatrix, block, hstack, quotient_by_subspace
+from .linalg import FieldSpec, FpMatrix, block, hstack, nonpivot_columns, quotient_by_subspace
 
 
 class BudgetExceeded(Exception):
@@ -217,15 +217,6 @@ class Module:
             self._mono_acts[mono] = cached = out
         return cached
 
-    def act_element(self, coeffs) -> FpMatrix:
-        """Action matrix of ``sum_k coeffs[k] * basis[k]``."""
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for k, c in enumerate(coeffs):
-            c = int(c) % self.algebra.p
-            if c:
-                out += c * self.act_mono(self.algebra.basis[k]).a
-        return FpMatrix(self.algebra.p, out)
-
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra.describe()})"
 
@@ -387,7 +378,7 @@ def projective_cover(M: Module) -> Cover:
     A = M.algebra
     rad = radical_subspace(M)
     _, pivots = rad.transpose().rref()
-    tops = [c for c in range(M.dim) if c not in set(pivots)]
+    tops = nonpivot_columns(M.dim, pivots)
     rank = len(tops)
     gens = np.zeros((M.dim, rank), dtype=np.int64)
     for k, c in enumerate(tops):
@@ -675,7 +666,7 @@ class OverBaseTensor:
         eye_n = FpMatrix.identity(p, N.dim)
         rels = [right_m[i].kron(eye_n) - eye_m.kron(left_n[i]) for i in range(self.env.c)]
         rel_cols = hstack(rels) if rels else FpMatrix.zeros(p, M.dim * N.dim, 0)
-        qmap, section = quotient_by_subspace(p, rel_cols.column_space())
+        qmap, section = quotient_by_subspace(p, rel_cols)
         check = qmap.rows <= self.verify_limit
         left_m = self.env.left_part(M)
         acts = [qmap @ (lm.kron(eye_n)) @ section for lm in left_m]

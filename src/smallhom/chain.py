@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import FpMatrix, block
+from .linalg import FpMatrix, block, nonpivot_columns, quotient_by_subspace, read_coordinates
 from .algebra import (
     Module,
     ModuleMorphism,
@@ -113,19 +113,21 @@ def euler_characteristic(C: ChainComplex) -> int:
 class HomologySpace:
     """Cycles, the quotient map onto homology, and the homology module.
 
-    ``cycles`` are echelonized columns in the degree-i object; ``qmap`` and
-    ``section`` relate cycle coordinates to homology coordinates.
+    ``cycles`` is the kernel basis of the outgoing differential, the identity
+    on the rows ``free``; ``qmap`` and ``section`` relate cycle coordinates
+    to homology coordinates.
     """
 
     degree: int
     cycles: FpMatrix
+    free: list[int]
     qmap: FpMatrix
     section: FpMatrix
     module: Module
 
     def class_of(self, vectors: FpMatrix) -> FpMatrix:
         """Homology classes of cycle vectors given in ambient coordinates."""
-        coords = self.cycles.solve(vectors)
+        coords = read_coordinates(self.cycles, self.free, vectors)
         if coords is None:
             raise ValueError("vector is not a cycle")
         return self.qmap @ coords
@@ -137,27 +139,24 @@ def homology_space(C: ChainComplex, i: int) -> HomologySpace:
         return cached
     p = C.algebra.p
     obj = C.module_at(i)
-    cycles = C.diff_at(i).matrix.kernel_basis() if obj.dim else FpMatrix.zeros(p, 0, 0)
-    d_in = C.diff_at(i + 1)
-    if obj.dim and d_in.matrix.cols:
-        w = cycles.solve(d_in.matrix)
-        assert w is not None, "boundaries must be cycles"
-        boundary_coords = w.column_space()
-    else:
-        boundary_coords = FpMatrix.zeros(p, cycles.cols, 0)
-    from .linalg import quotient_by_subspace
-
+    d_out = C.diff_at(i).matrix
+    cycles = d_out.kernel_basis()
+    free = nonpivot_columns(d_out.cols, d_out.rref()[1])
+    boundary_coords = read_coordinates(cycles, free, C.diff_at(i + 1).matrix)
+    if boundary_coords is None:
+        raise AssertionError("boundaries must be cycles")
     qmap, section = quotient_by_subspace(p, boundary_coords)
     acts = []
     for x in obj.action:
-        in_cycles = cycles.solve(x @ cycles)
-        assert in_cycles is not None, "cycles must be action-stable"
+        in_cycles = read_coordinates(cycles, free, x @ cycles)
+        if in_cycles is None:
+            raise AssertionError("cycles must be action-stable")
         acts.append(qmap @ in_cycles @ section)
     if not acts:
         module = zero_module(C.algebra)
     else:
         module = Module(C.algebra, acts, check=True)
-    hs = HomologySpace(i, cycles, qmap, section, module)
+    hs = HomologySpace(i, cycles, free, qmap, section, module)
     C._hcache[i] = hs
     return hs
 
@@ -190,10 +189,6 @@ def homology_rank_dims(C: ChainComplex) -> dict[int, int]:
         if h:
             out[i] = h
     return out
-
-
-def total_homology(C: ChainComplex) -> int:
-    return sum(homology_dims(C).values())
 
 
 # ----------------------------------------------------------------------
@@ -440,12 +435,6 @@ class TensorPair:
     right: ChainComplex
     complex: ChainComplex
     layout: dict[int, list[SummandSlot]]
-
-    def slot(self, n: int, s: int) -> SummandSlot | None:
-        for sl in self.layout.get(n, []):
-            if sl.left_degree == s:
-                return sl
-        return None
 
 
 def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:

@@ -19,8 +19,16 @@ bound against ``2**63``, and a product that could overflow even that raises.
 Conventions fixed here and relied on by every other module:
 
 * Kronecker products pair indices row-major: ``(i, j) -> i * n_b + j``.
-* Kernel bases are read off the unique reduced row echelon form.
-* Column-space bases are echelonized (rref of the transpose).
+* Kernel bases are read off the unique reduced row echelon form; a kernel
+  basis is the identity on the free (non-pivot) rows.
+* Column-space bases are echelonized (rref of the transpose); such a basis
+  is the identity on its pivot rows.
+
+Because of these identity rows, the coordinates of a vector in either kind
+of basis are not solved for: they are read off those rows
+(:func:`read_coordinates`) and re-checked by one exact product, which fails
+exactly when the vector lies outside the span.  :meth:`FpMatrix.solve` is
+for general systems.
 """
 
 from __future__ import annotations
@@ -106,10 +114,6 @@ class FpMatrix:
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
         return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def column(cls, p: int, entries) -> "FpMatrix":
-        return cls(p, np.asarray(entries, dtype=np.int64).reshape(-1, 1))
 
     # ------------------------------------------------------------------
     # basic structure
@@ -199,47 +203,65 @@ class FpMatrix:
     # elimination
     # ------------------------------------------------------------------
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns."""
+        """Reduced row echelon form and its pivot columns.
+
+        Rows stay in place during the elimination: ``free`` marks the rows
+        that hold no pivot yet, and the pivot rows are gathered into echelon
+        order at the end.  The pivot row of column ``c`` vanishes left of
+        ``c``, so every row update starts at column ``c``.
+        """
         if self._rref is None:
             m = self.a.copy()
             rows, cols = m.shape
             p = self.p
             pivots: list[int] = []
-            r = 0
-            for c in range(cols):
-                if r == rows:
-                    break
-                nz = np.nonzero(m[r:, c])[0]
-                if nz.size == 0:
-                    continue
-                i = r + int(nz[0])
-                if i != r:
-                    m[[r, i]] = m[[i, r]]
-                m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-                col = m[:, c].copy()
-                col[r] = 0
-                touched = np.nonzero(col)[0]
-                if touched.size:
-                    m[touched] -= np.outer(col[touched], m[r])
-                    m[touched] %= p
-                pivots.append(c)
-                r += 1
-            self._rref = (FpMatrix(p, m), tuple(pivots))
+            pivot_rows: list[int] = []
+            if rows and m.any():
+                free = np.ones(rows, dtype=bool)
+                for c in range(cols):
+                    nz = m[:, c].nonzero()[0]
+                    candidates = nz[free[nz]]
+                    if not candidates.size:
+                        continue
+                    i = int(candidates[0])
+                    row = m[i, c:]
+                    lead = int(row[0])
+                    if lead != 1:
+                        row *= pow(lead, p - 2, p)
+                        row %= p
+                    if nz.size == 2:
+                        # one other row, nz[0] + nz[1] - i: update its view in place
+                        other = m[int(nz[0] + nz[1]) - i, c:]
+                        other -= int(other[0]) * row
+                        other %= p
+                    elif nz.size > 2:
+                        touched = nz[nz != i]
+                        blk = m[touched, c:]
+                        blk -= blk[:, :1] * row
+                        blk %= p
+                        m[touched, c:] = blk
+                    free[i] = False
+                    pivots.append(c)
+                    pivot_rows.append(i)
+                    if len(pivot_rows) == rows:
+                        break
+                m = m[pivot_rows + free.nonzero()[0].tolist()]
+            self._rref = (FpMatrix._adopt(p, m), tuple(pivots))
         return self._rref
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> "FpMatrix":
-        """Columns span the right null space; count = cols - rank."""
+        """Columns span the right null space; count = cols - rank.
+
+        The basis is the identity on the free (non-pivot) rows.
+        """
         red, pivots = self.rref()
-        n = self.cols
-        free = [c for c in range(n) if c not in set(pivots)]
-        basis = np.zeros((n, len(free)), dtype=np.int64)
-        for k, f in enumerate(free):
-            basis[f, k] = 1
-            for t, pc in enumerate(pivots):
-                basis[pc, k] = (-int(red.a[t, f])) % self.p
+        free = nonpivot_columns(self.cols, pivots)
+        basis = np.zeros((self.cols, len(free)), dtype=np.int64)
+        basis[free, range(len(free))] = 1
+        basis[list(pivots)] = -red.a[: len(pivots), free]
         return FpMatrix(self.p, basis)
 
     def column_space(self) -> "FpMatrix":
@@ -264,7 +286,8 @@ class FpMatrix:
         for t, pc in enumerate(pivots):
             x[pc, :] = red.a[t, n:]
         sol = FpMatrix(self.p, x)
-        assert (self @ sol) == b, "solver produced an invalid witness"
+        if (self @ sol) != b:
+            raise AssertionError("solver produced an invalid witness")
         return sol
 
     # ------------------------------------------------------------------
@@ -325,6 +348,29 @@ def block(p: int, grid: list[list["FpMatrix | None"]], row_dims: list[int], col_
     return FpMatrix(p, out)
 
 
+def nonpivot_columns(n: int, pivots) -> list[int]:
+    """The columns ``0..n-1`` that are not pivots, ascending."""
+    piv = set(pivots)
+    return [c for c in range(n) if c not in piv]
+
+
+def read_coordinates(basis: FpMatrix, rows, v: FpMatrix) -> FpMatrix | None:
+    """Coordinates ``x`` with ``basis @ x == v``; ``None`` outside the span.
+
+    ``basis`` must be the identity on ``rows`` (a kernel basis on its free
+    rows, an echelonized column basis on its pivot rows).  Then the only
+    candidate is ``x = v[rows]``, and it is the answer exactly when the
+    product re-check below holds.
+    """
+    basis._coerce(v)
+    if v.rows != basis.rows:
+        raise ValueError(f"vectors have {v.rows} rows, basis has {basis.rows}")
+    x = FpMatrix(v.p, v.a[list(rows)])
+    if (basis @ x) != v:
+        return None
+    return x
+
+
 def quotient_by_subspace(p: int, sub_cols: FpMatrix) -> tuple[FpMatrix, FpMatrix]:
     """Quotient of ``F_p^n`` by the column span of ``sub_cols``.
 
@@ -332,20 +378,19 @@ def quotient_by_subspace(p: int, sub_cols: FpMatrix) -> tuple[FpMatrix, FpMatrix
     ``section`` of shape ``n x (n - s)``, where ``qmap @ section = I`` and
     ``v - section @ qmap @ v`` always lies in the subspace.  The complement
     basis is the set of standard vectors at the non-pivot coordinates of the
-    echelonized subspace, so the construction is deterministic.
+    echelonized subspace, so the construction is deterministic.  Any
+    spanning set gives the same result: the reduced echelon form of a row
+    space is unique.
     """
     n = sub_cols.rows
     red, pivots = sub_cols.transpose().rref()
     s = len(pivots)
-    nonpiv = [c for c in range(n) if c not in set(pivots)]
+    nonpiv = nonpivot_columns(n, pivots)
     # v - sum_t v[p_t] * E_t lies in v + S and vanishes at the pivot coords,
     # where E_t are the echelon rows spanning S
     full = np.eye(n, dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    for t, pc in enumerate(pivots):
-        full -= np.outer(red.a[t, :], eye[:, pc])
+    full[:, list(pivots)] -= red.a[:s].T
     qmap = FpMatrix(p, full[nonpiv, :])
     section = np.zeros((n, n - s), dtype=np.int64)
-    for k, c in enumerate(nonpiv):
-        section[c, k] = 1
+    section[nonpiv, range(n - s)] = 1
     return qmap, FpMatrix(p, section)

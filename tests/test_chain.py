@@ -1,9 +1,13 @@
 """Chain complexes, homology, cones, homotopies and tensor products."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import smallhom
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
     DiagonalTensor,
@@ -96,6 +100,42 @@ def test_homology_induced_module_structure(algebra):
     h0 = homology(C, 0)
     assert h0.dim == 2 and not h0.action[0].is_zero()
     assert h0.action[0].power(2).is_zero()
+
+
+def test_class_of_rejects_a_non_cycle(two_term):
+    # H_1 of A --x--> A is spanned by x^2; the unit is not a cycle
+    hs = homology_space(two_term, 1)
+    assert hs.class_of(FpMatrix(3, [[0], [0], [1]])) == FpMatrix(3, [[1]])
+    with pytest.raises(ValueError, match="not a cycle"):
+        hs.class_of(FpMatrix(3, [[1], [0], [0]]))
+
+
+BROKEN_COMPLEX = """
+import sys
+from smallhom.algebra import ModuleMorphism, qci_algebra, regular_module
+from smallhom.chain import ChainComplex, homology_space
+from smallhom.linalg import FieldSpec
+assert False, "reached only without -O"
+A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
+reg = regular_module(A)
+ident = ModuleMorphism.identity(reg)
+C = ChainComplex(A, {0: reg, 1: reg, 2: reg}, {1: ident, 2: ident}, check=False)
+try:
+    homology_space(C, 1)
+except AssertionError as exc:
+    sys.exit(f"optimize={sys.flags.optimize}: {exc}")
+"""
+
+
+def test_homology_space_rejects_d_squared_nonzero_under_optimize():
+    # d_1 d_2 = id, so the boundaries are not cycles; the check must not be
+    # an assert, which python -O strips
+    src = os.path.dirname(os.path.dirname(smallhom.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-O", "-c", BROKEN_COMPLEX],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 1
+    assert run.stderr.strip() == "optimize=1: boundaries must be cycles"
 
 
 def test_cone_of_identity_is_exact(two_term):

@@ -14,7 +14,9 @@ from smallhom.linalg import (
     hstack,
     is_prime,
     kronecker,
+    nonpivot_columns,
     quotient_by_subspace,
+    read_coordinates,
 )
 
 
@@ -192,6 +194,142 @@ def test_quotient_by_subspace_splitting():
     v = FpMatrix(3, [[2], [0], [1]])
     residual = v - s @ (q @ v)
     assert sub.solve(residual) is not None  # residual lies in the subspace
+
+
+def _reference_rref(rows, ncols, p):
+    """Textbook Gauss-Jordan on lists of Python integers: first nonzero
+    pivot at or below the current row, row swap, scale, clear the column."""
+    m = [[x % p for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                m[k] = [(x - f * y) % p for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _transpose(rows, ncols):
+    return [[row[c] for row in rows] for c in range(ncols)]
+
+
+def _reference_kernel(rows, ncols, p):
+    red, pivots = _reference_rref(rows, ncols, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = [[0] * len(free) for _ in range(ncols)]
+    for k, f in enumerate(free):
+        basis[f][k] = 1
+        for t, pc in enumerate(pivots):
+            basis[pc][k] = -red[t][f] % p
+    return basis
+
+
+def _reference_solve(rows, ncols, rhs, p):
+    aug = [row + b for row, b in zip(rows, rhs)]
+    red, pivots = _reference_rref(aug, ncols + len(rhs[0]), p)
+    if any(pc >= ncols for pc in pivots):
+        return None
+    x = [[0] * len(rhs[0]) for _ in range(ncols)]
+    for t, pc in enumerate(pivots):
+        x[pc] = red[t][ncols:]
+    return x
+
+
+def _reference_column_space(rows, ncols, p):
+    red, pivots = _reference_rref(_transpose(rows, ncols), len(rows), p)
+    return _transpose(red[: len(pivots)], len(rows))
+
+
+def _reference_quotient(rows, ncols, p):
+    n = len(rows)
+    red, pivots = _reference_rref(_transpose(rows, ncols), n, p)
+    nonpiv = [c for c in range(n) if c not in pivots]
+    qmap = [[0] * n for _ in nonpiv]
+    section = [[0] * len(nonpiv) for _ in range(n)]
+    for k, c in enumerate(nonpiv):
+        qmap[k][c] = 1
+        section[c][k] = 1
+        for t, pc in enumerate(pivots):
+            qmap[k][pc] = -red[t][c] % p
+    return qmap, section
+
+
+def _elimination_cases(p):
+    """Empty, zero, full-rank, rank-deficient and repeated-row matrices."""
+    rng = np.random.RandomState(p % 1000)
+    cases = [np.zeros((0, 4)), np.zeros((4, 0)), np.zeros((0, 0)), np.zeros((3, 5)),
+             np.eye(4), np.full((3, 3), p - 1)]
+    for _ in range(12):
+        r, c, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 4)
+        # a product through k < min(r, c) dimensions is rank-deficient
+        low = rng.randint(0, p, size=(r, k)) @ rng.randint(0, p, size=(k, c)) % p
+        cases.append(low)
+        cases.append(rng.randint(0, p, size=(r, c)))
+        row = rng.randint(0, p, size=(1, c))
+        cases.append(np.vstack([row, rng.randint(0, p, size=(r, c)), row, (2 * row) % p]))
+    return [np.asarray(a, dtype=np.int64) for a in cases]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
+def test_elimination_matches_reference(p):
+    rng = np.random.RandomState(1)
+    for a in _elimination_cases(p):
+        rows, ncols = a.tolist(), a.shape[1]
+        m = FpMatrix(p, a)
+        red, pivots = m.rref()
+        ref_red, ref_pivots = _reference_rref(rows, ncols, p)
+        assert red.shape == a.shape and red.a.tolist() == ref_red
+        assert list(pivots) == ref_pivots and m.rank() == len(ref_pivots)
+        assert m.kernel_basis().a.tolist() == _reference_kernel(rows, ncols, p)
+        assert m.column_space().shape == (a.shape[0], len(ref_pivots))
+        assert m.column_space().a.tolist() == _reference_column_space(rows, ncols, p)
+        qmap, section = quotient_by_subspace(p, m)
+        ref_q, ref_s = _reference_quotient(rows, ncols, p)
+        assert qmap.shape == (len(ref_q), a.shape[0]) and qmap.a.tolist() == ref_q
+        assert section.shape == (a.shape[0], len(ref_q)) and section.a.tolist() == ref_s
+        if a.shape[0]:
+            # one consistent right-hand side and one random one
+            for b in (a @ rng.randint(0, p, size=(ncols, 2)) % p, rng.randint(0, p, size=(a.shape[0], 2))):
+                sol = m.solve(FpMatrix(p, b))
+                ref = _reference_solve(rows, ncols, b.tolist(), p)
+                assert (sol is None) == (ref is None)
+                if ref is not None:
+                    assert sol.shape == (ncols, 2) and sol.a.tolist() == ref
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
+def test_identity_row_conventions(p):
+    """Kernel bases are the identity on the free rows, echelonized column
+    bases on the pivot rows, and quotients depend only on the span."""
+    rng = np.random.RandomState(2)
+    for a in _elimination_cases(p):
+        m = FpMatrix(p, a)
+        free = nonpivot_columns(m.cols, m.rref()[1])
+        kernel = m.kernel_basis()
+        assert np.array_equal(kernel.a[free], np.eye(len(free), dtype=np.int64))
+        cols = m.column_space()
+        lead = list(cols.transpose().rref()[1])
+        assert np.array_equal(cols.a[lead], np.eye(len(lead), dtype=np.int64))
+        assert quotient_by_subspace(p, m) == quotient_by_subspace(p, cols)
+        for basis, rows in ((kernel, free), (cols, lead)):
+            x = FpMatrix(p, rng.randint(0, p, size=(basis.cols, 3)))
+            assert read_coordinates(basis, rows, basis @ x) == x
+            v = FpMatrix(p, rng.randint(0, p, size=(basis.rows, 1)))
+            assert read_coordinates(basis, rows, v) == basis.solve(v)
+
+
+def test_read_coordinates_rejects_wrong_shape():
+    kernel = FpMatrix(3, [[1, 1]]).kernel_basis()
+    with pytest.raises(ValueError):
+        read_coordinates(kernel, [1], FpMatrix.zeros(3, 3, 1))
 
 
 def test_block_assembly():
