@@ -29,12 +29,20 @@ from .linalg import FieldSpec, FpMatrix, block, hstack, nonpivot_columns, quotie
 
 
 class BudgetExceeded(Exception):
-    """A construction asked for a module above the configured size cap."""
+    """A construction asked for a module above the configured size cap.
 
-    def __init__(self, dim: int, cap: int):
-        super().__init__(f"module of dimension {dim} exceeds budget {cap}")
+    ``stage`` names the construction and ``factors`` the two tensor factor
+    dimensions, when the caller knows them.
+    """
+
+    def __init__(self, dim: int, limit: str, stage: str | None = None,
+                 factors: tuple[int, int] | None = None):
+        what = f"module of dimension {dim}" if factors is None else f"tensor {factors[0]} x {factors[1]} = {dim}"
+        message = f"{what} exceeds {limit}"
+        super().__init__(f"{stage}: {message}" if stage else message)
         self.dim = dim
-        self.cap = cap
+        self.stage = stage
+        self.factors = factors
 
 
 @dataclass(frozen=True)
@@ -44,9 +52,15 @@ class Budget:
     max_dim: int = 4096
     max_entries: int = 20_000_000
 
-    def check(self, dim: int) -> None:
-        if dim > self.max_dim or dim * dim > self.max_entries:
-            raise BudgetExceeded(dim, self.max_dim)
+    def check(self, dim: int, stage: str | None = None,
+              factors: tuple[int, int] | None = None) -> None:
+        if dim > self.max_dim:
+            limit = f"budget {self.max_dim}"
+        elif dim * dim > self.max_entries:
+            limit = f"entry budget {self.max_entries} ({dim * dim} entries per matrix)"
+        else:
+            return
+        raise BudgetExceeded(dim, limit, stage, factors)
 
 
 COPRODUCTS = ("primitive", "shifted")
@@ -300,7 +314,7 @@ def direct_sum_modules(mods: list[Module]) -> tuple[Module, list[int]]:
         out = np.zeros((pos, pos), dtype=np.int64)
         for m, off in zip(mods, offsets):
             out[off : off + m.dim, off : off + m.dim] = m.action[g].a
-        action.append(FpMatrix(A.p, out))
+        action.append(FpMatrix._adopt(A.p, out, reduced=True))
     return Module(A, action, check=False), offsets
 
 
@@ -376,8 +390,9 @@ def projective_cover(M: Module) -> Cover:
     in rad * P by construction.
     """
     A = M.algebra
-    rad = radical_subspace(M)
-    _, pivots = rad.transpose().rref()
+    # the radical basis is echelonized: each column's first nonzero row is a pivot
+    rad = radical_subspace(M).a
+    pivots = (rad != 0).argmax(axis=0).tolist() if rad.size else []
     tops = nonpivot_columns(M.dim, pivots)
     rank = len(tops)
     gens = np.zeros((M.dim, rank), dtype=np.int64)
@@ -394,7 +409,7 @@ def is_projective(M: Module) -> bool:
     """Projective = free here; holds iff the cover has zero kernel."""
     if M.dim == 0:
         return True
-    rad_rank = radical_subspace(M).cols
+    rad_rank = hstack(list(M.action)).transpose().rank() if M.action else 0
     return M.algebra.dim * (M.dim - rad_rank) == M.dim
 
 
@@ -624,8 +639,28 @@ class DiagonalTensor:
     def unit(self) -> Module:
         return trivial_module(self.algebra)
 
+    def check_sizes(self, stage: str, factor_dims: list[dict[int, int]]) -> None:
+        """Check the budget for every pair of a left-associated tensor
+        before any of them is built.
+
+        ``factor_dims`` holds the graded dimensions of the factors, one dict
+        per factor (a module is ``{0: dim}``).  Pairs are visited in the
+        order :meth:`pair` sees them (by total degree, then left degree) and
+        each stage's terms sum into degree ``s + t`` as
+        :func:`~smallhom.chain.tensor_pair` assembles them.  Under the
+        diagonal coproduct ``dim(M (x) N) = dim M * dim N``, so this raises
+        exactly when a later ``pair`` call would.
+        """
+        acc = factor_dims[0]
+        for nxt in factor_dims[1:]:
+            terms: dict[int, int] = {}
+            for s, t in sorted(itertools.product(acc, nxt), key=lambda st: (st[0] + st[1], st[0])):
+                self.budget.check(acc[s] * nxt[t], stage, (acc[s], nxt[t]))
+                terms[s + t] = terms.get(s + t, 0) + acc[s] * nxt[t]
+            acc = terms
+
     def pair(self, M: Module, N: Module) -> TensorPairData:
-        self.budget.check(M.dim * N.dim)
+        self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
         return TensorPairData(tensor_diagonal(M, N, check=M.dim * N.dim <= self.verify_limit))
 
     def map_block(self, src: TensorPairData, dst: TensorPairData,
@@ -658,7 +693,7 @@ class OverBaseTensor:
     def pair(self, M: Module, N: Module) -> TensorPairData:
         if not self._is_bimodule(M):
             raise ValueError("left tensor factor must be a bimodule")
-        self.budget.check(M.dim * N.dim)
+        self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
         p = self.env.base.p
         right_m = self.env.right_part(M)
         left_n = self.env.left_part(N) if self._is_bimodule(N) else N.action

@@ -576,8 +576,15 @@ class TensorTower:
 
 
 def tensor_tower(factors: list[ChainComplex], ctx) -> TensorTower:
+    """Left-associated tensor of the factors.
+
+    ``ctx`` is a :class:`~smallhom.algebra.DiagonalTensor`: the size of
+    every summand of every stage is checked against its budget before the
+    first one is built.
+    """
     if not factors:
         raise ValueError("need at least one factor")
+    ctx.check_sizes("tensor tower", [C.dims() for C in factors])
     pairs = []
     acc = factors[0]
     for nxt in factors[1:]:

@@ -44,6 +44,7 @@ from .algebra import (
     is_projective,
     minimal_resolution,
     one_sided_projective,
+    quotient_module,
     regular_bimodule,
     trivial_module,
 )
@@ -258,12 +259,12 @@ def pushout_module(cls: CohomologyClass) -> tuple[Module, ModuleMorphism, Module
     P = res.projectives[n - 1]
     ambient, _ = direct_sum_modules([T, P])
     rel = vstack([cls.induced.matrix, -om.incl.matrix])
-    from .algebra import quotient_module
-
     K, proj, section = quotient_module(ambient, rel)
-    assert K.dim == T.dim + P.dim - om.module.dim, "pushout dimension count"
+    if K.dim != T.dim + P.dim - om.module.dim:
+        raise AssertionError("pushout dimension count")
     mu = ModuleMorphism(T, K, FpMatrix(K.action[0].p, proj.matrix.a[:, : T.dim]), check=True)
-    assert mu.matrix.rank() == T.dim, "unit embedding must be injective"
+    if mu.matrix.rank() != T.dim:
+        raise AssertionError("unit embedding must be injective")
     d_prev = res.diff(n - 1)
     rho_mat = d_prev.matrix @ FpMatrix(d_prev.matrix.p, section.a[T.dim :, :])
     rho = ModuleMorphism(K, d_prev.target, rho_mat, check=True)
@@ -271,13 +272,16 @@ def pushout_module(cls: CohomologyClass) -> tuple[Module, ModuleMorphism, Module
     lift_back = rho.matrix @ proj.matrix
     direct = d_prev.matrix @ FpMatrix(d_prev.matrix.p, np.hstack(
         [np.zeros((P.dim, T.dim), dtype=np.int64), np.eye(P.dim, dtype=np.int64)]))
-    assert lift_back == direct, "pushout quotient must be compatible with d_{n-1}"
+    if lift_back != direct:
+        raise AssertionError("pushout quotient must be compatible with d_{n-1}")
     return K, mu, rho
 
 
-def build_class_complex(cls: CohomologyClass) -> ClassComplex:
+def build_class_complex(cls: CohomologyClass, pushout=None) -> ClassComplex:
+    """The class complex; ``pushout`` is ``pushout_module(cls)`` when the
+    caller has built it already."""
     res, n = cls.resolution, cls.degree
-    K, mu, rho = pushout_module(cls)
+    K, mu, rho = pushout if pushout is not None else pushout_module(cls)
     objects = {n - 1: K}
     diffs = {n - 1: rho}
     for i in range(0, n - 1):
@@ -298,11 +302,19 @@ class ParameterSystem:
     degree: int
     indices: tuple[int, ...]
     verified: bool | None = None
+    # set by verify_parameter_system: pushout_module(z) per class, and the
+    # tensor of the pushout modules
+    pushouts: tuple | None = None
+    tensor: Module | None = None
 
 
-def tensor_pushouts(classes, ctx) -> Module:
-    """Left-associated tensor of the pushout modules of the given classes."""
-    mods = [pushout_module(z)[0] for z in classes]
+def tensor_pushouts(mods: list[Module], ctx) -> Module:
+    """Left-associated tensor of the pushout modules of a parameter system.
+
+    ``ctx`` is a :class:`DiagonalTensor`: every product size is checked
+    against its budget before the first product is built.
+    """
+    ctx.check_sizes("parameter search", [{0: K.dim} for K in mods])
     acc = mods[0]
     for nxt in mods[1:]:
         acc = ctx.pair(acc, nxt).module
@@ -310,10 +322,14 @@ def tensor_pushouts(classes, ctx) -> Module:
 
 
 def verify_parameter_system(ps: ParameterSystem, ctx) -> bool:
-    """The operational test: the tensor of the pushout modules is projective."""
-    ok = is_projective(tensor_pushouts(ps.classes, ctx))
-    ps.verified = ok
-    return ok
+    """The operational test: the tensor of the pushout modules is projective.
+
+    Keeps the pushouts and their tensor on ``ps`` for later stages.
+    """
+    ps.pushouts = tuple(pushout_module(z) for z in ps.classes)
+    ps.tensor = tensor_pushouts([K for K, _, _ in ps.pushouts], ctx)
+    ps.verified = is_projective(ps.tensor)
+    return ps.verified
 
 
 def find_parameter_system(res: Resolution, count: int, ctx, degree: int = 2) -> ParameterSystem:
@@ -424,18 +440,22 @@ class ChainRun:
         report["betti"] = res.betti()
 
         base_ps = find_parameter_system(res, c, ctx, self.base_degree)
-        classes = tuple(yoneda_power(z, self.power) for z in base_ps.classes)
-        ps = ParameterSystem(classes, n, base_ps.indices)
-        lemma_ok = verify_parameter_system(ps, ctx)
-        ktensor = tensor_pushouts(ps.classes, ctx)
+        if self.power == 1:
+            ps = base_ps  # the search has verified it already
+        else:
+            classes = tuple(yoneda_power(z, self.power) for z in base_ps.classes)
+            ps = ParameterSystem(classes, n, base_ps.indices)
+            verify_parameter_system(ps, ctx)
+        lemma_ok = ps.verified
+        ktensor = ps.tensor
         report["parameter_indices"] = list(base_ps.indices)
-        report["pushout_dims"] = [pushout_module(z)[0].dim for z in classes]
+        report["pushout_dims"] = [K.dim for K, _, _ in ps.pushouts]
         report["k_tensor_dim"] = ktensor.dim
         report["k_tensor_free_rank"] = ktensor.dim // A.dim if lemma_ok else None
         verdicts.append(Verdict("lemma_projective", lemma_ok,
                                 f"tensor of pushouts has dim {ktensor.dim}"))
 
-        ccs = [build_class_complex(z) for z in classes]
+        ccs = [build_class_complex(z, po) for z, po in zip(ps.classes, ps.pushouts)]
         unit_dim = 1
         factor_ok = True
         for idx, cc in enumerate(ccs):

@@ -94,9 +94,15 @@ class FpMatrix:
         self._rref = None
 
     @classmethod
-    def _adopt(cls, p: int, arr: np.ndarray) -> "FpMatrix":
-        """Wrap a fresh 2-D ``int64`` array nobody else holds, reducing it in place."""
-        arr %= p
+    def _adopt(cls, p: int, arr: np.ndarray, reduced: bool = False) -> "FpMatrix":
+        """Wrap a 2-D ``int64`` array without copying it.
+
+        The array is reduced in place, so it must be fresh (nobody else
+        holds it), unless ``reduced`` says its entries already lie in
+        ``0..p-1``; such an array may also be a read-only view.
+        """
+        if not reduced:
+            arr %= p
         arr.setflags(write=False)
         out = cls.__new__(cls)
         out.p = p
@@ -182,7 +188,8 @@ class FpMatrix:
         return FpMatrix(self.p, self.a * (c % self.p))
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.T)
+        # a read-only view of reduced entries: shared, never written
+        return FpMatrix._adopt(self.p, self.a.T, reduced=True)
 
     def power(self, e: int) -> "FpMatrix":
         if self.rows != self.cols:
@@ -197,7 +204,7 @@ class FpMatrix:
         return out
 
     def take_columns(self, idx) -> "FpMatrix":
-        return FpMatrix(self.p, self.a[:, list(idx)])
+        return FpMatrix._adopt(self.p, self.a[:, list(idx)], reduced=True)
 
     # ------------------------------------------------------------------
     # elimination
@@ -262,7 +269,7 @@ class FpMatrix:
         basis = np.zeros((self.cols, len(free)), dtype=np.int64)
         basis[free, range(len(free))] = 1
         basis[list(pivots)] = -red.a[: len(pivots), free]
-        return FpMatrix(self.p, basis)
+        return FpMatrix._adopt(self.p, basis)
 
     def column_space(self) -> "FpMatrix":
         """Echelonized basis of the column space, returned as columns."""
@@ -302,7 +309,7 @@ class FpMatrix:
         out = np.zeros((self.rows + other.rows, self.cols + other.cols), dtype=np.int64)
         out[: self.rows, : self.cols] = self.a
         out[self.rows :, self.cols :] = other.a
-        return FpMatrix(self.p, out)
+        return FpMatrix._adopt(self.p, out, reduced=True)
 
     def dump(self) -> str:
         """Debug dump: ``rows cols p`` then sorted nonzero triplets."""
@@ -323,12 +330,12 @@ def direct_sum(a: FpMatrix, b: FpMatrix) -> FpMatrix:
 
 def hstack(mats: list[FpMatrix]) -> FpMatrix:
     p = mats[0].p
-    return FpMatrix(p, np.hstack([m.a for m in mats]))
+    return FpMatrix._adopt(p, np.hstack([m.a for m in mats]), reduced=True)
 
 
 def vstack(mats: list[FpMatrix]) -> FpMatrix:
     p = mats[0].p
-    return FpMatrix(p, np.vstack([m.a for m in mats]))
+    return FpMatrix._adopt(p, np.vstack([m.a for m in mats]), reduced=True)
 
 
 def block(p: int, grid: list[list["FpMatrix | None"]], row_dims: list[int], col_dims: list[int]) -> FpMatrix:
@@ -345,7 +352,7 @@ def block(p: int, grid: list[list["FpMatrix | None"]], row_dims: list[int], col_
                 out[r0 : r0 + rd, c0 : c0 + cd] = blk.a
             c0 += cd
         r0 += rd
-    return FpMatrix(p, out)
+    return FpMatrix._adopt(p, out, reduced=True)
 
 
 def nonpivot_columns(n: int, pivots) -> list[int]:
@@ -365,7 +372,7 @@ def read_coordinates(basis: FpMatrix, rows, v: FpMatrix) -> FpMatrix | None:
     basis._coerce(v)
     if v.rows != basis.rows:
         raise ValueError(f"vectors have {v.rows} rows, basis has {basis.rows}")
-    x = FpMatrix(v.p, v.a[list(rows)])
+    x = FpMatrix._adopt(v.p, v.a[list(rows)], reduced=True)
     if (basis @ x) != v:
         return None
     return x
@@ -390,7 +397,7 @@ def quotient_by_subspace(p: int, sub_cols: FpMatrix) -> tuple[FpMatrix, FpMatrix
     # where E_t are the echelon rows spanning S
     full = np.eye(n, dtype=np.int64)
     full[:, list(pivots)] -= red.a[:s].T
-    qmap = FpMatrix(p, full[nonpiv, :])
+    qmap = FpMatrix._adopt(p, full[nonpiv, :])
     section = np.zeros((n, n - s), dtype=np.int64)
     section[nonpiv, range(n - s)] = 1
-    return qmap, FpMatrix(p, section)
+    return qmap, FpMatrix._adopt(p, section, reduced=True)

@@ -290,6 +290,34 @@ def test_budget_guard(truncated):
         ctx.pair(reg, reg)
 
 
+def test_budget_guard_names_the_factors(truncated):
+    ctx = DiagonalTensor(truncated, Budget(max_dim=8))
+    reg = regular_module(truncated)
+    with pytest.raises(BudgetExceeded, match=r"^tensor 3 x 3 = 9 exceeds budget 8$"):
+        ctx.pair(reg, reg)
+    entries = DiagonalTensor(truncated, Budget(max_dim=100, max_entries=80))
+    with pytest.raises(BudgetExceeded, match=r"^tensor 3 x 3 = 9 exceeds entry budget 80 \(81 entries"):
+        entries.pair(reg, reg)
+    DiagonalTensor(truncated, Budget(max_dim=9, max_entries=81)).pair(reg, reg)
+
+
+def test_check_sizes_walks_pairs_in_build_order(truncated):
+    ctx = DiagonalTensor(truncated, Budget(max_dim=15))
+    # (0, 0) = 2 x 10 comes before (1, 0) = 10 x 10 however the dict is ordered
+    with pytest.raises(BudgetExceeded, match=r"^stage: tensor 2 x 10 = 20 exceeds budget 15$") as err:
+        ctx.check_sizes("stage", [{1: 10, 0: 2}, {0: 10}])
+    assert (err.value.stage, err.value.factors, err.value.dim) == ("stage", (2, 10), 20)
+    # a module is {0: dim}; the third factor meets the summed degree-0 term
+    ctx.check_sizes("stage", [{0: 3}, {0: 5}])
+    with pytest.raises(BudgetExceeded, match=r"tensor 15 x 3 = 45"):
+        ctx.check_sizes("stage", [{0: 3}, {0: 5}, {0: 3}])
+    # graded terms sum into degree s + t: {0:1, 1:2} (x) {0:1, 1:2} has 4 in degree 1
+    DiagonalTensor(truncated, Budget(max_dim=8)).check_sizes("stage", [{0: 1, 1: 2}] * 3)
+    with pytest.raises(BudgetExceeded, match=r"tensor 4 x 2 = 8 exceeds budget 7"):
+        DiagonalTensor(truncated, Budget(max_dim=7)).check_sizes("stage", [{0: 1, 1: 2}] * 3)
+    ctx.check_sizes("stage", [{0: 1000}])  # one factor: no pair to check
+
+
 def test_hom_space_basis_counts(truncated):
     k = trivial_module(truncated)
     reg = regular_module(truncated)

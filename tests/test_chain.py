@@ -10,6 +10,8 @@ import pytest
 import smallhom
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
+    Budget,
+    BudgetExceeded,
     DiagonalTensor,
     ModuleMorphism,
     hom_space_basis,
@@ -37,6 +39,7 @@ from smallhom.chain import (
     tensor_pair,
     tensor_tower,
 )
+from smallhom.construction import ChainRun
 
 F3 = FieldSpec(3)
 
@@ -222,6 +225,42 @@ def test_tower_three_factors(two_term, algebra):
     ctx = DiagonalTensor(algebra)
     tower = tensor_tower([two_term] * 3, ctx)
     assert homology_dims(tower.complex) == {0: 1, 1: 3, 2: 3, 3: 1}
+
+
+def test_tower_checks_every_stage_before_building(two_term, algebra, tensor_diagonal_calls):
+    # stage 1 gives terms (9, 18, 9); stage 2 pairs them with (3, 3), largest 18 x 3
+    with pytest.raises(BudgetExceeded, match=r"^tensor tower: tensor 18 x 3 = 54 exceeds budget 53$"):
+        tensor_tower([two_term] * 3, DiagonalTensor(algebra, Budget(max_dim=53)))
+    assert tensor_diagonal_calls == []
+    tensor_tower([two_term] * 3, DiagonalTensor(algebra, Budget(max_dim=54)))
+    assert len(tensor_diagonal_calls) == 4 + 6
+
+
+@pytest.mark.parametrize("char, exponents, power", [(3, [3, 3], 1), (2, [2, 2], 2)])
+def test_chain_run_budget_is_exact(char, exponents, power, monkeypatch):
+    # the largest tensor pair a run builds is exactly the budget it needs
+    A = qci_algebra(FieldSpec(char), exponents, coproduct="primitive")
+    sizes = []
+    pair = DiagonalTensor.pair
+
+    def recorded(self, M, N):
+        sizes.append(M.dim * N.dim)
+        return pair(self, M, N)
+
+    monkeypatch.setattr(DiagonalTensor, "pair", recorded)
+
+    def run(max_dim, max_entries):
+        sizes.clear()
+        return ChainRun(A, 2, power=power, budget=Budget(max_dim, max_entries)).run()
+
+    run(10**6, 10**12)
+    largest = max(sizes)
+    assert all(v.passed for v in run(largest, largest**2)["verdicts"])
+    for caps in [(largest - 1, 10**12), (10**6, largest**2 - 1)]:
+        with pytest.raises(BudgetExceeded):
+            run(*caps)
+        # the size check, not pair's own guard, stopped the run
+        assert largest not in sizes
 
 
 def test_lift_factor_map_koszul_sign(two_term, algebra):

@@ -1,7 +1,13 @@
 """The pushout construction, parameter systems, theta maps and pipelines."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import smallhom
 
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
@@ -122,6 +128,34 @@ def test_pushout_dimensions_rank2(res2):
     assert K.dim == 1 + res2.omega(1).module.dim
 
 
+WRONG_SIZE_PUSHOUT = """
+import sys
+import smallhom.construction as construction
+from smallhom.algebra import minimal_resolution, qci_algebra, trivial_module
+from smallhom.linalg import FieldSpec
+assert False, "reached only without -O"
+real = construction.quotient_module
+# quotient by nothing: the ambient module, larger than the pushout
+construction.quotient_module = lambda M, cols: real(M, cols.take_columns([]))
+A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
+res = minimal_resolution(trivial_module(A), 3)
+try:
+    construction.pushout_module(construction.ext_classes(res, 2)[0])
+except AssertionError as exc:
+    sys.exit(f"optimize={sys.flags.optimize}: {exc}")
+"""
+
+
+def test_pushout_rejects_a_wrong_size_quotient_under_optimize():
+    # the dimension count must not be an assert, which python -O strips
+    src = os.path.dirname(os.path.dirname(smallhom.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-O", "-c", WRONG_SIZE_PUSHOUT],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 1
+    assert run.stderr.strip() == "optimize=1: pushout dimension count"
+
+
 def test_class_complex_homology_and_self_map(res1):
     z = ext_classes(res1, 2)[0]
     cc = build_class_complex(z)
@@ -137,7 +171,7 @@ def test_parameter_system_search_and_duplicate_failure(res2, two_vars):
     ctx = DiagonalTensor(two_vars)
     ps = find_parameter_system(res2, 2, ctx)
     assert ps.verified
-    big = tensor_pushouts(ps.classes, ctx)
+    big = tensor_pushouts([pushout_module(z)[0] for z in ps.classes], ctx)
     assert big.dim == 81 and is_projective(big)
     cls = ext_classes(res2, 2)
     bad = ParameterSystem((cls[0], cls[0]), 2, (0, 0))

@@ -14,6 +14,7 @@ from smallhom.construction import (
     build_class_complex,
     build_thetas,
     find_parameter_system,
+    pushout_module,
     quadratic_product,
     tensor_pushouts,
 )
@@ -29,7 +30,7 @@ def test_rank3_hypercube_and_cone_oracle(capsys):
     assert res.betti() == [1, 3, 6, 10]
 
     ps = find_parameter_system(res, 3, ctx)
-    ktensor = tensor_pushouts(ps.classes, ctx)
+    ktensor = tensor_pushouts([pushout_module(z)[0] for z in ps.classes], ctx)
     assert ktensor.dim == 512 and is_projective(ktensor)
 
     ccs = [build_class_complex(z) for z in ps.classes]
