@@ -25,7 +25,8 @@ from math import prod
 
 import numpy as np
 
-from .linalg import FieldSpec, FpMatrix, block, hstack, nonpivot_columns, quotient_by_subspace
+from .linalg import (FieldSpec, FpMatrix, echelon_pivots, hstack, nonpivot_columns,
+                     quotient_by_subspace, read_coordinates)
 
 
 class BudgetExceeded(Exception):
@@ -113,6 +114,15 @@ class Algebra:
         if i > j:
             raise ValueError("commutator indices must be increasing")
         return self.q.get((i, j), 1)
+
+    def split_first(self, mono) -> tuple[int, tuple] | None:
+        """``(i, shorter)`` with ``x^mono = x_i * x^shorter`` for the first
+        generator ``i`` in ``mono``; ``None`` for the unit.  ``shorter`` comes
+        before ``mono`` in the lexicographic basis order."""
+        for i, e in enumerate(mono):
+            if e:
+                return i, mono[:i] + (e - 1,) + mono[i + 1 :]
+        return None
 
     def mono_mul(self, e, f):
         """Product of basis monomials: ``(coeff, mono)`` or ``None`` if zero.
@@ -220,15 +230,18 @@ class Module:
                     raise ValueError(f"generators {i},{j} violate the commutation relation")
 
     def act_mono(self, mono) -> FpMatrix:
-        """Action matrix of the basis monomial ``x^mono``."""
+        """Action matrix of the basis monomial ``x^mono``: one product on the
+        cached action of a shorter monomial (:meth:`Algebra.split_first`)."""
         mono = tuple(mono)
         cached = self._mono_acts.get(mono)
         if cached is None:
-            out = FpMatrix.identity(self.algebra.p, self.dim)
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    out = out @ self.action[i]
-            self._mono_acts[mono] = cached = out
+            split = self.algebra.split_first(mono)
+            if split is None:
+                cached = FpMatrix.identity(self.algebra.p, self.dim)
+            else:
+                i, shorter = split
+                cached = self.action[i] @ self.act_mono(shorter)
+            self._mono_acts[mono] = cached
         return cached
 
     def __repr__(self):
@@ -329,11 +342,16 @@ def radical_subspace(M: Module) -> FpMatrix:
 
 
 def submodule(M: Module, cols: FpMatrix) -> tuple[Module, ModuleMorphism]:
-    """The submodule spanned by the given columns (must be action-stable)."""
+    """The submodule spanned by the given columns (must be action-stable).
+
+    The basis is echelonized, so the action coordinates are read off its
+    pivot rows and re-checked by one product per generator.
+    """
     basis = cols.column_space()
+    pivots = echelon_pivots(basis)
     acts = []
     for x in M.action:
-        inside = basis.solve(x @ basis)
+        inside = read_coordinates(basis, pivots, x @ basis)
         if inside is None:
             raise ValueError("columns do not span an action-stable subspace")
         acts.append(inside)
@@ -354,14 +372,25 @@ def quotient_module(M: Module, cols: FpMatrix) -> tuple[Module, ModuleMorphism, 
 def free_images_matrix(A: Algebra, target: Module, slot_images: FpMatrix) -> FpMatrix:
     """Matrix of the free-module map sending the unit of slot ``t`` to
     column ``t`` of ``slot_images``; basis vector ``slot*dimA + k`` goes to
-    ``basis[k] . slot_images[:, t]``."""
-    rank = slot_images.cols
-    cols = np.zeros((target.dim, rank * A.dim), dtype=np.int64)
-    for slot in range(rank):
-        v = slot_images.take_columns([slot])
-        for k, mono in enumerate(A.basis):
-            cols[:, slot * A.dim + k] = (target.act_mono(mono) @ v).a[:, 0]
-    return FpMatrix(A.p, cols)
+    ``basis[k] . slot_images[:, t]``.
+
+    ``x^mono . V`` is built for all slots at once, in the lexicographic order
+    of ``A.basis``: ``x^mono = x_i * x^shorter`` for the first generator ``i``
+    in ``mono`` (:meth:`Algebra.split_first`), and ``shorter`` comes earlier
+    in that order, so each monomial costs one ``dim x dim`` by ``dim x rank``
+    product (``dim A - 1`` in all).  Stacked as ``(dim, rank, dim A)``, the
+    images reshape to the slot-major columns.
+    """
+    images: list[FpMatrix] = []
+    for mono in A.basis:
+        split = A.split_first(mono)
+        if split is None:
+            images.append(slot_images)
+        else:
+            i, shorter = split
+            images.append(target.action[i] @ images[A.index[shorter]])
+    stack = np.stack([x.a for x in images], axis=-1)
+    return FpMatrix._adopt(A.p, stack.reshape(target.dim, slot_images.cols * A.dim), reduced=True)
 
 
 def free_morphism(A: Algebra, rank: int, target: Module, slot_images: FpMatrix) -> ModuleMorphism:
@@ -390,16 +419,14 @@ def projective_cover(M: Module) -> Cover:
     in rad * P by construction.
     """
     A = M.algebra
-    # the radical basis is echelonized: each column's first nonzero row is a pivot
-    rad = radical_subspace(M).a
-    pivots = (rad != 0).argmax(axis=0).tolist() if rad.size else []
-    tops = nonpivot_columns(M.dim, pivots)
+    tops = nonpivot_columns(M.dim, echelon_pivots(radical_subspace(M)))
     rank = len(tops)
     gens = np.zeros((M.dim, rank), dtype=np.int64)
     for k, c in enumerate(tops):
         gens[c, k] = 1
     epi = free_morphism(A, rank, M, FpMatrix(A.p, gens))
-    assert epi.matrix.rank() == M.dim, "cover must be surjective"
+    if epi.matrix.rank() != M.dim:
+        raise AssertionError("cover must be surjective")
     ker_cols = epi.matrix.kernel_basis()
     kernel, incl = submodule(epi.source, ker_cols)
     return Cover(rank, epi.source, epi, kernel, incl)

@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import FpMatrix, vstack
+from .linalg import FpMatrix, echelon_pivots, read_coordinates, vstack
 from .algebra import (
     Algebra,
     Budget,
@@ -92,9 +92,7 @@ class CohomologyClass:
 
     def is_zero_class(self) -> bool:
         bnd = _coboundary_space(self.resolution, self.degree)
-        if bnd.cols == 0:
-            return self.images.is_zero()
-        return bnd.solve(_vec(self.images)) is not None
+        return read_coordinates(bnd, echelon_pivots(bnd), _vec(self.images)) is not None
 
 
 def _vec(V: FpMatrix) -> FpMatrix:
@@ -109,29 +107,32 @@ def _slot_unit_columns(A: Algebra, rank: int) -> list[int]:
     return [t * A.dim + A.unit_index for t in range(rank)]
 
 
-def _postcompose_with_diff(res: Resolution, a: int, V: FpMatrix) -> FpMatrix:
-    """Images of (hom given by V) composed with d_{a+1}."""
-    A = res.algebra
-    full = free_images_matrix(A, res.module, V)
-    d = res.diff(a + 1).matrix
-    units = _slot_unit_columns(A, res.ranks[a + 1])
-    return FpMatrix(A.p, (full @ d).a[:, units])
+def _diff_units(res: Resolution, a: int) -> FpMatrix:
+    """The slot-unit columns of d_{a+1}: the images of P_{a+1}'s generators."""
+    return res.diff(a + 1).matrix.take_columns(_slot_unit_columns(res.algebra, res.ranks[a + 1]))
 
 
 def _delta_matrix(res: Resolution, a: int) -> FpMatrix:
-    """The linear map Hom(P_a, T) -> Hom(P_{a+1}, T) on vectorized images."""
-    T = res.module
+    """The linear map Hom(P_a, T) -> Hom(P_{a+1}, T) on vectorized images.
+
+    Images are vectorized row-major.  With ``D`` the slot-unit columns of
+    d_{a+1}, ``D_k`` its rows ``s * dim A + k`` (one per slot ``s`` of P_a)
+    and ``act_k`` the action of ``basis[k]`` on T, the map is
+    ``V -> sum_k act_k V D_k``, so ``vec(act_k V D_k) = kron(act_k, D_k^T) vec(V)``
+    gives ``Delta = sum_k kron(act_k, D_k^T)``.  The sum over ``k`` is one
+    product: the ``act_k`` entries as rows, ``(r, c) x k``, times the ``D_k``
+    entries as columns, ``k x (s, t)``.
+    """
+    A, T = res.algebra, res.module
     b_a, b_next = res.ranks[a], res.ranks[a + 1]
-    nd = T.dim * b_a
-    cols = []
-    for k in range(nd):
-        flat = np.zeros(nd, dtype=np.int64)
-        flat[k] = 1
-        V = _unvec(T.algebra.p, flat, T.dim, b_a)
-        cols.append(_vec(_postcompose_with_diff(res, a, V)).a[:, 0])
-    if not cols:
-        return FpMatrix(T.algebra.p, np.zeros((T.dim * b_next, 0), dtype=np.int64))
-    return FpMatrix(T.algebra.p, np.array(cols, dtype=np.int64).T)
+    acts = np.stack([T.act_mono(mono).a for mono in A.basis], axis=-1)  # acts[r, c, k]
+    acts_rows = FpMatrix._adopt(A.p, acts.reshape(T.dim * T.dim, A.dim), reduced=True)
+    D = _diff_units(res, a).a.reshape(b_a, A.dim, b_next)  # D[s, k, t] = D_k[s, t]
+    d_cols = FpMatrix._adopt(A.p, D.transpose(1, 0, 2).reshape(A.dim, b_a * b_next), reduced=True)
+    # summed[(r, c), (s, t)] = sum_k act_k[r, c] D_k[s, t] = Delta[(r, t), (c, s)]
+    summed = (acts_rows @ d_cols).a.reshape(T.dim, T.dim, b_a, b_next)
+    delta = summed.transpose(0, 3, 1, 2).reshape(T.dim * b_next, T.dim * b_a)
+    return FpMatrix._adopt(A.p, delta, reduced=True)
 
 
 def _coboundary_space(res: Resolution, n: int) -> FpMatrix:
@@ -149,15 +150,16 @@ def class_from_images(res: Resolution, n: int, images: FpMatrix) -> CohomologyCl
         raise ValueError("images matrix has the wrong shape")
     if res.length < n + 1:
         raise ValueError("resolution too short to validate the cocycle")
-    if not _postcompose_with_diff(res, n, images).is_zero():
-        raise ValueError("images do not define a cocycle")
     full = free_images_matrix(A, T, images)
+    if not (full @ _diff_units(res, n)).is_zero():
+        raise ValueError("images do not define a cocycle")
     cocycle = ModuleMorphism(res.projectives[n], T, full, check=True)
     # degree 0: the zeroth syzygy is the module itself, covered by P_0
     epi_mat = res.aug.matrix if n == 0 else res.omega(n).epi.matrix
     om_module = T if n == 0 else res.omega(n).module
     zt = epi_mat.transpose().solve(full.transpose())
-    assert zt is not None, "cocycles factor through the syzygy"
+    if zt is None:
+        raise AssertionError("cocycles factor through the syzygy")
     induced = ModuleMorphism(om_module, T, zt.transpose(), check=True)
     cls = CohomologyClass(res, n, images, cocycle, induced)
     if cls.is_zero_class():
@@ -213,13 +215,15 @@ def yoneda_power(z: CohomologyClass, s: int) -> CohomologyClass:
     stages: list[FpMatrix] = []
     top = (s - 1) * n
     w = res.aug.matrix.solve(z.images)
-    assert w is not None
+    if w is None:
+        raise AssertionError("the class images lift through the augmentation")
     stages.append(w)
     for i in range(1, top + 1):
         prev_full = free_images_matrix(A, res.projectives[i - 1], stages[i - 1])
-        rhs_cols = (prev_full @ res.diff(n + i).matrix).a[:, _slot_unit_columns(A, res.ranks[n + i])]
-        w = res.diff(i).matrix.solve(FpMatrix(A.p, rhs_cols))
-        assert w is not None, "resolution exactness guarantees the lift"
+        rhs_cols = prev_full @ _diff_units(res, n + i - 1)
+        w = res.diff(i).matrix.solve(rhs_cols)
+        if w is None:
+            raise AssertionError("resolution exactness guarantees the lift")
         stages.append(w)
     # multiply one factor at a time: the slot-unit images of f . phi are
     # full(f) applied to the stage columns of the lift

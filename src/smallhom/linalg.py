@@ -22,7 +22,9 @@ Conventions fixed here and relied on by every other module:
 * Kernel bases are read off the unique reduced row echelon form; a kernel
   basis is the identity on the free (non-pivot) rows.
 * Column-space bases are echelonized (rref of the transpose); such a basis
-  is the identity on its pivot rows.
+  is the identity on its pivot rows, and each column's pivot row is its
+  first nonzero row (:func:`echelon_pivots`).  That reading holds for these
+  bases only: a kernel basis column may be nonzero above its free row.
 
 Because of these identity rows, the coordinates of a vector in either kind
 of basis are not solved for: they are read off those rows
@@ -359,6 +361,18 @@ def nonpivot_columns(n: int, pivots) -> list[int]:
     """The columns ``0..n-1`` that are not pivots, ascending."""
     piv = set(pivots)
     return [c for c in range(n) if c not in piv]
+
+
+def echelon_pivots(basis: FpMatrix) -> list[int]:
+    """Pivot rows of an echelonized column basis, one per column.
+
+    Column ``t`` of such a basis (:meth:`FpMatrix.column_space`) is row ``t``
+    of a reduced echelon form, transposed, so its pivot is its first nonzero
+    row.  Not for kernel bases, whose identity rows are the free rows.
+    """
+    if not basis.a.size:
+        return []
+    return (basis.a != 0).argmax(axis=0).tolist()
 
 
 def read_coordinates(basis: FpMatrix, rows, v: FpMatrix) -> FpMatrix | None:

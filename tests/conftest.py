@@ -1,8 +1,15 @@
 """Fixtures shared by the test modules."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
+import smallhom
 import smallhom.algebra
+from smallhom.linalg import FpMatrix
 
 
 @pytest.fixture
@@ -17,3 +24,58 @@ def tensor_diagonal_calls(monkeypatch):
 
     monkeypatch.setattr(smallhom.algebra, "tensor_diagonal", counted)
     return calls
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """``(m, k, n)`` of every ``FpMatrix`` product made during a test."""
+    calls = []
+    real = FpMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a.rows, a.cols, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(FpMatrix, "__matmul__", counted)
+    return calls
+
+
+@pytest.fixture
+def run_optimized():
+    """Run a script under ``python -O`` with ``smallhom`` importable."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(smallhom.__file__))}
+
+    def run(script: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    return run
+
+
+def _mono_action(M, mono) -> np.ndarray:
+    """``x^mono`` acting on ``M``: the product chain from the identity."""
+    out = np.eye(M.dim, dtype=np.int64)
+    for i, e in enumerate(mono):
+        for _ in range(e):
+            out = out @ M.action[i].a % M.algebra.p
+    return out
+
+
+def _free_images_per_monomial(A, target, V: FpMatrix) -> np.ndarray:
+    """The free-module map by its definition: column ``slot * dim A + k`` is
+    ``basis[k]`` acting on column ``slot`` of ``V``, one matvec each."""
+    cols = np.zeros((target.dim, V.cols * A.dim), dtype=np.int64)
+    for slot in range(V.cols):
+        for k, mono in enumerate(A.basis):
+            cols[:, slot * A.dim + k] = _mono_action(target, mono) @ V.a[:, slot] % A.p
+    return cols
+
+
+@pytest.fixture
+def mono_action_reference():
+    return _mono_action
+
+
+@pytest.fixture
+def free_images_reference():
+    return _free_images_per_monomial

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smallhom.linalg import FieldSpec, FpMatrix
+from smallhom.linalg import FieldSpec, FpMatrix, echelon_pivots
 from smallhom.algebra import (
     Budget,
     BudgetExceeded,
@@ -16,6 +16,7 @@ from smallhom.algebra import (
     dimension,
     direct_sum_modules,
     enveloping,
+    free_images_matrix,
     free_module,
     hom_space_basis,
     is_projective,
@@ -28,6 +29,7 @@ from smallhom.algebra import (
     regular_module,
     restrict_left,
     restrict_right,
+    submodule,
     tensor_diagonal,
     tensor_over_base,
     trivial_module,
@@ -334,3 +336,84 @@ def test_free_module_slot_major_indexing(truncated):
     # slot 1 block sits at rows/cols 3..5 and matches the regular action
     assert np.array_equal(x.a[3:, 3:], regular_module(truncated).action[0].a)
     assert not x.a[:3, 3:].any()
+
+
+def _reference_targets():
+    """Targets over p = 2, 3, 5, one with q != 1: trivial, regular, free,
+    a syzygy (non-trivial, not free) and the zero module."""
+    algebras = [qci_algebra(FieldSpec(2), [2, 2, 2], coproduct="primitive"),
+                qci_algebra(F3, [3, 2], {(0, 1): -1}),
+                qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2})]
+    for A in algebras:
+        for M in (trivial_module(A), regular_module(A), free_module(A, 2),
+                  projective_cover(trivial_module(A)).kernel, zero_module(A)):
+            yield A, M
+
+
+@pytest.mark.parametrize("rank", [0, 1, 3])
+def test_free_images_matrix_matches_per_monomial_reference(rank, free_images_reference):
+    rng = np.random.default_rng(rank)
+    for A, M in _reference_targets():
+        V = FpMatrix(A.p, rng.integers(0, A.p, size=(M.dim, rank)))
+        out = free_images_matrix(A, M, V)
+        assert out.shape == (M.dim, rank * A.dim)
+        assert np.array_equal(out.a, free_images_reference(A, M, V))
+
+
+def test_act_mono_matches_product_chain(mono_action_reference):
+    for A, M in _reference_targets():
+        for mono in reversed(A.basis):  # longest first: the cache fills on the way down
+            assert np.array_equal(M.act_mono(mono).a, mono_action_reference(M, mono))
+
+
+@pytest.mark.parametrize("rank", [0, 1, 4])
+def test_free_images_matrix_makes_one_thin_product_per_monomial(rank, matmul_calls):
+    A = qci_algebra(F3, [3, 3], {(0, 1): 2})
+    M = projective_cover(trivial_module(A)).kernel
+    V = FpMatrix.zeros(3, M.dim, rank)
+    matmul_calls.clear()
+    free_images_matrix(A, M, V)
+    assert matmul_calls == [(M.dim, M.dim, rank)] * (A.dim - 1)
+
+
+def test_submodule_reads_coordinates_and_rejects_unstable_columns(truncated, two_vars):
+    reg = regular_module(two_vars)
+    rad = radical_subspace(reg)
+    sub, incl = submodule(reg, rad)
+    assert sub.dim == 8 and incl.matrix == rad
+    for x, inside in zip(reg.action, sub.action):
+        assert inside == rad.solve(x @ rad)
+    # the unit spans a line that x moves out of
+    with pytest.raises(ValueError, match="action-stable"):
+        submodule(regular_module(truncated), FpMatrix(3, [[1], [0], [0]]))
+    with pytest.raises(ValueError, match="action-stable"):
+        submodule(reg, rad.take_columns([0, 1]))
+
+
+def test_echelon_pivots_reads_first_nonzero_rows():
+    basis = FpMatrix(3, [[0, 0], [1, 0], [2, 0], [0, 1]])
+    assert echelon_pivots(basis) == [1, 3]
+    assert echelon_pivots(FpMatrix.zeros(3, 4, 0)) == []
+    assert echelon_pivots(FpMatrix.zeros(3, 0, 0)) == []
+
+
+UNSURJECTIVE_COVER = """
+import sys
+import smallhom.algebra as algebra
+from smallhom.linalg import FieldSpec, FpMatrix
+assert False, "reached only without -O"
+# a free map that sends every generator to zero cannot be onto
+algebra.free_images_matrix = lambda A, target, V: FpMatrix.zeros(A.p, target.dim, V.cols * A.dim)
+A = algebra.qci_algebra(FieldSpec(3), [3])
+try:
+    algebra.projective_cover(algebra.trivial_module(A))
+except AssertionError as exc:
+    sys.exit(f"optimize={sys.flags.optimize}: {exc}")
+"""
+
+
+def test_cover_rejects_a_map_that_is_not_onto_under_optimize(run_optimized):
+    # the surjectivity check must not be an assert, which python -O strips
+    run = run_optimized(UNSURJECTIVE_COVER)
+    assert run.returncode == 1
+    assert run.stderr.strip() == "optimize=1: cover must be surjective"

@@ -78,7 +78,7 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert code == 0 and "rank = 10" in out and "total = 1008" in out
 
 
-def test_budget_exit_code(capsys, tensor_diagonal_calls):
+def test_budget_exit_code(capsys, tensor_diagonal_calls, matmul_calls):
     code = run_cli(["certify", "--mode", "chain", "--char", "3",
                     "--exponents", "3 3 3", "--coproduct", "primitive"])
     assert code == 65
@@ -87,6 +87,9 @@ def test_budget_exit_code(capsys, tensor_diagonal_calls):
     # sizes are checked before the parameter search builds its first tensor
     assert "parameter search: tensor 729 x 27 = 19683 exceeds budget 4096" in err
     assert tensor_diagonal_calls == []
+    # free-module maps take one product per monomial, not one per matvec
+    # (5760 products when each slot and monomial was its own matvec)
+    assert len(matmul_calls) < 1000
 
 
 def test_crosscheck_mode(capsys):

@@ -1,23 +1,22 @@
 """The pushout construction, parameter systems, theta maps and pipelines."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-
-import smallhom
 
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
     Budget,
     BudgetExceeded,
     DiagonalTensor,
+    enveloping,
     is_projective,
     minimal_resolution,
+    projective_cover,
     qci_algebra,
+    regular_bimodule,
+    regular_module,
     trivial_module,
+    zero_module,
 )
 from smallhom.chain import (
     compose_shifted,
@@ -33,6 +32,7 @@ from smallhom.construction import (
     ParameterSystem,
     SymbolicRun,
     UnsupportedRank,
+    _delta_matrix,
     build_class_complex,
     build_thetas,
     class_from_images,
@@ -83,6 +83,19 @@ def test_ext_class_degree_limit(res1):
 def test_zero_class_rejected(res1, one_var):
     with pytest.raises(ValueError):
         class_from_images(res1, 2, FpMatrix.zeros(3, 1, 1))
+
+
+def test_coboundary_is_a_zero_class():
+    # over the regular bimodule the coboundaries are nonzero, unlike the
+    # trivial module's; a class built from one must be rejected
+    skew = qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2})
+    res = minimal_resolution(regular_bimodule(enveloping(skew)), 3)
+    delta = _delta_matrix(res, 1)
+    j = int(np.flatnonzero(delta.a.any(axis=0))[0])
+    images = FpMatrix(5, delta.a[:, j].reshape(res.module.dim, res.ranks[2]))
+    with pytest.raises(ValueError, match="zero in cohomology"):
+        class_from_images(res, 2, images)
+    assert ext_classes(res, 2)
 
 
 def test_induced_morphism_is_epi_onto_unit(res1):
@@ -146,14 +159,85 @@ except AssertionError as exc:
 """
 
 
-def test_pushout_rejects_a_wrong_size_quotient_under_optimize():
+def test_pushout_rejects_a_wrong_size_quotient_under_optimize(run_optimized):
     # the dimension count must not be an assert, which python -O strips
-    src = os.path.dirname(os.path.dirname(smallhom.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-O", "-c", WRONG_SIZE_PUSHOUT],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = run_optimized(WRONG_SIZE_PUSHOUT)
     assert run.returncode == 1
     assert run.stderr.strip() == "optimize=1: pushout dimension count"
+
+
+UNSOLVABLE = """
+import sys
+import smallhom.construction as construction
+from smallhom.algebra import minimal_resolution, qci_algebra, trivial_module
+from smallhom.linalg import FieldSpec, FpMatrix
+assert False, "reached only without -O"
+A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
+res = minimal_resolution(trivial_module(A), 5)
+z = construction.ext_classes(res, 2)[0]
+real = FpMatrix.solve
+solved = []
+def solve(self, b):
+    # the first {keep} systems solve, every later one is inconsistent
+    solved.append(b)
+    return real(self, b) if len(solved) <= {keep} else None
+FpMatrix.solve = solve
+try:
+    {call}
+except AssertionError as exc:
+    sys.exit(f"optimize={{sys.flags.optimize}}: {{exc}}")
+"""
+
+
+@pytest.mark.parametrize("call, keep, message", [
+    ("construction.class_from_images(res, 2, z.images)", 0, "cocycles factor through the syzygy"),
+    ("construction.yoneda_power(z, 2)", 0, "the class images lift through the augmentation"),
+    ("construction.yoneda_power(z, 2)", 1, "resolution exactness guarantees the lift"),
+])
+def test_factorization_and_lifts_fail_under_optimize(run_optimized, call, keep, message):
+    # a failed solve must raise, not pass an assert that python -O strips
+    run = run_optimized(UNSOLVABLE.format(call=call, keep=keep))
+    assert run.returncode == 1
+    assert run.stderr.strip() == f"optimize=1: {message}"
+
+
+def _delta_column_by_column(res, a, free_images_reference):
+    """Hom(P_a, T) -> Hom(P_{a+1}, T) by its definition: each basis vector of
+    Hom(P_a, T), as slot-unit images, composed with d_{a+1}; row-major."""
+    A, T = res.algebra, res.module
+    b_a, b_next = res.ranks[a], res.ranks[a + 1]
+    d = res.diff(a + 1).matrix.a
+    units = [t * A.dim + A.unit_index for t in range(b_next)]
+    cols = np.zeros((T.dim * b_next, T.dim * b_a), dtype=np.int64)
+    for j in range(T.dim * b_a):
+        V = np.zeros(T.dim * b_a, dtype=np.int64)
+        V[j] = 1
+        full = free_images_reference(A, T, FpMatrix(A.p, V.reshape(T.dim, b_a)))
+        cols[:, j] = (full @ d % A.p)[:, units].reshape(-1)
+    return cols
+
+
+def _delta_resolutions():
+    """Targets over p = 2, 3, 5, one with q != 1: the trivial module, a
+    syzygy, the regular bimodule, a free module (rank 0 from P_1 on) and the
+    zero module."""
+    F2_cube = qci_algebra(FieldSpec(2), [2, 2, 2], coproduct="primitive")
+    skew = qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2})
+    one = qci_algebra(F3, [3], coproduct="primitive")
+    yield minimal_resolution(trivial_module(F2_cube), 3)
+    yield minimal_resolution(trivial_module(skew), 3)
+    yield minimal_resolution(projective_cover(trivial_module(skew)).kernel, 2)
+    yield minimal_resolution(regular_bimodule(enveloping(one)), 3)
+    yield minimal_resolution(regular_bimodule(enveloping(skew)), 2)
+    yield minimal_resolution(regular_module(skew), 2)
+    yield minimal_resolution(zero_module(one), 2)
+
+
+def test_delta_matrix_matches_column_by_column_reference(free_images_reference):
+    for res in _delta_resolutions():
+        for a in range(res.length):
+            delta = _delta_matrix(res, a)
+            assert np.array_equal(delta.a, _delta_column_by_column(res, a, free_images_reference))
 
 
 def test_class_complex_homology_and_self_map(res1):
