@@ -356,7 +356,9 @@ def submodule(M: Module, cols: FpMatrix) -> tuple[Module, ModuleMorphism]:
             raise ValueError("columns do not span an action-stable subspace")
         acts.append(inside)
     sub = Module(M.algebra, acts, check=False)
-    incl = ModuleMorphism(sub, M, basis, check=True)
+    # read_coordinates has checked x @ basis == basis @ inside, which is the
+    # morphism law of the inclusion
+    incl = ModuleMorphism(sub, M, basis, check=False)
     return sub, incl
 
 
@@ -425,9 +427,10 @@ def projective_cover(M: Module) -> Cover:
     for k, c in enumerate(tops):
         gens[c, k] = 1
     epi = free_morphism(A, rank, M, FpMatrix(A.p, gens))
+    # the kernel eliminates epi once; the rank then reads its pivot count
+    ker_cols = epi.matrix.kernel_basis()
     if epi.matrix.rank() != M.dim:
         raise AssertionError("cover must be surjective")
-    ker_cols = epi.matrix.kernel_basis()
     kernel, incl = submodule(epi.source, ker_cols)
     return Cover(rank, epi.source, epi, kernel, incl)
 
@@ -467,6 +470,8 @@ class Resolution:
         self.aug = cover0.epi
         self._diffs: list[ModuleMorphism] = []
         self.syzygies: list[Syzygy] = [Syzygy(cover0.kernel, cover0.kernel_incl)]
+        # coboundary spaces by degree, filled by construction._coboundary_space
+        self._coboundaries: dict[int, FpMatrix] = {}
         for i in range(1, length + 1):
             omega = self.syzygies[i - 1]
             cov = projective_cover(omega.module)

@@ -185,7 +185,8 @@ def homology_rank_dims(C: ChainComplex) -> dict[int, int]:
     out = {}
     for i in range(C.lo, C.hi + 1):
         h = C.module_at(i).dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
-        assert h >= 0, "rank bookkeeping must stay non-negative"
+        if h < 0:
+            raise AssertionError(f"rank bookkeeping must stay non-negative: dim H_{i} = {h}")
         if h:
             out[i] = h
     return out

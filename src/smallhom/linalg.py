@@ -31,6 +31,17 @@ of basis are not solved for: they are read off those rows
 (:func:`read_coordinates`) and re-checked by one exact product, which fails
 exactly when the vector lies outside the span.  :meth:`FpMatrix.solve` is
 for general systems.
+
+A rank alone does not need the reduced echelon form.  :meth:`FpMatrix.rank`
+reads the pivot count of a cached form when there is one; otherwise it peels
+singletons first, the fill-free first step of structured Gaussian
+elimination (Bouillaguet and Delaplace, "Sparse Gaussian elimination modulo
+p: an update", CASC 2016).  A column whose only nonzero sits in row ``i``
+splits off a 1x1 block: column operations with it clear the rest of row
+``i`` and touch no other row.  So it adds one to the rank, and row ``i`` and
+the column go; the other singleton columns in row ``i`` become zero, which is
+why a round counts the distinct rows of its singleton columns.  Rows peel the
+same way.  Forward elimination runs only on the core that is left.
 """
 
 from __future__ import annotations
@@ -83,7 +94,7 @@ class FieldSpec:
 class FpMatrix:
     """An immutable dense matrix over F_p."""
 
-    __slots__ = ("p", "a", "_rref")
+    __slots__ = ("p", "a", "_rref", "_rank")
 
     def __init__(self, p: int, array) -> None:
         self.p = int(p)
@@ -94,6 +105,7 @@ class FpMatrix:
         arr.setflags(write=False)
         self.a = arr
         self._rref = None
+        self._rank = None
 
     @classmethod
     def _adopt(cls, p: int, arr: np.ndarray, reduced: bool = False) -> "FpMatrix":
@@ -110,6 +122,7 @@ class FpMatrix:
         out.p = p
         out.a = arr
         out._rref = None
+        out._rank = None
         return out
 
     # ------------------------------------------------------------------
@@ -214,52 +227,28 @@ class FpMatrix:
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns.
 
-        Rows stay in place during the elimination: ``free`` marks the rows
-        that hold no pivot yet, and the pivot rows are gathered into echelon
-        order at the end.  The pivot row of column ``c`` vanishes left of
-        ``c``, so every row update starts at column ``c``.
+        :func:`_eliminate` leaves the rows in place; the pivot rows are
+        gathered into echelon order at the end, the others after them.
         """
         if self._rref is None:
             m = self.a.copy()
-            rows, cols = m.shape
-            p = self.p
-            pivots: list[int] = []
-            pivot_rows: list[int] = []
-            if rows and m.any():
-                free = np.ones(rows, dtype=bool)
-                for c in range(cols):
-                    nz = m[:, c].nonzero()[0]
-                    candidates = nz[free[nz]]
-                    if not candidates.size:
-                        continue
-                    i = int(candidates[0])
-                    row = m[i, c:]
-                    lead = int(row[0])
-                    if lead != 1:
-                        row *= pow(lead, p - 2, p)
-                        row %= p
-                    if nz.size == 2:
-                        # one other row, nz[0] + nz[1] - i: update its view in place
-                        other = m[int(nz[0] + nz[1]) - i, c:]
-                        other -= int(other[0]) * row
-                        other %= p
-                    elif nz.size > 2:
-                        touched = nz[nz != i]
-                        blk = m[touched, c:]
-                        blk -= blk[:, :1] * row
-                        blk %= p
-                        m[touched, c:] = blk
-                    free[i] = False
-                    pivots.append(c)
-                    pivot_rows.append(i)
-                    if len(pivot_rows) == rows:
-                        break
-                m = m[pivot_rows + free.nonzero()[0].tolist()]
-            self._rref = (FpMatrix._adopt(p, m), tuple(pivots))
+            pivots, pivot_rows, free = _eliminate(m, self.p, reduce_above=True)
+            m = m[pivot_rows + free.nonzero()[0].tolist()]
+            self._rref = (FpMatrix._adopt(self.p, m), tuple(pivots))
         return self._rref
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The rank: a cached RREF's pivot count, else peel and eliminate.
+
+        A caller that needs the RREF too should ask for it first, so that
+        the matrix is eliminated once.
+        """
+        if self._rank is None:
+            if self._rref is not None:
+                self._rank = len(self._rref[1])
+            else:
+                self._rank = _peeled_rank(self.a, self.p)
+        return self._rank
 
     def kernel_basis(self) -> "FpMatrix":
         """Columns span the right null space; count = cols - rank.
@@ -313,13 +302,84 @@ class FpMatrix:
         out[self.rows :, self.cols :] = other.a
         return FpMatrix._adopt(self.p, out, reduced=True)
 
-    def dump(self) -> str:
-        """Debug dump: ``rows cols p`` then sorted nonzero triplets."""
-        lines = [f"{self.rows} {self.cols} {self.p}"]
-        rs, cs = np.nonzero(self.a)
-        for r, c in sorted(zip(rs.tolist(), cs.tolist())):
-            lines.append(f"{r} {c} {int(self.a[r, c])}")
-        return "\n".join(lines) + "\n"
+
+def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> tuple[list[int], list[int], np.ndarray]:
+    """Gaussian elimination of ``m`` in place, column by column.
+
+    Returns the pivot columns, their rows and the mask of rows that hold no
+    pivot.  Rows stay in place: each pivot row is scaled to a leading 1, and
+    its column is cleared in every other row when ``reduce_above`` (the
+    Gauss-Jordan step of a reduced form), otherwise only in the rows that
+    hold no pivot yet, which is all a rank needs.  The pivot row of column
+    ``c`` vanishes left of ``c``, so every row update starts at column ``c``.
+    """
+    rows, cols = m.shape
+    pivots: list[int] = []
+    pivot_rows: list[int] = []
+    free = np.ones(rows, dtype=bool)
+    if not rows or not m.any():
+        return pivots, pivot_rows, free
+    for c in range(cols):
+        nz = m[:, c].nonzero()[0]
+        candidates = nz[free[nz]]
+        if not candidates.size:
+            continue
+        i = int(candidates[0])
+        row = m[i, c:]
+        lead = int(row[0])
+        if lead != 1:
+            row *= pow(lead, p - 2, p)
+            row %= p
+        rest = nz if reduce_above else candidates
+        if rest.size == 2:
+            # one other row, rest[0] + rest[1] - i: update its view in place
+            other = m[int(rest[0] + rest[1]) - i, c:]
+            other -= int(other[0]) * row
+            other %= p
+        elif rest.size > 2:
+            touched = rest[rest != i]
+            blk = m[touched, c:]
+            blk -= blk[:, :1] * row
+            blk %= p
+            m[touched, c:] = blk
+        free[i] = False
+        pivots.append(c)
+        pivot_rows.append(i)
+        if len(pivot_rows) == rows:
+            break
+    return pivots, pivot_rows, free
+
+
+def _peeled_rank(a: np.ndarray, p: int) -> int:
+    """Rank of ``a``: peel singleton columns and rows, then eliminate the core.
+
+    The nonzeros are kept as coordinate lists, so zero rows and columns never
+    appear and dropping a row drops its entries.  A round drops the rows of
+    the singleton columns, one pivot per distinct row, then the columns of
+    the singleton rows, one pivot per distinct column; the singletons' own
+    columns (rows) are empty after that.  Rounds repeat while they peel.
+    """
+    shape = a.shape
+    coords = list(a.nonzero())  # [row indices, column indices]
+    rank = 0
+    peeled = True
+    while peeled and coords[0].size:
+        peeled = False
+        for axis in (1, 0):  # singleton columns, then singleton rows
+            line, cross = coords[axis], coords[1 - axis]
+            single = np.bincount(line, minlength=shape[axis])[line] == 1
+            if not single.any():
+                continue
+            hit = np.zeros(shape[1 - axis], dtype=bool)
+            hit[cross[single]] = True
+            rank += int(np.count_nonzero(hit))
+            keep = ~hit[cross]
+            coords = [coords[0][keep], coords[1][keep]]
+            peeled = True
+    if not coords[0].size:
+        return rank
+    core = a[np.ix_(np.unique(coords[0]), np.unique(coords[1]))]
+    return rank + len(_eliminate(core, p, reduce_above=False)[0])
 
 
 def kronecker(a: FpMatrix, b: FpMatrix) -> FpMatrix:

@@ -141,6 +141,31 @@ def test_homology_space_rejects_d_squared_nonzero_under_optimize():
     assert run.stderr.strip() == "optimize=1: boundaries must be cycles"
 
 
+NEGATIVE_HOMOLOGY = """
+import sys
+from smallhom.algebra import ModuleMorphism, qci_algebra, trivial_module
+from smallhom.chain import ChainComplex, homology_rank_dims
+from smallhom.linalg import FieldSpec
+assert False, "reached only without -O"
+A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
+k = trivial_module(A)
+one = ModuleMorphism.identity(k)
+C = ChainComplex(A, {0: k, 1: k, 2: k}, {1: one, 2: one}, check=False)
+try:
+    homology_rank_dims(C)
+except AssertionError as exc:
+    sys.exit(f"optimize={sys.flags.optimize}: {exc}")
+"""
+
+
+def test_homology_rank_dims_rejects_negative_homology_under_optimize(run_optimized):
+    # d_1 d_2 = 1 on k -> k -> k, so dim H_1 = 1 - 1 - 1 = -1; the check
+    # certifies cone dimensions, so it must not be an assert
+    run = run_optimized(NEGATIVE_HOMOLOGY)
+    assert run.returncode == 1
+    assert run.stderr.strip() == "optimize=1: rank bookkeeping must stay non-negative: dim H_1 = -1"
+
+
 def test_cone_of_identity_is_exact(two_term):
     cone = mapping_cone(ChainMap.identity(two_term))
     assert homology_dims(cone) == {}
@@ -294,3 +319,20 @@ def test_rank_dims_agree_with_subquotients(two_term, algebra):
     assert homology_rank_dims(t) == homology_dims(t) == {0: 1, 1: 2, 2: 1}
     cone = mapping_cone(ChainMap.identity(two_term))
     assert homology_rank_dims(cone) == {}
+
+
+def test_rank_dims_agree_with_subquotients_on_the_rank2_cone():
+    # the F_3 `3 3` primitive cone of ChainRun, whose certificate reads its
+    # homology off ranks; the subquotient route stays the reference
+    from smallhom.construction import build_class_complex, build_thetas, find_parameter_system, quadratic_product
+    from smallhom.algebra import minimal_resolution
+
+    A = qci_algebra(F3, [3, 3], {(0, 1): 1}, coproduct="primitive")
+    ctx = DiagonalTensor(A)
+    ps = find_parameter_system(minimal_resolution(trivial_module(A), 3), 2, ctx)
+    ccs = [build_class_complex(z) for z in ps.classes]
+    tower = tensor_tower([cc.complex for cc in ccs], ctx)
+    cone = mapping_cone(quadratic_product(build_thetas(tower, ccs), 0, 1))
+    ranks = homology_rank_dims(cone)
+    assert all(d.matrix._rref is None for d in cone.diffs.values())  # the rank route peeled
+    assert ranks == homology_dims(cone) == {0: 1, 1: 2, 4: 2, 5: 1}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smallhom.linalg
 from smallhom.linalg import (
     BLAS_MIN_WORK,
     FLOAT32_EXACT,
@@ -338,9 +339,76 @@ def test_block_assembly():
     assert m.a[0, 0] == 1 and m.a[2, 2] == 2 and m.a[0, 2] == 0
 
 
-def test_dump_format():
-    m = FpMatrix(3, [[0, 2], [1, 0]])
-    assert m.dump() == "2 2 3\n0 1 2\n1 0 1\n"
+def _rank_cases(p, rng):
+    """Inputs for the peeled rank, each with the core it should leave."""
+    def nonzero(*shape):
+        return rng.randint(1, p, size=shape)
+
+    cases = [(np.zeros(shape, dtype=np.int64), None) for shape in ((0, 5), (5, 0), (0, 0), (4, 6))]
+    # dense, square, wide, tall and of low rank
+    for shape in ((7, 7), (12, 5), (5, 12)):
+        cases.append((rng.randint(0, p, size=shape), "any"))
+    cases.append((rng.randint(0, p, size=(20, 3)) @ rng.randint(0, p, size=(3, 15)) % p, "any"))
+    # sparse: 0.5% nonzero
+    for shape in ((200, 100), (100, 200), (150, 150)):
+        cases.append((nonzero(*shape) * (rng.rand(*shape) < 0.005), "any"))
+    # row 0 holds the only nonzero of columns 0..3: one pivot, not four;
+    # the transpose has four singleton rows in one column
+    shared = np.zeros((6, 9), dtype=np.int64)
+    shared[0, :4] = nonzero(4)
+    shared[0, 4:] = rng.randint(0, p, size=5)
+    shared[1:, 4:] = nonzero(5, 5)
+    cases += [(shared, (5, 5)), (shared.T, (5, 5))]
+    # a cycle: every row and column has two nonzeros, so nothing peels;
+    # with the entries 1 and -1 the all-ones vector is in the kernel
+    cycle = np.zeros((6, 6), dtype=np.int64)
+    cycle[range(6), range(6)] = 1
+    cycle[range(6), [1, 2, 3, 4, 5, 0]] = p - 1
+    cases.append((cycle, (6, 6)))
+    random_cycle = np.zeros((6, 6), dtype=np.int64)
+    random_cycle[range(6), range(6)] = nonzero(6)
+    random_cycle[range(6), [1, 2, 3, 4, 5, 0]] = nonzero(6)
+    cases.append((random_cycle, (6, 6)))
+    # a staircase peels one end per round, down to nothing
+    stairs = np.zeros((8, 8), dtype=np.int64)
+    stairs[range(8), range(8)] = nonzero(8)
+    stairs[range(7), range(1, 8)] = nonzero(7)
+    cases.append((stairs, None))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
+def test_peeled_rank_matches_rref(p, monkeypatch):
+    cores = []
+    real = smallhom.linalg._eliminate
+
+    def recorded(m, p, reduce_above):
+        cores.append(m.shape)
+        return real(m, p, reduce_above)
+
+    monkeypatch.setattr(smallhom.linalg, "_eliminate", recorded)
+    rng = np.random.RandomState(3)
+    for a, core in _rank_cases(p, rng):
+        cores.clear()
+        peeled = FpMatrix(p, a)
+        rank = peeled.rank()
+        assert peeled._rref is None  # the rank did not build an RREF
+        assert rank == len(FpMatrix(p, a).rref()[1])
+        if core is None:
+            assert cores == [a.shape]  # the rref only
+        elif core != "any":
+            assert cores[0] == core
+
+
+def test_rank_reads_a_cached_rref(monkeypatch):
+    m = FpMatrix(3, [[1, 2], [2, 1], [1, 1]])
+    _, pivots = m.rref()
+
+    def unreachable(a, p):
+        raise AssertionError("peeled a matrix whose RREF is cached")
+
+    monkeypatch.setattr(smallhom.linalg, "_peeled_rank", unreachable)
+    assert m.rank() == len(pivots) == 2
 
 
 def test_immutability():
