@@ -293,17 +293,11 @@ class ModuleMorphism:
     def __add__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         return ModuleMorphism(self.source, self.target, self.matrix + other.matrix, check=False)
 
-    def __neg__(self) -> "ModuleMorphism":
-        return ModuleMorphism(self.source, self.target, -self.matrix, check=False)
-
     def scale(self, c: int) -> "ModuleMorphism":
         return ModuleMorphism(self.source, self.target, self.matrix.scale(c), check=False)
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
-
-    def rank(self) -> int:
-        return self.matrix.rank()
 
     @classmethod
     def zero(cls, source: Module, target: Module) -> "ModuleMorphism":
@@ -395,13 +389,6 @@ def free_images_matrix(A: Algebra, target: Module, slot_images: FpMatrix) -> FpM
     return FpMatrix._adopt(A.p, stack.reshape(target.dim, slot_images.cols * A.dim), reduced=True)
 
 
-def free_morphism(A: Algebra, rank: int, target: Module, slot_images: FpMatrix) -> ModuleMorphism:
-    """The module map from ``free_module(A, rank)`` determined by the images
-    of the slot units."""
-    src = free_module(A, rank)
-    return ModuleMorphism(src, target, free_images_matrix(A, target, slot_images), check=False)
-
-
 @dataclass
 class Cover:
     """A projective cover: free module, epimorphism and its kernel."""
@@ -426,13 +413,14 @@ def projective_cover(M: Module) -> Cover:
     gens = np.zeros((M.dim, rank), dtype=np.int64)
     for k, c in enumerate(tops):
         gens[c, k] = 1
-    epi = free_morphism(A, rank, M, FpMatrix(A.p, gens))
+    free = free_module(A, rank)
+    epi = ModuleMorphism(free, M, free_images_matrix(A, M, FpMatrix(A.p, gens)), check=False)
     # the kernel eliminates epi once; the rank then reads its pivot count
     ker_cols = epi.matrix.kernel_basis()
     if epi.matrix.rank() != M.dim:
         raise AssertionError("cover must be surjective")
-    kernel, incl = submodule(epi.source, ker_cols)
-    return Cover(rank, epi.source, epi, kernel, incl)
+    kernel, incl = submodule(free, ker_cols)
+    return Cover(rank, free, epi, kernel, incl)
 
 
 def is_projective(M: Module) -> bool:
@@ -500,36 +488,6 @@ class Resolution:
 
 def minimal_resolution(M: Module, length: int) -> Resolution:
     return Resolution(M, length)
-
-
-def composition_length(M: Module) -> int:
-    """All composition factors are the simple unit, so length = dimension.
-
-    Kept separate from ``dimension`` so callers state which additive
-    function they are using.
-    """
-    return M.dim
-
-
-def dimension(M: Module) -> int:
-    return M.dim
-
-
-def complexity_estimate(M: Module, length: int) -> int:
-    """Least t with the Betti numbers below a degree t-1 polynomial.
-
-    Successive finite differencing of ``b_1..b_length`` (the rank ``b_0``
-    is a transient for projectives); this is an estimate, not a certified
-    asymptotic.
-    """
-    if length < 4:
-        raise ValueError("need length >= 4 for a stable estimate")
-    seq = minimal_resolution(M, length).betti()[1:]
-    t = 0
-    while any(seq) and t <= length:
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-        t += 1
-    return t
 
 
 def hom_space_basis(M: Module, N: Module) -> list[FpMatrix]:
@@ -641,6 +599,13 @@ def one_sided_projective(env: Enveloping, M: Module) -> bool:
 # ----------------------------------------------------------------------
 # tensor contexts: the two monoidal structures used by chain complexes
 # ----------------------------------------------------------------------
+# Tensor products up to this dimension get their relations re-verified.
+# Larger ones are trusted: the relations hold because the coproduct is an
+# algebra map (over the base, by telescoping), which the test suite checks
+# separately at small scale.
+VERIFY_LIMIT = 729
+
+
 @dataclass
 class TensorPairData:
     """One tensor product M (x) N plus the transport data for morphisms."""
@@ -653,23 +618,14 @@ class TensorPairData:
 class DiagonalTensor:
     """Tensor over the ground field with the diagonal (coproduct) action.
 
-    Products up to ``verify_limit`` get their relations re-verified; larger
-    ones are trusted (they hold because the coproduct is an algebra map,
-    which the test suite checks separately at small scale).
+    Products up to ``VERIFY_LIMIT`` get their relations re-verified.
     """
 
-    mode = "diagonal"
-
-    def __init__(self, algebra: Algebra, budget: Budget | None = None,
-                 verify_limit: int = 729):
+    def __init__(self, algebra: Algebra, budget: Budget | None = None):
         if algebra.coproduct is None:
             raise ValueError("diagonal tensor needs a coproduct")
         self.algebra = algebra
         self.budget = budget or Budget()
-        self.verify_limit = verify_limit
-
-    def unit(self) -> Module:
-        return trivial_module(self.algebra)
 
     def check_sizes(self, stage: str, factor_dims: list[dict[int, int]]) -> None:
         """Check the budget for every pair of a left-associated tensor
@@ -693,7 +649,7 @@ class DiagonalTensor:
 
     def pair(self, M: Module, N: Module) -> TensorPairData:
         self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
-        return TensorPairData(tensor_diagonal(M, N, check=M.dim * N.dim <= self.verify_limit))
+        return TensorPairData(tensor_diagonal(M, N, check=M.dim * N.dim <= VERIFY_LIMIT))
 
     def map_block(self, src: TensorPairData, dst: TensorPairData,
                   f: FpMatrix, g: FpMatrix) -> FpMatrix:
@@ -708,16 +664,9 @@ class OverBaseTensor:
     relations for longer elements follow by telescoping.
     """
 
-    mode = "over_base"
-
-    def __init__(self, env: Enveloping, budget: Budget | None = None,
-                 verify_limit: int = 729):
+    def __init__(self, env: Enveloping, budget: Budget | None = None):
         self.env = env
         self.budget = budget or Budget()
-        self.verify_limit = verify_limit
-
-    def unit(self) -> Module:
-        return regular_bimodule(self.env)
 
     def _is_bimodule(self, M: Module) -> bool:
         return M.algebra.ngens == self.env.algebra.ngens
@@ -734,7 +683,7 @@ class OverBaseTensor:
         rels = [right_m[i].kron(eye_n) - eye_m.kron(left_n[i]) for i in range(self.env.c)]
         rel_cols = hstack(rels) if rels else FpMatrix.zeros(p, M.dim * N.dim, 0)
         qmap, section = quotient_by_subspace(p, rel_cols)
-        check = qmap.rows <= self.verify_limit
+        check = qmap.rows <= VERIFY_LIMIT
         left_m = self.env.left_part(M)
         acts = [qmap @ (lm.kron(eye_n)) @ section for lm in left_m]
         if self._is_bimodule(N):
@@ -748,8 +697,3 @@ class OverBaseTensor:
     def map_block(self, src: TensorPairData, dst: TensorPairData,
                   f: FpMatrix, g: FpMatrix) -> FpMatrix:
         return dst.qmap @ f.kron(g) @ src.section
-
-
-def tensor_over_base(env: Enveloping, M: Module, N: Module) -> Module:
-    """Convenience wrapper: B1 (x)_A B2 or B (x)_A (left module)."""
-    return OverBaseTensor(env).pair(M, N).module

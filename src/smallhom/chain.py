@@ -90,10 +90,6 @@ class ChainComplex:
         return f"ChainComplex({self.dims()})"
 
 
-def stalk(M: Module, degree: int = 0) -> ChainComplex:
-    return ChainComplex(M.algebra, {degree: M}, {})
-
-
 def shift_complex(C: ChainComplex, m: int) -> ChainComplex:
     """Suspension: objects re-indexed by +m, differentials times (-1)^m."""
     sign = -1 if m % 2 else 1
@@ -159,10 +155,6 @@ def homology_space(C: ChainComplex, i: int) -> HomologySpace:
     hs = HomologySpace(i, cycles, free, qmap, section, module)
     C._hcache[i] = hs
     return hs
-
-
-def homology(C: ChainComplex, i: int) -> Module:
-    return homology_space(C, i).module
 
 
 def homology_dims(C: ChainComplex) -> dict[int, int]:
@@ -246,10 +238,6 @@ class ChainMap:
         for j in sorted(set(self.comps) | set(other.comps)):
             comps[j] = self.component(j) + other.component(j)
         return ChainMap(self.source, self.target, self.shift, comps, check=False)
-
-    def scale(self, c: int) -> "ChainMap":
-        return ChainMap(self.source, self.target, self.shift,
-                        {j: f.scale(c) for j, f in self.comps.items()}, check=False)
 
     @classmethod
     def identity(cls, C: ChainComplex) -> "ChainMap":
@@ -394,7 +382,8 @@ def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, ModuleMorphism] | No
             acc = acc + T.diff_at(j + s + 1).matrix @ witness[j].matrix
         if (j - 1) in witness:
             acc = acc + (witness[j - 1].matrix @ S.diff_at(j).matrix).scale(sign)
-        assert acc == f.component(j).matrix, "homotopy witness failed re-check"
+        if acc != f.component(j).matrix:
+            raise AssertionError("homotopy witness failed re-check")
     return True, witness
 
 
@@ -439,11 +428,14 @@ class TensorPair:
 
 
 def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:
-    """Kunneth-style double complex totalization with Koszul signs."""
-    p = C1.algebra.p
+    """Kunneth-style double complex totalization with Koszul signs.
+
+    The differential ``d (x) 1 + (-1)^s 1 (x) d`` is the left lift of
+    ``d_{C1}`` plus the right lift of ``d_{C2}``, each a map of shift -1, so
+    it is assembled by :func:`_slot_blocks` like any lifted map.
+    """
     layout: dict[int, list[SummandSlot]] = {}
     objects: dict[int, Module] = {}
-    pieces: dict[int, list[Module]] = {}
     for n in range(C1.lo + C2.lo, C1.hi + C2.hi + 1):
         slots = []
         mods = []
@@ -461,88 +453,68 @@ def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:
         if slots:
             layout[n] = slots
             objects[n], _ = direct_sum_modules(mods)
-            pieces[n] = mods
-    diffs = {}
-    for n in sorted(objects):
-        if (n - 1) not in objects:
-            continue
-        src_slots = layout[n]
-        dst_slots = layout[n - 1]
-        row_dims = [sl.dim for sl in dst_slots]
-        col_dims = [sl.dim for sl in src_slots]
-        grid = [[None] * len(src_slots) for _ in dst_slots]
-        dst_index = {(sl.left_degree, sl.right_degree): k for k, sl in enumerate(dst_slots)}
-        for jsrc, sl in enumerate(src_slots):
-            s, t = sl.left_degree, sl.right_degree
-            d1 = C1.diffs.get(s)
-            if d1 is not None and (s - 1, t) in dst_index:
-                jdst = dst_index[(s - 1, t)]
-                idmat = FpMatrix.identity(p, C2.objects[t].dim)
-                grid[jdst][jsrc] = ctx.map_block(sl.pair, dst_slots[jdst].pair, d1.matrix, idmat)
-            d2 = C2.diffs.get(t)
-            if d2 is not None and (s, t - 1) in dst_index:
-                jdst = dst_index[(s, t - 1)]
-                idmat = FpMatrix.identity(p, C1.objects[s].dim)
-                sign = -1 if s % 2 else 1
-                grid[jdst][jsrc] = ctx.map_block(sl.pair, dst_slots[jdst].pair, idmat, d2.matrix).scale(sign)
-        mat = block(p, grid, row_dims, col_dims)
-        diffs[n] = ModuleMorphism(objects[n], objects[n - 1], mat, check=False)
+    mats = _slot_blocks(ctx, C1, C2, layout, -1,
+                        {s: d.matrix for s, d in C1.diffs.items()},
+                        {t: d.matrix for t, d in C2.diffs.items()})
+    diffs = {n: ModuleMorphism(objects[n], objects[n - 1], mat, check=False) for n, mat in mats.items()}
     algebra = next(iter(objects.values())).algebra if objects else C1.algebra
     cx = ChainComplex(algebra, objects, diffs, check=True)
     return TensorPair(ctx, C1, C2, cx, layout)
 
 
-def tensor_complex(C1: ChainComplex, C2: ChainComplex, ctx) -> ChainComplex:
-    return tensor_pair(C1, C2, ctx).complex
+def _slot_blocks(ctx, left: ChainComplex, right: ChainComplex, layout: dict[int, list[SummandSlot]],
+                 m: int, left_comps: dict[int, FpMatrix], right_comps: dict[int, FpMatrix],
+                 drop_koszul_sign: bool = False) -> dict[int, FpMatrix]:
+    """Matrices of ``f (x) 1 + (-1)^{m s} 1 (x) g`` between the summand slots.
+
+    ``f`` and ``g`` are shift-``m`` maps of the left and right factor, given
+    by their components; the Koszul sign falls on the summand with left
+    degree ``s``, unless ``drop_koszul_sign`` corrupts the convention.
+    Degrees where no block is nonzero are left out.
+    """
+    p = left.algebra.p
+    out = {}
+    for n, slots in layout.items():
+        target_slots = layout.get(n + m)
+        if not target_slots:
+            continue
+        dst_index = {(sl.left_degree, sl.right_degree): k for k, sl in enumerate(target_slots)}
+        grid = [[None] * len(slots) for _ in target_slots]
+        nonzero = False
+        for jsrc, sl in enumerate(slots):
+            s, t = sl.left_degree, sl.right_degree
+            f, jdst = left_comps.get(s), dst_index.get((s + m, t))
+            if f is not None and jdst is not None:
+                eye = FpMatrix.identity(p, right.objects[t].dim)
+                grid[jdst][jsrc] = ctx.map_block(sl.pair, target_slots[jdst].pair, f, eye)
+                nonzero = True
+            g, jdst = right_comps.get(t), dst_index.get((s, t + m))
+            if g is not None and jdst is not None:
+                eye = FpMatrix.identity(p, left.objects[s].dim)
+                blk = ctx.map_block(sl.pair, target_slots[jdst].pair, eye, g)
+                grid[jdst][jsrc] = blk.scale(-1) if (m * s) % 2 and not drop_koszul_sign else blk
+                nonzero = True
+        if nonzero:
+            out[n] = block(p, grid, [sl.dim for sl in target_slots], [sl.dim for sl in slots])
+    return out
 
 
 def _lift_through_pair(tp: TensorPair, f: ChainMap, side: str,
                        drop_koszul_sign: bool = False, check: bool = True) -> ChainMap:
     """Extend a self chain map of one factor to the tensor complex.
 
-    Acting on the right factor picks up the Koszul sign ``(-1)^{shift * s}``
-    on the summand with left degree ``s``; acting on the left factor needs
-    no sign.  ``drop_koszul_sign`` is a test hook that deliberately corrupts
-    the convention.
+    Only a map on the right factor picks up a Koszul sign
+    (:func:`_slot_blocks`).  ``drop_koszul_sign`` is a test hook that
+    deliberately corrupts the convention.
     """
     m = f.shift
-    p = tp.complex.algebra.p
-    comps = {}
-    for n, slots in tp.layout.items():
-        target_slots = tp.layout.get(n + m)
-        if not target_slots:
-            continue
-        dst_index = {(sl.left_degree, sl.right_degree): k for k, sl in enumerate(target_slots)}
-        row_dims = [sl.dim for sl in target_slots]
-        col_dims = [sl.dim for sl in slots]
-        grid = [[None] * len(slots) for _ in target_slots]
-        nonzero = False
-        for jsrc, sl in enumerate(slots):
-            s, t = sl.left_degree, sl.right_degree
-            if side == "left":
-                comp = f.comps.get(s)
-                key = (s + m, t)
-                if comp is None or key not in dst_index:
-                    continue
-                jdst = dst_index[key]
-                idmat = FpMatrix.identity(p, tp.right.objects[t].dim)
-                blockmat = tp.ctx.map_block(sl.pair, target_slots[jdst].pair, comp.matrix, idmat)
-            else:
-                comp = f.comps.get(t)
-                key = (s, t + m)
-                if comp is None or key not in dst_index:
-                    continue
-                jdst = dst_index[key]
-                idmat = FpMatrix.identity(p, tp.left.objects[s].dim)
-                blockmat = tp.ctx.map_block(sl.pair, target_slots[jdst].pair, idmat, comp.matrix)
-                if not drop_koszul_sign and (m * s) % 2:
-                    blockmat = blockmat.scale(-1)
-            grid[jdst][jsrc] = blockmat
-            nonzero = True
-        if nonzero:
-            mat = block(p, grid, row_dims, col_dims)
-            comps[n] = ModuleMorphism(tp.complex.objects[n], tp.complex.objects[n + m], mat, check=False)
-    return ChainMap(tp.complex, tp.complex, m, comps, check=check)
+    comps = {j: c.matrix for j, c in f.comps.items()}
+    mats = _slot_blocks(tp.ctx, tp.left, tp.right, tp.layout, m,
+                        comps if side == "left" else {}, comps if side == "right" else {},
+                        drop_koszul_sign)
+    objects = tp.complex.objects
+    maps = {n: ModuleMorphism(objects[n], objects[n + m], mat, check=False) for n, mat in mats.items()}
+    return ChainMap(tp.complex, tp.complex, m, maps, check=check)
 
 
 @dataclass
@@ -597,12 +569,3 @@ def tensor_tower(factors: list[ChainComplex], ctx) -> TensorTower:
 
 def projectivity_flags(C: ChainComplex) -> dict[int, bool]:
     return {i: is_projective(m) for i, m in sorted(C.objects.items())}
-
-
-def complex_summary(C: ChainComplex) -> dict:
-    """The record consumed by certificates."""
-    return {
-        "dims": C.dims(),
-        "homology": homology_dims(C),
-        "projective": projectivity_flags(C),
-    }

@@ -7,9 +7,10 @@ Subcommands:
 * ``report``   -- re-render an existing certificate file
 
 Certificates are deterministic structured text (stable key order, no
-timestamps, seeds echoed), so re-running a configuration reproduces the
-certificate byte for byte.  Exit codes: 0 all verdicts pass, 2 a verdict
-failed, 64 usage or configuration error, 65 budget exceeded.
+timestamps, configuration echoed), so re-running a configuration reproduces
+the certificate byte for byte.  Exit codes: 0 all verdicts pass, 2 a
+verdict or a certification check failed, 64 usage or configuration error,
+65 budget exceeded.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ CROSSCHECK_VERDICTS = (
     "cone_terms_projective",
     "cone_length_formula",
 )
+# What a configuration file may hold; anything else is a usage error.
+CONFIG_SECTIONS = ("run", "algebra", "budget")
+CONFIG_KEYS = ("mode", "variant", "rank", "degree", "power", "char", "exponents", "commutators",
+               "coproduct", "max_dim", "max_entries")
 
 
 class UsageError(ValueError):
@@ -66,8 +71,6 @@ class RunConfig:
     rank: int = 0
     degree: int = 2
     power: int = 1
-    function: str = "dim"
-    seed: int = 0
     budget_dim: int = 4096
     budget_entries: int = 20_000_000
 
@@ -76,8 +79,6 @@ class RunConfig:
             raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.variant not in VARIANTS:
             raise UsageError(f"variant must be one of {VARIANTS}")
-        if self.function not in ("dim", "length"):
-            raise UsageError("function must be dim or length")
         if self.mode == "symbolic":
             if self.rank < 8:
                 raise UsageError("symbolic mode needs rank >= 8 (ranks 4..7 are unsupported; "
@@ -104,8 +105,6 @@ class RunConfig:
             "rank": self.rank,
             "degree": self.degree,
             "power": self.power,
-            "function": self.function,
-            "seed": self.seed,
             "budget_dim": self.budget_dim,
             "budget_entries": self.budget_entries,
         }
@@ -135,9 +134,14 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         read = parser.read(path)
         if not read:
             raise UsageError(f"cannot read config file {path}")
-        for section in ("run", "algebra", "budget"):
-            if parser.has_section(section):
-                raw.update({k: v for k, v in parser.items(section)})
+        for section in parser.sections():
+            if section not in CONFIG_SECTIONS:
+                raise UsageError(f"unknown config section [{section}] in {path}")
+        for section in filter(parser.has_section, CONFIG_SECTIONS):
+            for key, value in parser.items(section):
+                if key not in CONFIG_KEYS:
+                    raise UsageError(f"unknown config key {key!r} in section [{section}] of {path}")
+                raw[key] = value
 
     def pick(flag, key, default=None):
         if flag is not None:
@@ -163,8 +167,6 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         rank=int(pick(args.rank, "rank", 0)),
         degree=int(pick(args.degree, "degree", 2)),
         power=int(pick(args.power, "power", 1)),
-        function=pick(args.function, "function", "dim"),
-        seed=int(pick(args.seed, "seed", 0)),
         budget_dim=int(pick(args.budget_dim, "max_dim", 4096)),
         budget_entries=int(pick(args.budget_entries, "max_entries", 20_000_000)),
     )
@@ -262,7 +264,7 @@ def report_to_tree(cfg: RunConfig, report: dict, verdict_filter=None) -> tuple[d
 def execute(cfg: RunConfig) -> tuple[dict, int]:
     budget = cfg.budget()
     if cfg.mode == "symbolic":
-        report = SymbolicRun(FieldSpec(cfg.char), cfg.rank, cfg.degree, cfg.function).run()
+        report = SymbolicRun(FieldSpec(cfg.char), cfg.rank, cfg.degree).run()
         tree, ok = report_to_tree(cfg, report)
         return tree, EXIT_OK if ok else EXIT_VERDICT
     if cfg.mode == "crosscheck" and cfg.rank < 2:
@@ -272,7 +274,7 @@ def execute(cfg: RunConfig) -> tuple[dict, int]:
         report = BimoduleRun(algebra, cfg.rank, cfg.degree, budget).run()
         tree, ok = report_to_tree(cfg, report)
         return tree, EXIT_OK if ok else EXIT_VERDICT
-    report = ChainRun(algebra, cfg.rank, cfg.degree, cfg.power, budget, cfg.function).run()
+    report = ChainRun(algebra, cfg.rank, cfg.degree, cfg.power, budget).run()
     if cfg.mode == "crosscheck":
         tree, ok = report_to_tree(cfg, report, CROSSCHECK_VERDICTS)
     else:
@@ -336,10 +338,8 @@ def build_parser() -> _Parser:
         p.add_argument("--rank", type=int, default=None)
         p.add_argument("--degree", type=int, default=None)
         p.add_argument("--power", type=int, default=None)
-        p.add_argument("--function", choices=("dim", "length"), default=None)
         p.add_argument("--budget-dim", dest="budget_dim", type=int, default=None)
         p.add_argument("--budget-entries", dest="budget_entries", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="write the certificate to this path")
 
     cert = sub.add_parser("certify", help="run one configuration")
@@ -392,6 +392,10 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except AssertionError as exc:
+        # a check inside the certification failed: the claim is not certified
+        print(f"certification error: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,8 +37,6 @@ from .algebra import (
     OverBaseTensor,
     Resolution,
     direct_sum_modules,
-    dimension,
-    composition_length,
     enveloping,
     free_images_matrix,
     is_projective,
@@ -366,21 +364,6 @@ def build_thetas(tower: TensorTower, class_complexes, drop_koszul_sign: bool = F
             for i, cc in enumerate(class_complexes)]
 
 
-def lefschetz_chain_map(thetas) -> ChainMap:
-    """The quadratic element t1 t2 + t3 t4 + t5 t6 + t7 t8 at chain level."""
-    if len(thetas) != 8:
-        raise ValueError("the Lefschetz element needs exactly 8 generators")
-    acc = None
-    for k in range(0, 8, 2):
-        term = compose_shifted(thetas[k], thetas[k + 1])
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def quadratic_product(thetas, i: int, j: int) -> ChainMap:
-    return compose_shifted(thetas[i], thetas[j])
-
-
 # ----------------------------------------------------------------------
 # run reports
 # ----------------------------------------------------------------------
@@ -403,8 +386,7 @@ class ChainRun:
     """
 
     def __init__(self, algebra: Algebra, rank: int, degree: int = 2, power: int = 1,
-                 budget: Budget | None = None, function: str = "dim",
-                 drop_koszul_sign: bool = False):
+                 budget: Budget | None = None, drop_koszul_sign: bool = False):
         if rank < 1:
             raise UnsupportedRank("rank must be positive")
         if 4 <= rank <= 7:
@@ -417,16 +399,12 @@ class ChainRun:
                                   "(its Krull-dimension proxy)")
         if degree % 2 or degree < 2:
             raise ValueError("the class degree must be even and >= 2")
-        if function not in ("dim", "length"):
-            raise ValueError("additive function must be dim or length")
         self.algebra = algebra
         self.rank = rank
         self.base_degree = degree
         self.power = power
         self.budget = budget or Budget()
-        self.function = function
         self.drop_koszul_sign = drop_koszul_sign
-        self.f = dimension if function == "dim" else composition_length
 
     def run(self) -> dict:
         A = self.algebra
@@ -443,7 +421,9 @@ class ChainRun:
             "power": self.power,
             "effective_degree": n,
             "shift": m,
-            "additive_function": self.function,
+            # over these local algebras every composition factor is the
+            # unit, so length and dimension agree: one additive function
+            "additive_function": "dim",
         }
 
         res = minimal_resolution(trivial_module(A), n + 1)
@@ -501,7 +481,7 @@ class ChainRun:
         units_ok = all(_all_actions_zero(homology_space(big, d).module) for d in hyper)
         report["hypercube_homology"] = hyper
         report["hypercube_expected"] = expected
-        report["hypercube_total"] = sum(self.f(homology_space(big, d).module) for d in hyper)
+        report["hypercube_total"] = sum(hyper.values())
         verdicts.append(Verdict("hypercube_homology", hyper_ok and units_ok,
                                 f"found {hyper}, expected {expected}, trivial action {units_ok}"))
 
@@ -525,7 +505,7 @@ class ChainRun:
                 squares_ok = squares_ok and is_null_homotopic(sq)[0]
             for i in range(c):
                 for j in range(i + 1, c):
-                    anti = quadratic_product(thetas, i, j) + quadratic_product(thetas, j, i)
+                    anti = compose_shifted(thetas[i], thetas[j]) + compose_shifted(thetas[j], thetas[i])
                     anticomm_ok = anticomm_ok and is_null_homotopic(anti)[0]
                     for t in range(c - 1):
                         left = theta_h[i].get((t + 1) * m)
@@ -556,7 +536,7 @@ class ChainRun:
                                 "theta monomials applied to degree-0 homology give bases"))
 
         if c >= 2 and chain_ok:
-            u = quadratic_product(thetas, 0, 1)
+            u = compose_shifted(thetas[0], thetas[1])
             cone = mapping_cone(u)
             # only dimensions are certified here, so ranks suffice
             cone_h = homology_rank_dims(cone)
@@ -568,8 +548,6 @@ class ChainRun:
             length = len(cone.degrees())
             length_expected = (c + 2) * m + 2
             support_contiguous = cone.degrees() == list(range(cone.lo, cone.hi + 1))
-            # every composition factor is the unit, so the total is the same
-            # for both additive functions: length equals dimension
             total = sum(cone_h.values())
             report["cone"] = {
                 "homology": cone_h,
@@ -681,7 +659,7 @@ class BimoduleRun:
 class SymbolicRun:
     """Symbolic pipeline for rank >= 8: rank profiles and closed-form totals."""
 
-    def __init__(self, field, rank: int, degree: int = 2, function: str = "dim"):
+    def __init__(self, field, rank: int, degree: int = 2):
         if rank < 8:
             raise UnsupportedRank("symbolic mode needs rank >= 8")
         if degree % 2 or degree < 2:
@@ -689,7 +667,6 @@ class SymbolicRun:
         self.field = field
         self.rank = rank
         self.degree = degree
-        self.function = function
 
     def run(self) -> dict:
         from .lefschetz import cone_dimensions, verify_lefschetz_profile
@@ -704,7 +681,7 @@ class SymbolicRun:
             "degree": n,
             "shift": m,
             "characteristic": self.field.p,
-            "additive_function": self.function,
+            "additive_function": "dim",
         }
         model8 = LefschetzModel(8, self.field, m)
         profile = verify_lefschetz_profile(model8)

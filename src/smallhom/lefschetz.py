@@ -60,9 +60,6 @@ class LefschetzModel:
             return 0
         return comb(self.d, t)
 
-    def total_dim(self) -> int:
-        return 2 ** self.d
-
 
 def multiply_generator(subset: tuple[int, ...], gen: int) -> tuple[int, tuple[int, ...]] | None:
     """Left multiplication by one generator in the subset basis.
@@ -162,9 +159,6 @@ class ConeDimensionTable:
     @property
     def total(self) -> int:
         return sum(self.entries.values())
-
-    def bound(self) -> int:
-        return 2 ** self.d * self.unit_size
 
     def at_m(self, m: int) -> dict[int, int]:
         """Materialize the symbolic degrees at a concrete odd weight m."""

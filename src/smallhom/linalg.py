@@ -295,13 +295,6 @@ class FpMatrix:
         self._coerce(other)
         return FpMatrix._adopt(self.p, np.kron(self.a, other.a))
 
-    def direct_sum(self, other: "FpMatrix") -> "FpMatrix":
-        self._coerce(other)
-        out = np.zeros((self.rows + other.rows, self.cols + other.cols), dtype=np.int64)
-        out[: self.rows, : self.cols] = self.a
-        out[self.rows :, self.cols :] = other.a
-        return FpMatrix._adopt(self.p, out, reduced=True)
-
 
 def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> tuple[list[int], list[int], np.ndarray]:
     """Gaussian elimination of ``m`` in place, column by column.
@@ -380,14 +373,6 @@ def _peeled_rank(a: np.ndarray, p: int) -> int:
         return rank
     core = a[np.ix_(np.unique(coords[0]), np.unique(coords[1]))]
     return rank + len(_eliminate(core, p, reduce_above=False)[0])
-
-
-def kronecker(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    return a.kron(b)
-
-
-def direct_sum(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    return a.direct_sum(b)
 
 
 def hstack(mats: list[FpMatrix]) -> FpMatrix:

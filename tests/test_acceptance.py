@@ -56,7 +56,17 @@ def test_negative_control_sign_corruption(capsys):
     _report(acceptance.control_sign_corruption(), capsys)
 
 
-def test_run_all_aggregates():
+def test_run_all_aggregates(monkeypatch):
+    runs = []
+    real = acceptance.rank2_report
+
+    def recorded(coproduct="primitive"):
+        runs.append(coproduct)
+        return real(coproduct)
+
+    monkeypatch.setattr(acceptance, "rank2_report", recorded)
     results = acceptance.run_all(seed=0)
     assert len(results) == 9
     assert all(r.passed for r in results)
+    # the hypercube and oracle criteria share one primitive rank-2 run
+    assert sorted(runs) == ["primitive", "shifted"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from smallhom import cli
+from smallhom import cli, construction
 from smallhom.construction import Verdict
 
 
@@ -59,15 +59,28 @@ def test_chain_certify_deterministic(tmp_path):
 def test_chain_certify_from_config(tmp_path, capsys):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text(
-        "[run]\nmode = chain\nrank = 1\npower = 2\nseed = 3\n"
+        "[run]\nmode = chain\nrank = 1\npower = 2\n"
         "[algebra]\nchar = 3\nexponents = 3\ncoproduct = primitive\n"
         "[budget]\nmax_dim = 2048\n"
     )
     code = run_cli(["certify", "--config", str(cfgfile)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "power = 2" in out and "seed = 3" in out
+    assert "power = 2" in out
     assert "effective_degree = 4" in out
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[run]\nmode = symbolic\nrank = 8\n[budget]\nmax_dimm = 100\n", "'max_dimm' in section [budget]"),
+    ("[run]\nmode = symbolic\nrank = 8\nfunction = length\n", "'function' in section [run]"),
+    ("[run]\nmode = symbolic\nrank = 8\n[algebr]\nchar = 3\n", "section [algebr]"),
+])
+def test_unknown_config_key_or_section_is_usage_error(tmp_path, capsys, text, named):
+    # a typo must not run on defaults and exit 0
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    assert run_cli(["certify", "--config", str(cfgfile)]) == 64
+    assert named in capsys.readouterr().err
 
 
 def test_flag_overrides_config(tmp_path, capsys):
@@ -129,6 +142,35 @@ def test_verdict_failure_exits_2(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "stub = fail" in out and "summary = fail 0/1" in out
+
+
+WRONG_SIZE_PUSHOUT = """
+import sys
+import smallhom.construction as construction
+from smallhom import cli
+assert False, "reached only without -O"
+real = construction.quotient_module
+# quotient by nothing: the ambient module, larger than the pushout
+construction.quotient_module = lambda M, cols: real(M, cols.take_columns([]))
+code = cli.main(["certify", "--mode", "chain", "--char", "3", "--exponents", "3",
+                 "--coproduct", "primitive"])
+print(f"optimize={sys.flags.optimize} exit={code}")
+"""
+
+
+def test_failed_certification_check_exits_2(monkeypatch, capsys, run_optimized):
+    # a check that raises inside a run is a failed verdict, not a crash
+    real = construction.quotient_module
+    monkeypatch.setattr(construction, "quotient_module", lambda M, cols: real(M, cols.take_columns([])))
+    code = run_cli(["certify", "--mode", "chain", "--char", "3", "--exponents", "3",
+                    "--coproduct", "primitive"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "certification error: pushout dimension count\n"
+    # the same under python -O, which strips asserts but not these checks
+    run = run_optimized(WRONG_SIZE_PUSHOUT)
+    assert run.stdout == "optimize=1 exit=2\n"
+    assert run.stderr == "certification error: pushout dimension count\n"
 
 
 def test_report_round_trip(tmp_path):

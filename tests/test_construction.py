@@ -38,9 +38,7 @@ from smallhom.construction import (
     class_from_images,
     ext_classes,
     find_parameter_system,
-    lefschetz_chain_map,
     pushout_module,
-    quadratic_product,
     tensor_pushouts,
     verify_parameter_system,
     yoneda_power,
@@ -270,7 +268,7 @@ def test_theta_maps_rank2(res2, two_vars):
     assert homology_dims(tower.complex) == {0: 1, 1: 2, 2: 1}
     thetas = build_thetas(tower, ccs)
     # graded commutator vanishes on the nose at chain level
-    anti = quadratic_product(thetas, 0, 1) + quadratic_product(thetas, 1, 0)
+    anti = compose_shifted(thetas[0], thetas[1]) + compose_shifted(thetas[1], thetas[0])
     assert anti.is_zero()
     sq = compose_shifted(thetas[0], thetas[0])
     assert sq.is_zero()
@@ -290,18 +288,11 @@ def test_mini_cone_matches_oracle(res2, two_vars):
     ccs = [build_class_complex(z) for z in ps.classes]
     tower = tensor_tower([cc.complex for cc in ccs], ctx)
     thetas = build_thetas(tower, ccs)
-    cone = mapping_cone(quadratic_product(thetas, 0, 1))
+    cone = mapping_cone(compose_shifted(thetas[0], thetas[1]))
     got = homology_dims(cone)
     predicted = cone_oracle(LefschetzModel(2, F3), ((1, (1, 2)),)).at_m(1)
     assert got == predicted
     assert sum(got.values()) == 6
-
-
-def test_lefschetz_chain_map_needs_eight(res1):
-    z = ext_classes(res1, 2)[0]
-    cc = build_class_complex(z)
-    with pytest.raises(ValueError):
-        lefschetz_chain_map([cc.self_map] * 7)
 
 
 def test_chain_run_rank_windows(one_var, two_vars):

@@ -11,10 +11,8 @@ from smallhom.linalg import (
     FieldSpec,
     FpMatrix,
     block,
-    direct_sum,
     hstack,
     is_prime,
-    kronecker,
     nonpivot_columns,
     quotient_by_subspace,
     read_coordinates,
@@ -132,9 +130,10 @@ def test_power_small_exponents():
 
 def test_kron_scalars_and_identities():
     two = FpMatrix(3, [[2]])
-    assert kronecker(two, two) == FpMatrix(3, [[1]])
-    assert direct_sum(FpMatrix.identity(3, 2), FpMatrix.identity(3, 3)) == FpMatrix.identity(3, 5)
-    assert kronecker(FpMatrix.identity(3, 3), FpMatrix.identity(3, 4)) == FpMatrix.identity(3, 12)
+    assert two.kron(two) == FpMatrix(3, [[1]])
+    eye2, eye3 = FpMatrix.identity(3, 2), FpMatrix.identity(3, 3)
+    assert block(3, [[eye2, None], [None, eye3]], [2, 3], [2, 3]) == FpMatrix.identity(3, 5)
+    assert FpMatrix.identity(3, 3).kron(FpMatrix.identity(3, 4)) == FpMatrix.identity(3, 12)
 
 
 def test_kron_index_pairing_is_row_major():
