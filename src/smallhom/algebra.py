@@ -25,8 +25,12 @@ from math import prod
 
 import numpy as np
 
-from .linalg import (FieldSpec, FpMatrix, echelon_pivots, hstack, nonpivot_columns,
+from .linalg import (FieldSpec, FpMatrix, echelon_pivots, hstack, kron_array, nonpivot_columns,
                      quotient_by_subspace, read_coordinates)
+
+
+class CertificationError(ValueError):
+    """An exact check inside a certification failed: the claim is not certified."""
 
 
 class BudgetExceeded(Exception):
@@ -221,13 +225,13 @@ class Module:
         A = self.algebra
         for i, x in enumerate(self.action):
             if not x.power(A.exponents[i]).is_zero():
-                raise ValueError(f"generator {i} violates x^{A.exponents[i]} = 0")
+                raise CertificationError(f"generator {i} violates x^{A.exponents[i]} = 0")
         for i in range(A.ngens):
             for j in range(i + 1, A.ngens):
                 lhs = self.action[j] @ self.action[i]
                 rhs = (self.action[i] @ self.action[j]).scale(A.commutator(i, j))
                 if lhs != rhs:
-                    raise ValueError(f"generators {i},{j} violate the commutation relation")
+                    raise CertificationError(f"generators {i},{j} violate the commutation relation")
 
     def act_mono(self, mono) -> FpMatrix:
         """Action matrix of the basis monomial ``x^mono``: one product on the
@@ -283,7 +287,7 @@ class ModuleMorphism:
         if check:
             for xs, xt in zip(source.action, target.action):
                 if xt @ matrix != matrix @ xs:
-                    raise ValueError("matrix does not intertwine the actions")
+                    raise CertificationError("matrix does not intertwine the actions")
 
     def __matmul__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         if other.target is not self.source and other.target.dim != self.source.dim:
@@ -347,7 +351,7 @@ def submodule(M: Module, cols: FpMatrix) -> tuple[Module, ModuleMorphism]:
     for x in M.action:
         inside = read_coordinates(basis, pivots, x @ basis)
         if inside is None:
-            raise ValueError("columns do not span an action-stable subspace")
+            raise CertificationError("columns do not span an action-stable subspace")
         acts.append(inside)
     sub = Module(M.algebra, acts, check=False)
     # read_coordinates has checked x @ basis == basis @ inside, which is the
@@ -490,23 +494,20 @@ def minimal_resolution(M: Module, length: int) -> Resolution:
     return Resolution(M, length)
 
 
-def hom_space_basis(M: Module, N: Module) -> list[FpMatrix]:
-    """Basis of the space of module morphisms M -> N.
+def intertwining_system(M: Module, N: Module) -> np.ndarray:
+    """Rows of ``X_N h - h X_M = 0`` for each generator, ``h`` vectorized row-major."""
+    eye_m, eye_n = np.eye(M.dim, dtype=np.int64), np.eye(N.dim, dtype=np.int64)
+    return np.vstack([kron_array(xt.a, eye_m) - kron_array(eye_n, xs.a.T)
+                      for xs, xt in zip(M.action, N.action)])
 
-    Solves the intertwining equations X_N h = h X_M; matrices are
-    vectorized row-major.
+
+def hom_space_basis(M: Module, N: Module) -> FpMatrix:
+    """Basis of the module morphisms M -> N, one morphism per column.
+
+    The columns are the kernel basis of :func:`intertwining_system`, hence
+    independent: column ``k`` holds ``h_k[i, j]`` in row ``i * M.dim + j``.
     """
-    p = M.algebra.p
-    if M.dim == 0 or N.dim == 0:
-        return []
-    rows = []
-    for xs, xt in zip(M.action, N.action):
-        eye_m = np.eye(M.dim, dtype=np.int64)
-        eye_n = np.eye(N.dim, dtype=np.int64)
-        rows.append(np.kron(xt.a, eye_m) - np.kron(eye_n, xs.a.T))
-    system = FpMatrix(p, np.vstack(rows))
-    ker = system.kernel_basis()
-    return [FpMatrix(p, ker.a[:, k].reshape(N.dim, M.dim)) for k in range(ker.cols)]
+    return FpMatrix(M.algebra.p, intertwining_system(M, N)).kernel_basis()
 
 
 # ----------------------------------------------------------------------

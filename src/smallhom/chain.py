@@ -23,11 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import FpMatrix, block, nonpivot_columns, quotient_by_subspace, read_coordinates
+from .linalg import FpMatrix, block, kron_array, nonpivot_columns, quotient_by_subspace, read_coordinates
 from .algebra import (
+    CertificationError,
     Module,
     ModuleMorphism,
     direct_sum_modules,
+    intertwining_system,
     is_projective,
     zero_module,
 )
@@ -57,7 +59,7 @@ class ChainComplex:
         for i in self.diffs:
             if (i + 1) in self.diffs:
                 if not (self.diffs[i].matrix @ self.diffs[i + 1].matrix).is_zero():
-                    raise ValueError(f"d_{i} d_{i + 1} != 0")
+                    raise CertificationError(f"d_{i} d_{i + 1} != 0")
 
     # -- structure ------------------------------------------------------
     def degrees(self) -> list[int]:
@@ -125,7 +127,7 @@ class HomologySpace:
         """Homology classes of cycle vectors given in ambient coordinates."""
         coords = read_coordinates(self.cycles, self.free, vectors)
         if coords is None:
-            raise ValueError("vector is not a cycle")
+            raise CertificationError("vector is not a cycle")
         return self.qmap @ coords
 
 
@@ -219,7 +221,7 @@ class ChainMap:
             lhs = (self.component(j - 1).matrix @ self.source.diff_at(j).matrix).scale(sign)
             rhs = self.target.diff_at(j + self.shift).matrix @ self.component(j).matrix
             if lhs != rhs:
-                raise ValueError(f"chain-map law fails at degree {j}")
+                raise CertificationError(f"chain-map law fails at degree {j}")
 
     def is_chain_map(self) -> bool:
         try:
@@ -269,12 +271,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     """
     X = shift_complex(f.source, f.shift)
     T = f.target
-    g = {i: f.comps[i - f.shift] for i in range(X.lo, X.hi + 1) if (i - f.shift) in f.comps}
-
-    def g_mat(i: int) -> FpMatrix | None:
-        m = g.get(i)
-        return m.matrix if m is not None else None
-
+    g = {j + f.shift: c.matrix for j, c in f.comps.items()}
     p = f.source.algebra.p
     objects = {}
     diffs = {}
@@ -293,7 +290,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         xt, tt = summands[i - 1]
         dx = X.diff_at(i - 1).matrix if xs and xt else None
         dt = T.diff_at(i).matrix if ts and tt else None
-        gm = g_mat(i - 1) if xs and tt else None
+        gm = g.get(i - 1) if xs and tt else None
         mat = block(p, [[dx.scale(-1) if dx is not None else None, None],
                         [gm.scale(-1) if gm is not None else None, dt]],
                     [xt, tt], [xs, ts])
@@ -326,8 +323,8 @@ def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, ModuleMorphism] | No
     rows = []
     rhs = []
 
-    def add_equation(coef_blocks, rhs_mat, eq_rows, eq_cols):
-        row = np.zeros((eq_rows * eq_cols, nvars), dtype=np.int64)
+    def add_equation(coef_blocks, rhs_mat):
+        row = np.zeros((rhs_mat.size, nvars), dtype=np.int64)
         for j, mat in coef_blocks:
             blk = index.get(j)
             if blk is None:
@@ -347,20 +344,17 @@ def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, ModuleMorphism] | No
         coef = []
         if j in index:
             d_t = T.diff_at(j + s + 1).matrix
-            coef.append((j, np.kron(d_t.a, np.eye(smod.dim, dtype=np.int64))))
+            coef.append((j, kron_array(d_t.a, np.eye(smod.dim, dtype=np.int64))))
         if (j - 1) in index:
             d_s = S.diff_at(j).matrix
             prev_t = T.module_at(j + s).dim
-            coef.append((j - 1, sign * np.kron(np.eye(prev_t, dtype=np.int64), d_s.a.T)))
-        add_equation(coef, f.component(j).matrix.a, tmod.dim, smod.dim)
+            coef.append((j - 1, sign * kron_array(np.eye(prev_t, dtype=np.int64), d_s.a.T)))
+        add_equation(coef, f.component(j).matrix.a)
 
-    # module-morphism constraints for each unknown block
+    # module-morphism constraints for each unknown block, all generators at once
     for j, tmod, smod, off, size in blocks:
-        for xs, xt in zip(smod.action, tmod.action):
-            lhs = np.kron(xt.a, np.eye(smod.dim, dtype=np.int64)) - np.kron(
-                np.eye(tmod.dim, dtype=np.int64), xs.a.T)
-            add_equation([(j, lhs)], np.zeros((tmod.dim, smod.dim), dtype=np.int64),
-                         tmod.dim, smod.dim)
+        eqs = intertwining_system(smod, tmod)
+        add_equation([(j, eqs)], np.zeros(len(eqs), dtype=np.int64))
 
     system = FpMatrix(p, np.vstack(rows)) if rows else FpMatrix.zeros(p, 0, nvars)
     target = FpMatrix(p, np.vstack(rhs)) if rhs else FpMatrix.zeros(p, 0, 1)

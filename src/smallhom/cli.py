@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .linalg import FieldSpec
-from .algebra import Budget, BudgetExceeded, qci_algebra
+from .algebra import Budget, BudgetExceeded, CertificationError, qci_algebra
 from .construction import BimoduleRun, ChainRun, SymbolicRun, UnsupportedRank
 from .acceptance import control_sign_corruption, run_all
 
@@ -285,16 +285,11 @@ def execute(cfg: RunConfig) -> tuple[dict, int]:
 def selftest_tree(seed: int) -> tuple[dict, int]:
     results = run_all(seed)
     controls = [control_sign_corruption()]
-    crit = {}
-    for r in results:
-        crit[r.key] = {"status": "pass" if r.passed else "fail"}
-        for k, note in enumerate(r.details, 1):
-            crit[r.key][f"note_{k}"] = note
-    ctl = {}
-    for r in controls:
-        ctl[r.key] = {"status": "pass" if r.passed else "fail"}
-        for k, note in enumerate(r.details, 1):
-            ctl[r.key][f"note_{k}"] = note
+
+    def entries(rs) -> dict:
+        return {r.key: {"status": "pass" if r.passed else "fail",
+                        **{f"note_{k}": note for k, note in enumerate(r.details, 1)}} for r in rs}
+
     ok = all(r.passed for r in results + controls)
     npass = sum(1 for r in results + controls if r.passed)
     total = len(results) + len(controls)
@@ -303,8 +298,8 @@ def selftest_tree(seed: int) -> tuple[dict, int]:
             "tool": f"smallhom {__version__}",
             "config": {"mode": "selftest", "seed": seed},
             "conventions": dict(CONVENTIONS),
-            "criteria": crit,
-            "controls": ctl,
+            "criteria": entries(results),
+            "controls": entries(controls),
             "summary": f"{'pass' if ok else 'fail'} {npass}/{total}",
         }
     }
@@ -392,7 +387,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except AssertionError as exc:
+    except (AssertionError, CertificationError) as exc:
         # a check inside the certification failed: the claim is not certified
         print(f"certification error: {exc}", file=sys.stderr)
         return EXIT_VERDICT

@@ -293,7 +293,13 @@ class FpMatrix:
     # ------------------------------------------------------------------
     def kron(self, other: "FpMatrix") -> "FpMatrix":
         self._coerce(other)
-        return FpMatrix._adopt(self.p, np.kron(self.a, other.a))
+        return FpMatrix._adopt(self.p, kron_array(self.a, other.a))
+
+
+def kron_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2-D arrays as one broadcast product, a fresh array."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> tuple[list[int], list[int], np.ndarray]:

@@ -79,3 +79,22 @@ def mono_action_reference():
 @pytest.fixture
 def free_images_reference():
     return _free_images_per_monomial
+
+
+def _kernel_constrained_per_element(basis, prev: FpMatrix, p: int) -> list:
+    """The morphisms h in the span of ``basis`` (a list of matrices) with
+    ``prev @ h = 0``, one product and one combination per basis element."""
+    if not basis:
+        return []
+    rows = np.vstack([(prev @ h).a.reshape(1, -1) for h in basis]).T
+    ker = FpMatrix(p, rows).kernel_basis()
+    out = []
+    for k in range(ker.cols):
+        acc = sum(int(ker.a[j, k]) * basis[j].a for j in range(len(basis)))
+        out.append(FpMatrix(p, acc))
+    return [h for h in out if not h.is_zero()]
+
+
+@pytest.fixture
+def kernel_constrained_reference():
+    return _kernel_constrained_per_element

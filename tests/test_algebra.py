@@ -7,10 +7,12 @@ from smallhom.linalg import FieldSpec, FpMatrix, echelon_pivots
 from smallhom.algebra import (
     Budget,
     BudgetExceeded,
+    CertificationError,
     DiagonalTensor,
     Module,
     ModuleMorphism,
     OverBaseTensor,
+    direct_sum_modules,
     enveloping,
     free_images_matrix,
     free_module,
@@ -302,10 +304,49 @@ def test_check_sizes_walks_pairs_in_build_order(truncated):
 def test_hom_space_basis_counts(truncated):
     k = trivial_module(truncated)
     reg = regular_module(truncated)
-    assert len(hom_space_basis(k, k)) == 1
+    assert hom_space_basis(k, k).cols == 1
     # Hom(A, A) = A as a vector space for the regular module
-    assert len(hom_space_basis(reg, reg)) == 3
-    assert len(hom_space_basis(reg, k)) == 1
+    assert hom_space_basis(reg, reg).cols == 3
+    assert hom_space_basis(reg, k).cols == 1
+
+
+@pytest.fixture(scope="module")
+def anticommuting():
+    return qci_algebra(F3, [2, 2], {(0, 1): -1})
+
+
+def test_hom_space_basis_column_counts(truncated, anticommuting):
+    for A in (truncated, anticommuting):
+        k, reg, zero = trivial_module(A), regular_module(A), zero_module(A)
+        assert hom_space_basis(k, k).cols == 1
+        assert hom_space_basis(reg, reg).cols == A.dim  # End(A) = A^op
+        assert hom_space_basis(reg, k).cols == 1
+        assert hom_space_basis(k, reg).cols == 1  # the socle is a line
+        assert hom_space_basis(zero, reg).shape == hom_space_basis(reg, zero).shape == (0, 0)
+
+
+def test_hom_space_columns_are_independent_module_morphisms(truncated, anticommuting):
+    for A in (truncated, anticommuting):
+        k, reg = trivial_module(A), regular_module(A)
+        mixed = direct_sum_modules([reg, k])[0]
+        for M, N in [(k, k), (reg, reg), (reg, k), (k, reg), (free_module(A, 2), mixed), (mixed, mixed)]:
+            basis = hom_space_basis(M, N)
+            assert basis.rows == N.dim * M.dim and basis.rank() == basis.cols
+            for col in basis.a.T:
+                ModuleMorphism(M, N, FpMatrix(A.p, col.reshape(N.dim, M.dim)), check=True)
+
+
+def test_failed_module_checks_raise_certification_error(truncated):
+    reg = regular_module(truncated)
+    with pytest.raises(CertificationError, match="violates x"):
+        Module(truncated, [FpMatrix.identity(3, 2)])
+    A2 = qci_algebra(F3, [3, 3], {(0, 1): 1})
+    with pytest.raises(CertificationError, match="commutation"):
+        Module(A2, [FpMatrix(3, [[0, 0], [1, 0]]), FpMatrix(3, [[0, 1], [0, 0]])])
+    with pytest.raises(CertificationError, match="intertwine"):
+        ModuleMorphism(reg, reg, FpMatrix(3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    with pytest.raises(CertificationError, match="action-stable"):
+        submodule(reg, FpMatrix(3, [[1], [0], [0]]))
 
 
 def test_free_module_slot_major_indexing(truncated):

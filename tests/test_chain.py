@@ -10,6 +10,7 @@ import pytest
 import smallhom
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
+    CertificationError,
     Budget,
     BudgetExceeded,
     DiagonalTensor,
@@ -109,6 +110,19 @@ def test_class_of_rejects_a_non_cycle(two_term):
         hs.class_of(FpMatrix(3, [[1], [0], [0]]))
 
 
+def test_failed_chain_checks_raise_certification_error(algebra, two_term):
+    reg = regular_module(algebra)
+    ident = ModuleMorphism.identity(reg)
+    with pytest.raises(CertificationError, match="d_1 d_2"):
+        ChainComplex(algebra, {0: reg, 1: reg, 2: reg}, {1: ident, 2: ident})
+    with pytest.raises(CertificationError, match="not a cycle"):
+        homology_space(two_term, 1).class_of(FpMatrix(3, [[1], [0], [0]]))
+    with pytest.raises(CertificationError, match="chain-map law"):
+        ChainMap(two_term, two_term, 0, {0: ident})
+    # is_chain_map still reads the failed law as False
+    assert not ChainMap(two_term, two_term, 0, {0: ident}, check=False).is_chain_map()
+
+
 BROKEN_COMPLEX = """
 import sys
 from smallhom.algebra import ModuleMorphism, qci_algebra, regular_module
@@ -182,7 +196,7 @@ def test_cone_les_identity_on_random_maps(algebra):
     k = trivial_module(algebra)
     x = ModuleMorphism(reg, reg, algebra.left_actions[0], check=True)
     C = ChainComplex(algebra, {0: reg, 1: reg}, {1: x})
-    hom01 = hom_space_basis(reg, reg)
+    hom01 = [FpMatrix(3, col.reshape(reg.dim, reg.dim)) for col in hom_space_basis(reg, reg).a.T]
     for _ in range(10):
         h0 = sum((rng.randrange(3) * b.a for b in hom01), 0 * hom01[0].a)
         h = {0: ModuleMorphism(reg, reg, FpMatrix(3, h0), check=True)}

@@ -2,8 +2,9 @@
 
 import pytest
 
-from smallhom import cli, construction
+from smallhom import algebra, cli, construction
 from smallhom.construction import Verdict
+from smallhom.linalg import FpMatrix
 
 
 def run_cli(args):
@@ -171,6 +172,37 @@ def test_failed_certification_check_exits_2(monkeypatch, capsys, run_optimized):
     run = run_optimized(WRONG_SIZE_PUSHOUT)
     assert run.stdout == "optimize=1 exit=2\n"
     assert run.stderr == "certification error: pushout dimension count\n"
+
+
+CORRUPT_FREE_MODULE = """
+import sys
+import smallhom.algebra as algebra
+from smallhom import cli
+from smallhom.linalg import FpMatrix
+assert False, "reached only without -O"
+real = algebra.free_module
+# x + 1 is not nilpotent: the relation check of the corrupted module fails
+algebra.free_module = lambda A, rank: algebra.Module(
+    A, [x + FpMatrix.identity(A.p, x.rows) for x in real(A, rank).action], check=True)
+code = cli.main(["certify", "--mode", "chain", "--char", "3", "--exponents", "3",
+                 "--coproduct", "primitive"])
+print(f"optimize={sys.flags.optimize} exit={code}")
+"""
+
+
+def test_failed_relation_check_is_a_certification_error(monkeypatch, capsys, run_optimized):
+    # a module relation that fails inside a run is a failed check, not a usage error
+    real = algebra.free_module
+    monkeypatch.setattr(algebra, "free_module", lambda A, rank: algebra.Module(
+        A, [x + FpMatrix.identity(A.p, x.rows) for x in real(A, rank).action], check=True))
+    code = run_cli(["certify", "--mode", "chain", "--char", "3", "--exponents", "3",
+                    "--coproduct", "primitive"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "certification error: generator 0 violates x^3 = 0\n"
+    run = run_optimized(CORRUPT_FREE_MODULE)
+    assert run.stdout == "optimize=1 exit=2\n"
+    assert run.stderr == "certification error: generator 0 violates x^3 = 0\n"
 
 
 def test_report_round_trip(tmp_path):

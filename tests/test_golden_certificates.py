@@ -1,7 +1,9 @@
-"""Certificates of the configuration templates, byte for byte.
+"""Certificates of the configuration templates and of the selftest, byte for byte.
 
-``tests/data/<name>.cert`` is the certificate of ``configs/<name>.ini``;
-a change that alters any byte of one must re-record it on purpose.
+``tests/data/<name>.cert`` is the certificate of ``configs/<name>.ini``,
+and ``tests/data/selftest-seed1.cert`` that of ``smallhom selftest --seed 1``
+(which carries no timings); a change that alters any byte of one must
+re-record it on purpose.
 """
 
 from pathlib import Path
@@ -13,11 +15,12 @@ from smallhom import cli
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
 DATA = Path(__file__).resolve().parent / "data"
+SELFTEST = DATA / "selftest-seed1.cert"
 
 
 def test_every_template_has_a_recorded_certificate():
     assert CONFIGS
-    assert [c.stem for c in CONFIGS] == sorted(d.stem for d in DATA.glob("*.cert"))
+    assert [c.stem for c in CONFIGS] == sorted(d.stem for d in DATA.glob("*.cert") if d != SELFTEST)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
@@ -25,3 +28,9 @@ def test_certificate_is_byte_identical(config, tmp_path):
     out = tmp_path / f"{config.stem}.cert"
     assert cli.main(["certify", "--config", str(config), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{config.stem}.cert").read_bytes()
+
+
+def test_selftest_certificate_is_byte_identical(tmp_path):
+    out = tmp_path / "selftest.cert"
+    assert cli.main(["selftest", "--seed", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == SELFTEST.read_bytes()

@@ -13,6 +13,7 @@ from smallhom.linalg import (
     block,
     hstack,
     is_prime,
+    kron_array,
     nonpivot_columns,
     quotient_by_subspace,
     read_coordinates,
@@ -134,6 +135,23 @@ def test_kron_scalars_and_identities():
     eye2, eye3 = FpMatrix.identity(3, 2), FpMatrix.identity(3, 3)
     assert block(3, [[eye2, None], [None, eye3]], [2, 3], [2, 3]) == FpMatrix.identity(3, 5)
     assert FpMatrix.identity(3, 3).kron(FpMatrix.identity(3, 4)) == FpMatrix.identity(3, 12)
+
+
+KRON_SHAPES = [((0, 3), (2, 2)), ((2, 2), (0, 3)), ((3, 0), (2, 2)), ((2, 3), (3, 0)), ((0, 0), (1, 1)),
+               ((1, 1), (1, 1)), ((2, 3), (4, 1)), ((1, 4), (3, 2)), ((3, 3), (3, 3))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573])
+def test_kron_array_matches_np_kron(p):
+    rng = np.random.RandomState(p % 1000)
+    for sa, sb in KRON_SHAPES:
+        a, b = rng.randint(0, p, size=sa), rng.randint(0, p, size=sb)
+        expected = np.kron(a, b)
+        assert kron_array(a, b).shape == expected.shape
+        assert np.array_equal(kron_array(a, b), expected)
+        k = FpMatrix(p, a).kron(FpMatrix(p, b))
+        assert ((0 <= k.a) & (k.a < p)).all()
+        assert np.array_equal(k.a, expected % p)
 
 
 def test_kron_index_pairing_is_row_major():
