@@ -12,9 +12,11 @@ quotients, homology) is echelonized, which makes all computations
 deterministic.
 
 A module is a dimension together with one action matrix per generator; the
-defining relations are verified at construction time.  Bimodules are plain
-modules over the enveloping algebra ``A (x) A^op``, whose first ``c``
-generators act on the left and last ``c`` on the right.
+defining relations are verified at construction time, or follow from a fact
+proved once: every diagonal tensor satisfies them because the coproduct is an
+algebra map, which :class:`DiagonalTensor` proves on ``regular (x) regular``.
+Bimodules are plain modules over the enveloping algebra ``A (x) A^op``, whose
+first ``c`` generators act on the left and last ``c`` on the right.
 """
 
 from __future__ import annotations
@@ -218,6 +220,8 @@ class Module:
         if self.action and self.action[0].rows != self.action[0].cols:
             raise ValueError("action matrices must be square")
         self._mono_acts: dict[tuple, FpMatrix] = {}
+        self.summands: tuple[Module, ...] | None = None  # set by direct_sum_modules
+        self._projective: bool | None = None
         if check:
             self.verify_relations()
 
@@ -313,7 +317,7 @@ class ModuleMorphism:
 
 
 def direct_sum_modules(mods: list[Module]) -> tuple[Module, list[int]]:
-    """Block-diagonal sum; returns the module and the block offsets."""
+    """Block-diagonal sum recording its summands; returns it and the block offsets."""
     A = mods[0].algebra
     offsets = []
     pos = 0
@@ -326,7 +330,9 @@ def direct_sum_modules(mods: list[Module]) -> tuple[Module, list[int]]:
         for m, off in zip(mods, offsets):
             out[off : off + m.dim, off : off + m.dim] = m.action[g].a
         action.append(FpMatrix._adopt(A.p, out, reduced=True))
-    return Module(A, action, check=False), offsets
+    total = Module(A, action, check=False)
+    total.summands = tuple(mods)
+    return total, offsets
 
 
 # ----------------------------------------------------------------------
@@ -428,11 +434,14 @@ def projective_cover(M: Module) -> Cover:
 
 
 def is_projective(M: Module) -> bool:
-    """Projective = free here; holds iff the cover has zero kernel."""
-    if M.dim == 0:
-        return True
-    rad_rank = hstack(list(M.action)).transpose().rank() if M.action else 0
-    return M.algebra.dim * (M.dim - rad_rank) == M.dim
+    """Projective = free here; holds iff the cover has zero kernel.  A sum is
+    projective iff each summand is, so a recorded sum asks its summands."""
+    if M._projective is None and M.summands is not None:
+        M._projective = all(is_projective(S) for S in M.summands)
+    elif M._projective is None:
+        rad_rank = hstack(list(M.action)).transpose().rank() if M.dim and M.action else 0
+        M._projective = M.algebra.dim * (M.dim - rad_rank) == M.dim
+    return M._projective
 
 
 @dataclass
@@ -513,12 +522,12 @@ def hom_space_basis(M: Module, N: Module) -> FpMatrix:
 # ----------------------------------------------------------------------
 # diagonal tensor structure (Hopf-style coproduct)
 # ----------------------------------------------------------------------
-def tensor_diagonal(M: Module, N: Module, check: bool = True) -> Module:
+def tensor_diagonal(M: Module, N: Module) -> Module:
     """M (x) N with generators acting through the coproduct.
 
-    The relations hold automatically because the coproduct is an algebra
-    map; ``check`` re-verifies them anyway (callers may skip it on large
-    products).
+    x_i acts as the image of Delta(x_i) under the algebra map
+    ``A (x) A -> End(M) (x) End(N)``, so the relations hold whenever Delta
+    is an algebra map; :meth:`DiagonalTensor.pair` proves that once.
     """
     A = M.algebra
     if A is not N.algebra and A.describe() != N.algebra.describe():
@@ -536,7 +545,7 @@ def tensor_diagonal(M: Module, N: Module, check: bool = True) -> Module:
             for r in np.flatnonzero(a.any(axis=1)):
                 out4[r] += a[r, None, :, None] * b[:, None, :]
         acts.append(FpMatrix._adopt(A.p, out))
-    return Module(A, acts, check=check)
+    return Module(A, acts, check=False)
 
 
 # ----------------------------------------------------------------------
@@ -600,13 +609,6 @@ def one_sided_projective(env: Enveloping, M: Module) -> bool:
 # ----------------------------------------------------------------------
 # tensor contexts: the two monoidal structures used by chain complexes
 # ----------------------------------------------------------------------
-# Tensor products up to this dimension get their relations re-verified.
-# Larger ones are trusted: the relations hold because the coproduct is an
-# algebra map (over the base, by telescoping), which the test suite checks
-# separately at small scale.
-VERIFY_LIMIT = 729
-
-
 @dataclass
 class TensorPairData:
     """One tensor product M (x) N plus the transport data for morphisms."""
@@ -619,7 +621,8 @@ class TensorPairData:
 class DiagonalTensor:
     """Tensor over the ground field with the diagonal (coproduct) action.
 
-    Products up to ``VERIFY_LIMIT`` get their relations re-verified.
+    The first :meth:`pair` proves that the coproduct is an algebra map, which
+    gives every diagonal tensor over the algebra its relations.
     """
 
     def __init__(self, algebra: Algebra, budget: Budget | None = None):
@@ -627,6 +630,28 @@ class DiagonalTensor:
             raise ValueError("diagonal tensor needs a coproduct")
         self.algebra = algebra
         self.budget = budget or Budget()
+        self._coproduct_proved = False
+
+    def _prove_coproduct(self) -> None:
+        """Check that Delta sends each defining relation to zero in A (x) A.
+
+        ``regular (x) regular`` is the regular module of A (x) A: faithful and
+        cyclic on ``v = 1 (x) 1``, so an element is zero iff it kills ``v``.
+        Matrix-vector chains check the relations on ``v``.  Budgeted like a pair.
+        """
+        A = self.algebra
+        self.budget.check(A.dim * A.dim, factors=(A.dim, A.dim))
+        acts = tensor_diagonal(regular_module(A), regular_module(A)).action
+        xv = [x.take_columns([A.unit_index * (A.dim + 1)]) for x in acts]  # the v column of x
+        for i, (x, w) in enumerate(zip(acts, xv)):
+            for _ in range(A.exponents[i] - 1):
+                w = x @ w
+            if not w.is_zero():
+                raise CertificationError(f"the coproduct violates x_{i}^{A.exponents[i]} = 0")
+            for j in range(i + 1, A.ngens):
+                if acts[j] @ xv[i] != (x @ xv[j]).scale(A.commutator(i, j)):
+                    raise CertificationError(f"the coproduct violates the commutation of {i},{j}")
+        self._coproduct_proved = True
 
     def check_sizes(self, stage: str, factor_dims: list[dict[int, int]]) -> None:
         """Check the budget for every pair of a left-associated tensor
@@ -650,7 +675,9 @@ class DiagonalTensor:
 
     def pair(self, M: Module, N: Module) -> TensorPairData:
         self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
-        return TensorPairData(tensor_diagonal(M, N, check=M.dim * N.dim <= VERIFY_LIMIT))
+        if not self._coproduct_proved:
+            self._prove_coproduct()
+        return TensorPairData(tensor_diagonal(M, N))
 
     def map_block(self, src: TensorPairData, dst: TensorPairData,
                   f: FpMatrix, g: FpMatrix) -> FpMatrix:
@@ -662,7 +689,8 @@ class OverBaseTensor:
 
     The product is the quotient of the Kronecker product by the span of
     ``(b x_i) (x) b' - b (x) (x_i b')`` over all generators; the generator
-    relations for longer elements follow by telescoping.
+    relations for longer elements follow by telescoping.  The quotient has
+    the relations of its verified factors once the span is checked stable.
     """
 
     def __init__(self, env: Enveloping, budget: Budget | None = None):
@@ -677,22 +705,21 @@ class OverBaseTensor:
             raise ValueError("left tensor factor must be a bimodule")
         self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
         p = self.env.base.p
-        right_m = self.env.right_part(M)
-        left_n = self.env.left_part(N) if self._is_bimodule(N) else N.action
-        eye_m = FpMatrix.identity(p, M.dim)
-        eye_n = FpMatrix.identity(p, N.dim)
-        rels = [right_m[i].kron(eye_n) - eye_m.kron(left_n[i]) for i in range(self.env.c)]
+        bimodule = self._is_bimodule(N)
+        eye_m, eye_n = FpMatrix.identity(p, M.dim), FpMatrix.identity(p, N.dim)
+        left_n = self.env.left_part(N) if bimodule else N.action
+        rels = [rm.kron(eye_n) - eye_m.kron(ln) for rm, ln in zip(self.env.right_part(M), left_n)]
         rel_cols = hstack(rels) if rels else FpMatrix.zeros(p, M.dim * N.dim, 0)
         qmap, section = quotient_by_subspace(p, rel_cols)
-        check = qmap.rows <= VERIFY_LIMIT
-        left_m = self.env.left_part(M)
-        acts = [qmap @ (lm.kron(eye_n)) @ section for lm in left_m]
-        if self._is_bimodule(N):
-            right_n = self.env.right_part(N)
-            acts = acts + [qmap @ (eye_m.kron(rn)) @ section for rn in right_n]
-            module = Module(self.env.algebra, acts, check=check)
-        else:
-            module = Module(self.env.base, acts, check=check)
+        big = [lm.kron(eye_n) for lm in self.env.left_part(M)]
+        big += [eye_m.kron(rn) for rn in self.env.right_part(N)] if bimodule else []
+        acts = []
+        for i, x in enumerate(big):
+            qx = qmap @ x
+            if not (qx @ rel_cols).is_zero():
+                raise CertificationError(f"generator {i} does not preserve the relation span")
+            acts.append(qx @ section)
+        module = Module(self.env.algebra if bimodule else self.env.base, acts, check=False)
         return TensorPairData(module, qmap, section)
 
     def map_block(self, src: TensorPairData, dst: TensorPairData,

@@ -150,10 +150,7 @@ def homology_space(C: ChainComplex, i: int) -> HomologySpace:
         if in_cycles is None:
             raise AssertionError("cycles must be action-stable")
         acts.append(qmap @ in_cycles @ section)
-    if not acts:
-        module = zero_module(C.algebra)
-    else:
-        module = Module(C.algebra, acts, check=True)
+    module = Module(C.algebra, acts, check=True) if acts else zero_module(C.algebra)
     hs = HomologySpace(i, cycles, free, qmap, section, module)
     C._hcache[i] = hs
     return hs
@@ -275,19 +272,15 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     p = f.source.algebra.p
     objects = {}
     diffs = {}
-    summands = {}
     for i in range(min(X.lo + 1, T.lo), max(X.hi + 1, T.hi) + 1):
         xs, ts = X.module_at(i - 1), T.module_at(i)
-        if xs.dim + ts.dim == 0:
-            continue
-        mod, offs = direct_sum_modules([xs, ts])
-        objects[i] = mod
-        summands[i] = (xs.dim, ts.dim)
+        if xs.dim + ts.dim:
+            objects[i] = direct_sum_modules([xs, ts])[0]
     for i in sorted(objects):
         if (i - 1) not in objects:
             continue
-        xs, ts = summands[i]
-        xt, tt = summands[i - 1]
+        xs, ts = (S.dim for S in objects[i].summands)
+        xt, tt = (S.dim for S in objects[i - 1].summands)
         dx = X.diff_at(i - 1).matrix if xs and xt else None
         dt = T.diff_at(i).matrix if ts and tt else None
         gm = g.get(i - 1) if xs and tt else None

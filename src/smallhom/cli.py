@@ -262,23 +262,17 @@ def report_to_tree(cfg: RunConfig, report: dict, verdict_filter=None) -> tuple[d
 
 
 def execute(cfg: RunConfig) -> tuple[dict, int]:
-    budget = cfg.budget()
+    verdict_filter = None
     if cfg.mode == "symbolic":
         report = SymbolicRun(FieldSpec(cfg.char), cfg.rank, cfg.degree).run()
-        tree, ok = report_to_tree(cfg, report)
-        return tree, EXIT_OK if ok else EXIT_VERDICT
-    if cfg.mode == "crosscheck" and cfg.rank < 2:
+    elif cfg.mode == "crosscheck" and cfg.rank < 2:
         raise UsageError("crosscheck needs rank >= 2 (the quadratic element)")
-    algebra = build_algebra(cfg)
-    if cfg.variant == "bimodule":
-        report = BimoduleRun(algebra, cfg.rank, cfg.degree, budget).run()
-        tree, ok = report_to_tree(cfg, report)
-        return tree, EXIT_OK if ok else EXIT_VERDICT
-    report = ChainRun(algebra, cfg.rank, cfg.degree, cfg.power, budget).run()
-    if cfg.mode == "crosscheck":
-        tree, ok = report_to_tree(cfg, report, CROSSCHECK_VERDICTS)
+    elif cfg.variant == "bimodule":
+        report = BimoduleRun(build_algebra(cfg), cfg.rank, cfg.degree, cfg.budget()).run()
     else:
-        tree, ok = report_to_tree(cfg, report)
+        report = ChainRun(build_algebra(cfg), cfg.rank, cfg.degree, cfg.power, cfg.budget()).run()
+        verdict_filter = CROSSCHECK_VERDICTS if cfg.mode == "crosscheck" else None
+    tree, ok = report_to_tree(cfg, report, verdict_filter)
     return tree, EXIT_OK if ok else EXIT_VERDICT
 
 

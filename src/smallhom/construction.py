@@ -31,6 +31,7 @@ from .linalg import FpMatrix, echelon_pivots, read_coordinates, vstack
 from .algebra import (
     Algebra,
     Budget,
+    CertificationError,
     DiagonalTensor,
     Module,
     ModuleMorphism,
@@ -60,7 +61,8 @@ from .chain import (
     projectivity_flags,
     tensor_tower,
 )
-from .lefschetz import LefschetzModel, cone_oracle, family_lengths, total_with_tail
+from .lefschetz import (LefschetzModel, cone_dimensions, cone_oracle, family_lengths, total_with_tail,
+                        verify_lefschetz_profile)
 
 
 class UnsupportedRank(ValueError):
@@ -91,24 +93,14 @@ class CohomologyClass:
 
     def is_zero_class(self) -> bool:
         bnd = _coboundary_space(self.resolution, self.degree)
-        return read_coordinates(bnd, echelon_pivots(bnd), _vec(self.images)) is not None
-
-
-def _vec(V: FpMatrix) -> FpMatrix:
-    return FpMatrix(V.p, V.a.reshape(-1, 1))
-
-
-def _unvec(p: int, flat, rows: int, cols: int) -> FpMatrix:
-    return FpMatrix(p, np.asarray(flat).reshape(rows, cols))
-
-
-def _slot_unit_columns(A: Algebra, rank: int) -> list[int]:
-    return [t * A.dim + A.unit_index for t in range(rank)]
+        vec = FpMatrix(self.images.p, self.images.a.reshape(-1, 1))
+        return read_coordinates(bnd, echelon_pivots(bnd), vec) is not None
 
 
 def _diff_units(res: Resolution, a: int) -> FpMatrix:
     """The slot-unit columns of d_{a+1}: the images of P_{a+1}'s generators."""
-    return res.diff(a + 1).matrix.take_columns(_slot_unit_columns(res.algebra, res.ranks[a + 1]))
+    A = res.algebra
+    return res.diff(a + 1).matrix.take_columns([t * A.dim + A.unit_index for t in range(res.ranks[a + 1])])
 
 
 def _delta_matrix(res: Resolution, a: int) -> FpMatrix:
@@ -156,7 +148,7 @@ def class_from_images(res: Resolution, n: int, images: FpMatrix) -> CohomologyCl
         raise ValueError("resolution too short to validate the cocycle")
     full = free_images_matrix(A, T, images)
     if not (full @ _diff_units(res, n)).is_zero():
-        raise ValueError("images do not define a cocycle")
+        raise CertificationError("images do not define a cocycle")
     cocycle = ModuleMorphism(res.projectives[n], T, full, check=True)
     # degree 0: the zeroth syzygy is the module itself, covered by P_0
     epi_mat = res.aug.matrix if n == 0 else res.omega(n).epi.matrix
@@ -192,8 +184,7 @@ def ext_classes(res: Resolution, n: int) -> list[CohomologyClass]:
     reps = [pc - bnd.cols for pc in pivots if pc >= bnd.cols]
     out = []
     for k in reps:
-        V = _unvec(p, cocycles.a[:, k], T.dim, res.ranks[n])
-        out.append(class_from_images(res, n, V))
+        out.append(class_from_images(res, n, FpMatrix(p, cocycles.a[:, k].reshape(T.dim, res.ranks[n]))))
     return out
 
 
@@ -374,10 +365,6 @@ class Verdict:
     detail: str = ""
 
 
-def _all_actions_zero(M: Module) -> bool:
-    return all(x.is_zero() for x in M.action)
-
-
 class ChainRun:
     """Chain-level pipeline for the module-category route.
 
@@ -478,7 +465,7 @@ class ChainRun:
         hyper = homology_dims(big)
         expected = {t * m: comb(c, t) * unit_dim for t in range(c + 1)}
         hyper_ok = hyper == expected
-        units_ok = all(_all_actions_zero(homology_space(big, d).module) for d in hyper)
+        units_ok = all(x.is_zero() for d in hyper for x in homology_space(big, d).module.action)
         report["hypercube_homology"] = hyper
         report["hypercube_expected"] = expected
         report["hypercube_total"] = sum(hyper.values())
@@ -669,8 +656,6 @@ class SymbolicRun:
         self.degree = degree
 
     def run(self) -> dict:
-        from .lefschetz import cone_dimensions, verify_lefschetz_profile
-
         d = self.rank
         n = self.degree
         m = n - 1
@@ -683,8 +668,9 @@ class SymbolicRun:
             "characteristic": self.field.p,
             "additive_function": "dim",
         }
-        model8 = LefschetzModel(8, self.field, m)
-        profile = verify_lefschetz_profile(model8)
+        # one table of w ranks, grades 0..8, serves the profile and the cone
+        table = cone_dimensions(LefschetzModel(8, self.field, m))
+        profile = verify_lefschetz_profile(table)
         expect_fail = self.field.p == 2
         profile_ok = (not profile.ok) if expect_fail else profile.ok
         report["profile_ranks"] = profile.ranks
@@ -694,7 +680,6 @@ class SymbolicRun:
                                 "rank deficit found, as forced in characteristic 2" if expect_fail
                                 else "injective at grades 0..3, surjective at 3..6"))
 
-        table = cone_dimensions(model8)
         if not expect_fail:
             entries = {f"{t}m+{off}" if off else f"{t}m": v
                        for (t, off), v in sorted(table.entries.items())}

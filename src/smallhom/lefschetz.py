@@ -24,6 +24,7 @@ from math import comb
 
 import numpy as np
 
+from .algebra import CertificationError
 from .linalg import FieldSpec, FpMatrix
 
 # the Lefschetz element, as (coefficient, generator pair) terms on 1-based
@@ -121,20 +122,21 @@ def w_matrix(model: LefschetzModel, t: int) -> FpMatrix:
 @dataclass
 class ProfileResult:
     ok: bool
-    ranks: dict[int, int]
+    ranks: dict[int, int]  # rank of the element from grade t
     failures: list[tuple[int, int, int]]  # (grade, expected, got)
 
 
-def verify_lefschetz_profile(model: LefschetzModel) -> ProfileResult:
-    """Check injectivity at grades 0..3 and surjectivity at grades 3..6.
+def verify_lefschetz_profile(table: "ConeDimensionTable") -> ProfileResult:
+    """Check injectivity at grades 0..3 and surjectivity at grades 3..6 on
+    the w ranks of :func:`cone_dimensions`.
 
     Over characteristics other than 2 every check passes, with an
     isomorphism at grade 3; over F_2 the profile fails at grade 2, where the
     element itself is in the kernel (its square has even coefficients).
     """
-    if model.d != 8:
-        raise ValueError("profile verification runs on the rank-8 submodel")
-    ranks = {t: w_matrix(model, t).rank() for t in range(0, 7)}
+    if table.d != 8 or table.grade != 2:
+        raise ValueError("profile verification reads the rank-8 table of w")
+    ranks = {t: table.ranks[t] for t in range(0, 7)}
     failures = []
     for t in range(0, 7):
         # injectivity wanted at grades 0..3, surjectivity at 3..6
@@ -155,6 +157,7 @@ class ConeDimensionTable:
     grade: int  # homological shift of the element, in multiples of m
     unit_size: int
     entries: dict[tuple[int, int], int]
+    ranks: dict[int, int]  # rank of the element from grade t
 
     @property
     def total(self) -> int:
@@ -194,7 +197,7 @@ def cone_oracle(model: LefschetzModel, element, unit_size: int = 1,
         ker = model.grade_dim(t) - ranks[t]
         if ker:
             entries[(t + grade, 1)] = ker * unit_size
-    return ConeDimensionTable(model.d, grade, unit_size, entries)
+    return ConeDimensionTable(model.d, grade, unit_size, entries, ranks)
 
 
 def cone_dimensions(model: LefschetzModel, unit_size: int = 1) -> ConeDimensionTable:
@@ -212,8 +215,8 @@ def total_with_tail(d: int) -> int:
     if d < 8:
         raise ValueError("the construction needs rank >= 8")
     total = 252 * 2 ** (d - 8)
-    assert total == 2 ** d - 2 ** (d - 6)
-    assert total < 2 ** d
+    if total != 2 ** d - 2 ** (d - 6) or total >= 2 ** d:
+        raise CertificationError(f"rank-{d} total {total} breaks the closed form or the bound")
     return total
 
 

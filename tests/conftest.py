@@ -18,9 +18,9 @@ def tensor_diagonal_calls(monkeypatch):
     calls = []
     real = smallhom.algebra.tensor_diagonal
 
-    def counted(M, N, check=True):
+    def counted(M, N):
         calls.append((M.dim, N.dim))
-        return real(M, N, check)
+        return real(M, N)
 
     monkeypatch.setattr(smallhom.algebra, "tensor_diagonal", counted)
     return calls
@@ -98,3 +98,16 @@ def _kernel_constrained_per_element(basis, prev: FpMatrix, p: int) -> list:
 @pytest.fixture
 def kernel_constrained_reference():
     return _kernel_constrained_per_element
+
+
+def _radical_projective(M) -> bool:
+    """The whole-module test: ``M`` is free iff ``dim A * dim(M / rad M) = dim M``."""
+    if M.dim == 0:
+        return True
+    rad_dim = FpMatrix(M.algebra.p, np.hstack([x.a for x in M.action])).rank()
+    return M.algebra.dim * (M.dim - rad_dim) == M.dim
+
+
+@pytest.fixture
+def projective_reference():
+    return _radical_projective

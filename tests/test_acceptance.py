@@ -5,6 +5,7 @@ Every expected value here is exact; there are no tolerances anywhere.
 
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -140,3 +141,12 @@ def test_property_suites_fail_when_kunneth_homology_is_wrong(monkeypatch):
     result = acceptance.criterion_property_suites(seed=0)
     assert not result.passed
     assert not any(note.startswith("exception") for note in result.details)
+
+
+def test_property_suites_fail_when_differentials_are_unconstrained(monkeypatch):
+    # without the kernel constraint d . d != 0; random_complex builds its
+    # complexes with the d . d check, which is the only one the suite needs
+    monkeypatch.setattr(acceptance, "_kernel_constrained", lambda basis, prev, m: basis)
+    result = acceptance.criterion_property_suites(seed=0)
+    assert not result.passed
+    assert any(re.fullmatch(r"exception: d_\d+ d_\d+ != 0", note) for note in result.details)

@@ -1,10 +1,13 @@
 """Split-local algebras, modules, covers, resolutions, tensor structures."""
 
+import re
+
 import numpy as np
 import pytest
 
 from smallhom.linalg import FieldSpec, FpMatrix, echelon_pivots
 from smallhom.algebra import (
+    Algebra,
     Budget,
     BudgetExceeded,
     CertificationError,
@@ -437,3 +440,74 @@ def test_cover_rejects_a_map_that_is_not_onto_under_optimize(run_optimized):
     run = run_optimized(UNSURJECTIVE_COVER)
     assert run.returncode == 1
     assert run.stderr.strip() == "optimize=1: cover must be surjective"
+
+
+def test_diagonal_tensor_proves_the_coproduct_once(truncated, tensor_diagonal_calls):
+    ctx = DiagonalTensor(truncated)
+    k, reg = trivial_module(truncated), regular_module(truncated)
+    ctx.pair(k, reg)
+    ctx.pair(reg, reg)
+    # the first pair builds regular (x) regular for the proof, then its own tensor
+    assert tensor_diagonal_calls == [(3, 3), (1, 3), (3, 3)]
+
+
+PROOF_CASES = {
+    # x -> x(x)1 + 1(x)x + 1(x)1 is no algebra map: x^3 acts as the identity
+    "unit-term": ("real = Algebra.coproduct_terms\n"
+                  "Algebra.coproduct_terms = lambda A, i: real(A, i) + [(1, (0,) * A.ngens, (0,) * A.ngens)]\n"
+                  "A = qci_algebra(FieldSpec(3), [3, 3], coproduct='primitive')\n",
+                  "the coproduct violates x_0^3 = 0"),
+    # (x(x)1 + 1(x)x)^2 = 2 x(x)x over F_3, past the constructor's guard
+    "exponent": ("A = qci_algebra(FieldSpec(3), [2])\nA.coproduct = 'primitive'\n",
+                 "the coproduct violates x_0^2 = 0"),
+    # Delta(y) Delta(x) - q Delta(x) Delta(y) keeps (1 - q)(x(x)y + y(x)x)
+    "commutator": ("A = qci_algebra(FieldSpec(3), [3, 3], {(0, 1): 2})\nA.coproduct = 'primitive'\n",
+                   "the coproduct violates the commutation of 0,1"),
+}
+
+PROOF_SCRIPT = """
+import sys
+from smallhom.algebra import Algebra, CertificationError, DiagonalTensor, qci_algebra, trivial_module
+from smallhom.linalg import FieldSpec
+assert False, "reached only without -O"
+{setup}
+k = trivial_module(A)
+try:
+    DiagonalTensor(A).pair(k, k)
+except CertificationError as exc:
+    print(f"optimize={{sys.flags.optimize}} {{exc}}")
+"""
+
+
+@pytest.mark.parametrize("case", sorted(PROOF_CASES))
+def test_coproduct_proof_fails_at_the_first_pair(case, monkeypatch, run_optimized):
+    setup, message = PROOF_CASES[case]
+    # the unit-term case replaces Algebra.coproduct_terms; monkeypatch restores it
+    monkeypatch.setattr(Algebra, "coproduct_terms", Algebra.coproduct_terms)
+    scope = {"Algebra": Algebra, "FieldSpec": FieldSpec, "qci_algebra": qci_algebra}
+    exec(setup, scope)
+    ctx, k = DiagonalTensor(scope["A"]), trivial_module(scope["A"])
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        ctx.pair(k, k)
+    run = run_optimized(PROOF_SCRIPT.format(setup=setup))
+    assert run.stdout == f"optimize=1 {message}\n", run.stderr
+
+
+def test_over_base_tensor_checks_that_the_relation_span_is_stable(truncated):
+    # left x and right x^T do not commute, so this unchecked "bimodule" is not
+    # one, and x (x) 1 moves the span of x^T (x) 1 = (e0, e1) to e2
+    env = enveloping(truncated)
+    x = truncated.left_actions[0]
+    fake = Module(env.algebra, [x, x.transpose()], check=False)
+    with pytest.raises(CertificationError, match="^generator 0 does not preserve the relation span$"):
+        OverBaseTensor(env).pair(fake, trivial_module(truncated))
+
+
+def test_sum_projectivity_reads_the_summands(truncated, projective_reference):
+    k, free, reg = trivial_module(truncated), free_module(truncated, 2), regular_module(truncated)
+    mixed = direct_sum_modules([k, free])[0]
+    both = direct_sum_modules([free, reg])[0]
+    assert mixed.summands == (k, free) and both.summands == (free, reg)
+    assert not is_projective(mixed) and not projective_reference(mixed)
+    assert is_projective(both) and projective_reference(both)
+    assert not is_projective(direct_sum_modules([reg, mixed])[0])

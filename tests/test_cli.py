@@ -1,5 +1,8 @@
 """Command line interface: exit codes, determinism, certificates."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from smallhom import algebra, cli, construction
@@ -203,6 +206,13 @@ def test_failed_relation_check_is_a_certification_error(monkeypatch, capsys, run
     run = run_optimized(CORRUPT_FREE_MODULE)
     assert run.stdout == "optimize=1 exit=2\n"
     assert run.stderr == "certification error: generator 0 violates x^3 = 0\n"
+
+
+def test_package_checks_survive_optimize():
+    # python -O strips assert statements, so no certification check may be one
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], path.name
 
 
 def test_report_round_trip(tmp_path):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from smallhom import construction
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
     Budget,
     BudgetExceeded,
+    CertificationError,
     DiagonalTensor,
     enveloping,
     is_projective,
@@ -81,6 +83,36 @@ def test_ext_class_degree_limit(res1):
 def test_zero_class_rejected(res1, one_var):
     with pytest.raises(ValueError):
         class_from_images(res1, 2, FpMatrix.zeros(3, 1, 1))
+
+
+NON_COCYCLE = """
+import sys
+import numpy as np
+from smallhom.algebra import CertificationError, enveloping, minimal_resolution, qci_algebra, regular_bimodule
+from smallhom.construction import _delta_matrix, class_from_images
+from smallhom.linalg import FieldSpec, FpMatrix
+assert False, "reached only without -O"
+res = minimal_resolution(regular_bimodule(enveloping(qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2}))), 3)
+cochain = np.zeros(res.module.dim * res.ranks[2], dtype=np.int64)
+cochain[_delta_matrix(res, 2).a.any(axis=0).argmax()] = 1
+try:
+    class_from_images(res, 2, FpMatrix(5, cochain.reshape(res.module.dim, res.ranks[2])))
+except CertificationError as exc:
+    print(f"optimize={sys.flags.optimize} {exc}")
+"""
+
+
+def test_non_cocycle_is_a_certification_error(run_optimized):
+    # a standard cochain that the coboundary map does not kill
+    res = minimal_resolution(regular_bimodule(enveloping(qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2}))), 3)
+    delta = _delta_matrix(res, 2)
+    cochain = np.zeros(delta.cols, dtype=np.int64)
+    cochain[delta.a.any(axis=0).argmax()] = 1
+    assert not (delta @ FpMatrix(5, cochain.reshape(-1, 1))).is_zero()
+    with pytest.raises(CertificationError, match="^images do not define a cocycle$"):
+        class_from_images(res, 2, FpMatrix(5, cochain.reshape(res.module.dim, res.ranks[2])))
+    run = run_optimized(NON_COCYCLE)
+    assert run.stdout == "optimize=1 images do not define a cocycle\n", run.stderr
 
 
 def test_coboundary_is_a_zero_class():
@@ -356,3 +388,24 @@ def test_corrupted_sign_hook_breaks_thetas(two_vars):
     rep = ChainRun(two_vars, 2, drop_koszul_sign=True).run()
     names = {v.name: v.passed for v in rep["verdicts"]}
     assert names["theta_chain_maps"] is False
+
+
+@pytest.mark.parametrize("char, exponents, power", [(3, [3, 3], 1), (2, [2, 2], 2)])
+def test_recorded_sum_flags_match_the_radical_test(char, exponents, power, monkeypatch,
+                                                   projective_reference):
+    # configs/chain-rank2.ini, and F_2 2 2 at power 2: every tower and cone
+    # term is a recorded sum, flagged from its summands
+    seen = []
+    real = construction.projectivity_flags
+
+    def recorded(C):
+        seen.append((C, real(C)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(construction, "projectivity_flags", recorded)
+    A = qci_algebra(FieldSpec(char), exponents, coproduct="primitive")
+    assert all(v.passed for v in ChainRun(A, 2, power=power).run()["verdicts"])
+    assert len(seen) == 2  # the tensor tower, then the cone
+    for C, flags in seen:
+        assert C.objects and all(M.summands is not None for M in C.objects.values())
+        assert flags == {i: projective_reference(M) for i, M in sorted(C.objects.items())}

@@ -50,14 +50,14 @@ def test_w_matrix_ranks_f3():
 
 def test_profile_pass_f3_f5():
     for p in (3, 5):
-        prof = verify_lefschetz_profile(LefschetzModel(8, FieldSpec(p)))
+        prof = verify_lefschetz_profile(cone_dimensions(LefschetzModel(8, FieldSpec(p))))
         assert prof.ok and not prof.failures
         assert prof.ranks == {0: 1, 1: 8, 2: 28, 3: 56, 4: 28, 5: 8, 6: 1}
 
 
 def test_profile_fails_char2_with_element_in_kernel():
     model = LefschetzModel(8, FieldSpec(2))
-    prof = verify_lefschetz_profile(model)
+    prof = verify_lefschetz_profile(cone_dimensions(model))
     assert not prof.ok
     assert prof.failures[0][0] == 2
     basis2 = model.grade_basis(2)
