@@ -22,7 +22,7 @@ first ``c`` generators act on the left and last ``c`` on the right.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -79,8 +79,9 @@ class Algebra:
     ``commutators`` maps 0-based pairs ``(i, j)`` with ``i < j`` to the
     nonzero scalar ``q_ij``; missing pairs default to 1.  ``coproduct`` is
     ``None``, ``"primitive"`` (``x -> x(x)1 + 1(x)x``) or ``"shifted"``
-    (``t -> t(x)1 + 1(x)t + t(x)t``); either choice requires ``a_i = p`` and
-    ``q = 1``, which is exactly when it respects the defining relations.
+    (``t -> t(x)1 + 1(x)t + t(x)t``).  Either choice requires ``a_i = p`` and
+    ``q = 1``: a guard that keeps input to the certified family, not a test of
+    the relations, which :meth:`DiagonalTensor.pair` proves at its first call.
     """
 
     def __init__(self, field: FieldSpec, exponents, commutators=None, coproduct=None):
@@ -476,7 +477,7 @@ class Resolution:
         for i in range(1, length + 1):
             omega = self.syzygies[i - 1]
             cov = projective_cover(omega.module)
-            omega.epi = ModuleMorphism(cov.free, omega.module, cov.epi.matrix, check=False)
+            omega.epi = cov.epi
             d = ModuleMorphism(cov.free, self.projectives[i - 1],
                                omega.incl.matrix @ cov.epi.matrix, check=False)
             self.projectives.append(cov.free)
@@ -607,17 +608,8 @@ def one_sided_projective(env: Enveloping, M: Module) -> bool:
 
 
 # ----------------------------------------------------------------------
-# tensor contexts: the two monoidal structures used by chain complexes
+# tensor contexts: the diagonal tensor of complexes, the tensor over A of modules
 # ----------------------------------------------------------------------
-@dataclass
-class TensorPairData:
-    """One tensor product M (x) N plus the transport data for morphisms."""
-
-    module: Module
-    qmap: FpMatrix | None = None  # None means the plain Kronecker model
-    section: FpMatrix | None = None
-
-
 class DiagonalTensor:
     """Tensor over the ground field with the diagonal (coproduct) action.
 
@@ -673,15 +665,11 @@ class DiagonalTensor:
                 terms[s + t] = terms.get(s + t, 0) + acc[s] * nxt[t]
             acc = terms
 
-    def pair(self, M: Module, N: Module) -> TensorPairData:
+    def pair(self, M: Module, N: Module) -> Module:
         self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
         if not self._coproduct_proved:
             self._prove_coproduct()
-        return TensorPairData(tensor_diagonal(M, N))
-
-    def map_block(self, src: TensorPairData, dst: TensorPairData,
-                  f: FpMatrix, g: FpMatrix) -> FpMatrix:
-        return f.kron(g)
+        return tensor_diagonal(M, N)
 
 
 class OverBaseTensor:
@@ -700,7 +688,7 @@ class OverBaseTensor:
     def _is_bimodule(self, M: Module) -> bool:
         return M.algebra.ngens == self.env.algebra.ngens
 
-    def pair(self, M: Module, N: Module) -> TensorPairData:
+    def pair(self, M: Module, N: Module) -> Module:
         if not self._is_bimodule(M):
             raise ValueError("left tensor factor must be a bimodule")
         self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
@@ -719,9 +707,4 @@ class OverBaseTensor:
             if not (qx @ rel_cols).is_zero():
                 raise CertificationError(f"generator {i} does not preserve the relation span")
             acts.append(qx @ section)
-        module = Module(self.env.algebra if bimodule else self.env.base, acts, check=False)
-        return TensorPairData(module, qmap, section)
-
-    def map_block(self, src: TensorPairData, dst: TensorPairData,
-                  f: FpMatrix, g: FpMatrix) -> FpMatrix:
-        return dst.qmap @ f.kron(g) @ src.section
+        return Module(self.env.algebra if bimodule else self.env.base, acts, check=False)

@@ -109,14 +109,13 @@ def euler_characteristic(C: ChainComplex) -> int:
 # ----------------------------------------------------------------------
 @dataclass
 class HomologySpace:
-    """Cycles, the quotient map onto homology, and the homology module.
+    """One degree's cycles, the quotient map onto homology, and the homology module.
 
     ``cycles`` is the kernel basis of the outgoing differential, the identity
     on the rows ``free``; ``qmap`` and ``section`` relate cycle coordinates
     to homology coordinates.
     """
 
-    degree: int
     cycles: FpMatrix
     free: list[int]
     qmap: FpMatrix
@@ -151,7 +150,7 @@ def homology_space(C: ChainComplex, i: int) -> HomologySpace:
             raise AssertionError("cycles must be action-stable")
         acts.append(qmap @ in_cycles @ section)
     module = Module(C.algebra, acts, check=True) if acts else zero_module(C.algebra)
-    hs = HomologySpace(i, cycles, free, qmap, section, module)
+    hs = HomologySpace(cycles, free, qmap, section, module)
     C._hcache[i] = hs
     return hs
 
@@ -398,16 +397,13 @@ def induced_on_homology(f: ChainMap) -> dict[int, FpMatrix]:
 class SummandSlot:
     left_degree: int
     right_degree: int
-    offset: int
     dim: int
-    pair: object  # TensorPairData
 
 
 @dataclass
 class TensorPair:
     """A two-factor tensor complex with its summand layout."""
 
-    ctx: object
     left: ChainComplex
     right: ChainComplex
     complex: ChainComplex
@@ -417,39 +413,39 @@ class TensorPair:
 def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:
     """Kunneth-style double complex totalization with Koszul signs.
 
-    The differential ``d (x) 1 + (-1)^s 1 (x) d`` is the left lift of
-    ``d_{C1}`` plus the right lift of ``d_{C2}``, each a map of shift -1, so
-    it is assembled by :func:`_slot_blocks` like any lifted map.
+    ``ctx`` is a :class:`~smallhom.algebra.DiagonalTensor`, whose products
+    are Kronecker products, so maps between summands are too.  The
+    differential ``d (x) 1 + (-1)^s 1 (x) d`` is the left lift of ``d_{C1}``
+    plus the right lift of ``d_{C2}``, each a map of shift -1, so it is
+    assembled by :func:`_slot_blocks` like any lifted map.
     """
     layout: dict[int, list[SummandSlot]] = {}
     objects: dict[int, Module] = {}
     for n in range(C1.lo + C2.lo, C1.hi + C2.hi + 1):
         slots = []
         mods = []
-        offset = 0
         for s in C1.degrees():
             t = n - s
             if t not in C2.objects:
                 continue
-            pd = ctx.pair(C1.objects[s], C2.objects[t])
-            if pd.module.dim == 0:
+            mod = ctx.pair(C1.objects[s], C2.objects[t])
+            if mod.dim == 0:
                 continue
-            slots.append(SummandSlot(s, t, offset, pd.module.dim, pd))
-            mods.append(pd.module)
-            offset += pd.module.dim
+            slots.append(SummandSlot(s, t, mod.dim))
+            mods.append(mod)
         if slots:
             layout[n] = slots
             objects[n], _ = direct_sum_modules(mods)
-    mats = _slot_blocks(ctx, C1, C2, layout, -1,
+    mats = _slot_blocks(C1, C2, layout, -1,
                         {s: d.matrix for s, d in C1.diffs.items()},
                         {t: d.matrix for t, d in C2.diffs.items()})
     diffs = {n: ModuleMorphism(objects[n], objects[n - 1], mat, check=False) for n, mat in mats.items()}
     algebra = next(iter(objects.values())).algebra if objects else C1.algebra
     cx = ChainComplex(algebra, objects, diffs, check=True)
-    return TensorPair(ctx, C1, C2, cx, layout)
+    return TensorPair(C1, C2, cx, layout)
 
 
-def _slot_blocks(ctx, left: ChainComplex, right: ChainComplex, layout: dict[int, list[SummandSlot]],
+def _slot_blocks(left: ChainComplex, right: ChainComplex, layout: dict[int, list[SummandSlot]],
                  m: int, left_comps: dict[int, FpMatrix], right_comps: dict[int, FpMatrix],
                  drop_koszul_sign: bool = False) -> dict[int, FpMatrix]:
     """Matrices of ``f (x) 1 + (-1)^{m s} 1 (x) g`` between the summand slots.
@@ -473,12 +469,12 @@ def _slot_blocks(ctx, left: ChainComplex, right: ChainComplex, layout: dict[int,
             f, jdst = left_comps.get(s), dst_index.get((s + m, t))
             if f is not None and jdst is not None:
                 eye = FpMatrix.identity(p, right.objects[t].dim)
-                grid[jdst][jsrc] = ctx.map_block(sl.pair, target_slots[jdst].pair, f, eye)
+                grid[jdst][jsrc] = f.kron(eye)
                 nonzero = True
             g, jdst = right_comps.get(t), dst_index.get((s, t + m))
             if g is not None and jdst is not None:
                 eye = FpMatrix.identity(p, left.objects[s].dim)
-                blk = ctx.map_block(sl.pair, target_slots[jdst].pair, eye, g)
+                blk = eye.kron(g)
                 grid[jdst][jsrc] = blk.scale(-1) if (m * s) % 2 and not drop_koszul_sign else blk
                 nonzero = True
         if nonzero:
@@ -486,9 +482,9 @@ def _slot_blocks(ctx, left: ChainComplex, right: ChainComplex, layout: dict[int,
     return out
 
 
-def _lift_through_pair(tp: TensorPair, f: ChainMap, side: str,
-                       drop_koszul_sign: bool = False, check: bool = True) -> ChainMap:
-    """Extend a self chain map of one factor to the tensor complex.
+def _lift_through_pair(tp: TensorPair, f: ChainMap, side: str, drop_koszul_sign: bool = False) -> ChainMap:
+    """Extend a self chain map of one factor to the tensor complex, unchecked:
+    callers test the lift with :meth:`ChainMap.is_chain_map`.
 
     Only a map on the right factor picks up a Koszul sign
     (:func:`_slot_blocks`).  ``drop_koszul_sign`` is a test hook that
@@ -496,19 +492,18 @@ def _lift_through_pair(tp: TensorPair, f: ChainMap, side: str,
     """
     m = f.shift
     comps = {j: c.matrix for j, c in f.comps.items()}
-    mats = _slot_blocks(tp.ctx, tp.left, tp.right, tp.layout, m,
+    mats = _slot_blocks(tp.left, tp.right, tp.layout, m,
                         comps if side == "left" else {}, comps if side == "right" else {},
                         drop_koszul_sign)
     objects = tp.complex.objects
     maps = {n: ModuleMorphism(objects[n], objects[n + m], mat, check=False) for n, mat in mats.items()}
-    return ChainMap(tp.complex, tp.complex, m, maps, check=check)
+    return ChainMap(tp.complex, tp.complex, m, maps, check=False)
 
 
 @dataclass
 class TensorTower:
     """Left-associated tensor of several complexes, with map lifting."""
 
-    ctx: object
     factors: list[ChainComplex]
     pairs: list[TensorPair]
 
@@ -518,20 +513,19 @@ class TensorTower:
             return self.pairs[-1].complex
         return self.factors[0]
 
-    def lift_factor_map(self, i: int, f: ChainMap,
-                        drop_koszul_sign: bool = False, check: bool = True) -> ChainMap:
+    def lift_factor_map(self, i: int, f: ChainMap, drop_koszul_sign: bool = False) -> ChainMap:
         if not 0 <= i < len(self.factors):
             raise IndexError(f"no tensor factor {i}")
         if not self.pairs:
             return f
         if i == 0:
-            g = _lift_through_pair(self.pairs[0], f, "left", drop_koszul_sign, check)
+            g = _lift_through_pair(self.pairs[0], f, "left", drop_koszul_sign)
             rest = self.pairs[1:]
         else:
-            g = _lift_through_pair(self.pairs[i - 1], f, "right", drop_koszul_sign, check)
+            g = _lift_through_pair(self.pairs[i - 1], f, "right", drop_koszul_sign)
             rest = self.pairs[i:]
         for tp in rest:
-            g = _lift_through_pair(tp, g, "left", drop_koszul_sign, check)
+            g = _lift_through_pair(tp, g, "left", drop_koszul_sign)
         return g
 
 
@@ -551,7 +545,7 @@ def tensor_tower(factors: list[ChainComplex], ctx) -> TensorTower:
         tp = tensor_pair(acc, nxt, ctx)
         pairs.append(tp)
         acc = tp.complex
-    return TensorTower(ctx, list(factors), pairs)
+    return TensorTower(list(factors), pairs)
 
 
 def projectivity_flags(C: ChainComplex) -> dict[int, bool]:

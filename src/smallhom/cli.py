@@ -63,16 +63,15 @@ class UsageError(ValueError):
 @dataclass
 class RunConfig:
     mode: str
-    variant: str = "module"
-    char: int = 3
-    exponents: tuple[int, ...] = ()
-    commutators: tuple[int, ...] = ()
-    coproduct: str | None = None
-    rank: int = 0
-    degree: int = 2
-    power: int = 1
-    budget_dim: int = 4096
-    budget_entries: int = 20_000_000
+    variant: str
+    char: int
+    exponents: tuple[int, ...]
+    commutators: tuple[int, ...]
+    coproduct: str | None
+    rank: int
+    degree: int
+    power: int
+    budget: Budget
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -91,9 +90,6 @@ class RunConfig:
         if self.power < 1:
             raise UsageError("power must be >= 1")
 
-    def budget(self) -> Budget:
-        return Budget(self.budget_dim, self.budget_entries)
-
     def echo(self) -> dict:
         return {
             "mode": self.mode,
@@ -105,8 +101,8 @@ class RunConfig:
             "rank": self.rank,
             "degree": self.degree,
             "power": self.power,
-            "budget_dim": self.budget_dim,
-            "budget_entries": self.budget_entries,
+            "budget_dim": self.budget.max_dim,
+            "budget_entries": self.budget.max_entries,
         }
 
 
@@ -115,16 +111,18 @@ def _commutator_pairs(ngens: int) -> list[tuple[int, int]]:
 
 
 def _parse_commutators(text: str, ngens: int) -> tuple[int, ...]:
-    """Values in lexicographic (i, j) pair order; one token broadcasts."""
+    """Integer values in lexicographic (i, j) pair order: one per pair, or a
+    single value broadcast to every pair (none with fewer than two generators)."""
     pairs = _commutator_pairs(ngens)
-    tokens = text.split()
-    if not tokens or not pairs:
-        return ()
-    if len(tokens) == 1:
-        return tuple(int(tokens[0]) for _ in pairs)
-    if len(tokens) == len(pairs):
-        return tuple(int(t) for t in tokens)
-    raise UsageError(f"need 1 or {len(pairs)} commutator values, got {len(tokens)}")
+    try:
+        values = tuple(int(t) for t in text.split())
+    except ValueError:
+        raise UsageError(f"commutator values must be integers, got {text!r}") from None
+    if len(values) == 1:
+        return values * len(pairs)
+    if len(values) == len(pairs):
+        return values
+    raise UsageError(f"need one commutator value or one per generator pair ({len(pairs)}), got {len(values)}")
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
@@ -167,8 +165,8 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         rank=int(pick(args.rank, "rank", 0)),
         degree=int(pick(args.degree, "degree", 2)),
         power=int(pick(args.power, "power", 1)),
-        budget_dim=int(pick(args.budget_dim, "max_dim", 4096)),
-        budget_entries=int(pick(args.budget_entries, "max_entries", 20_000_000)),
+        budget=Budget(int(pick(args.budget_dim, "max_dim", Budget.max_dim)),
+                      int(pick(args.budget_entries, "max_entries", Budget.max_entries))),
     )
     cfg.validate()
     return cfg
@@ -268,9 +266,9 @@ def execute(cfg: RunConfig) -> tuple[dict, int]:
     elif cfg.mode == "crosscheck" and cfg.rank < 2:
         raise UsageError("crosscheck needs rank >= 2 (the quadratic element)")
     elif cfg.variant == "bimodule":
-        report = BimoduleRun(build_algebra(cfg), cfg.rank, cfg.degree, cfg.budget()).run()
+        report = BimoduleRun(build_algebra(cfg), cfg.rank, cfg.degree, cfg.budget).run()
     else:
-        report = ChainRun(build_algebra(cfg), cfg.rank, cfg.degree, cfg.power, cfg.budget()).run()
+        report = ChainRun(build_algebra(cfg), cfg.rank, cfg.degree, cfg.power, cfg.budget).run()
         verdict_filter = CROSSCHECK_VERDICTS if cfg.mode == "crosscheck" else None
     tree, ok = report_to_tree(cfg, report, verdict_filter)
     return tree, EXIT_OK if ok else EXIT_VERDICT

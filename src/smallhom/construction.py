@@ -127,19 +127,17 @@ def _delta_matrix(res: Resolution, a: int) -> FpMatrix:
 
 
 def _coboundary_space(res: Resolution, n: int) -> FpMatrix:
-    """Echelonized coboundaries in degree ``n``, built once per resolution."""
-    bnd = res._coboundaries.get(n)
-    if bnd is None:
-        if n == 0:
-            bnd = FpMatrix.zeros(res.algebra.p, res.module.dim * res.ranks[0], 0)
-        else:
-            bnd = _delta_matrix(res, n - 1).column_space()
-        res._coboundaries[n] = bnd
-    return bnd
+    """Echelonized coboundaries in degree ``n >= 1``, built once per resolution."""
+    if n not in res._coboundaries:
+        res._coboundaries[n] = _delta_matrix(res, n - 1).column_space()
+    return res._coboundaries[n]
 
 
 def class_from_images(res: Resolution, n: int, images: FpMatrix) -> CohomologyClass:
-    """Build and validate a class from slot-unit images of its cocycle."""
+    """Build and validate a degree-n class, ``n >= 1``, from slot-unit images
+    of its cocycle; the cocycle factors through the n-th syzygy."""
+    if n < 1:
+        raise ValueError(f"Ext classes are built in degrees n >= 1, not {n}")
     A = res.algebra
     T = res.module
     if images.shape != (T.dim, res.ranks[n]):
@@ -150,13 +148,11 @@ def class_from_images(res: Resolution, n: int, images: FpMatrix) -> CohomologyCl
     if not (full @ _diff_units(res, n)).is_zero():
         raise CertificationError("images do not define a cocycle")
     cocycle = ModuleMorphism(res.projectives[n], T, full, check=True)
-    # degree 0: the zeroth syzygy is the module itself, covered by P_0
-    epi_mat = res.aug.matrix if n == 0 else res.omega(n).epi.matrix
-    om_module = T if n == 0 else res.omega(n).module
-    zt = epi_mat.transpose().solve(full.transpose())
+    omega = res.omega(n)
+    zt = omega.epi.matrix.transpose().solve(full.transpose())
     if zt is None:
         raise AssertionError("cocycles factor through the syzygy")
-    induced = ModuleMorphism(om_module, T, zt.transpose(), check=True)
+    induced = ModuleMorphism(omega.module, T, zt.transpose(), check=True)
     cls = CohomologyClass(res, n, images, cocycle, induced)
     if cls.is_zero_class():
         raise ValueError("the class is zero in cohomology")
@@ -164,20 +160,19 @@ def class_from_images(res: Resolution, n: int, images: FpMatrix) -> CohomologyCl
 
 
 def ext_classes(res: Resolution, n: int) -> list[CohomologyClass]:
-    """A deterministic basis of the degree-n self-extensions of the target.
+    """A deterministic basis of the degree-n self-extensions of the target, ``n >= 1``.
 
     Cocycles modulo coboundaries on vectorized slot-unit images; for the
     trivial coefficient module both spaces are degenerate (minimality) and
     the representatives are exactly the slot duals in slot order.
     """
+    if n < 1:
+        raise ValueError(f"Ext classes are built in degrees n >= 1, not {n}")
     if res.length < n + 1:
         raise ValueError(f"resolution of length {res.length} cannot give degree {n} classes")
     T = res.module
     p = T.algebra.p
-    if n == 0:
-        cocycles = FpMatrix.identity(p, T.dim * res.ranks[0])
-    else:
-        cocycles = _delta_matrix(res, n).kernel_basis()
+    cocycles = _delta_matrix(res, n).kernel_basis()
     bnd = _coboundary_space(res, n)
     stacked = FpMatrix(p, np.hstack([bnd.a, cocycles.a]))
     _, pivots = stacked.rref()
@@ -236,10 +231,8 @@ def yoneda_power(z: CohomologyClass, s: int) -> CohomologyClass:
 class ClassComplex:
     """The length-n complex attached to a class, with its structure maps."""
 
-    cls: CohomologyClass
     pushout: Module
     unit_embed: ModuleMorphism  # coefficient object -> pushout, mono
-    top_diff: ModuleMorphism  # pushout -> P_{n-2}
     complex: ChainComplex
     self_map: ChainMap  # shift n-1, component mu . augmentation
 
@@ -289,7 +282,7 @@ def build_class_complex(cls: CohomologyClass, pushout=None) -> ClassComplex:
         diffs[i] = res.diff(i)
     cx = ChainComplex(res.algebra, objects, diffs, check=True)
     nu = ChainMap(cx, cx, n - 1, {0: mu @ res.aug}, check=True)
-    return ClassComplex(cls, K, mu, rho, cx, nu)
+    return ClassComplex(K, mu, cx, nu)
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +309,7 @@ def tensor_pushouts(mods: list[Module], ctx) -> Module:
     ctx.check_sizes("parameter search", [{0: K.dim} for K in mods])
     acc = mods[0]
     for nxt in mods[1:]:
-        acc = ctx.pair(acc, nxt).module
+        acc = ctx.pair(acc, nxt)
     return acc
 
 
@@ -349,10 +342,9 @@ def find_parameter_system(res: Resolution, count: int, ctx, degree: int = 2) -> 
 # ----------------------------------------------------------------------
 # lifted self maps and Lefschetz products
 # ----------------------------------------------------------------------
-def build_thetas(tower: TensorTower, class_complexes, drop_koszul_sign: bool = False,
-                 check: bool = True) -> list[ChainMap]:
-    return [tower.lift_factor_map(i, cc.self_map, drop_koszul_sign, check)
-            for i, cc in enumerate(class_complexes)]
+def build_thetas(tower: TensorTower, class_complexes, drop_koszul_sign: bool = False) -> list[ChainMap]:
+    """The class complexes' self maps lifted to the tower, unchecked."""
+    return [tower.lift_factor_map(i, cc.self_map, drop_koszul_sign) for i, cc in enumerate(class_complexes)]
 
 
 # ----------------------------------------------------------------------
@@ -433,16 +425,15 @@ class ChainRun:
                                 f"tensor of pushouts has dim {ktensor.dim}"))
 
         ccs = [build_class_complex(z, po) for z, po in zip(ps.classes, ps.pushouts)]
-        unit_dim = 1
         factor_ok = True
         for idx, cc in enumerate(ccs):
             hd = homology_dims(cc.complex)
-            two_units = hd == {0: unit_dim, m: unit_dim}
+            two_units = hd == {0: 1, m: 1}
             nonnull = not is_null_homotopic(cc.self_map)[0]
             sq = compose_shifted(cc.self_map, cc.self_map)
             sq_null = is_null_homotopic(sq)[0]
             ind = induced_on_homology(cc.self_map)
-            iso = 0 in ind and ind[0].rank() == unit_dim
+            iso = 0 in ind and ind[0].rank() == 1
             # a single pushout is projective only at rank 1, where it is the
             # whole tensor; at higher rank only the full tensor is
             kproj = is_projective(cc.pushout)
@@ -463,7 +454,7 @@ class ChainRun:
         big = tower.complex
         report["tensor_dims"] = big.dims()
         hyper = homology_dims(big)
-        expected = {t * m: comb(c, t) * unit_dim for t in range(c + 1)}
+        expected = {t * m: comb(c, t) for t in range(c + 1)}
         hyper_ok = hyper == expected
         units_ok = all(x.is_zero() for d in hyper for x in homology_space(big, d).module.action)
         report["hypercube_homology"] = hyper
@@ -477,7 +468,7 @@ class ChainRun:
         verdicts.append(Verdict("tensor_terms_projective", all(flags.values()),
                                 f"{sum(flags.values())}/{len(flags)} terms projective"))
 
-        thetas = build_thetas(tower, ccs, self.drop_koszul_sign, check=False)
+        thetas = build_thetas(tower, ccs, self.drop_koszul_sign)
         chain_ok = all(t.is_chain_map() for t in thetas)
         verdicts.append(Verdict("theta_chain_maps", chain_ok,
                                 "lifted self maps satisfy the chain-map law"))
@@ -514,7 +505,7 @@ class ChainRun:
                         deg += m
                     cols.append(v)
                 stackmat = FpMatrix(A.p, np.hstack([cv.a for cv in cols]))
-                if stackmat.rank() != comb(c, t) * unit_dim:
+                if stackmat.rank() != comb(c, t):
                     freeness_ok = False
         verdicts.append(Verdict("theta_squares_null", squares_ok, "each lifted map squares to zero up to homotopy"))
         verdicts.append(Verdict("theta_anticommute", anticomm_ok,
@@ -527,8 +518,7 @@ class ChainRun:
             cone = mapping_cone(u)
             # only dimensions are certified here, so ranks suffice
             cone_h = homology_rank_dims(cone)
-            model = LefschetzModel(c, A.field, m)
-            oracle = cone_oracle(model, ((1, (1, 2)),), unit_size=unit_dim)
+            oracle = cone_oracle(LefschetzModel(c, A.field), ((1, (1, 2)),))
             predicted = oracle.at_m(m)
             cone_ok = cone_h == predicted
             cone_flags = projectivity_flags(cone)
@@ -598,7 +588,7 @@ class BimoduleRun:
         unit = trivial_module(A)
         for idx, z in enumerate(classes):
             cc = build_class_complex(z)
-            reduced = ctx.pair(cc.pushout, unit).module
+            reduced = ctx.pair(cc.pushout, unit)
             if is_projective(reduced):
                 chosen = (idx, z, cc, reduced)
                 break
@@ -669,7 +659,7 @@ class SymbolicRun:
             "additive_function": "dim",
         }
         # one table of w ranks, grades 0..8, serves the profile and the cone
-        table = cone_dimensions(LefschetzModel(8, self.field, m))
+        table = cone_dimensions(LefschetzModel(8, self.field))
         profile = verify_lefschetz_profile(table)
         expect_fail = self.field.p == 2
         profile_ok = (not profile.ok) if expect_fail else profile.ok

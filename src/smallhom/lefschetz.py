@@ -39,17 +39,14 @@ LEFSCHETZ_TERMS: tuple[tuple[int, tuple[int, int]], ...] = (
 
 @dataclass(frozen=True)
 class LefschetzModel:
-    """Exterior algebra on d odd-degree generators over a prime field."""
+    """Exterior algebra on d odd-degree generators over a prime field; their weight m stays symbolic."""
 
     d: int
     field: FieldSpec
-    m: int = 1  # odd homological weight of the generators
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("rank must be >= 1")
-        if self.m < 1 or self.m % 2 == 0:
-            raise ValueError("degree weight must be odd and positive")
 
     def grade_basis(self, t: int) -> list[tuple[int, ...]]:
         if t < 0 or t > self.d:
@@ -155,7 +152,6 @@ class ConeDimensionTable:
 
     d: int
     grade: int  # homological shift of the element, in multiples of m
-    unit_size: int
     entries: dict[tuple[int, int], int]
     ranks: dict[int, int]  # rank of the element from grade t
 
@@ -172,39 +168,36 @@ class ConeDimensionTable:
         return {k: v for k, v in sorted(out.items()) if v}
 
 
-def cone_oracle(model: LefschetzModel, element, unit_size: int = 1,
-                grade: int | None = None) -> ConeDimensionTable:
-    """Cone homology of any homogeneous even-grade element acting on the
-    free rank-one module, from kernel/cokernel ranks.
+def cone_oracle(model: LefschetzModel, element) -> ConeDimensionTable:
+    """Cone homology of a nonzero homogeneous even-grade element acting on
+    the free rank-one module, from kernel/cokernel ranks.
 
     The long exact sequence of the cone gives, per degree,
     ``dim H_i = coker_i + ker_{i - shift - 1}`` where the shift is
     ``grade * m``.
     """
-    if element:
-        grade = element_grade(element)
-    if grade is None:
-        raise ValueError("the zero element needs an explicit grade")
+    if not element:
+        raise ValueError("the zero element has no grade; cone_oracle needs a nonzero element")
+    grade = element_grade(element)
     if grade % 2 or grade < 2:
         raise ValueError("cone elements must have positive even grade")
-    ranks = {t: multiplication_matrix(model, element, t).rank() if element else 0
-             for t in range(0, model.d + 1)}
+    ranks = {t: multiplication_matrix(model, element, t).rank() for t in range(0, model.d + 1)}
     entries: dict[tuple[int, int], int] = {}
     for t in range(0, model.d + 1):
         coker = model.grade_dim(t) - ranks.get(t - grade, 0)
         if coker:
-            entries[(t, 0)] = coker * unit_size
+            entries[(t, 0)] = coker
         ker = model.grade_dim(t) - ranks[t]
         if ker:
-            entries[(t + grade, 1)] = ker * unit_size
-    return ConeDimensionTable(model.d, grade, unit_size, entries, ranks)
+            entries[(t + grade, 1)] = ker
+    return ConeDimensionTable(model.d, grade, entries, ranks)
 
 
-def cone_dimensions(model: LefschetzModel, unit_size: int = 1) -> ConeDimensionTable:
+def cone_dimensions(model: LefschetzModel) -> ConeDimensionTable:
     """Cone homology table for the Lefschetz element on the rank-8 model."""
     if model.d != 8:
         raise ValueError("cone_dimensions runs on the rank-8 submodel; use total_with_tail for larger d")
-    return cone_oracle(model, LEFSCHETZ_TERMS, unit_size)
+    return cone_oracle(model, LEFSCHETZ_TERMS)
 
 
 def total_with_tail(d: int) -> int:

@@ -9,6 +9,7 @@ import pytest
 
 import smallhom
 import smallhom.algebra
+import smallhom.construction
 from smallhom.linalg import FpMatrix
 
 
@@ -38,6 +39,25 @@ def matmul_calls(monkeypatch):
 
     monkeypatch.setattr(FpMatrix, "__matmul__", counted)
     return calls
+
+
+@pytest.fixture
+def nonprojective_powered_tensor(monkeypatch):
+    """Make the second ``tensor_pushouts`` call, which is the powered system
+    of a ``power=2`` run, return its tensor plus a trivial summand.  Returns
+    the list of real tensors built."""
+    real = smallhom.construction.tensor_pushouts
+    built = []
+
+    def corrupted(mods, ctx):
+        built.append(real(mods, ctx))
+        if len(built) != 2:
+            return built[-1]
+        unit = smallhom.algebra.trivial_module(built[-1].algebra)
+        return smallhom.algebra.direct_sum_modules([built[-1], unit])[0]
+
+    monkeypatch.setattr(smallhom.construction, "tensor_pushouts", corrupted)
+    return built
 
 
 @pytest.fixture

@@ -252,11 +252,11 @@ def test_tensor_over_base_unit_laws(truncated):
     env = enveloping(truncated)
     ctx = OverBaseTensor(env)
     bim = regular_bimodule(env)
-    assert ctx.pair(bim, bim).module.dim == 3
+    assert ctx.pair(bim, bim).dim == 3
     k = trivial_module(truncated)
-    assert ctx.pair(bim, k).module.dim == 1
+    assert ctx.pair(bim, k).dim == 1
     reg = regular_module(truncated)
-    t = ctx.pair(bim, reg).module
+    t = ctx.pair(bim, reg)
     assert t.dim == 3 and is_projective(t)
 
 
@@ -265,7 +265,7 @@ def test_projective_bimodule_tensor_is_projective(truncated):
     q0 = free_module(env.algebra, 1)  # dim 9 free bimodule
     assert one_sided_projective(env, q0)
     k = trivial_module(truncated)
-    t = OverBaseTensor(env).pair(q0, k).module
+    t = OverBaseTensor(env).pair(q0, k)
     assert is_projective(t) and t.dim == 3
 
 

@@ -334,9 +334,9 @@ def test_lift_factor_map_koszul_sign(two_term, algebra):
     xsq = ModuleMorphism(reg, reg, algebra.left_actions[0].power(2), check=True)
     f = ChainMap(two_term, two_term, 1, {0: xsq}, check=True)
     for i in (0, 1):
-        lifted = tower.lift_factor_map(i, f, check=False)
+        lifted = tower.lift_factor_map(i, f)
         assert lifted.is_chain_map()
-    broken = tower.lift_factor_map(1, f, drop_koszul_sign=True, check=False)
+    broken = tower.lift_factor_map(1, f, drop_koszul_sign=True)
     assert not broken.is_chain_map()
 
 
@@ -368,6 +368,7 @@ def test_rank_dims_agree_with_subquotients_on_the_rank2_cone():
     ccs = [build_class_complex(z) for z in ps.classes]
     tower = tensor_tower([cc.complex for cc in ccs], ctx)
     thetas = build_thetas(tower, ccs)
+    assert all(t.is_chain_map() for t in thetas)
     cone = mapping_cone(compose_shifted(thetas[0], thetas[1]))
     ranks = homology_rank_dims(cone)
     assert all(d.matrix._rref is None for d in cone.diffs.values())  # the rank route peeled

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from smallhom import algebra, cli, construction
+from smallhom import algebra, cli, construction, lefschetz
 from smallhom.construction import Verdict
 from smallhom.linalg import FpMatrix
 
@@ -237,8 +237,32 @@ def test_tree_parser_inverse():
 def test_commutator_parsing_errors():
     with pytest.raises(cli.UsageError):
         cli._parse_commutators("1 2", 3)  # needs 1 or 3 values
+    with pytest.raises(cli.UsageError, match="integers"):
+        cli._parse_commutators("1 x 2", 3)
     assert cli._parse_commutators("-1", 2) == (-1,)
     assert cli._parse_commutators("2 3 4", 3) == (2, 3, 4)
+    assert cli._parse_commutators("1", 1) == ()  # the default, with no pairs
+
+
+@pytest.mark.parametrize("values", ["2 5 7", "1.5"])
+def test_commutators_for_one_generator_are_usage_errors(values, capsys):
+    code = run_cli(["certify", "--mode", "chain", "--char", "3", "--exponents", "3",
+                    "--coproduct", "primitive", "--commutators", values])
+    assert code == 64
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_lefschetz_element_missing_t7_t8_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(lefschetz, "LEFSCHETZ_TERMS", lefschetz.LEFSCHETZ_TERMS[:3])
+    assert run_cli(["certify", "--mode", "symbolic", "--rank", "8", "--char", "3"]) == 2
+    assert "cone_total = fail" in capsys.readouterr().out
+
+
+def test_nonprojective_tensor_exits_2(nonprojective_powered_tensor, capsys):
+    assert run_cli(["certify", "--mode", "chain", "--char", "3", "--exponents", "3",
+                    "--coproduct", "primitive", "--power", "2"]) == 2
+    out = capsys.readouterr().out
+    assert "lemma_projective = fail" in out and "summary = fail 7/8" in out
 
 
 def test_selftest_passes(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smallhom import construction
+from smallhom import construction, lefschetz
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
     Budget,
@@ -72,7 +72,8 @@ def res2(two_vars):
 def test_ext_class_counts(res1, res2):
     assert len(ext_classes(res1, 2)) == 1
     assert len(ext_classes(res2, 2)) == 3
-    assert len(ext_classes(res1, 0)) == 1  # the identity class
+    with pytest.raises(ValueError, match="degrees n >= 1"):
+        ext_classes(res1, 0)  # no pipeline asks for degree 0
 
 
 def test_ext_class_degree_limit(res1):
@@ -299,6 +300,7 @@ def test_theta_maps_rank2(res2, two_vars):
     tower = tensor_tower([cc.complex for cc in ccs], ctx)
     assert homology_dims(tower.complex) == {0: 1, 1: 2, 2: 1}
     thetas = build_thetas(tower, ccs)
+    assert all(t.is_chain_map() for t in thetas)
     # graded commutator vanishes on the nose at chain level
     anti = compose_shifted(thetas[0], thetas[1]) + compose_shifted(thetas[1], thetas[0])
     assert anti.is_zero()
@@ -320,6 +322,7 @@ def test_mini_cone_matches_oracle(res2, two_vars):
     ccs = [build_class_complex(z) for z in ps.classes]
     tower = tensor_tower([cc.complex for cc in ccs], ctx)
     thetas = build_thetas(tower, ccs)
+    assert all(t.is_chain_map() for t in thetas)
     cone = mapping_cone(compose_shifted(thetas[0], thetas[1]))
     got = homology_dims(cone)
     predicted = cone_oracle(LefschetzModel(2, F3), ((1, (1, 2)),)).at_m(1)
@@ -382,6 +385,22 @@ def test_bimodule_run_rank_window():
     A = qci_algebra(F3, [3, 3, 3], {})
     with pytest.raises(UnsupportedRank):
         BimoduleRun(A)
+
+
+def test_lefschetz_element_missing_t7_t8_fails_cone_total(monkeypatch):
+    # negative control: without t_7 t_8 the rank-8 cone total is 280, not 252
+    monkeypatch.setattr(lefschetz, "LEFSCHETZ_TERMS", lefschetz.LEFSCHETZ_TERMS[:3])
+    rep = SymbolicRun(F3, 8).run()
+    names = {v.name: v.passed for v in rep["verdicts"]}
+    assert rep["cone_total_rank8"] == 280 and names["cone_total"] is False
+
+
+def test_nonprojective_tensor_fails_only_lemma_projective(one_var, nonprojective_powered_tensor):
+    # negative control: the operational test of the powered parameter system
+    rep = ChainRun(one_var, 1, power=2).run()
+    assert len(nonprojective_powered_tensor) == 2
+    failed = [v.name for v in rep["verdicts"] if not v.passed]
+    assert failed == ["lemma_projective"]
 
 
 def test_corrupted_sign_hook_breaks_thetas(two_vars):

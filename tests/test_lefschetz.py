@@ -106,12 +106,9 @@ def test_total_with_tail_values():
         total_with_tail(7)
 
 
-def test_cone_oracle_zero_element():
-    model = LefschetzModel(2, F3)
-    table = cone_oracle(model, (), grade=2)
-    assert table.total == 2 * 2 ** 2
-    assert table.entries == {(0, 0): 1, (1, 0): 2, (2, 0): 1,
-                             (2, 1): 1, (3, 1): 2, (4, 1): 1}
+def test_cone_oracle_rejects_the_zero_element():
+    with pytest.raises(ValueError, match="zero element"):
+        cone_oracle(LefschetzModel(2, F3), ())
 
 
 def test_cone_oracle_quadratic_rank2():
