@@ -28,7 +28,7 @@ from math import prod
 import numpy as np
 
 from .linalg import (FieldSpec, FpMatrix, echelon_pivots, hstack, kron_array, nonpivot_columns,
-                     quotient_by_subspace, read_coordinates)
+                     quotient_by_subspace, read_coordinates, vstack)
 
 
 class CertificationError(ValueError):
@@ -58,6 +58,11 @@ class Budget:
 
     max_dim: int = 4096
     max_entries: int = 20_000_000
+
+    def __post_init__(self) -> None:
+        for name in ("max_dim", "max_entries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"budget {name} must be at least 1, got {getattr(self, name)}")
 
     def check(self, dim: int, stage: str | None = None,
               factors: tuple[int, int] | None = None) -> None:
@@ -207,24 +212,59 @@ def qci_algebra(field: FieldSpec, exponents, commutators=None, coproduct=None) -
 # modules
 # ----------------------------------------------------------------------
 class Module:
-    """A finite module: a dimension and one action matrix per generator."""
+    """A finite module: a dimension and one action matrix per generator.
+
+    A direct sum or a diagonal tensor is built deferred: its action matrices
+    are assembled on the first read of :attr:`action`, and a sum records its
+    summands, which answer :meth:`act` and :func:`is_projective` without it.
+    """
 
     def __init__(self, algebra: Algebra, action, check: bool = True):
-        self.algebra = algebra
-        self.action = tuple(action)
-        if len(self.action) != algebra.ngens:
+        action = tuple(action)
+        if len(action) != algebra.ngens:
             raise ValueError("need one action matrix per generator")
-        dims = {m.shape for m in self.action}
+        dims = {m.shape for m in action}
         if len(dims) > 1:
             raise ValueError("action matrices of mixed shapes")
-        self.dim = self.action[0].rows if self.action else 0
-        if self.action and self.action[0].rows != self.action[0].cols:
+        if action and action[0].rows != action[0].cols:
             raise ValueError("action matrices must be square")
-        self._mono_acts: dict[tuple, FpMatrix] = {}
-        self.summands: tuple[Module, ...] | None = None  # set by direct_sum_modules
-        self._projective: bool | None = None
+        self._setup(algebra, action[0].rows if action else 0, action, None, None)
         if check:
             self.verify_relations()
+
+    def _setup(self, algebra: Algebra, dim: int, action, build, summands) -> None:
+        self.algebra = algebra
+        self.dim = dim
+        self._action = action
+        self._build = build
+        self._mono_acts: dict[tuple, FpMatrix] = {}
+        self.summands: tuple[Module, ...] | None = summands
+        self._projective: bool | None = None
+
+    @classmethod
+    def deferred(cls, algebra: Algebra, dim: int, build, summands=None) -> "Module":
+        """A module whose action is ``build()``, called on the first read."""
+        M = cls.__new__(cls)
+        M._setup(algebra, dim, None, build, summands)
+        return M
+
+    @property
+    def action(self) -> tuple[FpMatrix, ...]:
+        if self._action is None:
+            self._action = tuple(self._build())
+            self._build = None
+        return self._action
+
+    def act(self, g: int, V: FpMatrix) -> FpMatrix:
+        """Generator ``g`` on the columns of ``V``.  A recorded sum whose
+        action is not assembled acts summand by summand."""
+        if self._action is not None or self.summands is None:
+            return self.action[g] @ V
+        pieces, off = [], 0
+        for S in self.summands:
+            pieces.append(S.act(g, FpMatrix._adopt(V.p, V.a[off : off + S.dim], reduced=True)))
+            off += S.dim
+        return vstack(pieces)
 
     def verify_relations(self) -> None:
         A = self.algebra
@@ -318,22 +358,27 @@ class ModuleMorphism:
 
 
 def direct_sum_modules(mods: list[Module]) -> tuple[Module, list[int]]:
-    """Block-diagonal sum recording its summands; returns it and the block offsets."""
-    A = mods[0].algebra
+    """Block-diagonal sum recording its summands, with a deferred action;
+    returns it and the block offsets."""
     offsets = []
     pos = 0
     for m in mods:
         offsets.append(pos)
         pos += m.dim
+    summands = tuple(mods)
+    total = Module.deferred(summands[0].algebra, pos, lambda: _sum_action(summands, offsets, pos), summands)
+    return total, offsets
+
+
+def _sum_action(mods: tuple[Module, ...], offsets: list[int], dim: int) -> list[FpMatrix]:
+    A = mods[0].algebra
     action = []
     for g in range(A.ngens):
-        out = np.zeros((pos, pos), dtype=np.int64)
+        out = np.zeros((dim, dim), dtype=np.int64)
         for m, off in zip(mods, offsets):
             out[off : off + m.dim, off : off + m.dim] = m.action[g].a
         action.append(FpMatrix._adopt(A.p, out, reduced=True))
-    total = Module(A, action, check=False)
-    total.summands = tuple(mods)
-    return total, offsets
+    return action
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +569,7 @@ def hom_space_basis(M: Module, N: Module) -> FpMatrix:
 # diagonal tensor structure (Hopf-style coproduct)
 # ----------------------------------------------------------------------
 def tensor_diagonal(M: Module, N: Module) -> Module:
-    """M (x) N with generators acting through the coproduct.
+    """M (x) N with generators acting through the coproduct, deferred.
 
     x_i acts as the image of Delta(x_i) under the algebra map
     ``A (x) A -> End(M) (x) End(N)``, so the relations hold whenever Delta
@@ -535,6 +580,11 @@ def tensor_diagonal(M: Module, N: Module) -> Module:
         raise ValueError("tensor factors over different algebras")
     if A.coproduct is None:
         raise ValueError("diagonal tensor needs an algebra with coproduct")
+    return Module.deferred(A, M.dim * N.dim, lambda: _tensor_action(M, N))
+
+
+def _tensor_action(M: Module, N: Module) -> list[FpMatrix]:
+    A = M.algebra
     acts = []
     for i in range(A.ngens):
         out = np.zeros((M.dim * N.dim, M.dim * N.dim), dtype=np.int64)
@@ -546,7 +596,7 @@ def tensor_diagonal(M: Module, N: Module) -> Module:
             for r in np.flatnonzero(a.any(axis=1)):
                 out4[r] += a[r, None, :, None] * b[:, None, :]
         acts.append(FpMatrix._adopt(A.p, out))
-    return Module(A, acts, check=False)
+    return acts
 
 
 # ----------------------------------------------------------------------

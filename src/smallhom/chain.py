@@ -15,6 +15,19 @@ built.  The sign conventions, fixed once and recorded in certificates:
 * tensor products of complexes use the Koszul rule
   ``d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy`` with summands ordered by
   ascending left degree, and multi-factor products associate to the left.
+
+Homology has three routes, each for what it does best:
+
+* the rank route (:func:`homology_rank_dims`) gives dimensions only, from
+  ranks of the differentials, with no kernel or quotient formed;
+* Kunneth classes (:func:`kunneth_classes`) give a tensor tower's
+  structure.  They are Kronecker products of the factors' representative
+  cycles and cocycles, certified by :func:`certify_classes` against the rank
+  route, and they read the action on homology and the maps that lifted self
+  maps induce (:func:`induced_on_classes`) with thin products only;
+* the subquotient route (:func:`homology_space`) forms cycles modulo
+  boundaries with the induced module, for the factor complexes, the
+  bimodule run and the selftest.
 """
 
 from __future__ import annotations
@@ -546,6 +559,109 @@ def tensor_tower(factors: list[ChainComplex], ctx) -> TensorTower:
         pairs.append(tp)
         acc = tp.complex
     return TensorTower(list(factors), pairs)
+
+
+# ----------------------------------------------------------------------
+# homology classes: representative cycles paired with cocycles
+# ----------------------------------------------------------------------
+@dataclass
+class HomologyClasses:
+    """A homology basis by degree: representative cycles ``reps[n]`` as
+    columns and cocycles ``duals[n]`` as rows, meant to pair to the identity.
+
+    Degrees without homology are absent.  Once :func:`certify_classes` has
+    passed, ``duals[n] @ z`` is the class of any degree-``n`` cycle ``z``.
+    """
+
+    reps: dict[int, FpMatrix]
+    duals: dict[int, FpMatrix]
+
+
+def factor_classes(C: ChainComplex) -> HomologyClasses:
+    """Classes from the subquotient route: ``Z = cycles @ section``, and the
+    cocycle ``W`` is ``qmap`` on the free rows, so ``W Z = qmap @ section = I``;
+    the free rows of a boundary are its cycle coordinates, which ``qmap`` kills."""
+    reps, duals = {}, {}
+    for n in C.degrees():
+        hs = homology_space(C, n)
+        if hs.module.dim:
+            reps[n] = hs.cycles @ hs.section
+            w = np.zeros((hs.module.dim, C.objects[n].dim), dtype=np.int64)
+            w[:, hs.free] = hs.qmap.a
+            duals[n] = FpMatrix._adopt(C.algebra.p, w, reduced=True)
+    return HomologyClasses(reps, duals)
+
+
+def kunneth_classes(tower: TensorTower) -> HomologyClasses:
+    """Classes of the tower complex by Kunneth, unchecked.
+
+    Each stage places the Kronecker products of its left classes with the
+    right factor's classes (:func:`factor_classes`) in the summand slots of
+    its layout: ``z (x) z'`` is a cycle and ``w (x) w'`` kills boundaries by
+    the Leibniz rule.  :func:`certify_classes` checks both, and the pairing.
+    """
+    acc = factor_classes(tower.factors[0])
+    for tp in tower.pairs:
+        acc = _pair_classes(tp, acc, factor_classes(tp.right))
+    return acc
+
+
+def _pair_classes(tp: TensorPair, left: HomologyClasses, right: HomologyClasses) -> HomologyClasses:
+    """One stage: ``z (x) z'`` in its slot's rows, ``w (x) w'`` in its columns."""
+    p = tp.complex.algebra.p
+    reps, duals = {}, {}
+    for n, slots in tp.layout.items():
+        hit = [k for k, sl in enumerate(slots) if sl.left_degree in left.reps and sl.right_degree in right.reps]
+        if not hit:
+            continue
+        zs = {k: left.reps[slots[k].left_degree].kron(right.reps[slots[k].right_degree]) for k in hit}
+        ws = {k: left.duals[slots[k].left_degree].kron(right.duals[slots[k].right_degree]) for k in hit}
+        dims = [sl.dim for sl in slots]
+        reps[n] = block(p, [[zs[k] if k == j else None for j in hit] for k in range(len(slots))],
+                        dims, [zs[j].cols for j in hit])
+        duals[n] = block(p, [[ws[j] if k == j else None for k in range(len(slots))] for j in hit],
+                         [ws[j].rows for j in hit], dims)
+    return HomologyClasses(reps, duals)
+
+
+def certify_classes(C: ChainComplex, classes: HomologyClasses, dims: dict[int, int]) -> None:
+    """Check that ``classes`` is a basis of the homology of ``C``, whose
+    dimensions ``dims`` come from :func:`homology_rank_dims`.
+
+    In each degree the representatives must be cycles (``d_n Z = 0``), the
+    cocycles must vanish on boundaries (``W d_{n+1} = 0``), and the pairing
+    must be the identity (``W Z = I``).  Then ``W`` is well defined on
+    homology and the classes of ``Z`` are independent, so ``dim H_n`` of them
+    form a basis in which ``W`` reads the coordinates of a cycle.
+    """
+    for n in range(C.lo, C.hi + 1):
+        Z, W = classes.reps.get(n), classes.duals.get(n)
+        count, h = (Z.cols if Z is not None else 0), dims.get(n, 0)
+        if count != h:
+            raise CertificationError(f"{count} classes in degree {n}, but dim H_{n} = {h}")
+        if not h:
+            continue
+        if n in C.diffs and not (C.diffs[n].matrix @ Z).is_zero():
+            raise CertificationError(f"a degree-{n} representative is not a cycle")
+        if n + 1 in C.diffs and not (W @ C.diffs[n + 1].matrix).is_zero():
+            raise CertificationError(f"a degree-{n} cocycle does not vanish on boundaries")
+        if W @ Z != FpMatrix.identity(C.algebra.p, h):
+            raise CertificationError(f"the degree-{n} classes do not pair to the identity")
+
+
+def induced_on_classes(f: ChainMap, classes: HomologyClasses) -> dict[int, FpMatrix]:
+    """Matrices ``W_{j+shift} f_j Z_j`` of H_j -> H_{j+shift} for a self map
+    ``f`` of a complex with certified ``classes``, nonzero source degrees
+    only.  ``f`` must be a chain map, so that ``f_j Z_j`` are cycles."""
+    p = f.source.algebra.p
+    out = {}
+    for j, Z in classes.reps.items():
+        W, fj = classes.duals.get(j + f.shift), f.comps.get(j)
+        if W is None or fj is None:
+            out[j] = FpMatrix.zeros(p, W.rows if W is not None else 0, Z.cols)
+        else:
+            out[j] = W @ (fj.matrix @ Z)
+    return out
 
 
 def projectivity_flags(C: ChainComplex) -> dict[int, bool]:

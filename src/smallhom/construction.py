@@ -51,12 +51,15 @@ from .chain import (
     ChainComplex,
     ChainMap,
     TensorTower,
+    certify_classes,
     compose_shifted,
     homology_dims,
     homology_rank_dims,
     homology_space,
+    induced_on_classes,
     induced_on_homology,
     is_null_homotopic,
+    kunneth_classes,
     mapping_cone,
     projectivity_flags,
     tensor_tower,
@@ -453,10 +456,14 @@ class ChainRun:
         tower = tensor_tower([cc.complex for cc in ccs], ctx)
         big = tower.complex
         report["tensor_dims"] = big.dims()
-        hyper = homology_dims(big)
+        # dimensions by ranks; a basis by Kunneth, certified against them
+        hyper = homology_rank_dims(big)
+        classes = kunneth_classes(tower)
+        certify_classes(big, classes, hyper)
         expected = {t * m: comb(c, t) for t in range(c + 1)}
         hyper_ok = hyper == expected
-        units_ok = all(x.is_zero() for d in hyper for x in homology_space(big, d).module.action)
+        units_ok = all((classes.duals[d] @ big.objects[d].act(g, z)).is_zero()
+                       for d, z in classes.reps.items() for g in range(A.ngens))
         report["hypercube_homology"] = hyper
         report["hypercube_expected"] = expected
         report["hypercube_total"] = sum(hyper.values())
@@ -477,7 +484,7 @@ class ChainRun:
         squares_ok = chain_ok
         freeness_ok = chain_ok
         if chain_ok:
-            theta_h = [induced_on_homology(t) for t in thetas]
+            theta_h = [induced_on_classes(t, classes) for t in thetas]
             for i in range(c):
                 sq = compose_shifted(thetas[i], thetas[i])
                 squares_ok = squares_ok and is_null_homotopic(sq)[0]
@@ -494,7 +501,7 @@ class ChainRun:
                             continue
                         if left @ right != (lswap @ rswap).scale(-1):
                             anticomm_ok = False
-            start = FpMatrix.identity(A.p, homology_space(big, 0).module.dim)
+            start = FpMatrix.identity(A.p, hyper.get(0, 0))
             for t in range(c + 1):
                 cols = []
                 for subset in itertools.combinations(range(c), t):

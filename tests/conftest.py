@@ -9,6 +9,7 @@ import pytest
 
 import smallhom
 import smallhom.algebra
+import smallhom.chain
 import smallhom.construction
 from smallhom.linalg import FpMatrix
 
@@ -131,3 +132,81 @@ def _radical_projective(M) -> bool:
 @pytest.fixture
 def projective_reference():
     return _radical_projective
+
+
+def _eager_sum_action(mods) -> list:
+    """A direct sum's action by block-diagonal assembly, one array per generator."""
+    A = mods[0].algebra
+    dim = sum(m.dim for m in mods)
+    out = []
+    for g in range(A.ngens):
+        a = np.zeros((dim, dim), dtype=np.int64)
+        off = 0
+        for m in mods:
+            a[off : off + m.dim, off : off + m.dim] = m.action[g].a
+            off += m.dim
+        out.append(a)
+    return out
+
+
+def _eager_tensor_action(M, N) -> list:
+    """``x_i`` on ``M (x) N`` as the sum of ``np.kron`` over the coproduct terms of ``x_i``."""
+    A = M.algebra
+    return [sum(c * np.kron(_mono_action(M, u), _mono_action(N, v)) for c, u, v in A.coproduct_terms(i)) % A.p
+            for i in range(A.ngens)]
+
+
+@pytest.fixture
+def sum_action_reference():
+    return _eager_sum_action
+
+
+@pytest.fixture
+def tensor_action_reference():
+    return _eager_tensor_action
+
+
+@pytest.fixture
+def action_builds(monkeypatch):
+    """``("sum", summand dims)`` or ``("tensor", (dim M, dim N))`` for every
+    deferred action assembled during a test."""
+    builds = []
+    real_sum, real_tensor = smallhom.algebra._sum_action, smallhom.algebra._tensor_action
+
+    def counted_sum(mods, offsets, dim):
+        builds.append(("sum", tuple(m.dim for m in mods)))
+        return real_sum(mods, offsets, dim)
+
+    def counted_tensor(M, N):
+        builds.append(("tensor", (M.dim, N.dim)))
+        return real_tensor(M, N)
+
+    monkeypatch.setattr(smallhom.algebra, "_sum_action", counted_sum)
+    monkeypatch.setattr(smallhom.algebra, "_tensor_action", counted_tensor)
+    return builds
+
+
+@pytest.fixture
+def chain_run_parts(monkeypatch):
+    """What a ``ChainRun`` builds: its tensor towers, lifted theta lists and
+    cones, and the complex of every ``homology_space`` call."""
+    parts = {"towers": [], "thetas": [], "cones": [], "homology_space": []}
+
+    def recording(key, real):
+        def wrapped(*args, **kwargs):
+            out = real(*args, **kwargs)
+            parts[key].append(out)
+            return out
+        return wrapped
+
+    for key, name in (("towers", "tensor_tower"), ("thetas", "build_thetas"), ("cones", "mapping_cone")):
+        monkeypatch.setattr(smallhom.construction, name, recording(key, getattr(smallhom.construction, name)))
+    real_hs = smallhom.chain.homology_space
+
+    def homology_space(C, i):
+        parts["homology_space"].append(C)
+        return real_hs(C, i)
+
+    monkeypatch.setattr(smallhom.chain, "homology_space", homology_space)
+    monkeypatch.setattr(smallhom.construction, "homology_space", homology_space)
+    return parts

@@ -150,3 +150,10 @@ def test_property_suites_fail_when_differentials_are_unconstrained(monkeypatch):
     result = acceptance.criterion_property_suites(seed=0)
     assert not result.passed
     assert any(re.fullmatch(r"exception: d_\d+ d_\d+ != 0", note) for note in result.details)
+
+
+def test_kunneth_section_builds_only_the_coproduct_proof_tensor(action_builds):
+    # its tensor complexes are read by ranks alone, so no tensor's action is
+    # assembled but regular (x) regular's, which proves the coproduct
+    assert acceptance.criterion_property_suites(seed=0).passed
+    assert [b for b in action_builds if b[0] == "tensor"] == [("tensor", (3, 3))]

@@ -511,3 +511,36 @@ def test_sum_projectivity_reads_the_summands(truncated, projective_reference):
     assert not is_projective(mixed) and not projective_reference(mixed)
     assert is_projective(both) and projective_reference(both)
     assert not is_projective(direct_sum_modules([reg, mixed])[0])
+
+
+@pytest.mark.parametrize("coproduct", ["primitive", "shifted"])
+def test_deferred_actions_match_the_eager_assembly_and_build_once(coproduct, action_builds,
+                                                                   sum_action_reference, tensor_action_reference):
+    A = qci_algebra(F3, [3, 3], coproduct=coproduct)
+    k, reg, free = trivial_module(A), regular_module(A), free_module(A, 2)
+    mixed = direct_sum_modules([reg, k, free])[0]
+    t = tensor_diagonal(mixed, reg)
+    nested = direct_sum_modules([t, mixed])[0]
+    assert action_builds == []  # nothing is assembled before it is read
+    for M, ref in ((mixed, sum_action_reference([reg, k, free])),
+                   (t, tensor_action_reference(mixed, reg)),
+                   (nested, sum_action_reference([t, mixed]))):
+        assert all(np.array_equal(x.a, r) for x, r in zip(M.action, ref, strict=True))
+        assert M.action is M.action
+    assert action_builds == [("sum", (9, 1, 18)), ("tensor", (28, 9)), ("sum", (252, 28))]
+
+
+def test_a_sum_acts_through_its_summands(two_vars, action_builds):
+    k, reg = trivial_module(two_vars), regular_module(two_vars)
+    total = direct_sum_modules([tensor_diagonal(reg, reg), k, free_module(two_vars, 2)])[0]
+    V = FpMatrix(3, np.random.default_rng(5).integers(0, 3, (total.dim, 4)))
+    got = [total.act(g, V) for g in range(two_vars.ngens)]
+    # the tensor summand is assembled, the sum itself never is
+    assert action_builds == [("tensor", (9, 9))] and total._action is None
+    assert got == [x @ V for x in total.action]
+
+
+@pytest.mark.parametrize("caps", [(0, 10), (-7, 10), (10, 0), (10, -1)])
+def test_budget_rejects_nonpositive_caps(caps):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        Budget(*caps)

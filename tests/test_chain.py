@@ -4,10 +4,12 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import smallhom
+from smallhom import cli
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
     CertificationError,
@@ -23,13 +25,16 @@ from smallhom.algebra import (
 from smallhom.chain import (
     ChainComplex,
     ChainMap,
+    certify_classes,
     compose_shifted,
     euler_characteristic,
     homology_dims,
     homology_rank_dims,
     homology_space,
+    induced_on_classes,
     induced_on_homology,
     is_null_homotopic,
+    kunneth_classes,
     mapping_cone,
     projectivity_flags,
     shift_complex,
@@ -373,3 +378,50 @@ def test_rank_dims_agree_with_subquotients_on_the_rank2_cone():
     ranks = homology_rank_dims(cone)
     assert all(d.matrix._rref is None for d in cone.diffs.values())  # the rank route peeled
     assert ranks == homology_dims(cone) == {0: 1, 1: 2, 4: 2, 5: 1}
+
+
+RANK2_TEMPLATE = ["--config", str(Path(__file__).resolve().parent.parent / "configs" / "chain-rank2.ini")]
+F2_POWER2 = ["--mode", "chain", "--char", "2", "--exponents", "2 2", "--power", "2", "--coproduct"]
+
+
+@pytest.mark.parametrize("args", [RANK2_TEMPLATE, F2_POWER2 + ["primitive"], F2_POWER2 + ["shifted"]],
+                         ids=["chain-rank2", "f2-power2-primitive", "f2-power2-shifted"])
+def test_kunneth_classes_against_the_subquotient_route(args, chain_run_parts, tmp_path):
+    # the subquotient route on the run's own tower is the reference
+    assert cli.main(["certify", *args, "--out", str(tmp_path / "run.cert")]) == 0
+    (tower,), (thetas,) = chain_run_parts["towers"], chain_run_parts["thetas"]
+    big = tower.complex
+    dims = homology_rank_dims(big)
+    assert homology_dims(big) == dims
+    classes = kunneth_classes(tower)
+    certify_classes(big, classes, dims)
+    # subquotient coordinates of the Kunneth representatives: a change of basis
+    change = {n: homology_space(big, n).class_of(Z) for n, Z in classes.reps.items()}
+    assert list(change) == list(dims)
+    assert all(P.shape == (dims[n], dims[n]) and P.rank() == dims[n] for n, P in change.items())
+    nonzero = 0
+    for theta in thetas:
+        old, new = induced_on_homology(theta), induced_on_classes(theta, classes)
+        assert list(old) == list(new)
+        for j, mat in new.items():
+            target = change.get(j + theta.shift)
+            if target is None:
+                assert old[j].shape == mat.shape == (0, dims[j])
+            else:
+                assert old[j] @ change[j] == target @ mat
+                nonzero += not mat.is_zero()
+    assert nonzero >= len(thetas)
+
+
+def test_chain_run_leaves_the_tower_and_cone_unbuilt(chain_run_parts, tmp_path):
+    assert cli.main(["certify", *RANK2_TEMPLATE, "--out", str(tmp_path / "run.cert")]) == 0
+    (tower,), (cone,) = chain_run_parts["towers"], chain_run_parts["cones"]
+    stages = [tp.complex for tp in tower.pairs]
+    # homology_space ran on the factor complexes, never on a tower stage,
+    # and no tower differential was row-reduced
+    called = chain_run_parts["homology_space"]
+    assert called and all(any(C is F for F in tower.factors) for C in called)
+    assert sum(d.matrix._rref is not None for S in stages for d in S.diffs.values()) == 0
+    # no tower sum and no cone term had its action assembled
+    terms = [M for C in stages + [cone] for M in C.objects.values()]
+    assert terms and sum(M._action is not None for M in terms) == 0

@@ -1,13 +1,15 @@
 """Command line interface: exit codes, determinism, certificates."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-from smallhom import algebra, cli, construction, lefschetz
-from smallhom.construction import Verdict
-from smallhom.linalg import FpMatrix
+from smallhom import algebra, chain, cli, construction, lefschetz
+from smallhom.algebra import CertificationError
+from smallhom.construction import ChainRun, Verdict
+from smallhom.linalg import FieldSpec, FpMatrix
 
 
 def run_cli(args):
@@ -109,6 +111,19 @@ def test_budget_exit_code(capsys, tensor_diagonal_calls, matmul_calls):
     assert len(matmul_calls) < 1000
 
 
+@pytest.mark.parametrize("args", [
+    ["--mode", "symbolic", "--rank", "8", "--char", "3", "--budget-dim", "-7"],
+    ["--mode", "chain", "--char", "3", "--exponents", "3 3", "--coproduct", "primitive", "--budget-dim", "0"],
+    ["--mode", "symbolic", "--rank", "8", "--char", "3", "--budget-entries", "0"],
+], ids=["dim-negative", "dim-zero", "entries-zero"])
+def test_nonpositive_budget_is_usage_error(args, capsys):
+    # a cap below 1 admits nothing; it must not pass into a certificate
+    assert run_cli(["certify", *args]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"usage error: budget max_(dim|entries) must be at least 1, got -?\d+\n", captured.err)
+
+
 def test_crosscheck_mode(capsys):
     code = run_cli(["certify", "--mode", "crosscheck", "--char", "3",
                     "--exponents", "3 3", "--coproduct", "primitive"])
@@ -206,6 +221,76 @@ def test_failed_relation_check_is_a_certification_error(monkeypatch, capsys, run
     run = run_optimized(CORRUPT_FREE_MODULE)
     assert run.stdout == "optimize=1 exit=2\n"
     assert run.stderr == "certification error: generator 0 violates x^3 = 0\n"
+
+
+# Each factor complex's homology classes with one defect, at its top
+# homology degree or at degree 0; the tower's classes inherit it by Kunneth.
+CORRUPT_CLASSES = """
+import numpy as np
+from smallhom import chain
+from smallhom.linalg import FpMatrix, hstack
+
+real_factor_classes = chain.factor_classes
+
+
+def corrupted(kind):
+    def factor_classes(C):
+        cl = real_factor_classes(C)
+        top, p = max(cl.reps), C.algebra.p
+        if kind == "not-a-cycle":
+            # add to a representative a vector that d_top does not kill
+            k = int(np.flatnonzero(C.diffs[top].matrix.a.any(axis=0))[0])
+            z = cl.reps[top].a.copy()
+            z[k, 0] += 1
+            cl.reps[top] = FpMatrix(p, z)
+        elif kind == "boundary-pairing":
+            # add to a cocycle a functional that does not vanish on im d_1
+            r = int(np.flatnonzero(C.diffs[1].matrix.a.any(axis=1))[0])
+            w = cl.duals[0].a.copy()
+            w[0, r] += 1
+            cl.duals[0] = FpMatrix(p, w)
+        elif kind == "singular-pairing":
+            cl.duals[top] = cl.duals[top].scale(0)
+        else:  # an extra representative: a 1 x 2 pairing
+            cl.reps[top] = hstack([cl.reps[top], cl.reps[top]])
+        return cl
+    return factor_classes
+"""
+CLASS_DEFECTS = {
+    "not-a-cycle": "a degree-1 representative is not a cycle",
+    "boundary-pairing": "a degree-0 cocycle does not vanish on boundaries",
+    "singular-pairing": "the degree-1 classes do not pair to the identity",
+    "wrong-size-pairing": "4 classes in degree 1, but dim H_1 = 2",
+}
+F2_RANK2 = ["certify", "--mode", "chain", "--char", "2", "--exponents", "2 2", "--coproduct", "primitive"]
+CORRUPT_CLASSES_RUN = f"""
+import sys
+from smallhom import cli
+assert False, "reached only without -O"
+for kind in {list(CLASS_DEFECTS)!r}:
+    chain.factor_classes = corrupted(kind)
+    code = cli.main({F2_RANK2!r})
+    print(f"optimize={{sys.flags.optimize}} {{kind}} exit={{code}}")
+"""
+
+
+@pytest.mark.parametrize("kind", sorted(CLASS_DEFECTS))
+def test_corrupt_factor_classes_fail_certification(kind, monkeypatch, capsys):
+    scope: dict = {}
+    exec(CORRUPT_CLASSES, scope)
+    monkeypatch.setattr(chain, "factor_classes", scope["corrupted"](kind))
+    message = CLASS_DEFECTS[kind]
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        ChainRun(algebra.qci_algebra(FieldSpec(2), [2, 2], coproduct="primitive"), 2).run()
+    assert run_cli(F2_RANK2) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"certification error: {message}\n"
+
+
+def test_corrupt_factor_classes_fail_under_optimize(run_optimized):
+    run = run_optimized(CORRUPT_CLASSES + CORRUPT_CLASSES_RUN)
+    assert run.stdout == "".join(f"optimize=1 {kind} exit=2\n" for kind in CLASS_DEFECTS)
+    assert run.stderr == "".join(f"certification error: {m}\n" for m in CLASS_DEFECTS.values())
 
 
 def test_package_checks_survive_optimize():
