@@ -1,7 +1,7 @@
 """Bounded chain complexes of modules, chain maps, cones and tensors.
 
 Homological (lower) indexing: differentials go from degree ``i`` to
-``i - 1`` and ``d_i . d_{i+1} = 0`` is asserted whenever a complex is
+``i - 1`` and ``d_i . d_{i+1} = 0`` is checked whenever a complex is
 built.  The sign conventions, fixed once and recorded in certificates:
 
 * suspension by ``m`` re-indexes objects upward and multiplies the
@@ -28,6 +28,19 @@ Homology has three routes, each for what it does best:
 * the subquotient route (:func:`homology_space`) forms cycles modulo
   boundaries with the induced module, for the factor complexes, the
   bimodule run and the selftest.
+
+Tower laws are checked on Kronecker blocks.  Every block of a tensor-pair
+differential, and of a map lifted from one factor, is a signed Kronecker
+product ``f (x) 1`` or ``1 (x) g`` of factor matrices, so
+:func:`tensor_pair` and :func:`_lift_through_pair` record it as such a term
+(:class:`~smallhom.linalg.KronBlocks`), and composites of lifts compose
+their terms.  One routine, :func:`vanishes`, checks ``d . d = 0`` and every
+chain-map law: each block of the difference is summed from factor products
+and tested for zero at its own size, so no law check multiplies two
+tower-size matrices.  A plain map is the one-block, one-term case.  Dense
+matrices are assembled only where they are read: for ranks, for the thin
+products of :func:`certify_classes` and :func:`induced_on_classes`, and for
+the cone's differentials.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import FpMatrix, block, kron_array, nonpivot_columns, quotient_by_subspace, read_coordinates
+from .linalg import FpMatrix, KronBlocks, block, kron_array, nonpivot_columns, quotient_by_subspace, read_coordinates
 from .algebra import (
     CertificationError,
     Module,
@@ -46,6 +59,57 @@ from .algebra import (
     is_projective,
     zero_module,
 )
+
+
+class BlockMorphism(ModuleMorphism):
+    """A module map between tensor-pair terms, kept as :class:`KronBlocks`
+    and unchecked; its dense matrix is assembled on the first read of
+    :attr:`matrix`.  Products, sums and zero tests stay on the blocks."""
+
+    def __init__(self, source: Module, target: Module, blocks: KronBlocks):
+        if blocks.shape != (target.dim, source.dim):
+            raise ValueError(f"blocks of shape {blocks.shape} do not match {(target.dim, source.dim)}")
+        self.source = source
+        self.target = target
+        self.blocks = blocks
+
+    @property
+    def matrix(self) -> FpMatrix:
+        return self.blocks.dense()
+
+    def __matmul__(self, other: ModuleMorphism) -> "BlockMorphism":
+        return BlockMorphism(other.source, self.target, self.blocks @ blocks_of(other))
+
+    def __add__(self, other: ModuleMorphism) -> "BlockMorphism":
+        return BlockMorphism(self.source, self.target, self.blocks + blocks_of(other))
+
+    def scale(self, c: int) -> "BlockMorphism":
+        return BlockMorphism(self.source, self.target, self.blocks.scale(c))
+
+    def is_zero(self) -> bool:
+        return self.blocks.is_zero()
+
+
+def blocks_of(f: ModuleMorphism) -> KronBlocks:
+    """The Kronecker blocks of a module map; a plain map is one block of one term."""
+    return f.blocks if isinstance(f, BlockMorphism) else KronBlocks.single(f.matrix)
+
+
+def vanishes(products: list[tuple[int, ModuleMorphism | None, ModuleMorphism | None]]) -> bool:
+    """Whether ``sum c * (a o b)`` is zero, ``None`` being a zero map: the one
+    check of every chain law.
+
+    The sum is taken on Kronecker blocks, so each block is summed from factor
+    products and tested for zero at its own size; on plain maps this is one
+    product per pair and one comparison.
+    """
+    total = None
+    for c, a, b in products:
+        if a is None or b is None:
+            continue
+        term = (blocks_of(a) @ blocks_of(b)).scale(c)
+        total = term if total is None else total + term
+    return total is None or total.is_zero()
 
 
 class ChainComplex:
@@ -69,10 +133,13 @@ class ChainComplex:
         for i, d in self.diffs.items():
             if d.source.dim != self.objects[i].dim or d.target.dim != self.objects[i - 1].dim:
                 raise ValueError(f"differential {i} has inconsistent endpoints")
-        for i in self.diffs:
-            if (i + 1) in self.diffs:
-                if not (self.diffs[i].matrix @ self.diffs[i + 1].matrix).is_zero():
-                    raise CertificationError(f"d_{i} d_{i + 1} != 0")
+        bad = self.square_defects()
+        if bad:
+            raise CertificationError(f"d_{bad[0]} d_{bad[0] + 1} != 0")
+
+    def square_defects(self) -> list[int]:
+        """The degrees ``i`` with ``d_i d_{i+1} != 0``, checked on Kronecker blocks."""
+        return [i for i in sorted(self.diffs) if not vanishes([(1, self.diffs[i], self.diffs.get(i + 1))])]
 
     # -- structure ------------------------------------------------------
     def degrees(self) -> list[int]:
@@ -107,9 +174,8 @@ class ChainComplex:
 
 def shift_complex(C: ChainComplex, m: int) -> ChainComplex:
     """Suspension: objects re-indexed by +m, differentials times (-1)^m."""
-    sign = -1 if m % 2 else 1
     objects = {i + m: mod for i, mod in C.objects.items()}
-    diffs = {i + m: d.scale(sign) for i, d in C.diffs.items()}
+    diffs = {i + m: d.scale(-1) if m % 2 else d for i, d in C.diffs.items()}
     return ChainComplex(C.algebra, objects, diffs, check=False)
 
 
@@ -217,20 +283,25 @@ class ChainMap:
         return f
 
     def validate(self) -> None:
-        sign = -1 if self.shift % 2 else 1
         for j, f in self.comps.items():
             if f.source.dim != self.source.module_at(j).dim:
                 raise ValueError(f"component {j} has wrong source")
             if f.target.dim != self.target.module_at(j + self.shift).dim:
                 raise ValueError(f"component {j} has wrong target")
+        bad = self.law_defects()
+        if bad:
+            raise CertificationError(f"chain-map law fails at degree {bad[0]}")
+
+    def law_defects(self) -> list[int]:
+        """The degrees ``j`` where ``(-1)^m f_{j-1} d_j = d_{j+m} f_j`` fails,
+        checked on Kronecker blocks."""
+        sign = -1 if self.shift % 2 else 1
         degrees = set(self.comps)
         degrees.update(j + 1 for j in self.comps)
         degrees.update(self.source.diffs.keys())
-        for j in degrees:
-            lhs = (self.component(j - 1).matrix @ self.source.diff_at(j).matrix).scale(sign)
-            rhs = self.target.diff_at(j + self.shift).matrix @ self.component(j).matrix
-            if lhs != rhs:
-                raise CertificationError(f"chain-map law fails at degree {j}")
+        return [j for j in sorted(degrees)
+                if not vanishes([(sign, self.comps.get(j - 1), self.source.diffs.get(j)),
+                                 (-1, self.target.diffs.get(j + self.shift), self.comps.get(j))])]
 
     def is_chain_map(self) -> bool:
         try:
@@ -245,9 +316,9 @@ class ChainMap:
     def __add__(self, other: "ChainMap") -> "ChainMap":
         if (self.source, self.target, self.shift) != (other.source, other.target, other.shift):
             raise ValueError("can only add parallel chain maps")
-        comps = {}
-        for j in sorted(set(self.comps) | set(other.comps)):
-            comps[j] = self.component(j) + other.component(j)
+        comps = dict(self.comps)
+        for j, g in other.comps.items():
+            comps[j] = comps[j] + g if j in comps else g
         return ChainMap(self.source, self.target, self.shift, comps, check=False)
 
     @classmethod
@@ -260,7 +331,8 @@ def compose_shifted(f: ChainMap, g: ChainMap) -> ChainMap:
 
     For self maps this is the multiplication making the shifts add; the
     components of a suspended map are unchanged, so the composite at degree
-    ``j`` is ``f.comps[j + g.shift] o g.comps[j]``.
+    ``j`` is ``f.comps[j + g.shift] o g.comps[j]``.  Two lifts on one tensor
+    pair compose their Kronecker terms (:class:`BlockMorphism`).
     """
     if g.target is not f.source and g.target.dims() != f.source.dims():
         raise ValueError("composition endpoint mismatch")
@@ -276,8 +348,12 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of ``f`` after absorbing its shift.
 
     With ``X`` the suspended source, the cone has ``X_{i-1} (+) T_i`` in
-    degree ``i`` and differential ``[-d_X, 0; -f, d_T]``.
+    degree ``i`` and differential ``[-d_X, 0; -f, d_T]``.  Its square is
+    ``[d_X^2, 0; f d_X - d_T f, d_T^2]``, so the cone of two complexes is a
+    complex exactly when ``f`` is a chain map: that law, checked on the
+    blocks of ``f``, stands for a check of the assembled cone.
     """
+    f.validate()
     X = shift_complex(f.source, f.shift)
     T = f.target
     g = {j + f.shift: c.matrix for j, c in f.comps.items()}
@@ -300,7 +376,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
                         [gm.scale(-1) if gm is not None else None, dt]],
                     [xt, tt], [xs, ts])
         diffs[i] = ModuleMorphism(objects[i], objects[i - 1], mat, check=False)
-    return ChainComplex(f.source.algebra, objects, diffs, check=True)
+    return ChainComplex(f.source.algebra, objects, diffs, check=False)
 
 
 def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, ModuleMorphism] | None]:
@@ -430,7 +506,8 @@ def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:
     are Kronecker products, so maps between summands are too.  The
     differential ``d (x) 1 + (-1)^s 1 (x) d`` is the left lift of ``d_{C1}``
     plus the right lift of ``d_{C2}``, each a map of shift -1, so it is
-    assembled by :func:`_slot_blocks` like any lifted map.
+    recorded by :func:`_slot_blocks` as Kronecker terms like any lifted map,
+    and ``d . d = 0`` is checked on those blocks.
     """
     layout: dict[int, list[SummandSlot]] = {}
     objects: dict[int, Module] = {}
@@ -449,10 +526,10 @@ def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:
         if slots:
             layout[n] = slots
             objects[n], _ = direct_sum_modules(mods)
-    mats = _slot_blocks(C1, C2, layout, -1,
-                        {s: d.matrix for s, d in C1.diffs.items()},
-                        {t: d.matrix for t, d in C2.diffs.items()})
-    diffs = {n: ModuleMorphism(objects[n], objects[n - 1], mat, check=False) for n, mat in mats.items()}
+    blocks = _slot_blocks(C1, C2, layout, -1,
+                          {s: d.matrix for s, d in C1.diffs.items()},
+                          {t: d.matrix for t, d in C2.diffs.items()})
+    diffs = {n: BlockMorphism(objects[n], objects[n - 1], kb) for n, kb in blocks.items()}
     algebra = next(iter(objects.values())).algebra if objects else C1.algebra
     cx = ChainComplex(algebra, objects, diffs, check=True)
     return TensorPair(C1, C2, cx, layout)
@@ -460,8 +537,8 @@ def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:
 
 def _slot_blocks(left: ChainComplex, right: ChainComplex, layout: dict[int, list[SummandSlot]],
                  m: int, left_comps: dict[int, FpMatrix], right_comps: dict[int, FpMatrix],
-                 drop_koszul_sign: bool = False) -> dict[int, FpMatrix]:
-    """Matrices of ``f (x) 1 + (-1)^{m s} 1 (x) g`` between the summand slots.
+                 drop_koszul_sign: bool = False) -> dict[int, KronBlocks]:
+    """Kronecker terms of ``f (x) 1 + (-1)^{m s} 1 (x) g`` between the summand slots.
 
     ``f`` and ``g`` are shift-``m`` maps of the left and right factor, given
     by their components; the Koszul sign falls on the summand with left
@@ -469,29 +546,28 @@ def _slot_blocks(left: ChainComplex, right: ChainComplex, layout: dict[int, list
     Degrees where no block is nonzero are left out.
     """
     p = left.algebra.p
+
+    def factor_dims(slots):
+        return [(left.objects[sl.left_degree].dim, right.objects[sl.right_degree].dim) for sl in slots]
+
     out = {}
     for n, slots in layout.items():
         target_slots = layout.get(n + m)
         if not target_slots:
             continue
         dst_index = {(sl.left_degree, sl.right_degree): k for k, sl in enumerate(target_slots)}
-        grid = [[None] * len(slots) for _ in target_slots]
-        nonzero = False
+        terms: dict[tuple[int, int], list] = {}
         for jsrc, sl in enumerate(slots):
             s, t = sl.left_degree, sl.right_degree
             f, jdst = left_comps.get(s), dst_index.get((s + m, t))
             if f is not None and jdst is not None:
-                eye = FpMatrix.identity(p, right.objects[t].dim)
-                grid[jdst][jsrc] = f.kron(eye)
-                nonzero = True
+                terms.setdefault((jdst, jsrc), []).append((1, f, None))
             g, jdst = right_comps.get(t), dst_index.get((s, t + m))
             if g is not None and jdst is not None:
-                eye = FpMatrix.identity(p, left.objects[s].dim)
-                blk = eye.kron(g)
-                grid[jdst][jsrc] = blk.scale(-1) if (m * s) % 2 and not drop_koszul_sign else blk
-                nonzero = True
-        if nonzero:
-            out[n] = block(p, grid, [sl.dim for sl in target_slots], [sl.dim for sl in slots])
+                sign = -1 if (m * s) % 2 and not drop_koszul_sign else 1
+                terms.setdefault((jdst, jsrc), []).append((sign % p, None, g))
+        if terms:
+            out[n] = KronBlocks(p, factor_dims(target_slots), factor_dims(slots), terms)
     return out
 
 
@@ -505,11 +581,11 @@ def _lift_through_pair(tp: TensorPair, f: ChainMap, side: str, drop_koszul_sign:
     """
     m = f.shift
     comps = {j: c.matrix for j, c in f.comps.items()}
-    mats = _slot_blocks(tp.left, tp.right, tp.layout, m,
-                        comps if side == "left" else {}, comps if side == "right" else {},
-                        drop_koszul_sign)
+    blocks = _slot_blocks(tp.left, tp.right, tp.layout, m,
+                          comps if side == "left" else {}, comps if side == "right" else {},
+                          drop_koszul_sign)
     objects = tp.complex.objects
-    maps = {n: ModuleMorphism(objects[n], objects[n + m], mat, check=False) for n, mat in mats.items()}
+    maps = {n: BlockMorphism(objects[n], objects[n + m], kb) for n, kb in blocks.items()}
     return ChainMap(tp.complex, tp.complex, m, maps, check=False)
 
 

@@ -408,6 +408,114 @@ def block(p: int, grid: list[list["FpMatrix | None"]], row_dims: list[int], col_
     return FpMatrix._adopt(p, out, reduced=True)
 
 
+class KronBlocks:
+    """A matrix between two direct sums of tensor slots, kept as Kronecker terms.
+
+    Slot ``k`` of either side has factor dimensions ``(dl, dr)`` and size
+    ``dl * dr``.  Block ``(i, j)`` is the sum of its terms ``c * L (x) R``,
+    with ``L`` of shape ``dl_i x dl_j`` and ``R`` of shape ``dr_i x dr_j``;
+    ``None`` stands for an identity factor.  Products and sums stay in this
+    form by the mixed-product rule ``(L (x) R)(L' (x) R') = LL' (x) RR'``
+    (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
+    123, 2000), so they multiply factors only.  The dense matrix is assembled
+    on request (:meth:`dense`), and :meth:`is_zero` forms one block at a time.
+    A plain matrix is the one-block, one-term case (:meth:`single`).
+    """
+
+    __slots__ = ("p", "row_slots", "col_slots", "terms", "_dense")
+
+    def __init__(self, p: int, row_slots, col_slots, terms: dict) -> None:
+        self.p = p
+        self.row_slots = tuple(row_slots)
+        self.col_slots = tuple(col_slots)
+        self.terms = terms  # {(i, j): [(c, L, R), ...]}, no empty lists
+        self._dense: FpMatrix | None = None
+
+    @classmethod
+    def single(cls, m: FpMatrix) -> "KronBlocks":
+        out = cls(m.p, [(m.rows, 1)], [(m.cols, 1)], {(0, 0): [(1, m, None)]})
+        out._dense = m
+        return out
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return sum(l * r for l, r in self.row_slots), sum(l * r for l, r in self.col_slots)
+
+    def __matmul__(self, other: "KronBlocks") -> "KronBlocks":
+        if self.col_slots != other.row_slots:
+            # the inner sums are split differently: multiply densely
+            return KronBlocks.single(self.dense() @ other.dense())
+        by_row: dict[int, list] = {}
+        for (j, k), ts in other.terms.items():
+            by_row.setdefault(j, []).append((k, ts))
+        terms: dict = {}
+        for (i, j), ts in self.terms.items():
+            for k, us in by_row.get(j, ()):
+                for c, L, R in ts:
+                    for c2, L2, R2 in us:
+                        LL, RR = _factor_product(L, L2), _factor_product(R, R2)
+                        if (LL is None or not LL.is_zero()) and (RR is None or not RR.is_zero()):
+                            terms.setdefault((i, k), []).append((c * c2 % self.p, LL, RR))
+        return KronBlocks(self.p, self.row_slots, other.col_slots, terms)
+
+    def __add__(self, other: "KronBlocks") -> "KronBlocks":
+        if (self.row_slots, self.col_slots) != (other.row_slots, other.col_slots):
+            return KronBlocks.single(self.dense() + other.dense())
+        terms = dict(self.terms)
+        for key, ts in other.terms.items():
+            terms[key] = terms.get(key, []) + ts
+        return KronBlocks(self.p, self.row_slots, self.col_slots, terms)
+
+    def scale(self, c: int) -> "KronBlocks":
+        c %= self.p
+        terms = {key: [(c * c0 % self.p, L, R) for c0, L, R in ts] for key, ts in self.terms.items()}
+        return KronBlocks(self.p, self.row_slots, self.col_slots, terms if c else {})
+
+    def _block(self, i: int, j: int) -> FpMatrix | None:
+        """Block ``(i, j)`` at its own size, ``None`` when it has no terms."""
+        ts = self.terms.get((i, j))
+        if not ts:
+            return None
+        (rl, rr), (cl, cr) = self.row_slots[i], self.col_slots[j]
+        factors = [(c, L if L is not None else FpMatrix.identity(self.p, rl),
+                    R if R is not None else FpMatrix.identity(self.p, rr)) for c, L, R in ts]
+        if len(factors) == 1:
+            c, L, R = factors[0]
+            return L.kron(R) if c == 1 else L.kron(R).scale(c)
+        out = np.zeros((rl * rr, cl * cr), dtype=np.int64)
+        for c, L, R in factors:
+            out += c * kron_array(L.a, R.a)
+            out %= self.p
+        return FpMatrix._adopt(self.p, out, reduced=True)
+
+    def dense(self) -> FpMatrix:
+        """The assembled matrix, built once."""
+        if self._dense is None:
+            grid = [[self._block(i, j) for j in range(len(self.col_slots))] for i in range(len(self.row_slots))]
+            self._dense = block(self.p, grid, [l * r for l, r in self.row_slots],
+                                [l * r for l, r in self.col_slots])
+        return self._dense
+
+    def is_zero(self) -> bool:
+        """Block by block: a one-term block is zero exactly when a factor or
+        its coefficient is; a block of several terms is summed at its size."""
+        for (i, j), ts in self.terms.items():
+            if len(ts) == 1:
+                c, L, R = ts[0]
+                if c and (L is None or not L.is_zero()) and (R is None or not R.is_zero()):
+                    return False
+            elif not self._block(i, j).is_zero():
+                return False
+        return True
+
+
+def _factor_product(x: FpMatrix | None, y: FpMatrix | None) -> FpMatrix | None:
+    """The product of two Kronecker factors, ``None`` being an identity."""
+    if x is None:
+        return y
+    return x if y is None else x @ y
+
+
 def nonpivot_columns(n: int, pivots) -> list[int]:
     """The columns ``0..n-1`` that are not pivots, ascending."""
     piv = set(pivots)

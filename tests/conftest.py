@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,14 +189,17 @@ def action_builds(monkeypatch):
 
 @pytest.fixture
 def chain_run_parts(monkeypatch):
-    """What a ``ChainRun`` builds: its tensor towers, lifted theta lists and
-    cones, and the complex of every ``homology_space`` call."""
-    parts = {"towers": [], "thetas": [], "cones": [], "homology_space": []}
+    """What a ``ChainRun`` builds: its tensor towers, lifted theta lists,
+    the class complexes they were lifted from, and cones, and the complex of
+    every ``homology_space`` call."""
+    parts = {"towers": [], "thetas": [], "class_complexes": [], "cones": [], "homology_space": []}
 
     def recording(key, real):
         def wrapped(*args, **kwargs):
             out = real(*args, **kwargs)
             parts[key].append(out)
+            if key == "thetas":
+                parts["class_complexes"].append(args[1])
             return out
         return wrapped
 
@@ -210,3 +214,43 @@ def chain_run_parts(monkeypatch):
     monkeypatch.setattr(smallhom.chain, "homology_space", homology_space)
     monkeypatch.setattr(smallhom.construction, "homology_space", homology_space)
     return parts
+
+
+def _dense_square_defects(C) -> list:
+    """``d . d = 0`` by assembled products: the degrees ``i`` with ``d_i d_{i+1} != 0``."""
+    return [i for i in sorted(C.diffs)
+            if i + 1 in C.diffs and not (C.diffs[i].matrix @ C.diffs[i + 1].matrix).is_zero()]
+
+
+def _dense_law_defects(f) -> list:
+    """The chain-map law by assembled products: the degrees ``j`` with
+    ``(-1)^m f_{j-1} d_j != d_{j+m} f_j``."""
+    sign = -1 if f.shift % 2 else 1
+    degrees = set(f.comps) | {j + 1 for j in f.comps} | set(f.source.diffs)
+    bad = []
+    for j in sorted(degrees):
+        lhs = (f.component(j - 1).matrix @ f.source.diff_at(j).matrix).scale(sign)
+        if lhs != f.target.diff_at(j + f.shift).matrix @ f.component(j).matrix:
+            bad.append(j)
+    return bad
+
+
+def _dense_product_support(pairs) -> list:
+    """The degrees where ``sum f . g`` over ``pairs`` of parallel graded
+    products is nonzero, by assembled products."""
+    total = {}
+    for f, g in pairs:
+        for j, gj in g.comps.items():
+            fj = f.comps.get(j + g.shift)
+            if fj is not None:
+                prod = fj.matrix @ gj.matrix
+                total[j] = total[j] + prod if j in total else prod
+    return sorted(j for j, m in total.items() if not m.is_zero())
+
+
+@pytest.fixture
+def dense_laws():
+    """The dense reference for the laws that ``smallhom.chain`` checks on
+    Kronecker blocks: every product is formed at tower size."""
+    return SimpleNamespace(square_defects=_dense_square_defects, law_defects=_dense_law_defects,
+                           product_support=_dense_product_support)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import smallhom
-from smallhom import cli
+from smallhom import chain, cli
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
     CertificationError,
@@ -411,6 +411,84 @@ def test_kunneth_classes_against_the_subquotient_route(args, chain_run_parts, tm
                 assert old[j] @ change[j] == target @ mat
                 nonzero += not mat.is_zero()
     assert nonzero >= len(thetas)
+
+
+def _assert_block_laws_match_dense(tower, thetas, class_complexes, dense_laws):
+    for tp in tower.pairs:
+        assert tp.complex.square_defects() == dense_laws.square_defects(tp.complex) == []
+    for theta in thetas:
+        assert theta.law_defects() == dense_laws.law_defects(theta) == []
+    # with the Koszul sign dropped both see the same failing degrees; the
+    # sign is invisible over F_2, and over an odd prime a right lift fails
+    broken = [tower.lift_factor_map(i, cc.self_map, drop_koszul_sign=True)
+              for i, cc in enumerate(class_complexes)]
+    defects = [f.law_defects() for f in broken]
+    assert defects == [dense_laws.law_defects(f) for f in broken]
+    assert any(defects) == (tower.complex.algebra.p != 2)
+    # composites of lifts read their zero blocks where dense products are zero
+    for f in thetas:
+        for g in thetas:
+            comp = compose_shifted(f, g)
+            assert sorted(comp.comps) == dense_laws.product_support([(f, g)])
+            assert comp.law_defects() == dense_laws.law_defects(comp) == []
+            anti = comp + compose_shifted(g, f)
+            assert sorted(anti.comps) == dense_laws.product_support([(f, g), (g, f)])
+
+
+@pytest.mark.parametrize("args", [RANK2_TEMPLATE, F2_POWER2 + ["primitive"], F2_POWER2 + ["shifted"]],
+                         ids=["chain-rank2", "f2-power2-primitive", "f2-power2-shifted"])
+def test_block_laws_agree_with_the_dense_reference(args, chain_run_parts, dense_laws, tmp_path):
+    assert cli.main(["certify", *args, "--out", str(tmp_path / "run.cert")]) == 0
+    (tower,), (thetas,), (ccs,), (cone,) = (chain_run_parts[k] for k in ("towers", "thetas", "class_complexes", "cones"))
+    _assert_block_laws_match_dense(tower, thetas, ccs, dense_laws)
+    # the law of u on its blocks stood for the cone's d . d
+    assert dense_laws.square_defects(cone) == []
+
+
+def test_rank3_lifts_agree_with_the_dense_reference(dense_laws):
+    # the tower and lifts of configs/chain-rank3-f2.ini, 1536-dim at most
+    from smallhom.construction import build_class_complex, build_thetas, find_parameter_system
+    from smallhom.algebra import minimal_resolution
+
+    A = qci_algebra(FieldSpec(2), [2, 2, 2], coproduct="primitive")
+    ctx = DiagonalTensor(A)
+    ps = find_parameter_system(minimal_resolution(trivial_module(A), 3), 3, ctx)
+    ccs = [build_class_complex(z, po) for z, po in zip(ps.classes, ps.pushouts)]
+    tower = tensor_tower([cc.complex for cc in ccs], ctx)
+    assert max(tower.complex.dims().values()) == 1536
+    for tp in tower.pairs:
+        assert tp.complex.square_defects() == dense_laws.square_defects(tp.complex) == []
+    for theta in build_thetas(tower, ccs):
+        assert theta.law_defects() == dense_laws.law_defects(theta) == []
+
+
+def test_law_checks_multiply_no_tower_size_matrices(monkeypatch, chain_run_parts, tmp_path):
+    # the operand shapes of every product made inside a law check of a run
+    depth, shapes, tower_checks = [0], [], [0]
+    real_vanishes, real_matmul = chain.vanishes, FpMatrix.__matmul__
+
+    def counted_vanishes(products):
+        tower_checks[0] += any(isinstance(m, chain.BlockMorphism) for _, a, b in products for m in (a, b))
+        depth[0] += 1
+        try:
+            return real_vanishes(products)
+        finally:
+            depth[0] -= 1
+
+    def counted_matmul(a, b):
+        if depth[0]:
+            shapes.append(a.shape + b.shape)
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(chain, "vanishes", counted_vanishes)
+    monkeypatch.setattr(FpMatrix, "__matmul__", counted_matmul)
+    assert cli.main(["certify", *RANK2_TEMPLATE, "--out", str(tmp_path / "run.cert")]) == 0
+    (tower,) = chain_run_parts["towers"]
+    smallest = min(tower.complex.dims().values())
+    # d . d of the tower, the thetas' laws and u's law all ran on blocks,
+    # and every operand they multiplied is smaller than any tower term
+    assert smallest == 81 and tower_checks[0] >= 3 and shapes
+    assert [s for s in shapes if max(s) >= smallest] == []
 
 
 def test_chain_run_leaves_the_tower_and_cone_unbuilt(chain_run_parts, tmp_path):

@@ -1,7 +1,10 @@
 """Command line interface: exit codes, determinism, certificates."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -291,6 +294,134 @@ def test_corrupt_factor_classes_fail_under_optimize(run_optimized):
     run = run_optimized(CORRUPT_CLASSES + CORRUPT_CLASSES_RUN)
     assert run.stdout == "".join(f"optimize=1 {kind} exit=2\n" for kind in CLASS_DEFECTS)
     assert run.stderr == "".join(f"certification error: {m}\n" for m in CLASS_DEFECTS.values())
+
+
+RANK2_CONFIG = ["certify", "--config", str(Path(__file__).resolve().parent.parent / "configs" / "chain-rank2.ini")]
+# Three corruptions that the Kronecker-block law checks must catch
+BLOCK_LAW_CONTROLS = """
+import dataclasses
+import functools
+
+import numpy as np
+from smallhom import chain, construction
+from smallhom.algebra import DiagonalTensor, ModuleMorphism, qci_algebra, regular_module
+from smallhom.chain import ChainComplex, ChainMap, tensor_pair
+from smallhom.linalg import FieldSpec, FpMatrix
+
+F3 = FieldSpec(3)
+real_slot_blocks = chain._slot_blocks
+real_build_thetas = construction.build_thetas
+
+
+def flipped_slot_blocks(left, right, layout, m, left_comps, right_comps, drop_koszul_sign=False):
+    # the first 1 (x) d block of a differential whose Koszul sign is -1 loses it
+    out = real_slot_blocks(left, right, layout, m, left_comps, right_comps, drop_koszul_sign)
+    if m != -1:
+        return out
+    for kb in out.values():
+        for key, terms in kb.terms.items():
+            (c, L, R), = terms
+            if L is None and c == left.algebra.p - 1:
+                kb.terms[key] = [(1, L, R)]
+                return out
+    return out
+
+
+def two_term_pair():
+    # (A --x--> A) tensored with itself over F_3[x]/(x^3)
+    A = qci_algebra(F3, [3], coproduct="primitive")
+    reg = regular_module(A)
+    C = ChainComplex(A, {0: reg, 1: reg}, {1: ModuleMorphism(reg, reg, A.left_actions[0])})
+    return tensor_pair(C, C, DiagonalTensor(A))
+
+
+def perturbed_self_map(nu):
+    # the first entry of the self map whose change breaks its chain-map law
+    (j, f), = nu.comps.items()
+    for r, c in np.ndindex(*f.matrix.shape):
+        a = f.matrix.a.copy()
+        a[r, c] += 1
+        moved = ModuleMorphism(f.source, f.target, FpMatrix(f.matrix.p, a), check=False)
+        g = ChainMap(nu.source, nu.target, nu.shift, {j: moved}, check=False)
+        if g.law_defects():
+            return g
+    raise ValueError("no single entry breaks the law")
+
+
+def perturbed_build_thetas(tower, class_complexes, drop_koszul_sign=False):
+    first = dataclasses.replace(class_complexes[0], self_map=perturbed_self_map(class_complexes[0].self_map))
+    return real_build_thetas(tower, [first, *class_complexes[1:]], drop_koszul_sign)
+
+
+dropped_sign_run = functools.partial(construction.ChainRun, drop_koszul_sign=True)
+"""
+BLOCK_LAW_CONTROLS_RUN = f"""
+import os
+import sys
+from smallhom import cli
+from smallhom.algebra import CertificationError
+assert False, "reached only without -O"
+chain._slot_blocks = flipped_slot_blocks
+try:
+    two_term_pair()
+    print("flipped sign: built")
+except CertificationError as exc:
+    print(f"flipped sign: {{exc}}")
+chain._slot_blocks = real_slot_blocks
+construction.build_thetas = perturbed_build_thetas
+rep = construction.ChainRun(qci_algebra(F3, [3, 3], coproduct="primitive"), 2).run()
+print("perturbed theta_chain_maps:", {{v.name: v.passed for v in rep["verdicts"]}}["theta_chain_maps"])
+construction.build_thetas = real_build_thetas
+cli.ChainRun = dropped_sign_run
+print("dropped sign exit:", cli.main({RANK2_CONFIG!r} + ["--out", os.devnull]))
+print(f"optimize={{sys.flags.optimize}}")
+"""
+
+
+def _block_law_controls() -> dict:
+    scope: dict = {}
+    exec(BLOCK_LAW_CONTROLS, scope)
+    return scope
+
+
+def test_flipped_koszul_sign_in_one_block_fails_tensor_pair(monkeypatch):
+    controls = _block_law_controls()
+    assert controls["two_term_pair"]().complex.dims() == {0: 9, 1: 18, 2: 9}
+    monkeypatch.setattr(chain, "_slot_blocks", controls["flipped_slot_blocks"])
+    with pytest.raises(CertificationError, match=r"^d_1 d_2 != 0$"):
+        controls["two_term_pair"]()
+
+
+def test_lift_of_a_perturbed_factor_map_fails_theta_chain_maps(monkeypatch):
+    controls = _block_law_controls()
+    monkeypatch.setattr(construction, "build_thetas", controls["perturbed_build_thetas"])
+    rep = ChainRun(algebra.qci_algebra(FieldSpec(3), [3, 3], coproduct="primitive"), 2).run()
+    verdicts = {v.name: v.passed for v in rep["verdicts"]}
+    assert verdicts["factor_complexes"] is True and verdicts["theta_chain_maps"] is False
+
+
+def test_dropped_koszul_sign_makes_certify_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ChainRun", _block_law_controls()["dropped_sign_run"])
+    assert run_cli(RANK2_CONFIG) == 2
+    assert "theta_chain_maps = fail" in capsys.readouterr().out
+
+
+def test_block_law_controls_fail_under_optimize(run_optimized):
+    run = run_optimized(BLOCK_LAW_CONTROLS + BLOCK_LAW_CONTROLS_RUN)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ("flipped sign: d_1 d_2 != 0\n"
+                          "perturbed theta_chain_maps: False\n"
+                          "dropped sign exit: 2\n"
+                          "optimize=1\n")
+
+
+def test_python_m_smallhom_runs_from_a_checkout():
+    root = Path(cli.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    run = subprocess.run([sys.executable, "-m", "smallhom", "certify", "--config", "configs/symbolic-rank8.ini"],
+                         cwd=root, env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (root / "tests" / "data" / "symbolic-rank8.cert").read_bytes()
 
 
 def test_package_checks_survive_optimize():
