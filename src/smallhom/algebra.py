@@ -357,17 +357,15 @@ class ModuleMorphism:
         return cls(M, M, FpMatrix.identity(M.algebra.p, M.dim), check=False)
 
 
-def direct_sum_modules(mods: list[Module]) -> tuple[Module, list[int]]:
-    """Block-diagonal sum recording its summands, with a deferred action;
-    returns it and the block offsets."""
+def direct_sum_modules(mods: list[Module]) -> Module:
+    """Block-diagonal sum recording its summands, with a deferred action."""
     offsets = []
     pos = 0
     for m in mods:
         offsets.append(pos)
         pos += m.dim
     summands = tuple(mods)
-    total = Module.deferred(summands[0].algebra, pos, lambda: _sum_action(summands, offsets, pos), summands)
-    return total, offsets
+    return Module.deferred(summands[0].algebra, pos, lambda: _sum_action(summands, offsets, pos), summands)
 
 
 def _sum_action(mods: tuple[Module, ...], offsets: list[int], dim: int) -> list[FpMatrix]:

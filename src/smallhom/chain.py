@@ -16,18 +16,22 @@ built.  The sign conventions, fixed once and recorded in certificates:
   ``d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy`` with summands ordered by
   ascending left degree, and multi-factor products associate to the left.
 
-Homology has three routes, each for what it does best:
+Homology dimensions come from ranks (:func:`homology_rank_dims`), with no
+kernel or quotient formed.  A basis of homology is one record per degree,
+:class:`HomologySpace`: representative cycles ``Z`` and cocycles ``W`` with
+``W Z = I`` and ``W d = 0``, and the induced module.  It has two
+constructors:
 
-* the rank route (:func:`homology_rank_dims`) gives dimensions only, from
-  ranks of the differentials, with no kernel or quotient formed;
-* Kunneth classes (:func:`kunneth_classes`) give a tensor tower's
-  structure.  They are Kronecker products of the factors' representative
-  cycles and cocycles, certified by :func:`certify_classes` against the rank
-  route, and they read the action on homology and the maps that lifted self
-  maps induce (:func:`induced_on_classes`) with thin products only;
-* the subquotient route (:func:`homology_space`) forms cycles modulo
-  boundaries with the induced module, for the factor complexes, the
-  bimodule run and the selftest.
+* :func:`homology_space` forms cycles modulo boundaries, for complexes of
+  factor size;
+* :func:`kunneth_classes` places Kronecker products of the factors' records
+  in the summand slots of a tensor tower, certified by
+  :func:`certify_classes` against the rank route.
+
+Each quantity has one reader on the record: :meth:`HomologySpace.class_of`
+(a cycle's coordinates, ``W v`` once ``d v = 0`` holds),
+:meth:`HomologySpace.action` (``W (x Z)``, acting on a sum summand by
+summand) and :func:`induced_on_homology` (the classes of ``f_j Z_j``).
 
 Tower laws are checked on Kronecker blocks.  Every block of a tensor-pair
 differential, and of a map lifted from one factor, is a signed Kronecker
@@ -39,13 +43,13 @@ chain-map law: each block of the difference is summed from factor products
 and tested for zero at its own size, so no law check multiplies two
 tower-size matrices.  A plain map is the one-block, one-term case.  Dense
 matrices are assembled only where they are read: for ranks, for the thin
-products of :func:`certify_classes` and :func:`induced_on_classes`, and for
-the cone's differentials.
+products against the Kunneth classes, and for the cone's differentials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,32 +188,52 @@ def euler_characteristic(C: ChainComplex) -> int:
 
 
 # ----------------------------------------------------------------------
-# homology with induced module structure
+# homology: one record per degree
 # ----------------------------------------------------------------------
 @dataclass
 class HomologySpace:
-    """One degree's cycles, the quotient map onto homology, and the homology module.
+    """One degree's homology: representative cycles ``reps`` (``Z``, as
+    columns) and cocycles ``duals`` (``W``, as rows) of the complex's
+    ``term`` in that degree, with ``W Z = I`` and ``W`` zero on boundaries.
 
-    ``cycles`` is the kernel basis of the outgoing differential, the identity
-    on the rows ``free``; ``qmap`` and ``section`` relate cycle coordinates
-    to homology coordinates.
+    ``d`` is the outgoing differential, ``None`` when it is zero.  Then
+    ``W`` reads the class of any cycle, and ``W (x Z)`` is the action of a
+    generator ``x`` on homology.
     """
 
-    cycles: FpMatrix
-    free: list[int]
-    qmap: FpMatrix
-    section: FpMatrix
-    module: Module
+    term: Module
+    d: ModuleMorphism | None
+    reps: FpMatrix
+    duals: FpMatrix
+
+    @property
+    def dim(self) -> int:
+        return self.reps.cols
 
     def class_of(self, vectors: FpMatrix) -> FpMatrix:
-        """Homology classes of cycle vectors given in ambient coordinates."""
-        coords = read_coordinates(self.cycles, self.free, vectors)
-        if coords is None:
+        """Homology classes of cycle vectors given in the term's coordinates."""
+        if self.d is not None and not (self.d.matrix @ vectors).is_zero():
             raise CertificationError("vector is not a cycle")
-        return self.qmap @ coords
+        return self.duals @ vectors
+
+    def action(self) -> list[FpMatrix]:
+        """Each generator on homology, ``W (x Z)``; a sum acts summand by summand."""
+        return [self.duals @ self.term.act(g, self.reps) for g in range(self.term.algebra.ngens)]
+
+    @cached_property
+    def module(self) -> Module:
+        """The homology module, its relations checked."""
+        return Module(self.term.algebra, self.action(), check=True)
 
 
 def homology_space(C: ChainComplex, i: int) -> HomologySpace:
+    """Degree ``i`` homology as cycles modulo boundaries, with its module.
+
+    ``Z`` is the section of the quotient by the boundaries' cycle
+    coordinates, and ``W`` is the quotient map on the free rows of the kernel
+    basis, so ``W Z = I``; the free rows of a boundary are its cycle
+    coordinates, which the quotient map kills.
+    """
     cached = C._hcache.get(i)
     if cached is not None:
         return cached
@@ -221,26 +245,16 @@ def homology_space(C: ChainComplex, i: int) -> HomologySpace:
     boundary_coords = read_coordinates(cycles, free, C.diff_at(i + 1).matrix)
     if boundary_coords is None:
         raise AssertionError("boundaries must be cycles")
-    qmap, section = quotient_by_subspace(p, boundary_coords)
-    acts = []
     for x in obj.action:
-        in_cycles = read_coordinates(cycles, free, x @ cycles)
-        if in_cycles is None:
+        if read_coordinates(cycles, free, x @ cycles) is None:
             raise AssertionError("cycles must be action-stable")
-        acts.append(qmap @ in_cycles @ section)
-    module = Module(C.algebra, acts, check=True) if acts else zero_module(C.algebra)
-    hs = HomologySpace(cycles, free, qmap, section, module)
+    qmap, section = quotient_by_subspace(p, boundary_coords)
+    duals = np.zeros((qmap.rows, obj.dim), dtype=np.int64)
+    duals[:, free] = qmap.a
+    hs = HomologySpace(obj, C.diffs.get(i), cycles @ section, FpMatrix._adopt(p, duals, reduced=True))
+    hs.module  # built here, so that its relations are checked with the record
     C._hcache[i] = hs
     return hs
-
-
-def homology_dims(C: ChainComplex) -> dict[int, int]:
-    out = {}
-    for i in range(C.lo, C.hi + 1):
-        h = homology_space(C, i).module.dim
-        if h:
-            out[i] = h
-    return out
 
 
 def homology_rank_dims(C: ChainComplex) -> dict[int, int]:
@@ -363,7 +377,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     for i in range(min(X.lo + 1, T.lo), max(X.hi + 1, T.hi) + 1):
         xs, ts = X.module_at(i - 1), T.module_at(i)
         if xs.dim + ts.dim:
-            objects[i] = direct_sum_modules([xs, ts])[0]
+            objects[i] = direct_sum_modules([xs, ts])
     for i in sorted(objects):
         if (i - 1) not in objects:
             continue
@@ -372,9 +386,13 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         dx = X.diff_at(i - 1).matrix if xs and xt else None
         dt = T.diff_at(i).matrix if ts and tt else None
         gm = g.get(i - 1) if xs and tt else None
-        mat = block(p, [[dx.scale(-1) if dx is not None else None, None],
-                        [gm.scale(-1) if gm is not None else None, dt]],
-                    [xt, tt], [xs, ts])
+        mat = block(p, [[dx, None], [gm, dt]], [xt, tt], [xs, ts])
+        # negate the source columns, which hold d_X and f, in the fresh array
+        arr = mat.a
+        arr.setflags(write=True)
+        np.negative(arr[:, :xs], out=arr[:, :xs])
+        arr[:, :xs] %= p
+        arr.setflags(write=False)
         diffs[i] = ModuleMorphism(objects[i], objects[i - 1], mat, check=False)
     return ChainComplex(f.source.algebra, objects, diffs, check=False)
 
@@ -462,20 +480,19 @@ def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, ModuleMorphism] | No
     return True, witness
 
 
-def induced_on_homology(f: ChainMap) -> dict[int, FpMatrix]:
-    """Matrices of H_j(source) -> H_{j+shift}(target), nonzero degrees only."""
+def induced_on_homology(f: ChainMap, classes: dict[int, HomologySpace]) -> dict[int, FpMatrix]:
+    """Matrices of H_j -> H_{j+shift} for a self map ``f`` of the complex
+    whose homology records are ``classes``, nonzero source degrees only:
+    the classes of ``f_j Z_j``, each checked to be a cycle."""
     out = {}
-    for j in range(f.source.lo, f.source.hi + 1):
-        hs = homology_space(f.source, j)
-        if hs.module.dim == 0:
+    for j, h in classes.items():
+        if not h.dim:
             continue
-        ht = homology_space(f.target, j + f.shift)
-        fmat = f.component(j).matrix
-        reps = fmat @ (hs.cycles @ hs.section)
-        if ht.module.dim == 0:
-            out[j] = FpMatrix.zeros(fmat.p, 0, hs.module.dim)
-            continue
-        out[j] = ht.class_of(reps)
+        target, fj = classes.get(j + f.shift), f.comps.get(j)
+        if fj is None:
+            out[j] = FpMatrix.zeros(f.source.algebra.p, target.dim if target is not None else 0, h.dim)
+        else:
+            out[j] = target.class_of(fj.matrix @ h.reps)
     return out
 
 
@@ -525,7 +542,7 @@ def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:
             mods.append(mod)
         if slots:
             layout[n] = slots
-            objects[n], _ = direct_sum_modules(mods)
+            objects[n] = direct_sum_modules(mods)
     blocks = _slot_blocks(C1, C2, layout, -1,
                           {s: d.matrix for s, d in C1.diffs.items()},
                           {t: d.matrix for t, d in C2.diffs.items()})
@@ -638,69 +655,46 @@ def tensor_tower(factors: list[ChainComplex], ctx) -> TensorTower:
 
 
 # ----------------------------------------------------------------------
-# homology classes: representative cycles paired with cocycles
+# homology of a tensor tower by Kunneth
 # ----------------------------------------------------------------------
-@dataclass
-class HomologyClasses:
-    """A homology basis by degree: representative cycles ``reps[n]`` as
-    columns and cocycles ``duals[n]`` as rows, meant to pair to the identity.
-
-    Degrees without homology are absent.  Once :func:`certify_classes` has
-    passed, ``duals[n] @ z`` is the class of any degree-``n`` cycle ``z``.
-    """
-
-    reps: dict[int, FpMatrix]
-    duals: dict[int, FpMatrix]
-
-
-def factor_classes(C: ChainComplex) -> HomologyClasses:
-    """Classes from the subquotient route: ``Z = cycles @ section``, and the
-    cocycle ``W`` is ``qmap`` on the free rows, so ``W Z = qmap @ section = I``;
-    the free rows of a boundary are its cycle coordinates, which ``qmap`` kills."""
-    reps, duals = {}, {}
-    for n in C.degrees():
-        hs = homology_space(C, n)
-        if hs.module.dim:
-            reps[n] = hs.cycles @ hs.section
-            w = np.zeros((hs.module.dim, C.objects[n].dim), dtype=np.int64)
-            w[:, hs.free] = hs.qmap.a
-            duals[n] = FpMatrix._adopt(C.algebra.p, w, reduced=True)
-    return HomologyClasses(reps, duals)
-
-
-def kunneth_classes(tower: TensorTower) -> HomologyClasses:
-    """Classes of the tower complex by Kunneth, unchecked.
+def kunneth_classes(tower: TensorTower) -> dict[int, HomologySpace]:
+    """Homology records of the tower complex by Kunneth, unchecked, one for
+    each degree of the tower.
 
     Each stage places the Kronecker products of its left classes with the
-    right factor's classes (:func:`factor_classes`) in the summand slots of
+    right factor's classes (:func:`homology_space`) in the summand slots of
     its layout: ``z (x) z'`` is a cycle and ``w (x) w'`` kills boundaries by
     the Leibniz rule.  :func:`certify_classes` checks both, and the pairing.
     """
-    acc = factor_classes(tower.factors[0])
+    def factor(C: ChainComplex) -> dict[int, HomologySpace]:
+        return {n: homology_space(C, n) for n in C.degrees()}
+
+    acc = factor(tower.factors[0])
     for tp in tower.pairs:
-        acc = _pair_classes(tp, acc, factor_classes(tp.right))
+        acc = _pair_classes(tp, acc, factor(tp.right))
     return acc
 
 
-def _pair_classes(tp: TensorPair, left: HomologyClasses, right: HomologyClasses) -> HomologyClasses:
+def _pair_classes(tp: TensorPair, left: dict[int, HomologySpace],
+                  right: dict[int, HomologySpace]) -> dict[int, HomologySpace]:
     """One stage: ``z (x) z'`` in its slot's rows, ``w (x) w'`` in its columns."""
     p = tp.complex.algebra.p
-    reps, duals = {}, {}
+    out = {}
     for n, slots in tp.layout.items():
-        hit = [k for k, sl in enumerate(slots) if sl.left_degree in left.reps and sl.right_degree in right.reps]
-        if not hit:
-            continue
-        zs = {k: left.reps[slots[k].left_degree].kron(right.reps[slots[k].right_degree]) for k in hit}
-        ws = {k: left.duals[slots[k].left_degree].kron(right.duals[slots[k].right_degree]) for k in hit}
+        pairs = [(k, left[sl.left_degree], right[sl.right_degree]) for k, sl in enumerate(slots)]
+        hit = [(k, hl, hr) for k, hl, hr in pairs if hl.dim and hr.dim]
+        zs = {k: hl.reps.kron(hr.reps) for k, hl, hr in hit}
+        ws = {k: hl.duals.kron(hr.duals) for k, hl, hr in hit}
         dims = [sl.dim for sl in slots]
-        reps[n] = block(p, [[zs[k] if k == j else None for j in hit] for k in range(len(slots))],
-                        dims, [zs[j].cols for j in hit])
-        duals[n] = block(p, [[ws[j] if k == j else None for k in range(len(slots))] for j in hit],
-                         [ws[j].rows for j in hit], dims)
-    return HomologyClasses(reps, duals)
+        reps = block(p, [[zs[k] if k == j else None for j in zs] for k in range(len(slots))],
+                     dims, [z.cols for z in zs.values()])
+        duals = block(p, [[ws[j] if k == j else None for k in range(len(slots))] for j in ws],
+                      [w.rows for w in ws.values()], dims)
+        out[n] = HomologySpace(tp.complex.objects[n], tp.complex.diffs.get(n), reps, duals)
+    return out
 
 
-def certify_classes(C: ChainComplex, classes: HomologyClasses, dims: dict[int, int]) -> None:
+def certify_classes(C: ChainComplex, classes: dict[int, HomologySpace], dims: dict[int, int]) -> None:
     """Check that ``classes`` is a basis of the homology of ``C``, whose
     dimensions ``dims`` come from :func:`homology_rank_dims`.
 
@@ -711,33 +705,19 @@ def certify_classes(C: ChainComplex, classes: HomologyClasses, dims: dict[int, i
     form a basis in which ``W`` reads the coordinates of a cycle.
     """
     for n in range(C.lo, C.hi + 1):
-        Z, W = classes.reps.get(n), classes.duals.get(n)
-        count, h = (Z.cols if Z is not None else 0), dims.get(n, 0)
-        if count != h:
-            raise CertificationError(f"{count} classes in degree {n}, but dim H_{n} = {h}")
-        if not h:
+        h = classes.get(n)
+        count, want = (h.dim if h is not None else 0), dims.get(n, 0)
+        if count != want:
+            raise CertificationError(f"{count} classes in degree {n}, but dim H_{n} = {want}")
+        if not want:
             continue
+        Z, W = h.reps, h.duals
         if n in C.diffs and not (C.diffs[n].matrix @ Z).is_zero():
             raise CertificationError(f"a degree-{n} representative is not a cycle")
         if n + 1 in C.diffs and not (W @ C.diffs[n + 1].matrix).is_zero():
             raise CertificationError(f"a degree-{n} cocycle does not vanish on boundaries")
-        if W @ Z != FpMatrix.identity(C.algebra.p, h):
+        if W @ Z != FpMatrix.identity(C.algebra.p, want):
             raise CertificationError(f"the degree-{n} classes do not pair to the identity")
-
-
-def induced_on_classes(f: ChainMap, classes: HomologyClasses) -> dict[int, FpMatrix]:
-    """Matrices ``W_{j+shift} f_j Z_j`` of H_j -> H_{j+shift} for a self map
-    ``f`` of a complex with certified ``classes``, nonzero source degrees
-    only.  ``f`` must be a chain map, so that ``f_j Z_j`` are cycles."""
-    p = f.source.algebra.p
-    out = {}
-    for j, Z in classes.reps.items():
-        W, fj = classes.duals.get(j + f.shift), f.comps.get(j)
-        if W is None or fj is None:
-            out[j] = FpMatrix.zeros(p, W.rows if W is not None else 0, Z.cols)
-        else:
-            out[j] = W @ (fj.matrix @ Z)
-    return out
 
 
 def projectivity_flags(C: ChainComplex) -> dict[int, bool]:

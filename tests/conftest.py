@@ -56,7 +56,7 @@ def nonprojective_powered_tensor(monkeypatch):
         if len(built) != 2:
             return built[-1]
         unit = smallhom.algebra.trivial_module(built[-1].algebra)
-        return smallhom.algebra.direct_sum_modules([built[-1], unit])[0]
+        return smallhom.algebra.direct_sum_modules([built[-1], unit])
 
     monkeypatch.setattr(smallhom.construction, "tensor_pushouts", corrupted)
     return built

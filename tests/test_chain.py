@@ -28,10 +28,8 @@ from smallhom.chain import (
     certify_classes,
     compose_shifted,
     euler_characteristic,
-    homology_dims,
     homology_rank_dims,
     homology_space,
-    induced_on_classes,
     induced_on_homology,
     is_null_homotopic,
     kunneth_classes,
@@ -44,6 +42,16 @@ from smallhom.chain import (
 from smallhom.construction import ChainRun
 
 F3 = FieldSpec(3)
+
+
+def subquotient_classes(C):
+    """The subquotient record of every degree of ``C``."""
+    return {i: homology_space(C, i) for i in C.degrees()}
+
+
+def subquotient_dims(C):
+    """The class counts of the subquotient records, nonzero degrees only."""
+    return {i: h.dim for i, h in subquotient_classes(C).items() if h.dim}
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +81,7 @@ def test_d_squared_enforced(algebra):
 def test_stalk_homology(algebra):
     k = trivial_module(algebra)
     s = ChainComplex(algebra, {0: k}, {})
-    assert homology_dims(s) == {0: 1}
+    assert subquotient_dims(s) == {0: 1}
     assert homology_space(s, 0).module.dim == 1 and homology_space(s, 5).module.dim == 0
 
 
@@ -93,7 +101,7 @@ def test_shift_of_stalk_has_no_sign(algebra):
 
 
 def test_homology_of_two_term(two_term):
-    assert homology_dims(two_term) == {0: 1, 1: 1}
+    assert subquotient_dims(two_term) == {0: 1, 1: 1}
     assert euler_characteristic(two_term) == 0
 
 
@@ -183,7 +191,7 @@ def test_homology_rank_dims_rejects_negative_homology_under_optimize(run_optimiz
 
 def test_cone_of_identity_is_exact(two_term):
     cone = mapping_cone(ChainMap.identity(two_term))
-    assert homology_dims(cone) == {}
+    assert subquotient_dims(cone) == {}
     assert euler_characteristic(cone) == 0
 
 
@@ -191,7 +199,7 @@ def test_cone_of_zero_map(two_term, algebra):
     zero = ChainMap(two_term, two_term, 0, {}, check=True)
     cone = mapping_cone(zero)
     # homology of target plus shifted homology of source
-    assert homology_dims(cone) == {0: 1, 1: 2, 2: 1}
+    assert subquotient_dims(cone) == {0: 1, 1: 2, 2: 1}
 
 
 def test_cone_les_identity_on_random_maps(algebra):
@@ -210,7 +218,7 @@ def test_cone_les_identity_on_random_maps(algebra):
         comps[1] = ModuleMorphism(reg, reg, h[0].matrix @ C.diffs[1].matrix, check=False)
         f = ChainMap(C, C, 0, comps, check=True)
         cone = mapping_cone(f)
-        hf = induced_on_homology(f)
+        hf = induced_on_homology(f, subquotient_classes(C))
         for i in range(0, 3):
             hs = homology_space(C, i).module.dim
             ht = homology_space(C, i - 1).module.dim
@@ -277,20 +285,20 @@ def test_tensor_with_unit_stalk(two_term, algebra):
     unit = ChainComplex(algebra, {0: trivial_module(algebra)}, {})
     t = tensor_pair(two_term, unit, ctx).complex
     assert t.dims() == two_term.dims()
-    assert homology_dims(t) == homology_dims(two_term)
+    assert subquotient_dims(t) == subquotient_dims(two_term)
 
 
 def test_kunneth_convolution(two_term, algebra):
     ctx = DiagonalTensor(algebra)
     t = tensor_pair(two_term, two_term, ctx).complex
-    assert homology_dims(t) == {0: 1, 1: 2, 2: 1}
+    assert subquotient_dims(t) == {0: 1, 1: 2, 2: 1}
     assert euler_characteristic(t) == 0
 
 
 def test_tower_three_factors(two_term, algebra):
     ctx = DiagonalTensor(algebra)
     tower = tensor_tower([two_term] * 3, ctx)
-    assert homology_dims(tower.complex) == {0: 1, 1: 3, 2: 3, 3: 1}
+    assert subquotient_dims(tower.complex) == {0: 1, 1: 3, 2: 3, 3: 1}
 
 
 def test_tower_checks_every_stage_before_building(two_term, algebra, tensor_diagonal_calls):
@@ -348,15 +356,15 @@ def test_lift_factor_map_koszul_sign(two_term, algebra):
 def test_projectivity_flags_and_summary(two_term):
     assert projectivity_flags(two_term) == {0: True, 1: True}
     assert two_term.dims() == {0: 3, 1: 3}
-    assert homology_dims(two_term) == {0: 1, 1: 1}
+    assert subquotient_dims(two_term) == {0: 1, 1: 1}
 
 
 def test_rank_dims_agree_with_subquotients(two_term, algebra):
     # two independent homology computations: subquotient modules vs ranks
-    assert homology_rank_dims(two_term) == homology_dims(two_term)
+    assert homology_rank_dims(two_term) == subquotient_dims(two_term)
     ctx = DiagonalTensor(algebra)
     t = tensor_pair(two_term, two_term, ctx).complex
-    assert homology_rank_dims(t) == homology_dims(t) == {0: 1, 1: 2, 2: 1}
+    assert homology_rank_dims(t) == subquotient_dims(t) == {0: 1, 1: 2, 2: 1}
     cone = mapping_cone(ChainMap.identity(two_term))
     assert homology_rank_dims(cone) == {}
 
@@ -377,7 +385,7 @@ def test_rank_dims_agree_with_subquotients_on_the_rank2_cone():
     cone = mapping_cone(compose_shifted(thetas[0], thetas[1]))
     ranks = homology_rank_dims(cone)
     assert all(d.matrix._rref is None for d in cone.diffs.values())  # the rank route peeled
-    assert ranks == homology_dims(cone) == {0: 1, 1: 2, 4: 2, 5: 1}
+    assert ranks == subquotient_dims(cone) == {0: 1, 1: 2, 4: 2, 5: 1}
 
 
 RANK2_TEMPLATE = ["--config", str(Path(__file__).resolve().parent.parent / "configs" / "chain-rank2.ini")]
@@ -392,16 +400,20 @@ def test_kunneth_classes_against_the_subquotient_route(args, chain_run_parts, tm
     (tower,), (thetas,) = chain_run_parts["towers"], chain_run_parts["thetas"]
     big = tower.complex
     dims = homology_rank_dims(big)
-    assert homology_dims(big) == dims
+    sub = subquotient_classes(big)
+    assert {n: h.dim for n, h in sub.items() if h.dim} == dims
     classes = kunneth_classes(tower)
+    assert list(classes) == list(sub)  # one record per tower degree
     certify_classes(big, classes, dims)
     # subquotient coordinates of the Kunneth representatives: a change of basis
-    change = {n: homology_space(big, n).class_of(Z) for n, Z in classes.reps.items()}
+    change = {n: sub[n].class_of(h.reps) for n, h in classes.items() if h.dim}
     assert list(change) == list(dims)
     assert all(P.shape == (dims[n], dims[n]) and P.rank() == dims[n] for n, P in change.items())
+    for n, P in change.items():
+        assert all(xs @ P == P @ xk for xs, xk in zip(sub[n].action(), classes[n].action()))
     nonzero = 0
     for theta in thetas:
-        old, new = induced_on_homology(theta), induced_on_classes(theta, classes)
+        old, new = induced_on_homology(theta, sub), induced_on_homology(theta, classes)
         assert list(old) == list(new)
         for j, mat in new.items():
             target = change.get(j + theta.shift)
@@ -411,6 +423,56 @@ def test_kunneth_classes_against_the_subquotient_route(args, chain_run_parts, tm
                 assert old[j] @ change[j] == target @ mat
                 nonzero += not mat.is_zero()
     assert nonzero >= len(thetas)
+
+
+# A self map built unchecked whose degree-1 component sends x^2, the H_1
+# representative of A --x--> A, to the unit, which is not a cycle; on the
+# tower C (x) C its left lift sends a Kunneth representative off the cycles.
+NON_CYCLE_IMAGE = """
+from smallhom.algebra import DiagonalTensor, ModuleMorphism, qci_algebra, regular_module
+from smallhom.chain import (ChainComplex, ChainMap, certify_classes, homology_rank_dims, homology_space,
+                            induced_on_homology, kunneth_classes, tensor_tower)
+from smallhom.linalg import FieldSpec, FpMatrix
+
+A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
+reg = regular_module(A)
+C = ChainComplex(A, {0: reg, 1: reg}, {1: ModuleMorphism(reg, reg, A.left_actions[0])})
+to_unit = ModuleMorphism(reg, reg, FpMatrix(3, [[0, 0, 1], [0, 0, 0], [0, 0, 0]]), check=False)
+f = ChainMap(C, C, 0, {1: to_unit}, check=False)
+tower = tensor_tower([C, C], DiagonalTensor(A))
+kunneth = kunneth_classes(tower)
+certify_classes(tower.complex, kunneth, homology_rank_dims(tower.complex))
+CASES = {
+    "subquotient": (f, {i: homology_space(C, i) for i in C.degrees()}),
+    "kunneth": (tower.lift_factor_map(0, f), kunneth),
+}
+"""
+NON_CYCLE_RUN = """
+import sys
+from smallhom.algebra import CertificationError
+assert False, "reached only without -O"
+for route, (g, classes) in CASES.items():
+    try:
+        induced_on_homology(g, classes)
+    except CertificationError as exc:
+        print(f"optimize={sys.flags.optimize} {route}: {exc}")
+"""
+
+
+@pytest.mark.parametrize("route", ["subquotient", "kunneth"])
+def test_induced_on_homology_rejects_a_non_cycle_image(route):
+    scope: dict = {}
+    exec(NON_CYCLE_IMAGE, scope)
+    f, classes = scope["CASES"][route]
+    with pytest.raises(CertificationError, match="^vector is not a cycle$"):
+        induced_on_homology(f, classes)
+
+
+def test_induced_on_homology_rejects_a_non_cycle_image_under_optimize(run_optimized):
+    run = run_optimized(NON_CYCLE_IMAGE + NON_CYCLE_RUN)
+    assert run.stderr == ""
+    assert run.stdout == ("optimize=1 subquotient: vector is not a cycle\n"
+                          "optimize=1 kunneth: vector is not a cycle\n")
 
 
 def _assert_block_laws_match_dense(tower, thetas, class_complexes, dense_laws):

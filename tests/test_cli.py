@@ -226,38 +226,39 @@ def test_failed_relation_check_is_a_certification_error(monkeypatch, capsys, run
     assert run.stderr == "certification error: generator 0 violates x^3 = 0\n"
 
 
-# Each factor complex's homology classes with one defect, at its top
-# homology degree or at degree 0; the tower's classes inherit it by Kunneth.
+# Each factor complex's homology record with one defect, at its top degree
+# or at degree 0; the tower's classes inherit it by Kunneth.
 CORRUPT_CLASSES = """
+import dataclasses
+
 import numpy as np
 from smallhom import chain
 from smallhom.linalg import FpMatrix, hstack
 
-real_factor_classes = chain.factor_classes
+real_homology_space = chain.homology_space
 
 
 def corrupted(kind):
-    def factor_classes(C):
-        cl = real_factor_classes(C)
-        top, p = max(cl.reps), C.algebra.p
-        if kind == "not-a-cycle":
+    def homology_space(C, n):
+        h, p = real_homology_space(C, n), C.algebra.p
+        if kind == "not-a-cycle" and n == C.hi:
             # add to a representative a vector that d_top does not kill
-            k = int(np.flatnonzero(C.diffs[top].matrix.a.any(axis=0))[0])
-            z = cl.reps[top].a.copy()
+            k = int(np.flatnonzero(C.diffs[n].matrix.a.any(axis=0))[0])
+            z = h.reps.a.copy()
             z[k, 0] += 1
-            cl.reps[top] = FpMatrix(p, z)
-        elif kind == "boundary-pairing":
+            return dataclasses.replace(h, reps=FpMatrix(p, z))
+        if kind == "boundary-pairing" and n == 0:
             # add to a cocycle a functional that does not vanish on im d_1
             r = int(np.flatnonzero(C.diffs[1].matrix.a.any(axis=1))[0])
-            w = cl.duals[0].a.copy()
+            w = h.duals.a.copy()
             w[0, r] += 1
-            cl.duals[0] = FpMatrix(p, w)
-        elif kind == "singular-pairing":
-            cl.duals[top] = cl.duals[top].scale(0)
-        else:  # an extra representative: a 1 x 2 pairing
-            cl.reps[top] = hstack([cl.reps[top], cl.reps[top]])
-        return cl
-    return factor_classes
+            return dataclasses.replace(h, duals=FpMatrix(p, w))
+        if kind == "singular-pairing" and n == C.hi:
+            return dataclasses.replace(h, duals=h.duals.scale(0))
+        if kind == "wrong-size-pairing" and n == C.hi:  # a 1 x 2 pairing
+            return dataclasses.replace(h, reps=hstack([h.reps, h.reps]))
+        return h
+    return homology_space
 """
 CLASS_DEFECTS = {
     "not-a-cycle": "a degree-1 representative is not a cycle",
@@ -271,7 +272,7 @@ import sys
 from smallhom import cli
 assert False, "reached only without -O"
 for kind in {list(CLASS_DEFECTS)!r}:
-    chain.factor_classes = corrupted(kind)
+    chain.homology_space = corrupted(kind)
     code = cli.main({F2_RANK2!r})
     print(f"optimize={{sys.flags.optimize}} {{kind}} exit={{code}}")
 """
@@ -281,7 +282,7 @@ for kind in {list(CLASS_DEFECTS)!r}:
 def test_corrupt_factor_classes_fail_certification(kind, monkeypatch, capsys):
     scope: dict = {}
     exec(CORRUPT_CLASSES, scope)
-    monkeypatch.setattr(chain, "factor_classes", scope["corrupted"](kind))
+    monkeypatch.setattr(chain, "homology_space", scope["corrupted"](kind))
     message = CLASS_DEFECTS[kind]
     with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
         ChainRun(algebra.qci_algebra(FieldSpec(2), [2, 2], coproduct="primitive"), 2).run()
