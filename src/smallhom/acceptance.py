@@ -18,6 +18,7 @@ import numpy as np
 
 from .linalg import FieldSpec, FpMatrix
 from .algebra import (
+    Algebra,
     Budget,
     DiagonalTensor,
     Module,
@@ -241,25 +242,44 @@ def criterion_family_lengths() -> CriterionResult:
 # ----------------------------------------------------------------------
 # randomized property suites (criterion 9)
 # ----------------------------------------------------------------------
-def random_module(A, rng: random.Random) -> Module:
-    """A random direct sum of frees and trivials (always valid)."""
-    pieces = []
+@dataclass(frozen=True)
+class ModulePieces:
+    """The summands of the random modules over one algebra: the free modules
+    of ranks 1 and 2 and the trivial module.
+
+    Built once and shared by every module drawn from them, so that
+    :func:`~smallhom.algebra.hom_space_basis` solves each pair of pieces once.
+    """
+
+    algebra: Algebra
+    free: tuple[Module, Module]
+    trivial: Module
+
+
+def module_pieces(A: Algebra) -> ModulePieces:
+    return ModulePieces(A, (free_module(A, 1), free_module(A, 2)), trivial_module(A))
+
+
+def random_module(pieces: ModulePieces, rng: random.Random) -> Module:
+    """A random direct sum of one or two pieces (always valid)."""
+    chosen = []
     for _ in range(rng.randint(1, 2)):
         if rng.random() < 0.5:
-            pieces.append(free_module(A, rng.randint(1, 2)))
+            chosen.append(pieces.free[rng.randint(1, 2) - 1])
         else:
-            pieces.append(trivial_module(A))
-    return direct_sum_modules(pieces)
+            chosen.append(pieces.trivial)
+    return direct_sum_modules(chosen)
 
 
-def random_complex(A, rng: random.Random, length: int = 3) -> ChainComplex:
-    """A random bounded complex with exactly enforced d . d = 0.
+def random_complex(pieces: ModulePieces, rng: random.Random, length: int = 3) -> ChainComplex:
+    """A random bounded complex over ``pieces.algebra`` with exactly enforced d . d = 0.
 
     Each differential is a random combination of the morphism-space basis
     cut down by the constraint that it lands in the kernel of the previous
     differential: one coefficient per basis column, drawn in column order.
     """
-    mods = {i: random_module(A, rng) for i in range(length + 1)}
+    A = pieces.algebra
+    mods = {i: random_module(pieces, rng) for i in range(length + 1)}
     p = A.p
     diffs = {}
     prev = None  # previous differential matrix out of degree i-1
@@ -321,9 +341,9 @@ def criterion_property_suites(seed: int = 0) -> CriterionResult:
 
         # d^2 = 0, Euler characteristic, and the two homology routes agreeing
         for p, exps in ((3, [3]), (5, [2]), (3, [2, 2])):
-            A = qci_algebra(FieldSpec(p), exps, {(0, 1): -1} if len(exps) == 2 else None)
+            pieces = module_pieces(qci_algebra(FieldSpec(p), exps, {(0, 1): -1} if len(exps) == 2 else None))
             for _ in range(20):
-                C = random_complex(A, rng)  # ChainComplex checks d^2 = 0
+                C = random_complex(pieces, rng)  # ChainComplex checks d^2 = 0
                 subq = {i: h.dim for i in C.degrees() if (h := homology_space(C, i)).dim}
                 ok = ok and subq == homology_rank_dims(C)
                 lhs = euler_characteristic(C)
@@ -334,11 +354,12 @@ def criterion_property_suites(seed: int = 0) -> CriterionResult:
 
         # Kunneth dimension identity in the diagonal model
         A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
+        pieces = module_pieces(A)
         ctx = DiagonalTensor(A, Budget(max_dim=400, max_entries=200_000))
         kcases = 0
         for _ in range(60):
-            C1 = random_complex(A, rng, length=2)
-            C2 = random_complex(A, rng, length=2)
+            C1 = random_complex(pieces, rng, length=2)
+            C2 = random_complex(pieces, rng, length=2)
             if C1.total_dim() * C2.total_dim() > 250:
                 continue
             tensored = tensor_pair(C1, C2, ctx).complex
@@ -356,9 +377,10 @@ def criterion_property_suites(seed: int = 0) -> CriterionResult:
 
         # module construction rejects exactly the broken actions
         A2 = qci_algebra(FieldSpec(3), [3, 3], {(0, 1): 1})
+        pieces = module_pieces(A2)
         reject = 0
         for _ in range(60):
-            M = random_module(A2, rng)
+            M = random_module(pieces, rng)
             mats = [x.a.copy() for x in M.action]
             g = rng.randrange(A2.ngens)
             r, c = rng.randrange(M.dim), rng.randrange(M.dim)

@@ -22,6 +22,7 @@ first ``c`` generators act on the left and last ``c`` on the right.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from math import prod
 
@@ -216,7 +217,8 @@ class Module:
 
     A direct sum or a diagonal tensor is built deferred: its action matrices
     are assembled on the first read of :attr:`action`, and a sum records its
-    summands, which answer :meth:`act` and :func:`is_projective` without it.
+    summands, which answer :meth:`act`, :func:`is_projective` and
+    :func:`hom_space_basis` without it.
     """
 
     def __init__(self, algebra: Algebra, action, check: bool = True):
@@ -238,6 +240,8 @@ class Module:
         self._action = action
         self._build = build
         self._mono_acts: dict[tuple, FpMatrix] = {}
+        # Hom blocks out of this module, keyed weakly by their target (:func:`hom_space_basis`)
+        self._homs: weakref.WeakKeyDictionary | None = None
         self.summands: tuple[Module, ...] | None = summands
         self._projective: bool | None = None
 
@@ -559,8 +563,61 @@ def hom_space_basis(M: Module, N: Module) -> FpMatrix:
 
     The columns are the kernel basis of :func:`intertwining_system`, hence
     independent: column ``k`` holds ``h_k[i, j]`` in row ``i * M.dim + j``.
+
+    A recorded sum answers from its summands without forming that system.
+    For ``M = (+) M_a`` and ``N = (+) N_b`` each row of the system involves
+    the variables of one block ``h_ba`` only, so the system is block diagonal
+    after a permutation of its variables, and that permutation keeps the
+    row-major order inside each block.  A column of the system is a pivot
+    exactly when it is one within its block, so the pivots are the union of
+    the blocks' pivots, and the kernel column of each free variable is its
+    block's kernel column placed at the block's offsets: row
+    ``(noff + i) * M.dim + moff + j`` for block entry ``(i, j)``.  The
+    scattered block bases, ordered by their free rows, are therefore this
+    basis entry for entry.  Nested sums recurse.  Each pair of summands that
+    are not sums is solved once: the result is cached on the source, keyed
+    weakly by the target, so the cache makes no reference cycle.
     """
-    return FpMatrix(M.algebra.p, intertwining_system(M, N)).kernel_basis()
+    return _hom_kernel(M, N)[0]
+
+
+def _hom_kernel(M: Module, N: Module) -> tuple[FpMatrix, np.ndarray]:
+    """:func:`hom_space_basis` and, for each of its columns, the position
+    ``(i, j)`` in ``h`` of its free variable, as a ``2 x cols`` array."""
+    if M.summands is None and N.summands is None:
+        if M._homs is None:
+            M._homs = weakref.WeakKeyDictionary()
+        solved = M._homs.get(N)
+        if solved is None:
+            system = FpMatrix(M.algebra.p, intertwining_system(M, N))
+            free = nonpivot_columns(system.cols, system.rref()[1])
+            solved = M._homs[N] = (system.kernel_basis(), np.array(np.divmod(free, M.dim), dtype=np.intp))
+        return solved
+    targets = _summand_offsets(N)
+    blocks = [(Ma, moff, Nb, noff, *_hom_kernel(Ma, Nb)) for Ma, moff in _summand_offsets(M) for Nb, noff in targets]
+    # h as an N.dim x M.dim x (columns) array; the columns go block by block
+    out = np.zeros((N.dim, M.dim, sum(basis.cols for *_, basis, _ in blocks)), dtype=np.int64)
+    frees, start = [], 0
+    for Ma, moff, Nb, noff, basis, free in blocks:
+        stop = start + basis.cols
+        out[noff : noff + Nb.dim, moff : moff + Ma.dim, start:stop] = basis.a.reshape(Nb.dim, Ma.dim, basis.cols)
+        frees.append(free + np.array([[noff], [moff]]))
+        start = stop
+    free = np.hstack(frees)
+    order = np.argsort(free[0] * M.dim + free[1])
+    flat = out.reshape(N.dim * M.dim, start).take(order, axis=1)
+    return FpMatrix._adopt(M.algebra.p, flat, reduced=True), free[:, order]
+
+
+def _summand_offsets(M: Module) -> list[tuple[Module, int]]:
+    """The recorded summands of ``M`` with their offsets; ``M`` alone if it is no sum."""
+    if M.summands is None:
+        return [(M, 0)]
+    out, off = [], 0
+    for S in M.summands:
+        out.append((S, off))
+        off += S.dim
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -677,10 +734,11 @@ class DiagonalTensor:
 
         ``regular (x) regular`` is the regular module of A (x) A: faithful and
         cyclic on ``v = 1 (x) 1``, so an element is zero iff it kills ``v``.
-        Matrix-vector chains check the relations on ``v``.  Budgeted like a pair.
+        Matrix-vector chains check the relations on ``v``.  Budgeted like a
+        pair, as the stage ``coproduct proof``.
         """
         A = self.algebra
-        self.budget.check(A.dim * A.dim, factors=(A.dim, A.dim))
+        self.budget.check(A.dim * A.dim, "coproduct proof", (A.dim, A.dim))
         acts = tensor_diagonal(regular_module(A), regular_module(A)).action
         xv = [x.take_columns([A.unit_index * (A.dim + 1)]) for x in acts]  # the v column of x
         for i, (x, w) in enumerate(zip(acts, xv)):
@@ -736,10 +794,11 @@ class OverBaseTensor:
     def _is_bimodule(self, M: Module) -> bool:
         return M.algebra.ngens == self.env.algebra.ngens
 
-    def pair(self, M: Module, N: Module) -> Module:
+    def pair(self, M: Module, N: Module, stage: str | None = None) -> Module:
+        """``M (x)_A N``; ``stage`` names the construction in a budget error."""
         if not self._is_bimodule(M):
             raise ValueError("left tensor factor must be a bimodule")
-        self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
+        self.budget.check(M.dim * N.dim, stage, (M.dim, N.dim))
         p = self.env.base.p
         bimodule = self._is_bimodule(N)
         eye_m, eye_n = FpMatrix.identity(p, M.dim), FpMatrix.identity(p, N.dim)

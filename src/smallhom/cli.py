@@ -19,6 +19,7 @@ import argparse
 import configparser
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import __version__
 from .linalg import FieldSpec
@@ -350,10 +351,14 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# one parser per process, built by the first ``main`` call rather than at
+# import; parsing leaves no state on it, so calls do not share flags
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "certify":
             cfg = load_config(args.config, args)
             tree, code = execute(cfg)

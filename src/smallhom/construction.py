@@ -593,7 +593,7 @@ class BimoduleRun:
         unit = trivial_module(A)
         for idx, z in enumerate(classes):
             cc = build_class_complex(z)
-            reduced = ctx.pair(cc.pushout, unit)
+            reduced = ctx.pair(cc.pushout, unit, "reduced pushout")
             if is_projective(reduced):
                 chosen = (idx, z, cc, reduced)
                 break

@@ -12,6 +12,7 @@ import smallhom
 import smallhom.algebra
 import smallhom.chain
 import smallhom.construction
+from smallhom.algebra import intertwining_system
 from smallhom.linalg import FpMatrix
 
 
@@ -120,6 +121,17 @@ def _kernel_constrained_per_element(basis, prev: FpMatrix, p: int) -> list:
 @pytest.fixture
 def kernel_constrained_reference():
     return _kernel_constrained_per_element
+
+
+def _dense_hom_space(M, N) -> FpMatrix:
+    """The Hom space by its definition: the kernel basis of the whole
+    intertwining system, with no use of recorded summands."""
+    return FpMatrix(M.algebra.p, intertwining_system(M, N)).kernel_basis()
+
+
+@pytest.fixture
+def hom_space_reference():
+    return _dense_hom_space
 
 
 def _radical_projective(M) -> bool:

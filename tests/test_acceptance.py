@@ -108,13 +108,42 @@ def test_property_suite_inputs_are_unchanged(monkeypatch):
     assert digest.hexdigest() == RANDOM_COMPLEX_SHA256
 
 
+def _suite_complexes(seed, monkeypatch):
+    """Every complex the property suite draws at ``seed``, in draw order."""
+    drawn = []
+    real = acceptance.random_complex
+
+    def recorded(pieces, rng, length=3):
+        drawn.append(real(pieces, rng, length))
+        return drawn[-1]
+
+    monkeypatch.setattr(acceptance, "random_complex", recorded)
+    assert acceptance.criterion_property_suites(seed).passed
+    monkeypatch.setattr(acceptance, "random_complex", real)
+    return drawn
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_suite_complexes_match_the_dense_hom_spaces(seed, monkeypatch, hom_space_reference):
+    # the block route and the shared pieces change no drawn complex
+    got = _suite_complexes(seed, monkeypatch)
+    monkeypatch.setattr(acceptance, "hom_space_basis", hom_space_reference)
+    expected = _suite_complexes(seed, monkeypatch)
+    assert len(got) == len(expected) == 180
+    for C, D in zip(got, expected):
+        assert {i: M.dim for i, M in C.objects.items()} == {i: M.dim for i, M in D.objects.items()}
+        assert sorted(C.diffs) == sorted(D.diffs)
+        for i in C.diffs:
+            assert np.array_equal(C.diffs[i].matrix.a, D.diffs[i].matrix.a), i
+
+
 def test_kernel_constrained_matches_per_element_reference(kernel_constrained_reference):
     rng = random.Random(3)
     shapes = set()
     for p, exps, q in ((3, [3], None), (5, [2], None), (3, [2, 2], {(0, 1): -1})):
-        A = qci_algebra(FieldSpec(p), exps, q)
+        pieces = acceptance.module_pieces(qci_algebra(FieldSpec(p), exps, q))
         for _ in range(15):
-            M, N, L = (acceptance.random_module(A, rng) for _ in range(3))
+            M, N, L = (acceptance.random_module(pieces, rng) for _ in range(3))
             basis, onward = hom_space_basis(M, N), hom_space_basis(N, L)
             coeffs = np.array([rng.randrange(p) for _ in range(onward.cols)], dtype=np.int64)
             prev = FpMatrix(p, (onward.a @ coeffs).reshape(L.dim, N.dim))

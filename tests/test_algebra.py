@@ -20,6 +20,7 @@ from smallhom.algebra import (
     free_images_matrix,
     free_module,
     hom_space_basis,
+    intertwining_system,
     is_projective,
     minimal_resolution,
     one_sided_projective,
@@ -287,6 +288,14 @@ def test_budget_guard_names_the_factors(truncated):
     DiagonalTensor(truncated, Budget(max_dim=9, max_entries=81)).pair(reg, reg)
 
 
+def test_coproduct_proof_budget_error_names_its_stage(truncated):
+    # the pair fits, the proof's regular (x) regular does not
+    k, reg = trivial_module(truncated), regular_module(truncated)
+    with pytest.raises(BudgetExceeded, match=r"^coproduct proof: tensor 3 x 3 = 9 exceeds budget 8$") as err:
+        DiagonalTensor(truncated, Budget(max_dim=8)).pair(k, reg)
+    assert (err.value.stage, err.value.factors) == ("coproduct proof", (3, 3))
+
+
 def test_check_sizes_walks_pairs_in_build_order(truncated):
     ctx = DiagonalTensor(truncated, Budget(max_dim=15))
     # (0, 0) = 2 x 10 comes before (1, 0) = 10 x 10 however the dict is ordered
@@ -337,6 +346,59 @@ def test_hom_space_columns_are_independent_module_morphisms(truncated, anticommu
             assert basis.rows == N.dim * M.dim and basis.rank() == basis.cols
             for col in basis.a.T:
                 ModuleMorphism(M, N, FpMatrix(A.p, col.reshape(N.dim, M.dim)), check=True)
+
+
+def _block_route_cases(A):
+    """Modules over ``A`` built from a few shared leaves, and the leaves: sums
+    of one and of several summands, a repeated summand, a zero summand and
+    nested sums; with a coproduct also a diagonal tensor summand."""
+    k, free1, free2, zero = trivial_module(A), free_module(A, 1), free_module(A, 2), zero_module(A)
+    leaves = [k, free1, free2, zero]
+    sum_ = direct_sum_modules
+    mods = [sum_([k]), sum_([free1]), sum_([free2, k]), sum_([k, free1, k]), sum_([k, zero, free1]),
+            sum_([sum_([k, free1]), k]), sum_([free1, sum_([k, sum_([free1])])])]
+    if A.coproduct is not None:
+        tensor = tensor_diagonal(free1, k)
+        leaves.append(tensor)
+        mods.append(sum_([tensor, k]))
+    return leaves, mods
+
+
+def _leaves(M):
+    return [leaf for S in M.summands for leaf in _leaves(S)] if M.summands is not None else [M]
+
+
+@pytest.mark.parametrize("p, exps, q, coproduct", [
+    (3, [3], None, None), (5, [2], None, None), (3, [2, 2], {(0, 1): -1}, None),
+    (3, [3], None, "primitive"), (3, [3, 3], None, None),
+], ids=["F3-3", "F5-2", "F3-2-2-anti", "F3-3-primitive", "F3-3-3"])
+def test_hom_space_basis_equals_the_dense_kernel(p, exps, q, coproduct, hom_space_reference):
+    A = qci_algebra(FieldSpec(p), exps, q, coproduct)
+    leaves, mods = _block_route_cases(A)
+    cases = leaves + mods
+    for M in cases:
+        for N in cases:  # both directions of every pair
+            got, expected = hom_space_basis(M, N), hom_space_reference(M, N)
+            assert got.a.dtype == expected.a.dtype and np.array_equal(got.a, expected.a), (M, N)
+
+
+def test_hom_space_basis_solves_each_summand_pair_once(two_vars, monkeypatch):
+    _, mods = _block_route_cases(two_vars)
+    real, solved = intertwining_system, []
+
+    def counted(M, N):
+        solved.append((M, N))
+        return real(M, N)
+
+    monkeypatch.setattr("smallhom.algebra.intertwining_system", counted)
+    pairs = set()
+    for _ in range(2):
+        for M in mods:
+            for N in mods:
+                hom_space_basis(M, N)
+                pairs |= {(id(a), id(b)) for a in _leaves(M) for b in _leaves(N)}
+    # each distinct pair of leaves exactly once, over both rounds
+    assert sorted((id(M), id(N)) for M, N in solved) == sorted(pairs)
 
 
 def test_failed_module_checks_raise_certification_error(truncated):

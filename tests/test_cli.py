@@ -151,6 +151,30 @@ def test_bimodule_certify(capsys):
     assert "reduced_pushout_projective = pass" in out
 
 
+def test_budget_error_names_the_two_sided_stage(capsys):
+    code = run_cli(["certify", "--mode", "chain", "--variant", "bimodule", "--char", "5",
+                    "--exponents", "5", "--budget-dim", "10"])
+    assert code == 65
+    assert capsys.readouterr().err == "budget error: reduced pushout: tensor 25 x 1 = 25 exceeds budget 10\n"
+
+
+def test_main_calls_do_not_share_flags(capsys):
+    # the parser is built once per process; parsed flags must not carry over
+    args = ["certify", "--mode", "chain", "--char", "3", "--exponents", "3", "--coproduct", "primitive"]
+    assert run_cli(args + ["--power", "2"]) == 0
+    assert "\n    power = 2\n" in capsys.readouterr().out
+    assert run_cli(args) == 0
+    assert "\n    power = 1\n" in capsys.readouterr().out
+    assert cli._parser() is cli._parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    run = subprocess.run([sys.executable, "-c", "import smallhom.cli as c; print(c._parser.cache_info().currsize)"],
+                         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stdout == "0\n", run.stderr
+
+
 def test_verdict_failure_exits_2(monkeypatch, capsys):
     class StubRun:
         def __init__(self, *a, **k):
