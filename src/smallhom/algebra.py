@@ -15,6 +15,9 @@ A module is a dimension together with one action matrix per generator; the
 defining relations are verified at construction time, or follow from a fact
 proved once: every diagonal tensor satisfies them because the coproduct is an
 algebra map, which :class:`DiagonalTensor` proves on ``regular (x) regular``.
+A diagonal tensor stores no action matrices: it acts through its two factors
+(:meth:`Module.act`) and is flagged projective from their nonzeros
+(:func:`is_projective`).
 Bimodules are plain modules over the enveloping algebra ``A (x) A^op``, whose
 first ``c`` generators act on the left and last ``c`` on the right.
 """
@@ -28,8 +31,8 @@ from math import prod
 
 import numpy as np
 
-from .linalg import (FieldSpec, FpMatrix, echelon_pivots, hstack, kron_array, nonpivot_columns,
-                     quotient_by_subspace, read_coordinates, vstack)
+from .linalg import (FieldSpec, FpMatrix, _peeled_rank, echelon_pivots, hstack, kron_apply, kron_array,
+                     nonpivot_columns, quotient_by_subspace, read_coordinates)
 
 
 class CertificationError(ValueError):
@@ -215,10 +218,12 @@ def qci_algebra(field: FieldSpec, exponents, commutators=None, coproduct=None) -
 class Module:
     """A finite module: a dimension and one action matrix per generator.
 
-    A direct sum or a diagonal tensor is built deferred: its action matrices
-    are assembled on the first read of :attr:`action`, and a sum records its
-    summands, which answer :meth:`act`, :func:`is_projective` and
-    :func:`hom_space_basis` without it.
+    A direct sum records its summands and a diagonal tensor its two factors
+    (:func:`tensor_diagonal`); both answer :func:`is_projective` from those,
+    and a sum also answers :func:`hom_space_basis`.  A sum's action matrices
+    are assembled on the first read of :attr:`action`, unless it has a
+    tensor inside: a tensor's are never assembled, and such a module acts
+    through its parts (:meth:`act`).
     """
 
     def __init__(self, algebra: Algebra, action, check: bool = True):
@@ -230,45 +235,78 @@ class Module:
             raise ValueError("action matrices of mixed shapes")
         if action and action[0].rows != action[0].cols:
             raise ValueError("action matrices must be square")
-        self._setup(algebra, action[0].rows if action else 0, action, None, None)
+        self._setup(algebra, action[0].rows if action else 0, action)
         if check:
             self.verify_relations()
 
-    def _setup(self, algebra: Algebra, dim: int, action, build, summands) -> None:
+    def _setup(self, algebra: Algebra, dim: int, action, summands=None, factors=None) -> None:
         self.algebra = algebra
         self.dim = dim
         self._action = action
-        self._build = build
         self._mono_acts: dict[tuple, FpMatrix] = {}
         # Hom blocks out of this module, keyed weakly by their target (:func:`hom_space_basis`)
         self._homs: weakref.WeakKeyDictionary | None = None
         self.summands: tuple[Module, ...] | None = summands
+        self.factors: tuple[Module, Module] | None = factors
+        # a tensor, or a sum with one inside: its action is never assembled
+        self._by_parts = factors is not None or any(S._by_parts for S in summands or ())
         self._projective: bool | None = None
 
     @classmethod
-    def deferred(cls, algebra: Algebra, dim: int, build, summands=None) -> "Module":
-        """A module whose action is ``build()``, called on the first read."""
+    def _recorded(cls, algebra: Algebra, dim: int, summands=None, factors=None) -> "Module":
+        """A sum of ``summands`` or the diagonal tensor of ``factors``, with no action stored."""
         M = cls.__new__(cls)
-        M._setup(algebra, dim, None, build, summands)
+        M._setup(algebra, dim, None, summands, factors)
         return M
 
     @property
     def action(self) -> tuple[FpMatrix, ...]:
         if self._action is None:
-            self._action = tuple(self._build())
-            self._build = None
+            if self._by_parts:
+                raise ValueError("a diagonal tensor acts through its factors (Module.act); "
+                                 "its action matrices are never assembled")
+            self._action = tuple(_sum_action(self.summands))
         return self._action
 
     def act(self, g: int, V: FpMatrix) -> FpMatrix:
-        """Generator ``g`` on the columns of ``V``.  A recorded sum whose
-        action is not assembled acts summand by summand."""
-        if self._action is not None or self.summands is None:
+        """Generator ``g`` on the columns of ``V``.
+
+        A diagonal tensor applies the terms ``c x^u (x) x^v`` of
+        ``Delta(x_g)`` one by one through the reshape identity
+        (:func:`~smallhom.linalg.kron_apply`), each factor acting by its own
+        :meth:`act`, so a tensor of tensors stays unassembled too.  A sum
+        with a tensor inside acts summand by summand, skipping those where
+        ``V`` is zero; any other module acts by its (assembled) action.
+        """
+        if self.factors is not None:
+            M, N = self.factors
+            out = None
+            for c, u, v in self.algebra.coproduct_terms(g):
+                term = c * kron_apply(V, (M.dim, N.dim), M._mono_map(u), N._mono_map(v)).a
+                out = term if out is None else out + term
+            return FpMatrix._adopt(self.algebra.p, out)
+        if not self._by_parts:
             return self.action[g] @ V
-        pieces, off = [], 0
+        out = np.zeros((self.dim, V.cols), dtype=np.int64)
+        off = 0
         for S in self.summands:
-            pieces.append(S.act(g, FpMatrix._adopt(V.p, V.a[off : off + S.dim], reduced=True)))
+            block = V.a[off : off + S.dim]
+            if block.any():  # a summand where V vanishes is skipped
+                out[off : off + S.dim] = S.act(g, FpMatrix._adopt(V.p, block, reduced=True)).a
             off += S.dim
-        return vstack(pieces)
+        return FpMatrix._adopt(V.p, out, reduced=True)
+
+    def _mono_map(self, mono):
+        """``x^mono`` as a map on columns through :meth:`act`; ``None`` for the unit."""
+        gens = [i for i in reversed(range(len(mono))) for _ in range(mono[i])]
+        if not gens:
+            return None
+
+        def apply(V: FpMatrix) -> FpMatrix:
+            for i in gens:  # x^mono = x_1^{e_1} ... x_c^{e_c}: the last generator acts first
+                V = self.act(i, V)
+            return V
+        return apply
 
     def verify_relations(self) -> None:
         A = self.algebra
@@ -362,23 +400,21 @@ class ModuleMorphism:
 
 
 def direct_sum_modules(mods: list[Module]) -> Module:
-    """Block-diagonal sum recording its summands, with a deferred action."""
-    offsets = []
-    pos = 0
-    for m in mods:
-        offsets.append(pos)
-        pos += m.dim
-    summands = tuple(mods)
-    return Module.deferred(summands[0].algebra, pos, lambda: _sum_action(summands, offsets, pos), summands)
+    """Block-diagonal sum recording its summands; its action is assembled on the first read."""
+    pos = sum(m.dim for m in mods)
+    return Module._recorded(mods[0].algebra, pos, summands=tuple(mods))
 
 
-def _sum_action(mods: tuple[Module, ...], offsets: list[int], dim: int) -> list[FpMatrix]:
+def _sum_action(mods: tuple[Module, ...]) -> list[FpMatrix]:
     A = mods[0].algebra
+    dim = sum(m.dim for m in mods)
     action = []
     for g in range(A.ngens):
         out = np.zeros((dim, dim), dtype=np.int64)
-        for m, off in zip(mods, offsets):
+        off = 0
+        for m in mods:
             out[off : off + m.dim, off : off + m.dim] = m.action[g].a
+            off += m.dim
         action.append(FpMatrix._adopt(A.p, out, reduced=True))
     return action
 
@@ -482,14 +518,68 @@ def projective_cover(M: Module) -> Cover:
 
 
 def is_projective(M: Module) -> bool:
-    """Projective = free here; holds iff the cover has zero kernel.  A sum is
-    projective iff each summand is, so a recorded sum asks its summands."""
+    """Projective = free here: ``dim A * dim(M / rad M) = dim M``, with
+    ``rad M`` the span of the generator images.
+
+    A sum is projective iff each summand is, so a recorded sum asks its
+    summands.  A diagonal tensor ranks its radical stack
+    ``[x_1 | ... | x_c]`` from coordinate lists built from its factors'
+    nonzeros (:func:`_mono_coords`), so only the core left after peeling
+    singletons is ever dense.
+    """
     if M._projective is None and M.summands is not None:
         M._projective = all(is_projective(S) for S in M.summands)
     elif M._projective is None:
-        rad_rank = hstack(list(M.action)).transpose().rank() if M.dim and M.action else 0
-        M._projective = M.algebra.dim * (M.dim - rad_rank) == M.dim
+        A = M.algebra
+        if not M.dim or not A.ngens:
+            rad_rank = 0
+        elif M.factors is not None:
+            gens = [_mono_coords(M, tuple(int(k == g) for k in range(A.ngens))) for g in range(A.ngens)]
+            rows, cols, vals = (np.concatenate(x) for x in zip(*gens))
+            cols += np.repeat(np.arange(A.ngens) * M.dim, [r.size for r, _, _ in gens])
+            rad_rank = _peeled_rank((M.dim, A.ngens * M.dim), rows, cols, vals, A.p)
+        else:  # the action is stored: its dense stack peels faster than summed lists
+            rad_rank = hstack(list(M.action)).transpose().rank()
+        M._projective = A.dim * (M.dim - rad_rank) == M.dim
     return M._projective
+
+
+def _mono_coords(M: Module, mono) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x^mono`` on ``M`` as coordinate lists ``(rows, cols, values)``, in
+    which a coordinate may repeat (values add up); a recorded module's
+    action is never assembled for them.
+
+    A sum places its summands' lists at their offsets.  A diagonal tensor
+    pairs its factors' lists term by term of ``Delta(x_g)``: entries at
+    ``(r, c)`` of ``L`` and ``(r', c')`` of ``R`` give the entry of
+    ``L (x) R`` at ``(r * dim R + r', c * dim R + c')``, and a factor that is
+    itself a tensor or a sum gives its lists the same way.
+    """
+    p = M.algebra.p
+    if not any(mono):
+        idx = np.arange(M.dim)
+        return idx, idx, np.ones(M.dim, dtype=np.int64)
+    if M.summands is not None:
+        parts, off = [], 0
+        for S in M.summands:
+            r, c, v = _mono_coords(S, mono)
+            parts.append((r + off, c + off, v))
+            off += S.dim
+        return tuple(np.concatenate(x) for x in zip(*parts))
+    if M.factors is None:
+        a = M.action[mono.index(1)].a if sum(mono) == 1 else M.act_mono(mono).a
+        r, c = a.nonzero()
+        return r, c, a[r, c]
+    if sum(mono) != 1:
+        raise ValueError("a diagonal tensor gives coordinate lists of its generators only")
+    L, R = M.factors
+    parts = []
+    for coeff, u, v in M.algebra.coproduct_terms(mono.index(1)):
+        lr, lc, lv = _mono_coords(L, u)
+        rr, rc, rv = _mono_coords(R, v)
+        parts.append(((lr[:, None] * R.dim + rr).ravel(), (lc[:, None] * R.dim + rc).ravel(),
+                      (coeff * lv[:, None] % p * rv).ravel() % p))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 @dataclass
@@ -624,7 +714,9 @@ def _summand_offsets(M: Module) -> list[tuple[Module, int]]:
 # diagonal tensor structure (Hopf-style coproduct)
 # ----------------------------------------------------------------------
 def tensor_diagonal(M: Module, N: Module) -> Module:
-    """M (x) N with generators acting through the coproduct, deferred.
+    """M (x) N with generators acting through the coproduct, recording its
+    factors: it acts through them (:meth:`Module.act`) and its action
+    matrices are never assembled.
 
     x_i acts as the image of Delta(x_i) under the algebra map
     ``A (x) A -> End(M) (x) End(N)``, so the relations hold whenever Delta
@@ -635,23 +727,7 @@ def tensor_diagonal(M: Module, N: Module) -> Module:
         raise ValueError("tensor factors over different algebras")
     if A.coproduct is None:
         raise ValueError("diagonal tensor needs an algebra with coproduct")
-    return Module.deferred(A, M.dim * N.dim, lambda: _tensor_action(M, N))
-
-
-def _tensor_action(M: Module, N: Module) -> list[FpMatrix]:
-    A = M.algebra
-    acts = []
-    for i in range(A.ngens):
-        out = np.zeros((M.dim * N.dim, M.dim * N.dim), dtype=np.int64)
-        # kron pairs (r, s) -> r * N.dim + s, so out4[r, s, c, t] is out[r*N.dim + s, c*N.dim + t]
-        out4 = out.reshape(M.dim, N.dim, M.dim, N.dim)
-        for coeff, u, v in A.coproduct_terms(i):
-            a = (coeff * M.act_mono(u).a) % A.p
-            b = N.act_mono(v).a
-            for r in np.flatnonzero(a.any(axis=1)):
-                out4[r] += a[r, None, :, None] * b[:, None, :]
-        acts.append(FpMatrix._adopt(A.p, out))
-    return acts
+    return Module._recorded(A, M.dim * N.dim, factors=(M, N))
 
 
 # ----------------------------------------------------------------------
@@ -734,20 +810,24 @@ class DiagonalTensor:
 
         ``regular (x) regular`` is the regular module of A (x) A: faithful and
         cyclic on ``v = 1 (x) 1``, so an element is zero iff it kills ``v``.
-        Matrix-vector chains check the relations on ``v``.  Budgeted like a
-        pair, as the stage ``coproduct proof``.
+        Matrix-vector chains check the relations on ``v``, each step one
+        :meth:`Module.act` at factor size.  Budgeted like a pair, as the stage
+        ``coproduct proof``.
         """
         A = self.algebra
         self.budget.check(A.dim * A.dim, "coproduct proof", (A.dim, A.dim))
-        acts = tensor_diagonal(regular_module(A), regular_module(A)).action
-        xv = [x.take_columns([A.unit_index * (A.dim + 1)]) for x in acts]  # the v column of x
-        for i, (x, w) in enumerate(zip(acts, xv)):
+        T = tensor_diagonal(regular_module(A), regular_module(A))
+        v = np.zeros((T.dim, 1), dtype=np.int64)
+        v[A.unit_index * (A.dim + 1)] = 1  # vec(E_unit): the unit in both factors
+        v = FpMatrix._adopt(A.p, v, reduced=True)
+        xv = [T.act(i, v) for i in range(A.ngens)]
+        for i, w in enumerate(xv):
             for _ in range(A.exponents[i] - 1):
-                w = x @ w
+                w = T.act(i, w)
             if not w.is_zero():
                 raise CertificationError(f"the coproduct violates x_{i}^{A.exponents[i]} = 0")
             for j in range(i + 1, A.ngens):
-                if acts[j] @ xv[i] != (x @ xv[j]).scale(A.commutator(i, j)):
+                if T.act(j, xv[i]) != T.act(i, xv[j]).scale(A.commutator(i, j)):
                     raise CertificationError(f"the coproduct violates the commutation of {i},{j}")
         self._coproduct_proved = True
 

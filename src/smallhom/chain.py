@@ -40,10 +40,12 @@ product ``f (x) 1`` or ``1 (x) g`` of factor matrices, so
 (:class:`~smallhom.linalg.KronBlocks`), and composites of lifts compose
 their terms.  One routine, :func:`vanishes`, checks ``d . d = 0`` and every
 chain-map law: each block of the difference is summed from factor products
-and tested for zero at its own size, so no law check multiplies two
-tower-size matrices.  A plain map is the one-block, one-term case.  Dense
-matrices are assembled only where they are read: for ranks, for the thin
-products against the Kunneth classes, and for the cone's differentials.
+and tested for zero at factor size where its terms share a factor, else at
+its own size, so no law check multiplies two tower-size matrices.  A plain
+map is the one-block, one-term case.  Thin products against the Kunneth
+classes go through the blocks too (:func:`apply_map`, and the Kunneth
+cocycles are kept as blocks), so dense tower matrices are assembled only for
+ranks and for the cone's differentials.
 """
 
 from __future__ import annotations
@@ -97,6 +99,12 @@ class BlockMorphism(ModuleMorphism):
 def blocks_of(f: ModuleMorphism) -> KronBlocks:
     """The Kronecker blocks of a module map; a plain map is one block of one term."""
     return f.blocks if isinstance(f, BlockMorphism) else KronBlocks.single(f.matrix)
+
+
+def apply_map(f: ModuleMorphism, V: FpMatrix) -> FpMatrix:
+    """``f`` on the columns of ``V``; a map on Kronecker blocks applies its
+    terms at factor size (:meth:`KronBlocks.apply`)."""
+    return f.blocks.apply(V) if isinstance(f, BlockMorphism) else f.matrix @ V
 
 
 def vanishes(products: list[tuple[int, ModuleMorphism | None, ModuleMorphism | None]]) -> bool:
@@ -198,32 +206,47 @@ class HomologySpace:
 
     ``d`` is the outgoing differential, ``None`` when it is zero.  Then
     ``W`` reads the class of any cycle, and ``W (x Z)`` is the action of a
-    generator ``x`` on homology.
+    generator ``x`` on homology.  A Kunneth record keeps ``W`` as
+    :class:`~smallhom.linalg.KronBlocks`, so it is applied at factor size.
     """
 
     term: Module
     d: ModuleMorphism | None
     reps: FpMatrix
-    duals: FpMatrix
+    duals: FpMatrix | KronBlocks
 
     @property
     def dim(self) -> int:
         return self.reps.cols
 
+    def read(self, vectors: FpMatrix) -> FpMatrix:
+        """``W`` on the columns of ``vectors``."""
+        W = self.duals
+        return W.apply(vectors) if isinstance(W, KronBlocks) else W @ vectors
+
     def class_of(self, vectors: FpMatrix) -> FpMatrix:
         """Homology classes of cycle vectors given in the term's coordinates."""
-        if self.d is not None and not (self.d.matrix @ vectors).is_zero():
+        if self.d is not None and not apply_map(self.d, vectors).is_zero():
             raise CertificationError("vector is not a cycle")
-        return self.duals @ vectors
+        return self.read(vectors)
 
     def action(self) -> list[FpMatrix]:
-        """Each generator on homology, ``W (x Z)``; a sum acts summand by summand."""
-        return [self.duals @ self.term.act(g, self.reps) for g in range(self.term.algebra.ngens)]
+        """Each generator on homology, ``W (x Z)``; the term acts through
+        its summands and tensor factors (:meth:`~smallhom.algebra.Module.act`)."""
+        return [self.read(self.term.act(g, self.reps)) for g in range(self.term.algebra.ngens)]
 
     @cached_property
     def module(self) -> Module:
         """The homology module, its relations checked."""
         return Module(self.term.algebra, self.action(), check=True)
+
+
+def _as_blocks(m: FpMatrix | KronBlocks) -> KronBlocks:
+    return m if isinstance(m, KronBlocks) else KronBlocks.single(m)
+
+
+def _dense(m: FpMatrix | KronBlocks) -> FpMatrix:
+    return m.dense() if isinstance(m, KronBlocks) else m
 
 
 def homology_space(C: ChainComplex, i: int) -> HomologySpace:
@@ -245,8 +268,8 @@ def homology_space(C: ChainComplex, i: int) -> HomologySpace:
     boundary_coords = read_coordinates(cycles, free, C.diff_at(i + 1).matrix)
     if boundary_coords is None:
         raise AssertionError("boundaries must be cycles")
-    for x in obj.action:
-        if read_coordinates(cycles, free, x @ cycles) is None:
+    for g in range(C.algebra.ngens):
+        if read_coordinates(cycles, free, obj.act(g, cycles)) is None:
             raise AssertionError("cycles must be action-stable")
     qmap, section = quotient_by_subspace(p, boundary_coords)
     duals = np.zeros((qmap.rows, obj.dim), dtype=np.int64)
@@ -492,7 +515,7 @@ def induced_on_homology(f: ChainMap, classes: dict[int, HomologySpace]) -> dict[
         if fj is None:
             out[j] = FpMatrix.zeros(f.source.algebra.p, target.dim if target is not None else 0, h.dim)
         else:
-            out[j] = target.class_of(fj.matrix @ h.reps)
+            out[j] = target.class_of(apply_map(fj, h.reps))
     return out
 
 
@@ -677,19 +700,21 @@ def kunneth_classes(tower: TensorTower) -> dict[int, HomologySpace]:
 
 def _pair_classes(tp: TensorPair, left: dict[int, HomologySpace],
                   right: dict[int, HomologySpace]) -> dict[int, HomologySpace]:
-    """One stage: ``z (x) z'`` in its slot's rows, ``w (x) w'`` in its columns."""
+    """One stage: ``z (x) z'`` in its slot's rows, ``w (x) w'`` in its
+    columns, the latter kept as one Kronecker term per class slot."""
     p = tp.complex.algebra.p
     out = {}
     for n, slots in tp.layout.items():
         pairs = [(k, left[sl.left_degree], right[sl.right_degree]) for k, sl in enumerate(slots)]
         hit = [(k, hl, hr) for k, hl, hr in pairs if hl.dim and hr.dim]
         zs = {k: hl.reps.kron(hr.reps) for k, hl, hr in hit}
-        ws = {k: hl.duals.kron(hr.duals) for k, hl, hr in hit}
         dims = [sl.dim for sl in slots]
         reps = block(p, [[zs[k] if k == j else None for j in zs] for k in range(len(slots))],
                      dims, [z.cols for z in zs.values()])
-        duals = block(p, [[ws[j] if k == j else None for k in range(len(slots))] for j in ws],
-                      [w.rows for w in ws.values()], dims)
+        duals = KronBlocks(p, [(hl.dim, hr.dim) for _, hl, hr in hit],
+                           [(tp.left.objects[sl.left_degree].dim, tp.right.objects[sl.right_degree].dim)
+                            for sl in slots],
+                           {(r, k): [(1, _dense(hl.duals), _dense(hr.duals))] for r, (k, hl, hr) in enumerate(hit)})
         out[n] = HomologySpace(tp.complex.objects[n], tp.complex.diffs.get(n), reps, duals)
     return out
 
@@ -711,12 +736,12 @@ def certify_classes(C: ChainComplex, classes: dict[int, HomologySpace], dims: di
             raise CertificationError(f"{count} classes in degree {n}, but dim H_{n} = {want}")
         if not want:
             continue
-        Z, W = h.reps, h.duals
-        if n in C.diffs and not (C.diffs[n].matrix @ Z).is_zero():
+        Z = h.reps
+        if n in C.diffs and not apply_map(C.diffs[n], Z).is_zero():
             raise CertificationError(f"a degree-{n} representative is not a cycle")
-        if n + 1 in C.diffs and not (W @ C.diffs[n + 1].matrix).is_zero():
+        if n + 1 in C.diffs and not (_as_blocks(h.duals) @ blocks_of(C.diffs[n + 1])).is_zero():
             raise CertificationError(f"a degree-{n} cocycle does not vanish on boundaries")
-        if W @ Z != FpMatrix.identity(C.algebra.p, want):
+        if h.read(Z) != FpMatrix.identity(C.algebra.p, want):
             raise CertificationError(f"the degree-{n} classes do not pair to the identity")
 
 

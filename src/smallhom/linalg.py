@@ -41,12 +41,15 @@ splits off a 1x1 block: column operations with it clear the rest of row
 ``i`` and touch no other row.  So it adds one to the rank, and row ``i`` and
 the column go; the other singleton columns in row ``i`` become zero, which is
 why a round counts the distinct rows of its singleton columns.  Rows peel the
-same way.  Forward elimination runs only on the core that is left.
+same way.  Forward elimination runs only on the core that is left.  The
+peeling reads coordinate lists, so a matrix that is never assembled, such as
+a diagonal tensor's radical stack, is ranked from lists of its nonzeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -247,7 +250,7 @@ class FpMatrix:
             if self._rref is not None:
                 self._rank = len(self._rref[1])
             else:
-                self._rank = _peeled_rank(self.a, self.p)
+                self._rank = _dense_peeled_rank(self.a, self.p)
         return self._rank
 
     def kernel_basis(self) -> "FpMatrix":
@@ -349,17 +352,48 @@ def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> tuple[list[int], li
     return pivots, pivot_rows, free
 
 
-def _peeled_rank(a: np.ndarray, p: int) -> int:
-    """Rank of ``a``: peel singleton columns and rows, then eliminate the core.
+def _peeled_rank(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:
+    """Rank of the ``shape`` matrix with entries ``vals`` at ``(rows, cols)``:
+    peel singletons (:func:`_peel`), then eliminate the core.
 
-    The nonzeros are kept as coordinate lists, so zero rows and columns never
+    Repeated coordinates add up modulo ``p`` and entries that come to zero
+    are dropped, so the lists may come from several sparse products.  Only
+    the core that is left after peeling is made dense.
+    """
+    rank, (rows, cols, vals) = _peel(shape, _distinct_nonzeros(shape, rows, cols, vals, p))
+    if not rows.size:
+        return rank
+    index = []  # each line's position in the core
+    for lines, n in ((rows, shape[0]), (cols, shape[1])):
+        kept = np.unique(lines)
+        at = np.empty(n, dtype=np.intp)
+        at[kept] = np.arange(kept.size)
+        index.append((kept.size, at[lines]))
+    core = np.zeros((index[0][0], index[1][0]), dtype=np.int64)
+    core[index[0][1], index[1][1]] = vals
+    return rank + len(_eliminate(core, p, reduce_above=False)[0])
+
+
+def _dense_peeled_rank(a: np.ndarray, p: int) -> int:
+    """:func:`_peeled_rank` of a dense matrix, whose core is read off ``a``."""
+    rank, (rows, cols) = _peel(a.shape, list(a.nonzero()))
+    if not rows.size:
+        return rank
+    core = a[np.ix_(np.unique(rows), np.unique(cols))]
+    return rank + len(_eliminate(core, p, reduce_above=False)[0])
+
+
+def _peel(shape: tuple[int, int], coords: list[np.ndarray]) -> tuple[int, list[np.ndarray]]:
+    """Peel singleton columns and rows off the distinct nonzeros at
+    ``(coords[0], coords[1])``; further lists in ``coords`` (the values) are
+    filtered along.  Returns the pivots peeled and the lists that are left.
+
+    The nonzeros stay coordinate lists, so zero rows and columns never
     appear and dropping a row drops its entries.  A round drops the rows of
     the singleton columns, one pivot per distinct row, then the columns of
     the singleton rows, one pivot per distinct column; the singletons' own
     columns (rows) are empty after that.  Rounds repeat while they peel.
     """
-    shape = a.shape
-    coords = list(a.nonzero())  # [row indices, column indices]
     rank = 0
     peeled = True
     while peeled and coords[0].size:
@@ -373,12 +407,26 @@ def _peeled_rank(a: np.ndarray, p: int) -> int:
             hit[cross[single]] = True
             rank += int(np.count_nonzero(hit))
             keep = ~hit[cross]
-            coords = [coords[0][keep], coords[1][keep]]
+            coords = [c[keep] for c in coords]
             peeled = True
-    if not coords[0].size:
-        return rank
-    core = a[np.ix_(np.unique(coords[0]), np.unique(coords[1]))]
-    return rank + len(_eliminate(core, p, reduce_above=False)[0])
+    return rank, coords
+
+
+def _distinct_nonzeros(shape: tuple[int, int], rows, cols, vals, p: int) -> list[np.ndarray]:
+    """Coordinate lists with each coordinate once and every value in ``1..p-1``."""
+    vals = np.asarray(vals, dtype=np.int64) % p
+    key = np.asarray(rows, dtype=np.int64) * shape[1] + np.asarray(cols, dtype=np.int64)
+    if key.size > 1 and not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key, vals = key[starts], np.add.reduceat(vals, starts) % p
+    nz = vals != 0
+    key, vals = key[nz], vals[nz]
+    if not key.size:
+        return [key, key, vals]
+    rows, cols = np.divmod(key, shape[1])
+    return [rows, cols, vals]
 
 
 def hstack(mats: list[FpMatrix]) -> FpMatrix:
@@ -417,9 +465,11 @@ class KronBlocks:
     ``None`` stands for an identity factor.  Products and sums stay in this
     form by the mixed-product rule ``(L (x) R)(L' (x) R') = LL' (x) RR'``
     (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
-    123, 2000), so they multiply factors only.  The dense matrix is assembled
-    on request (:meth:`dense`), and :meth:`is_zero` forms one block at a time.
-    A plain matrix is the one-block, one-term case (:meth:`single`).
+    123, 2000), so they multiply factors only.  A thin matrix is multiplied
+    through the reshape identity (:meth:`apply`), a zero test merges terms
+    that share a factor (:meth:`is_zero`), and the dense matrix is assembled
+    only on request (:meth:`dense`).  A plain matrix is the one-block,
+    one-term case (:meth:`single`).
     """
 
     __slots__ = ("p", "row_slots", "col_slots", "terms", "_dense")
@@ -473,40 +523,123 @@ class KronBlocks:
 
     def _block(self, i: int, j: int) -> FpMatrix | None:
         """Block ``(i, j)`` at its own size, ``None`` when it has no terms."""
-        ts = self.terms.get((i, j))
-        if not ts:
+        if not self.terms.get((i, j)):
             return None
         (rl, rr), (cl, cr) = self.row_slots[i], self.col_slots[j]
-        factors = [(c, L if L is not None else FpMatrix.identity(self.p, rl),
-                    R if R is not None else FpMatrix.identity(self.p, rr)) for c, L, R in ts]
-        if len(factors) == 1:
-            c, L, R = factors[0]
-            return L.kron(R) if c == 1 else L.kron(R).scale(c)
         out = np.zeros((rl * rr, cl * cr), dtype=np.int64)
-        for c, L, R in factors:
-            out += c * kron_array(L.a, R.a)
-            out %= self.p
+        self._add_block(i, j, out)
         return FpMatrix._adopt(self.p, out, reduced=True)
 
+    def _add_block(self, i: int, j: int, out: np.ndarray) -> None:
+        """Add block ``(i, j)``, summed from its terms, to ``out`` in place."""
+        rl, rr = self.row_slots[i]
+        for c, L, R in self.terms[(i, j)]:
+            term = kron_array(L.a if L is not None else np.eye(rl, dtype=np.int64),
+                              R.a if R is not None else np.eye(rr, dtype=np.int64))
+            if c != 1:
+                term *= c
+            out += term
+            out %= self.p
+
     def dense(self) -> FpMatrix:
-        """The assembled matrix, built once."""
+        """The assembled matrix, built once, each block summed in place."""
         if self._dense is None:
-            grid = [[self._block(i, j) for j in range(len(self.col_slots))] for i in range(len(self.row_slots))]
-            self._dense = block(self.p, grid, [l * r for l, r in self.row_slots],
-                                [l * r for l, r in self.col_slots])
+            row_off = list(accumulate((l * r for l, r in self.row_slots), initial=0))
+            col_off = list(accumulate((l * r for l, r in self.col_slots), initial=0))
+            out = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
+            for i, j in self.terms:
+                self._add_block(i, j, out[row_off[i] : row_off[i + 1], col_off[j] : col_off[j + 1]])
+            self._dense = FpMatrix._adopt(self.p, out, reduced=True)
         return self._dense
 
     def is_zero(self) -> bool:
-        """Block by block: a one-term block is zero exactly when a factor or
-        its coefficient is; a block of several terms is summed at its size."""
+        """Block by block, at factor size where the terms allow.
+
+        A one-term block is zero exactly when a factor or its coefficient
+        is.  Terms that all share one factor object ``R`` (or all ``L``)
+        merge into ``(sum c_k L_k) (x) R``, zero exactly when ``R`` or that
+        factor-size sum is.  Only a block whose terms share no factor is
+        summed at its own size.
+        """
         for (i, j), ts in self.terms.items():
             if len(ts) == 1:
                 c, L, R = ts[0]
                 if c and (L is None or not L.is_zero()) and (R is None or not R.is_zero()):
                     return False
-            elif not self._block(i, j).is_zero():
+                continue
+            merged = self._merged(i, j)
+            if merged is None:
+                if not self._block(i, j).is_zero():
+                    return False
+            elif not any(f is not None and f.is_zero() for f in merged):
                 return False
         return True
+
+    def _merged(self, i: int, j: int) -> tuple[FpMatrix | None, FpMatrix | None] | None:
+        """Block ``(i, j)`` as one Kronecker product ``(L, R)`` with a summed
+        factor, when all its terms share the other factor object; else ``None``."""
+        ts = self.terms[(i, j)]
+        (rl, rr), (cl, cr) = self.row_slots[i], self.col_slots[j]
+        for side, (rows, cols) in ((2, (rl, cl)), (1, (rr, cr))):
+            shared = ts[0][side]
+            if all(t[side] is shared for t in ts):
+                out = np.zeros((rows, cols), dtype=np.int64)
+                for t in ts:
+                    f = t[3 - side]
+                    out += t[0] * (f.a if f is not None else np.eye(rows, dtype=np.int64))
+                    out %= self.p
+                summed = FpMatrix._adopt(self.p, out, reduced=True)
+                return (summed, shared) if side == 2 else (shared, summed)
+        return None
+
+    def apply(self, V: FpMatrix) -> FpMatrix:
+        """``self @ V`` for a thin ``V``, term by term through
+        :func:`kron_apply`, so no operand is larger than a factor or a slot
+        of ``V``; slots where ``V`` is zero are skipped."""
+        col_off = list(accumulate((l * r for l, r in self.col_slots), initial=0))
+        row_off = list(accumulate((l * r for l, r in self.row_slots), initial=0))
+        out = np.zeros((row_off[-1], V.cols), dtype=np.int64)
+        # a slot of V that is zero contributes nothing: Kunneth classes sit in few slots
+        pieces = [V.a[col_off[j] : col_off[j + 1]] for j in range(len(self.col_slots))]
+        pieces = [FpMatrix._adopt(self.p, x, reduced=True) if x.any() else None for x in pieces]
+        for (i, j), ts in self.terms.items():
+            Vj = pieces[j]
+            if Vj is None:
+                continue
+            acc = out[row_off[i] : row_off[i + 1]]
+            for c, L, R in ts:
+                acc += c * kron_apply(Vj, self.col_slots[j], L, R).a
+            acc %= self.p
+        return FpMatrix._adopt(self.p, out, reduced=True)
+
+
+def kron_apply(V: FpMatrix, dims: tuple[int, int], left, right) -> FpMatrix:
+    """``(L (x) R) V`` without forming ``L (x) R``.
+
+    Column ``v`` of ``V`` is the row-major ``vec(X)`` of a ``dl x dr``
+    matrix ``X``, ``dims = (dl, dr)``, and ``(L (x) R) vec(X) = vec(L X R^T)``
+    (the reshape identity; Van Loan, "The ubiquitous Kronecker product").
+    So ``L`` acts on the ``dl x (dr * cols)`` reshape of ``V`` and ``R`` on
+    the ``dr x (dl' * cols)`` one, each by one guarded product.  A factor is
+    an :class:`FpMatrix`, a map on the columns of a matrix (such as
+    ``Module.act`` of a tensor factor) or ``None`` for the identity.
+    """
+    p, k = V.p, V.cols
+    dl, dr = dims
+    X = V.a.reshape(dl, dr * k)
+    if left is not None:
+        X = _factor_apply(left, FpMatrix._adopt(p, X, reduced=True)).a
+        dl = X.shape[0]
+    if right is not None:
+        Y = X.reshape(dl, dr, k).transpose(1, 0, 2).reshape(dr, dl * k)
+        Y = _factor_apply(right, FpMatrix._adopt(p, Y, reduced=True)).a
+        dr = Y.shape[0]
+        X = Y.reshape(dr, dl, k).transpose(1, 0, 2)
+    return FpMatrix._adopt(p, X.reshape(dl * dr, k), reduced=True)
+
+
+def _factor_apply(f, X: FpMatrix) -> FpMatrix:
+    return f @ X if isinstance(f, FpMatrix) else f(X)
 
 
 def _factor_product(x: FpMatrix | None, y: FpMatrix | None) -> FpMatrix | None:

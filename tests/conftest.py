@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,9 +79,10 @@ def run_optimized():
 def _mono_action(M, mono) -> np.ndarray:
     """``x^mono`` acting on ``M``: the product chain from the identity."""
     out = np.eye(M.dim, dtype=np.int64)
+    action = _dense_action(M)
     for i, e in enumerate(mono):
         for _ in range(e):
-            out = out @ M.action[i].a % M.algebra.p
+            out = out @ action[i] % M.algebra.p
     return out
 
 
@@ -126,7 +128,12 @@ def kernel_constrained_reference():
 def _dense_hom_space(M, N) -> FpMatrix:
     """The Hom space by its definition: the kernel basis of the whole
     intertwining system, with no use of recorded summands."""
-    return FpMatrix(M.algebra.p, intertwining_system(M, N)).kernel_basis()
+    return FpMatrix(M.algebra.p, intertwining_system(*(_plain(X) for X in (M, N)))).kernel_basis()
+
+
+def _plain(M):
+    """``M`` as a module that records nothing, with its dense action."""
+    return smallhom.algebra.Module(M.algebra, [FpMatrix(M.algebra.p, x) for x in _dense_action(M)], check=False)
 
 
 @pytest.fixture
@@ -138,7 +145,7 @@ def _radical_projective(M) -> bool:
     """The whole-module test: ``M`` is free iff ``dim A * dim(M / rad M) = dim M``."""
     if M.dim == 0:
         return True
-    rad_dim = FpMatrix(M.algebra.p, np.hstack([x.a for x in M.action])).rank()
+    rad_dim = FpMatrix(M.algebra.p, np.hstack(_dense_action(M))).rank()
     return M.algebra.dim * (M.dim - rad_dim) == M.dim
 
 
@@ -156,7 +163,7 @@ def _eager_sum_action(mods) -> list:
         a = np.zeros((dim, dim), dtype=np.int64)
         off = 0
         for m in mods:
-            a[off : off + m.dim, off : off + m.dim] = m.action[g].a
+            a[off : off + m.dim, off : off + m.dim] = _dense_action(m)[g]
             off += m.dim
         out.append(a)
     return out
@@ -167,6 +174,23 @@ def _eager_tensor_action(M, N) -> list:
     A = M.algebra
     return [sum(c * np.kron(_mono_action(M, u), _mono_action(N, v)) for c, u, v in A.coproduct_terms(i)) % A.p
             for i in range(A.ngens)]
+
+
+_DENSE_ACTIONS = weakref.WeakKeyDictionary()
+
+
+def _dense_action(M) -> list:
+    """The action arrays of any module, a diagonal tensor's by the eager
+    Kronecker sum and a sum's by block-diagonal assembly, recursively; kept
+    while the module lives."""
+    if M not in _DENSE_ACTIONS:
+        if M.factors is not None:
+            _DENSE_ACTIONS[M] = _eager_tensor_action(*M.factors)
+        elif M.summands is not None:
+            _DENSE_ACTIONS[M] = _eager_sum_action(M.summands)
+        else:
+            _DENSE_ACTIONS[M] = [x.a for x in M.action]
+    return _DENSE_ACTIONS[M]
 
 
 @pytest.fixture
@@ -181,21 +205,16 @@ def tensor_action_reference():
 
 @pytest.fixture
 def action_builds(monkeypatch):
-    """``("sum", summand dims)`` or ``("tensor", (dim M, dim N))`` for every
-    deferred action assembled during a test."""
+    """``("sum", summand dims)`` for every direct sum whose action is
+    assembled during a test; a diagonal tensor's never is."""
     builds = []
-    real_sum, real_tensor = smallhom.algebra._sum_action, smallhom.algebra._tensor_action
+    real_sum = smallhom.algebra._sum_action
 
-    def counted_sum(mods, offsets, dim):
+    def counted_sum(mods):
         builds.append(("sum", tuple(m.dim for m in mods)))
-        return real_sum(mods, offsets, dim)
-
-    def counted_tensor(M, N):
-        builds.append(("tensor", (M.dim, N.dim)))
-        return real_tensor(M, N)
+        return real_sum(mods)
 
     monkeypatch.setattr(smallhom.algebra, "_sum_action", counted_sum)
-    monkeypatch.setattr(smallhom.algebra, "_tensor_action", counted_tensor)
     return builds
 
 

@@ -181,8 +181,14 @@ def test_property_suites_fail_when_differentials_are_unconstrained(monkeypatch):
     assert any(re.fullmatch(r"exception: d_\d+ d_\d+ != 0", note) for note in result.details)
 
 
-def test_kunneth_section_builds_only_the_coproduct_proof_tensor(action_builds):
-    # its tensor complexes are read by ranks alone, so no tensor's action is
-    # assembled but regular (x) regular's, which proves the coproduct
+def test_kunneth_section_builds_only_the_coproduct_proof_tensor(tensor_diagonal_calls, monkeypatch):
+    # its tensor complexes are read by ranks alone, so none of their terms is
+    # assembled; a diagonal tensor never is (reading its action raises, which
+    # would fail the suite), not even regular (x) regular, which proves the
+    # coproduct through matrix-vector chains
+    built, real = [], acceptance.tensor_pair
+    monkeypatch.setattr(acceptance, "tensor_pair", lambda C1, C2, ctx: built.append(real(C1, C2, ctx)) or built[-1])
     assert acceptance.criterion_property_suites(seed=0).passed
-    assert [b for b in action_builds if b[0] == "tensor"] == [("tensor", (3, 3))]
+    terms = [M for tp in built for M in tp.complex.objects.values()]
+    assert terms and all(M._action is None and all(S.factors for S in M.summands) for M in terms)
+    assert tensor_diagonal_calls[0] == (3, 3)

@@ -172,13 +172,18 @@ def test_syzygy_periodicity_rank_one(truncated):
     assert dims == [2, 1, 2, 1]
 
 
+def _acting(M) -> list:
+    """Each generator of ``M`` on the identity, through ``Module.act``."""
+    return [M.act(g, FpMatrix.identity(M.algebra.p, M.dim)) for g in range(M.algebra.ngens)]
+
+
 def test_tensor_diagonal_unit_laws(truncated):
     k = trivial_module(truncated)
     reg = regular_module(truncated)
     left_unit = tensor_diagonal(k, reg)
     assert left_unit.dim == 3
     # unit (x) M has exactly the action matrices of M under the index pairing
-    assert all(a == b for a, b in zip(left_unit.action, reg.action))
+    assert _acting(left_unit) == list(reg.action)
     assert tensor_diagonal(reg, k).dim == 3
     t = tensor_diagonal(reg, reg)
     assert t.dim == 9 and is_projective(t)
@@ -204,7 +209,7 @@ def test_tensor_diagonal_shifted_coproduct():
     t = tensor_diagonal(regular_module(A), regular_module(A))
     assert t.dim == 9 and is_projective(t)
     u = tensor_diagonal(trivial_module(A), regular_module(A))
-    assert all(a == b for a, b in zip(u.action, regular_module(A).action))
+    assert _acting(u) == list(regular_module(A).action)
 
 
 def test_tensor_associativity_on_the_nose(two_vars):
@@ -215,13 +220,13 @@ def test_tensor_associativity_on_the_nose(two_vars):
     a = tensor_diagonal(tensor_diagonal(m, m), k)
     b = tensor_diagonal(m, tensor_diagonal(m, k))
     assert a.dim == b.dim == 64
-    assert all(x == y for x, y in zip(a.action, b.action))
+    assert _acting(a) == _acting(b)
     A = qci_algebra(F3, [3], coproduct="shifted")
     r = regular_module(A)
     t = trivial_module(A)
     left = tensor_diagonal(tensor_diagonal(r, t), r)
     right = tensor_diagonal(r, tensor_diagonal(t, r))
-    assert all(x == y for x, y in zip(left.action, right.action))
+    assert _acting(left) == _acting(right)
 
 
 def test_enveloping_and_regular_bimodule(truncated):
@@ -358,7 +363,9 @@ def _block_route_cases(A):
     mods = [sum_([k]), sum_([free1]), sum_([free2, k]), sum_([k, free1, k]), sum_([k, zero, free1]),
             sum_([sum_([k, free1]), k]), sum_([free1, sum_([k, sum_([free1])])])]
     if A.coproduct is not None:
-        tensor = tensor_diagonal(free1, k)
+        # a diagonal tensor's action is never assembled (see
+        # test_hom_space_basis_of_a_tensor_is_not_assembled): this leaf holds it
+        tensor = Module(A, _acting(tensor_diagonal(free1, k)), check=False)
         leaves.append(tensor)
         mods.append(sum_([tensor, k]))
     return leaves, mods
@@ -514,6 +521,15 @@ def test_diagonal_tensor_proves_the_coproduct_once(truncated, tensor_diagonal_ca
 
 
 PROOF_CASES = {
+    # x -> x(x)1 + 1(x)x + x^2(x)x + 1(x)1 over F_5: the proof applies the
+    # square through the factor's act, and x^5 acts as the identity
+    "square-and-unit": ("real = Algebra.coproduct_terms\n"
+                        "def wrong(A, i):\n"
+                        "    mono = lambda e: tuple(e if k == i else 0 for k in range(A.ngens))\n"
+                        "    return real(A, i) + [(1, mono(2), mono(1)), (1, mono(0), mono(0))]\n"
+                        "Algebra.coproduct_terms = wrong\n"
+                        "A = qci_algebra(FieldSpec(5), [5, 5], coproduct='primitive')\n",
+                        "the coproduct violates x_0^5 = 0"),
     # x -> x(x)1 + 1(x)x + 1(x)1 is no algebra map: x^3 acts as the identity
     "unit-term": ("real = Algebra.coproduct_terms\n"
                   "Algebra.coproduct_terms = lambda A, i: real(A, i) + [(1, (0,) * A.ngens, (0,) * A.ngens)]\n"
@@ -555,6 +571,56 @@ def test_coproduct_proof_fails_at_the_first_pair(case, monkeypatch, run_optimize
     assert run.stdout == f"optimize=1 {message}\n", run.stderr
 
 
+def test_coproduct_proof_multiplies_factor_size_matrices(matmul_calls):
+    A = qci_algebra(FieldSpec(7), [7, 7], coproduct="primitive")
+    DiagonalTensor(A)._prove_coproduct()
+    # matrix-vector chains on the 2401-dim regular (x) regular, at factor size
+    assert matmul_calls and max(max(call) for call in matmul_calls) == A.dim
+
+
+def _tensor_act_cases(A):
+    """Factor pairs: regular, trivial, a syzygy, a zero-dim factor, a nested
+    tensor (a tensor (x) regular) and a sum with a tensor summand."""
+    k, reg, zero = trivial_module(A), regular_module(A), zero_module(A)
+    syz = projective_cover(k).kernel
+    return [(reg, reg), (syz, k), (k, syz), (reg, zero), (zero, syz),
+            (tensor_diagonal(syz, reg), reg), (reg, tensor_diagonal(k, syz)),
+            (direct_sum_modules([k, tensor_diagonal(syz, k)]), syz)]
+
+
+@pytest.mark.parametrize("coproduct", ["primitive", "shifted"])
+@pytest.mark.parametrize("p, exps", [(2, [2, 2]), (3, [3, 3]), (5, [5])], ids=["F2", "F3", "F5"])
+def test_tensor_act_matches_the_eager_kronecker_sum(p, exps, coproduct, tensor_action_reference, matmul_calls):
+    A = qci_algebra(FieldSpec(p), exps, coproduct=coproduct)
+    rng = np.random.default_rng(p)
+    for M, N in _tensor_act_cases(A):
+        t = tensor_diagonal(M, N)
+        ref = tensor_action_reference(M, N)
+        for cols in (0, 1, 5):
+            V = FpMatrix(p, rng.integers(0, p, (t.dim, cols)))
+            matmul_calls.clear()
+            got = [t.act(g, V) for g in range(A.ngens)]
+            assert all(np.array_equal(x.a, r @ V.a % p) for x, r in zip(got, ref, strict=True)), (M, N)
+            # every product multiplies a leaf's action, never the tensor's
+            assert all(m <= A.dim and k <= A.dim for m, k, _ in matmul_calls)
+        with pytest.raises(ValueError, match="^a diagonal tensor acts through its factors"):
+            t.action
+
+
+@pytest.mark.parametrize("coproduct", ["primitive", "shifted"])
+@pytest.mark.parametrize("p, exps", [(2, [2, 2]), (3, [3, 3]), (5, [5])], ids=["F2", "F3", "F5"])
+def test_tensor_projectivity_matches_the_dense_radical(p, exps, coproduct, projective_reference):
+    A = qci_algebra(FieldSpec(p), exps, coproduct=coproduct)
+    k = trivial_module(A)
+    flags = []
+    for M, N in _tensor_act_cases(A) + [(k, k)]:
+        t = tensor_diagonal(M, N)
+        flags.append(is_projective(t))
+        assert flags[-1] == projective_reference(t), (M, N)
+    # trivial (x) trivial is the trivial module: a tensor that is not projective
+    assert flags[-1] is False and True in flags
+
+
 def test_over_base_tensor_checks_that_the_relation_span_is_stable(truncated):
     # left x and right x^T do not commute, so this unchecked "bimodule" is not
     # one, and x (x) 1 moves the span of x^T (x) 1 = (e0, e1) to e2
@@ -584,22 +650,33 @@ def test_deferred_actions_match_the_eager_assembly_and_build_once(coproduct, act
     t = tensor_diagonal(mixed, reg)
     nested = direct_sum_modules([t, mixed])
     assert action_builds == []  # nothing is assembled before it is read
-    for M, ref in ((mixed, sum_action_reference([reg, k, free])),
-                   (t, tensor_action_reference(mixed, reg)),
-                   (nested, sum_action_reference([t, mixed]))):
-        assert all(np.array_equal(x.a, r) for x, r in zip(M.action, ref, strict=True))
-        assert M.action is M.action
-    assert action_builds == [("sum", (9, 1, 18)), ("tensor", (28, 9)), ("sum", (252, 28))]
+    ref = sum_action_reference([reg, k, free])
+    assert all(np.array_equal(x.a, r) for x, r in zip(mixed.action, ref, strict=True))
+    assert mixed.action is mixed.action
+    # a tensor, and a sum with a tensor summand, act without an assembled action
+    for M, ref in ((t, tensor_action_reference(mixed, reg)), (nested, sum_action_reference([t, mixed]))):
+        assert all(np.array_equal(x.a, r) for x, r in zip(_acting(M), ref, strict=True))
+        with pytest.raises(ValueError, match="^a diagonal tensor acts through its factors"):
+            M.action
+    assert action_builds == [("sum", (9, 1, 18))] and nested._action is None
 
 
-def test_a_sum_acts_through_its_summands(two_vars, action_builds):
+def test_a_sum_acts_through_its_summands(two_vars, action_builds, sum_action_reference):
     k, reg = trivial_module(two_vars), regular_module(two_vars)
     total = direct_sum_modules([tensor_diagonal(reg, reg), k, free_module(two_vars, 2)])
     V = FpMatrix(3, np.random.default_rng(5).integers(0, 3, (total.dim, 4)))
     got = [total.act(g, V) for g in range(two_vars.ngens)]
-    # the tensor summand is assembled, the sum itself never is
-    assert action_builds == [("tensor", (9, 9))] and total._action is None
-    assert got == [x @ V for x in total.action]
+    # neither the sum nor its tensor summand is assembled
+    assert action_builds == [] and total._action is None
+    assert got == [FpMatrix(3, x) @ V for x in sum_action_reference(total.summands)]
+
+
+def test_hom_space_basis_of_a_tensor_is_not_assembled(two_vars):
+    k, reg = trivial_module(two_vars), regular_module(two_vars)
+    t = tensor_diagonal(reg, k)
+    for M, N in ((t, k), (k, t), (direct_sum_modules([t, k]), k)):
+        with pytest.raises(ValueError, match="^a diagonal tensor acts through its factors"):
+            hom_space_basis(M, N)
 
 
 @pytest.mark.parametrize("caps", [(0, 10), (-7, 10), (10, 0), (10, -1)])

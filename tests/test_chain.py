@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import smallhom
-from smallhom import chain, cli
+from smallhom import chain, cli, construction
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
     CertificationError,
@@ -524,33 +524,67 @@ def test_rank3_lifts_agree_with_the_dense_reference(dense_laws):
         assert theta.law_defects() == dense_laws.law_defects(theta) == []
 
 
-def test_law_checks_multiply_no_tower_size_matrices(monkeypatch, chain_run_parts, tmp_path):
-    # the operand shapes of every product made inside a law check of a run
-    depth, shapes, tower_checks = [0], [], [0]
-    real_vanishes, real_matmul = chain.vanishes, FpMatrix.__matmul__
+RANK3_TEMPLATE = ["--config", str(Path(__file__).resolve().parent.parent / "configs" / "chain-rank3-f2.ini")]
 
-    def counted_vanishes(products):
-        tower_checks[0] += any(isinstance(m, chain.BlockMorphism) for _, a, b in products for m in (a, b))
-        depth[0] += 1
-        try:
-            return real_vanishes(products)
-        finally:
-            depth[0] -= 1
+
+def _tower_read_shapes(monkeypatch, args, chain_run_parts, tmp_path):
+    """Run ``args`` and return the tower and the operand shapes of every
+    product made inside a law check, the trivial-action check, an induced
+    map, the class certification and the coproduct proof, by check."""
+    active, shapes, tower_checks = [None], {}, [0]
+    real_matmul = FpMatrix.__matmul__
+
+    def within(label, real):
+        def wrapped(*args, **kwargs):
+            if label == "law":
+                tower_checks[0] += any(isinstance(m, chain.BlockMorphism) for _, a, b in args[0] for m in (a, b))
+            outer, active[0] = active[0], active[0] or label
+            try:
+                return real(*args, **kwargs)
+            finally:
+                active[0] = outer
+        return wrapped
 
     def counted_matmul(a, b):
-        if depth[0]:
-            shapes.append(a.shape + b.shape)
+        if active[0]:
+            shapes.setdefault(active[0], []).append(a.shape + b.shape)
         return real_matmul(a, b)
 
-    monkeypatch.setattr(chain, "vanishes", counted_vanishes)
+    monkeypatch.setattr(chain, "vanishes", within("law", chain.vanishes))
+    monkeypatch.setattr(chain.HomologySpace, "action", within("action", chain.HomologySpace.action))
+    for name in ("induced_on_homology", "certify_classes"):
+        monkeypatch.setattr(construction, name, within(name, getattr(construction, name)))
+    proof = smallhom.algebra.DiagonalTensor._prove_coproduct
+    monkeypatch.setattr(smallhom.algebra.DiagonalTensor, "_prove_coproduct", within("proof", proof))
     monkeypatch.setattr(FpMatrix, "__matmul__", counted_matmul)
-    assert cli.main(["certify", *RANK2_TEMPLATE, "--out", str(tmp_path / "run.cert")]) == 0
+    assert cli.main(["certify", *args, "--out", str(tmp_path / "run.cert")]) == 0
     (tower,) = chain_run_parts["towers"]
-    smallest = min(tower.complex.dims().values())
-    # d . d of the tower, the thetas' laws and u's law all ran on blocks,
-    # and every operand they multiplied is smaller than any tower term
-    assert smallest == 81 and tower_checks[0] >= 3 and shapes
-    assert [s for s in shapes if max(s) >= smallest] == []
+    assert tower_checks[0] >= 3
+    return tower, shapes
+
+
+def _assert_tower_reads_at_factor_size(tower, shapes, smallest):
+    last = tower.pairs[-1]
+    factor_term = max(M.dim for C in (last.left, last.right) for M in C.objects.values())
+    # d . d of the tower, the thetas' laws, u's law, the action on the
+    # Kunneth classes, the induced maps, the class certification and the
+    # coproduct proof all ran on factors: every operand is smaller than any
+    # tower term, and every left operand is at most a factor term
+    assert min(tower.complex.dims().values()) == smallest
+    assert set(shapes) == {"law", "action", "induced_on_homology", "certify_classes", "proof"}
+    every = [s for ss in shapes.values() for s in ss]
+    assert [s for s in every if max(s) >= smallest] == []
+    assert [s for s in every if max(s[:2]) > factor_term] == []
+
+
+def test_law_checks_multiply_no_tower_size_matrices(monkeypatch, chain_run_parts, tmp_path):
+    tower, shapes = _tower_read_shapes(monkeypatch, RANK2_TEMPLATE, chain_run_parts, tmp_path)
+    _assert_tower_reads_at_factor_size(tower, shapes, 81)
+
+
+def test_rank3_tower_reads_multiply_no_tower_size_matrices(monkeypatch, chain_run_parts, tmp_path):
+    tower, shapes = _tower_read_shapes(monkeypatch, RANK3_TEMPLATE, chain_run_parts, tmp_path)
+    _assert_tower_reads_at_factor_size(tower, shapes, 512)
 
 
 def test_chain_run_leaves_the_tower_and_cone_unbuilt(chain_run_parts, tmp_path):

@@ -1,9 +1,11 @@
 """The pushout construction, parameter systems, theta maps and pipelines."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from smallhom import construction, lefschetz
+from smallhom import cli, construction, lefschetz
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
     Budget,
@@ -438,3 +440,23 @@ def test_recorded_sum_flags_match_the_radical_test(char, exponents, power, monke
     for C, flags in seen:
         assert C.objects and all(M.summands is not None for M in C.objects.values())
         assert flags == {i: projective_reference(M) for i, M in sorted(C.objects.items())}
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_tower_and_cone_summands_match_the_radical_test(config, chain_run_parts, projective_reference, tmp_path):
+    # every term of every tower stage and cone, and every summand of those
+    # terms down to the diagonal tensors and their factors' sums
+    assert cli.main(["certify", "--config", str(config), "--out", str(tmp_path / "run.cert")]) == 0
+    complexes = [tp.complex for t in chain_run_parts["towers"] for tp in t.pairs] + chain_run_parts["cones"]
+    seen, stack = {}, [M for C in complexes for M in C.objects.values()]
+    while stack:
+        M = stack.pop()
+        if id(M) not in seen:
+            seen[id(M)] = M
+            stack += list(M.summands or ()) + list(M.factors or ())
+    tensors = [M for M in seen.values() if M.factors is not None]
+    assert bool(tensors) == config.stem.startswith("chain")
+    assert all(is_projective(M) == projective_reference(M) for M in seen.values())

@@ -10,10 +10,13 @@ from smallhom.linalg import (
     FLOAT32_EXACT,
     FieldSpec,
     FpMatrix,
+    KronBlocks,
+    _peeled_rank,
     block,
     hstack,
     is_prime,
     kron_array,
+    kron_apply,
     nonpivot_columns,
     quotient_by_subspace,
     read_coordinates,
@@ -421,11 +424,148 @@ def test_rank_reads_a_cached_rref(monkeypatch):
     m = FpMatrix(3, [[1, 2], [2, 1], [1, 1]])
     _, pivots = m.rref()
 
-    def unreachable(a, p):
+    def unreachable(*args, **kwargs):
         raise AssertionError("peeled a matrix whose RREF is cached")
 
-    monkeypatch.setattr(smallhom.linalg, "_peeled_rank", unreachable)
+    monkeypatch.setattr(smallhom.linalg, "_peel", unreachable)
     assert m.rank() == len(pivots) == 2
+
+
+def _dense_rank(p, a) -> int:
+    return len(FpMatrix(p, a).rref()[1])
+
+
+def _split_entries(p, a, rng):
+    """Coordinate lists of ``a`` in which every nonzero is split into three
+    repeats whose values add up to it mod p, shuffled, with some zeros of
+    ``a`` present as three repeats that cancel."""
+    rows, cols = (a + (rng.random(a.shape) < 0.1)).nonzero()
+    r1, r2 = rng.integers(0, p, rows.size), rng.integers(0, p, rows.size)
+    vals = np.concatenate([r1, r2, (a[rows, cols] - r1 - r2) % p])
+    order = rng.permutation(vals.size)
+    return np.tile(rows, 3)[order], np.tile(cols, 3)[order], vals[order]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
+def test_coordinate_peeled_rank_matches_the_dense_rank(p):
+    rng = np.random.default_rng(p)
+    cases = [a for a, _ in _rank_cases(p, np.random.RandomState(5))]
+    for density in (0.02, 0.1, 0.5, 1.0):  # random sparse and dense matrices
+        for shape in ((12, 30), (30, 12), (25, 25)):
+            cases.append(rng.integers(0, p, size=shape) * (rng.random(shape) < density))
+    cases += [np.zeros((4, 6), dtype=np.int64), np.zeros((0, 5), dtype=np.int64),
+              np.zeros((5, 0), dtype=np.int64)]
+    for a in cases:
+        want = _dense_rank(p, a)
+        rows, cols = a.nonzero()
+        assert FpMatrix(p, a).rank() == want  # the dense entry
+        assert _peeled_rank(a.shape, rows, cols, a[rows, cols], p) == want
+        assert _peeled_rank(a.shape, *_split_entries(p, a, rng), p) == want
+
+
+def test_coordinate_peeled_rank_cancels_repeats():
+    empty = np.array([], dtype=np.int64)
+    assert _peeled_rank((3, 3), empty, empty, empty, 5) == 0
+    # two entries at (0, 0) that cancel mod 5, and an all-zero value list
+    assert _peeled_rank((2, 2), np.array([0, 0, 1]), np.array([0, 0, 1]), np.array([2, 3, 4]), 5) == 1
+    assert _peeled_rank((2, 2), np.array([0, 1]), np.array([1, 0]), np.array([0, 10]), 5) == 0
+    # a cancelled entry would otherwise make the cycle's columns independent
+    rows, cols = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 1])
+    assert _peeled_rank((2, 2), rows, cols, np.array([1, 1, 1, 3, 3]), 5) == 1
+
+
+def _kron_blocks(p, rng, row_slots, col_slots, terms_per_block, identity=True):
+    """Random Kronecker blocks between the given slots; ``None`` factors
+    where a slot pair is square and ``identity`` allows."""
+    terms = {}
+    for i, (rl, rr) in enumerate(row_slots):
+        for j, (cl, cr) in enumerate(col_slots):
+            ts = []
+            for _ in range(terms_per_block):
+                L = None if identity and rl == cl and rng.random() < 0.3 else FpMatrix(p, rng.integers(0, p, (rl, cl)))
+                R = None if identity and rr == cr and rng.random() < 0.3 else FpMatrix(p, rng.integers(0, p, (rr, cr)))
+                ts.append((int(rng.integers(1, p)), L, R))
+            terms[(i, j)] = ts
+    return KronBlocks(p, row_slots, col_slots, terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kron_blocks_apply_matches_the_dense_product(p, matmul_calls):
+    rng = np.random.default_rng(p)
+    for rows, cols, nterms in [([(2, 3), (3, 3)], [(2, 3), (1, 4)], 1), ([(3, 2)], [(3, 2), (2, 2)], 3),
+                               ([(4, 1)], [(4, 1)], 2), ([(2, 2), (0, 3)], [(2, 2)], 2)]:
+        kb = _kron_blocks(p, rng, rows, cols, nterms)
+        for k in (0, 1, 4):
+            V = FpMatrix(p, rng.integers(0, p, (kb.shape[1], k)))
+            matmul_calls.clear()
+            got = kb.apply(V)
+            # factor products only: no operand has a slot's full size as both dimensions
+            assert all(m <= 4 and kk <= 4 for m, kk, _ in matmul_calls)
+            assert got == kb.dense() @ V
+
+
+def test_kron_apply_takes_maps_and_the_identity():
+    p, rng = 5, np.random.default_rng(0)
+    L, R = FpMatrix(p, rng.integers(0, p, (2, 3))), FpMatrix(p, rng.integers(0, p, (4, 5)))
+    V = FpMatrix(p, rng.integers(0, p, (15, 3)))
+    assert kron_apply(V, (3, 5), L, R) == L.kron(R) @ V
+    assert kron_apply(V, (3, 5), lambda X: L @ X, None) == L.kron(FpMatrix.identity(p, 5)) @ V
+    assert kron_apply(V, (3, 5), None, R) == FpMatrix.identity(p, 3).kron(R) @ V
+    assert kron_apply(V, (3, 5), None, None) == V
+
+
+def _count_blocks(monkeypatch):
+    """The blocks summed at block size, by ``dense()`` or a zero test."""
+    formed = []
+    real = KronBlocks._add_block
+
+    def counted(self, i, j, out):
+        formed.append((i, j))
+        return real(self, i, j, out)
+
+    monkeypatch.setattr(KronBlocks, "_add_block", counted)
+    return formed
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_kron_blocks_is_zero_merges_terms_that_share_a_factor(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    formed = _count_blocks(monkeypatch)
+    L1, L2 = (FpMatrix(p, rng.integers(0, p, (3, 4))) for _ in range(2))
+    R, R2 = (FpMatrix(p, rng.integers(0, p, (2, 5))) for _ in range(2))
+    almost = FpMatrix(p, (L1 + L2).a + np.eye(3, 4, dtype=np.int64))  # off by one entry
+    cases = {
+        # L1 (x) R + L2 (x) R - (L1 + L2) (x) R: cancels in the summed left factor
+        "shared right": ([(1, L1, R), (1, L2, R), (p - 1, L1 + L2, R)], True),
+        "shared right, almost": ([(1, L1, R), (1, L2, R), (p - 1, almost, R)], False),
+        # L1 (x) R + L1 (x) R2 - L1 (x) (R + R2), the identity on neither side
+        "shared left": ([(1, L1, R), (1, L1, R2), (p - 1, L1, R + R2)], True),
+        "shared left, almost": ([(1, L1, R), (2, L1, R2), (p - 1, L1, R + R2)], False),
+    }
+    for name, (ts, zero) in cases.items():
+        kb = KronBlocks(p, [(3, 2)], [(4, 5)], {(0, 0): ts})
+        assert kb.is_zero() == zero == kb.dense().is_zero(), name
+    assert formed == [(0, 0)] * len(cases)  # only by dense(), never by is_zero
+    # identity factors merge too: x (x) 1 - x (x) 1 over a square slot
+    x = FpMatrix(p, rng.integers(0, p, (3, 3)))
+    kb = KronBlocks(p, [(3, 2)], [(3, 2)], {(0, 0): [(1, x, None), (p - 1, x, None)]})
+    assert kb.is_zero() and kb.dense().is_zero()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_kron_blocks_is_zero_falls_back_to_the_block_sum(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    formed = _count_blocks(monkeypatch)
+    L, R = FpMatrix(p, rng.integers(1, p, (3, 4))), FpMatrix(p, rng.integers(1, p, (2, 5)))
+    # (2L) (x) (2^-1 R) = L (x) R with no factor object in common: only the block sum sees it cancel
+    inv2 = pow(2, p - 2, p)
+    ts = [(1, L, R), (p - 1, L.scale(2), R.scale(inv2))]
+    kb = KronBlocks(p, [(3, 2)], [(4, 5)], {(0, 0): ts})
+    assert kb.is_zero() and kb.dense().is_zero()
+    off = KronBlocks(p, [(3, 2)], [(4, 5)], {(0, 0): [(1, L, R), (p - 1, L.scale(2), R)]})
+    assert not off.is_zero() and not off.dense().is_zero()
+    # kb's fallback block sum and the two dense() calls; off shares R and merges
+    assert formed == [(0, 0)] * 3
 
 
 def test_immutability():
