@@ -121,10 +121,11 @@ def criterion_symbolic_total() -> CriterionResult:
 def criterion_closed_form() -> CriterionResult:
     def work(details: list[str]) -> bool:
         ok = True
+        table = cone_dimensions(LefschetzModel(8, FieldSpec(3)))
         for d in range(8, 17):
-            total = total_with_tail(d)
+            total = total_with_tail(table, d)
             ok = ok and total == 2 ** d - 2 ** (d - 6) and total < 2 ** d
-        details.append("totals " + ", ".join(str(total_with_tail(d)) for d in range(8, 17)))
+        details.append("totals " + ", ".join(str(total_with_tail(table, d)) for d in range(8, 17)))
         return ok
 
     return _timed("closed-form-8-16", 1.0, work)
@@ -409,8 +410,9 @@ def criterion_property_suites(seed: int = 0) -> CriterionResult:
             table = cone_oracle(model, element)
             ok = ok and table.total == 2 * 2 ** d - 2 * sum(table.ranks.values())
             cases += 1
+        rank8 = cone_dimensions(LefschetzModel(8, FieldSpec(3)))
         for d in range(8, 21):
-            ok = ok and 64 * total_with_tail(d) == 63 * 2 ** d
+            ok = ok and 64 * total_with_tail(rank8, d) == 63 * 2 ** d
             cases += 1
         details.append(f"cone conservation and ratio: {40 + 13} cases")
         details.append(f"total cases {cases}, seed {seed}")

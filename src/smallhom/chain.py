@@ -16,42 +16,42 @@ built.  The sign conventions, fixed once and recorded in certificates:
   ``d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy`` with summands ordered by
   ascending left degree, and multi-factor products associate to the left.
 
-Homology dimensions come from ranks (:func:`homology_rank_dims`), with no
-kernel or quotient formed.  A basis of homology is one record per degree,
-:class:`HomologySpace`: representative cycles ``Z`` and cocycles ``W`` with
-``W Z = I`` and ``W d = 0``, and the induced module.  It has two
-constructors:
+A basis of homology is one record per degree, :class:`HomologySpace`:
+cycles ``Z`` and cocycles ``W`` with ``W Z = I``, ``W d = 0``, the induced
+module and a homotopy ``h`` with ``Z W - 1 = -(d h + h d)``: a contraction,
+which proves ``dim H`` = the number of classes with no rank.  Constructors:
 
 * :func:`homology_space` forms cycles modulo boundaries, for complexes of
   factor size;
 * :func:`kunneth_classes` places Kronecker products of the factors' records
   in the summand slots of a tensor tower, certified by
-  :func:`certify_classes` against the rank route.
+  :func:`certify_classes`.
 
 Each quantity has one reader on the record: :meth:`HomologySpace.class_of`
 (a cycle's coordinates, ``W v`` once ``d v = 0`` holds),
 :meth:`HomologySpace.action` (``W (x Z)``, acting on a sum summand by
-summand) and :func:`induced_on_homology` (the classes of ``f_j Z_j``).
+summand), :func:`induced_on_homology` (the classes of ``f_j Z_j``) and, for
+a cone, :func:`cone_homology_dims`.  :func:`homology_rank_dims` is the
+independent rank route the tests compare with.
 
 Tower laws are checked on Kronecker blocks.  Every block of a tensor-pair
 differential, and of a map lifted from one factor, is a signed Kronecker
 product ``f (x) 1`` or ``1 (x) g`` of factor matrices, so
 :func:`tensor_pair` and :func:`_lift_through_pair` record it as such a term
 (:class:`~smallhom.linalg.KronBlocks`), and composites of lifts compose
-their terms.  One routine, :func:`vanishes`, checks ``d . d = 0`` and every
-chain-map law: each block of the difference is summed from factor products
-and tested for zero at factor size where its terms share a factor, else at
-its own size, so no law check multiplies two tower-size matrices.  A plain
-map is the one-block, one-term case.  Thin products against the Kunneth
-classes go through the blocks too (:func:`apply_map`, and the Kunneth
-cocycles are kept as blocks), so dense tower matrices are assembled only for
-ranks and for the cone's differentials.
+their terms.  One routine, :func:`vanishes`, checks ``d . d = 0``, every
+chain-map law and the homotopy identity, block by block at factor size, so
+no check multiplies two tower-size matrices.  A plain map is the one-block,
+one-term case.  Thin products against the Kunneth classes go through the
+blocks too, and a cone's differentials are grids of blocks, so no tower or
+cone matrix is assembled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -96,23 +96,22 @@ class BlockMorphism(ModuleMorphism):
         return self.blocks.is_zero()
 
 
-def blocks_of(f: ModuleMorphism) -> KronBlocks:
-    """The Kronecker blocks of a module map; a plain map is one block of one term."""
-    return f.blocks if isinstance(f, BlockMorphism) else KronBlocks.single(f.matrix)
+def blocks_of(f: ModuleMorphism | FpMatrix | KronBlocks) -> KronBlocks:
+    """The Kronecker blocks of a map; a plain map or matrix is one block of one term."""
+    if isinstance(f, KronBlocks):
+        return f
+    if isinstance(f, BlockMorphism):
+        return f.blocks
+    return KronBlocks.single(f if isinstance(f, FpMatrix) else f.matrix)
 
 
-def apply_map(f: ModuleMorphism, V: FpMatrix) -> FpMatrix:
-    """``f`` on the columns of ``V``; a map on Kronecker blocks applies its
-    terms at factor size (:meth:`KronBlocks.apply`)."""
-    return f.blocks.apply(V) if isinstance(f, BlockMorphism) else f.matrix @ V
-
-
-def vanishes(products: list[tuple[int, ModuleMorphism | None, ModuleMorphism | None]]) -> bool:
-    """Whether ``sum c * (a o b)`` is zero, ``None`` being a zero map: the one
-    check of every chain law.
+def vanishes(products: list[tuple[int, object, object]]) -> bool:
+    """Whether ``sum c * (a o b)`` is zero, each of ``a``, ``b`` a map or
+    matrix (:func:`blocks_of`) and ``None`` a zero map: the one check of every
+    chain law and of the homotopy identity.
 
     The sum is taken on Kronecker blocks, so each block is summed from factor
-    products and tested for zero at its own size; on plain maps this is one
+    products and tested for zero at factor size; on plain maps this is one
     product per pair and one comparison.
     """
     total = None
@@ -208,25 +207,32 @@ class HomologySpace:
     ``W`` reads the class of any cycle, and ``W (x Z)`` is the action of a
     generator ``x`` on homology.  A Kunneth record keeps ``W`` as
     :class:`~smallhom.linalg.KronBlocks`, so it is applied at factor size.
+    ``contract(record)`` gives the :attr:`contraction`.
     """
 
     term: Module
     d: ModuleMorphism | None
     reps: FpMatrix
     duals: FpMatrix | KronBlocks
+    contract: Callable[["HomologySpace"], tuple]
 
     @property
     def dim(self) -> int:
         return self.reps.cols
 
+    @cached_property
+    def contraction(self) -> tuple[FpMatrix | KronBlocks, FpMatrix | KronBlocks | None]:
+        """``(Z W, h)``, ``h`` going to the next degree (``None`` when zero),
+        built on first read."""
+        return self.contract(self)
+
     def read(self, vectors: FpMatrix) -> FpMatrix:
         """``W`` on the columns of ``vectors``."""
-        W = self.duals
-        return W.apply(vectors) if isinstance(W, KronBlocks) else W @ vectors
+        return blocks_of(self.duals).apply(vectors)
 
     def class_of(self, vectors: FpMatrix) -> FpMatrix:
         """Homology classes of cycle vectors given in the term's coordinates."""
-        if self.d is not None and not apply_map(self.d, vectors).is_zero():
+        if self.d is not None and not blocks_of(self.d).apply(vectors).is_zero():
             raise CertificationError("vector is not a cycle")
         return self.read(vectors)
 
@@ -239,14 +245,6 @@ class HomologySpace:
     def module(self) -> Module:
         """The homology module, its relations checked."""
         return Module(self.term.algebra, self.action(), check=True)
-
-
-def _as_blocks(m: FpMatrix | KronBlocks) -> KronBlocks:
-    return m if isinstance(m, KronBlocks) else KronBlocks.single(m)
-
-
-def _dense(m: FpMatrix | KronBlocks) -> FpMatrix:
-    return m.dense() if isinstance(m, KronBlocks) else m
 
 
 def homology_space(C: ChainComplex, i: int) -> HomologySpace:
@@ -274,10 +272,40 @@ def homology_space(C: ChainComplex, i: int) -> HomologySpace:
     qmap, section = quotient_by_subspace(p, boundary_coords)
     duals = np.zeros((qmap.rows, obj.dim), dtype=np.int64)
     duals[:, free] = qmap.a
-    hs = HomologySpace(obj, C.diffs.get(i), cycles @ section, FpMatrix._adopt(p, duals, reduced=True))
+    Z, W = cycles @ section, FpMatrix._adopt(p, duals, reduced=True)
+    up = C.diffs.get(i + 1)
+
+    def contract(record: HomologySpace) -> tuple:
+        if record.reps.cols != record.duals.rows:
+            raise CertificationError(f"the degree-{i} classes do not pair to the identity")
+        return record.reps @ record.duals, up and _boundary_homotopy(d_out, up.matrix, Z @ W)
+
+    hs = HomologySpace(obj, C.diffs.get(i), Z, W, contract)
     hs.module  # built here, so that its relations are checked with the record
     C._hcache[i] = hs
     return hs
+
+
+def _boundary_homotopy(d_out: FpMatrix, d_in: FpMatrix, projection: FpMatrix) -> FpMatrix:
+    """``h_i`` with ``d h + h d = 1 - Z W`` on ``C_i``, whose differentials
+    are ``d_i = d_out`` and ``d_{i+1} = d_in``.
+
+    ``C_i`` is the classes, the boundaries and the pivot coordinates of
+    ``d_i``'s echelon form ``R``, where ``W`` vanishes and onto which ``J R``
+    projects (``J`` puts row ``t`` at pivot ``t``).  ``h_i`` inverts
+    ``d_{i+1}`` on its pivot coordinates: ``d_{i+1} h_i = 1 - Z W - J R``
+    and ``h_{i-1} d_i = J R``.
+    """
+    red, pivots = d_out.rref()
+    rhs = np.eye(projection.rows, dtype=np.int64) - projection.a
+    rhs[list(pivots)] -= red.a[: len(pivots)]
+    in_pivots = list(d_in.rref()[1])
+    x = d_in.take_columns(in_pivots).solve(FpMatrix(d_in.p, rhs))
+    if x is None:
+        raise AssertionError("boundaries must have preimages")
+    h = np.zeros((d_in.cols, projection.rows), dtype=np.int64)
+    h[in_pivots] = x.a
+    return FpMatrix._adopt(d_in.p, h, reduced=True)
 
 
 def homology_rank_dims(C: ChainComplex) -> dict[int, int]:
@@ -385,7 +413,8 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of ``f`` after absorbing its shift.
 
     With ``X`` the suspended source, the cone has ``X_{i-1} (+) T_i`` in
-    degree ``i`` and differential ``[-d_X, 0; -f, d_T]``.  Its square is
+    degree ``i`` and differential ``[-d_X, 0; -f, d_T]``, a grid of those
+    blocks assembled only when read.  Its square is
     ``[d_X^2, 0; f d_X - d_T f, d_T^2]``, so the cone of two complexes is a
     complex exactly when ``f`` is a chain map: that law, checked on the
     blocks of ``f``, stands for a check of the assembled cone.
@@ -393,8 +422,6 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     f.validate()
     X = shift_complex(f.source, f.shift)
     T = f.target
-    g = {j + f.shift: c.matrix for j, c in f.comps.items()}
-    p = f.source.algebra.p
     objects = {}
     diffs = {}
     for i in range(min(X.lo + 1, T.lo), max(X.hi + 1, T.hi) + 1):
@@ -404,20 +431,22 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     for i in sorted(objects):
         if (i - 1) not in objects:
             continue
-        xs, ts = (S.dim for S in objects[i].summands)
-        xt, tt = (S.dim for S in objects[i - 1].summands)
-        dx = X.diff_at(i - 1).matrix if xs and xt else None
-        dt = T.diff_at(i).matrix if ts and tt else None
-        gm = g.get(i - 1) if xs and tt else None
-        mat = block(p, [[dx, None], [gm, dt]], [xt, tt], [xs, ts])
-        # negate the source columns, which hold d_X and f, in the fresh array
-        arr = mat.a
-        arr.setflags(write=True)
-        np.negative(arr[:, :xs], out=arr[:, :xs])
-        arr[:, :xs] %= p
-        arr.setflags(write=False)
-        diffs[i] = ModuleMorphism(objects[i], objects[i - 1], mat, check=False)
+        dx, u, dt = (m and blocks_of(m) for m in (X.diffs.get(i - 1), f.comps.get(i - 1 - f.shift), T.diffs.get(i)))
+        kb = KronBlocks.grid(f.source.algebra.p, [[dx and dx.scale(-1), None], [u and u.scale(-1), dt]],
+                             [S.dim for S in objects[i - 1].summands], [S.dim for S in objects[i].summands])
+        diffs[i] = BlockMorphism(objects[i], objects[i - 1], kb)
     return ChainComplex(f.source.algebra, objects, diffs, check=False)
+
+
+def cone_homology_dims(u: ChainMap, classes: dict[int, HomologySpace]) -> dict[int, int]:
+    """The cone's homology dimensions for a self map ``u`` of shift ``s`` of
+    a complex with certified records ``classes``, by the long exact sequence:
+    the cokernel of ``u_*`` into degree ``i`` plus its kernel on ``i - 1 - s``."""
+    s = u.shift
+    dims = {n: h.dim for n, h in classes.items()}
+    ranks = {j: m.rank() for j, m in induced_on_homology(u, classes).items()}
+    return {i: h for i in sorted(set(dims) | {n + 1 + s for n in dims})
+            if (h := dims.get(i, 0) - ranks.get(i - s, 0) + dims.get(i - 1 - s, 0) - ranks.get(i - 1 - s, 0))}
 
 
 def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, ModuleMorphism] | None]:
@@ -489,16 +518,8 @@ def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, ModuleMorphism] | No
         witness[j] = ModuleMorphism(smod, tmod, h, check=True)
     # re-check the homotopy identity exactly
     for j in sorted(eqdegs):
-        tmod = T.module_at(j + s)
-        smod = S.module_at(j)
-        if tmod.dim * smod.dim == 0:
-            continue
-        acc = FpMatrix.zeros(p, tmod.dim, smod.dim)
-        if j in witness:
-            acc = acc + T.diff_at(j + s + 1).matrix @ witness[j].matrix
-        if (j - 1) in witness:
-            acc = acc + (witness[j - 1].matrix @ S.diff_at(j).matrix).scale(sign)
-        if acc != f.component(j).matrix:
+        if not vanishes([(1, T.diffs.get(j + s + 1), witness.get(j)), (sign, witness.get(j - 1), S.diffs.get(j)),
+                         (-1, ModuleMorphism.identity(T.module_at(j + s)), f.comps.get(j))]):
             raise AssertionError("homotopy witness failed re-check")
     return True, witness
 
@@ -515,7 +536,7 @@ def induced_on_homology(f: ChainMap, classes: dict[int, HomologySpace]) -> dict[
         if fj is None:
             out[j] = FpMatrix.zeros(f.source.algebra.p, target.dim if target is not None else 0, h.dim)
         else:
-            out[j] = target.class_of(apply_map(fj, h.reps))
+            out[j] = target.class_of(blocks_of(fj).apply(h.reps))
     return out
 
 
@@ -577,12 +598,14 @@ def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:
 
 def _slot_blocks(left: ChainComplex, right: ChainComplex, layout: dict[int, list[SummandSlot]],
                  m: int, left_comps: dict[int, FpMatrix], right_comps: dict[int, FpMatrix],
-                 drop_koszul_sign: bool = False) -> dict[int, KronBlocks]:
-    """Kronecker terms of ``f (x) 1 + (-1)^{m s} 1 (x) g`` between the summand slots.
+                 drop_koszul_sign: bool = False, right_left: dict[int, FpMatrix] | None = None,
+                 ) -> dict[int, KronBlocks]:
+    """Kronecker terms of ``f (x) 1 + (-1)^{m s} e (x) g`` between the summand slots.
 
     ``f`` and ``g`` are shift-``m`` maps of the left and right factor, given
     by their components; the Koszul sign falls on the summand with left
     degree ``s``, unless ``drop_koszul_sign`` corrupts the convention.
+    ``e`` is the identity, or ``right_left[s]`` (no term where that is absent).
     Degrees where no block is nonzero are left out.
     """
     p = left.algebra.p
@@ -603,9 +626,10 @@ def _slot_blocks(left: ChainComplex, right: ChainComplex, layout: dict[int, list
             if f is not None and jdst is not None:
                 terms.setdefault((jdst, jsrc), []).append((1, f, None))
             g, jdst = right_comps.get(t), dst_index.get((s, t + m))
-            if g is not None and jdst is not None:
+            e = None if right_left is None else right_left.get(s)
+            if g is not None and jdst is not None and (right_left is None or e is not None):
                 sign = -1 if (m * s) % 2 and not drop_koszul_sign else 1
-                terms.setdefault((jdst, jsrc), []).append((sign % p, None, g))
+                terms.setdefault((jdst, jsrc), []).append((sign % p, e, g))
         if terms:
             out[n] = KronBlocks(p, factor_dims(target_slots), factor_dims(slots), terms)
     return out
@@ -687,7 +711,8 @@ def kunneth_classes(tower: TensorTower) -> dict[int, HomologySpace]:
     Each stage places the Kronecker products of its left classes with the
     right factor's classes (:func:`homology_space`) in the summand slots of
     its layout: ``z (x) z'`` is a cycle and ``w (x) w'`` kills boundaries by
-    the Leibniz rule.  :func:`certify_classes` checks both, and the pairing.
+    the Leibniz rule, and ``h_1 (x) 1 + (-1)^s (Z_1 W_1) (x) h_2`` contracts
+    the stage (the tensor trick).  :func:`certify_classes` checks all three.
     """
     def factor(C: ChainComplex) -> dict[int, HomologySpace]:
         return {n: homology_space(C, n) for n in C.degrees()}
@@ -703,6 +728,21 @@ def _pair_classes(tp: TensorPair, left: dict[int, HomologySpace],
     """One stage: ``z (x) z'`` in its slot's rows, ``w (x) w'`` in its
     columns, the latter kept as one Kronecker term per class slot."""
     p = tp.complex.algebra.p
+
+    def projection(h: HomologySpace) -> FpMatrix:
+        return blocks_of(h.contraction[0]).dense()
+
+    @cache
+    def homotopies() -> dict[int, KronBlocks]:
+        hs = [{n: blocks_of(h.contraction[1]).dense() for n, h in side.items() if h.contraction[1]}
+              for side in (left, right)]
+        return _slot_blocks(tp.left, tp.right, tp.layout, 1, *hs,
+                            right_left={s: projection(h) for s, h in left.items() if h.dim})
+
+    def contract(record: HomologySpace, n: int, factor_dims: list, hit: list) -> tuple:
+        P = {(k, k): [(1, projection(hl), projection(hr))] for k, hl, hr in hit}
+        return KronBlocks(p, factor_dims, factor_dims, P), homotopies().get(n)
+
     out = {}
     for n, slots in tp.layout.items():
         pairs = [(k, left[sl.left_degree], right[sl.right_degree]) for k, sl in enumerate(slots)]
@@ -711,38 +751,42 @@ def _pair_classes(tp: TensorPair, left: dict[int, HomologySpace],
         dims = [sl.dim for sl in slots]
         reps = block(p, [[zs[k] if k == j else None for j in zs] for k in range(len(slots))],
                      dims, [z.cols for z in zs.values()])
-        duals = KronBlocks(p, [(hl.dim, hr.dim) for _, hl, hr in hit],
-                           [(tp.left.objects[sl.left_degree].dim, tp.right.objects[sl.right_degree].dim)
-                            for sl in slots],
-                           {(r, k): [(1, _dense(hl.duals), _dense(hr.duals))] for r, (k, hl, hr) in enumerate(hit)})
-        out[n] = HomologySpace(tp.complex.objects[n], tp.complex.diffs.get(n), reps, duals)
+        factor_dims = [(tp.left.objects[sl.left_degree].dim, tp.right.objects[sl.right_degree].dim)
+                       for sl in slots]
+        duals = KronBlocks(p, [(hl.dim, hr.dim) for _, hl, hr in hit], factor_dims,
+                           {(r, k): [(1, blocks_of(hl.duals).dense(), blocks_of(hr.duals).dense())]
+                            for r, (k, hl, hr) in enumerate(hit)})
+        out[n] = HomologySpace(tp.complex.objects[n], tp.complex.diffs.get(n), reps, duals,
+                               partial(contract, n=n, factor_dims=factor_dims, hit=hit))
     return out
 
 
-def certify_classes(C: ChainComplex, classes: dict[int, HomologySpace], dims: dict[int, int]) -> None:
-    """Check that ``classes`` is a basis of the homology of ``C``, whose
-    dimensions ``dims`` come from :func:`homology_rank_dims`.
+def certify_classes(C: ChainComplex, classes: dict[int, HomologySpace]) -> None:
+    """Check that ``classes`` contracts ``C`` onto its homology, which
+    proves that ``dim H_n(C)`` is the number of degree-``n`` classes.
 
-    In each degree the representatives must be cycles (``d_n Z = 0``), the
-    cocycles must vanish on boundaries (``W d_{n+1} = 0``), and the pairing
-    must be the identity (``W Z = I``).  Then ``W`` is well defined on
-    homology and the classes of ``Z`` are independent, so ``dim H_n`` of them
-    form a basis in which ``W`` reads the coordinates of a cycle.
+    In each degree ``d_n Z = 0``, ``W d_{n+1} = 0``, ``W Z = I`` and
+    ``Z W - 1 + d_{n+1} h_n + h_{n-1} d_n = 0`` (:func:`vanishes`).  Then
+    ``Z`` and ``W`` are chain maps with ``W Z = 1`` and ``Z W`` homotopic to
+    ``1``: inverse isomorphisms on homology, and ``W`` reads the coordinates
+    of a cycle.
     """
-    for n in range(C.lo, C.hi + 1):
-        h = classes.get(n)
-        count, want = (h.dim if h is not None else 0), dims.get(n, 0)
-        if count != want:
-            raise CertificationError(f"{count} classes in degree {n}, but dim H_{n} = {want}")
-        if not want:
-            continue
+    p = C.algebra.p
+    for n in C.degrees():
+        h = classes[n]
         Z = h.reps
-        if n in C.diffs and not apply_map(C.diffs[n], Z).is_zero():
+        if n in C.diffs and not blocks_of(C.diffs[n]).apply(Z).is_zero():
             raise CertificationError(f"a degree-{n} representative is not a cycle")
-        if n + 1 in C.diffs and not (_as_blocks(h.duals) @ blocks_of(C.diffs[n + 1])).is_zero():
+        if n + 1 in C.diffs and not (blocks_of(h.duals) @ blocks_of(C.diffs[n + 1])).is_zero():
             raise CertificationError(f"a degree-{n} cocycle does not vanish on boundaries")
-        if h.read(Z) != FpMatrix.identity(C.algebra.p, want):
+        if h.read(Z) != FpMatrix.identity(p, h.dim):
             raise CertificationError(f"the degree-{n} classes do not pair to the identity")
+        P, h_n = h.contraction
+        slots = blocks_of(P).row_slots
+        one = KronBlocks(p, slots, slots, {(k, k): [(1, None, None)] for k in range(len(slots))})
+        below = classes[n - 1].contraction[1] if n in C.diffs else None
+        if not vanishes([(1, one, P), (-1, one, one), (1, C.diffs.get(n + 1), h_n), (1, below, C.diffs.get(n))]):
+            raise CertificationError(f"the degree-{n} homotopy identity fails")
 
 
 def projectivity_flags(C: ChainComplex) -> dict[int, bool]:

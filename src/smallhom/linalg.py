@@ -466,10 +466,10 @@ class KronBlocks:
     form by the mixed-product rule ``(L (x) R)(L' (x) R') = LL' (x) RR'``
     (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
     123, 2000), so they multiply factors only.  A thin matrix is multiplied
-    through the reshape identity (:meth:`apply`), a zero test merges terms
-    that share a factor (:meth:`is_zero`), and the dense matrix is assembled
-    only on request (:meth:`dense`).  A plain matrix is the one-block,
-    one-term case (:meth:`single`).
+    through the reshape identity (:meth:`apply`), a zero test runs at factor
+    size (:meth:`is_zero`), and the dense matrix is assembled only on
+    request (:meth:`dense`).  A plain matrix is the one-block, one-term case
+    (:meth:`single`).
     """
 
     __slots__ = ("p", "row_slots", "col_slots", "terms", "_dense")
@@ -486,6 +486,25 @@ class KronBlocks:
         out = cls(m.p, [(m.rows, 1)], [(m.cols, 1)], {(0, 0): [(1, m, None)]})
         out._dense = m
         return out
+
+    @classmethod
+    def grid(cls, p: int, grid: list[list["KronBlocks | None"]], row_dims: list[int],
+             col_dims: list[int]) -> "KronBlocks":
+        """The block matrix of a grid of Kronecker blocks, ``None`` being zero.
+        A grid row (column) takes its slots from its blocks, or is one slot
+        of its dimension."""
+        rows = [next((b.row_slots for b in row if b), ((d, 1),) if d else ()) for row, d in zip(grid, row_dims)]
+        cols = [next((row[c].col_slots for row in grid if row[c]), ((d, 1),) if d else ())
+                for c, d in enumerate(col_dims)]
+        terms = {}
+        for r, row in enumerate(grid):
+            for c, b in enumerate(row):
+                if b is not None:
+                    if (b.row_slots, b.col_slots) != (rows[r], cols[c]):
+                        raise ValueError("the blocks of one grid row or column must share their slots")
+                    i0, j0 = sum(map(len, rows[:r])), sum(map(len, cols[:c]))
+                    terms.update({(i + i0, j + j0): ts for (i, j), ts in b.terms.items()})
+        return cls(p, sum(rows, ()), sum(cols, ()), terms)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -521,15 +540,6 @@ class KronBlocks:
         terms = {key: [(c * c0 % self.p, L, R) for c0, L, R in ts] for key, ts in self.terms.items()}
         return KronBlocks(self.p, self.row_slots, self.col_slots, terms if c else {})
 
-    def _block(self, i: int, j: int) -> FpMatrix | None:
-        """Block ``(i, j)`` at its own size, ``None`` when it has no terms."""
-        if not self.terms.get((i, j)):
-            return None
-        (rl, rr), (cl, cr) = self.row_slots[i], self.col_slots[j]
-        out = np.zeros((rl * rr, cl * cr), dtype=np.int64)
-        self._add_block(i, j, out)
-        return FpMatrix._adopt(self.p, out, reduced=True)
-
     def _add_block(self, i: int, j: int, out: np.ndarray) -> None:
         """Add block ``(i, j)``, summed from its terms, to ``out`` in place."""
         rl, rr = self.row_slots[i]
@@ -553,44 +563,8 @@ class KronBlocks:
         return self._dense
 
     def is_zero(self) -> bool:
-        """Block by block, at factor size where the terms allow.
-
-        A one-term block is zero exactly when a factor or its coefficient
-        is.  Terms that all share one factor object ``R`` (or all ``L``)
-        merge into ``(sum c_k L_k) (x) R``, zero exactly when ``R`` or that
-        factor-size sum is.  Only a block whose terms share no factor is
-        summed at its own size.
-        """
-        for (i, j), ts in self.terms.items():
-            if len(ts) == 1:
-                c, L, R = ts[0]
-                if c and (L is None or not L.is_zero()) and (R is None or not R.is_zero()):
-                    return False
-                continue
-            merged = self._merged(i, j)
-            if merged is None:
-                if not self._block(i, j).is_zero():
-                    return False
-            elif not any(f is not None and f.is_zero() for f in merged):
-                return False
-        return True
-
-    def _merged(self, i: int, j: int) -> tuple[FpMatrix | None, FpMatrix | None] | None:
-        """Block ``(i, j)`` as one Kronecker product ``(L, R)`` with a summed
-        factor, when all its terms share the other factor object; else ``None``."""
-        ts = self.terms[(i, j)]
-        (rl, rr), (cl, cr) = self.row_slots[i], self.col_slots[j]
-        for side, (rows, cols) in ((2, (rl, cl)), (1, (rr, cr))):
-            shared = ts[0][side]
-            if all(t[side] is shared for t in ts):
-                out = np.zeros((rows, cols), dtype=np.int64)
-                for t in ts:
-                    f = t[3 - side]
-                    out += t[0] * (f.a if f is not None else np.eye(rows, dtype=np.int64))
-                    out %= self.p
-                summed = FpMatrix._adopt(self.p, out, reduced=True)
-                return (summed, shared) if side == 2 else (shared, summed)
-        return None
+        """Block by block, at factor size (:func:`_kron_sum_is_zero`)."""
+        return all(_kron_sum_is_zero(self.p, ts, self.row_slots[i]) for (i, _), ts in self.terms.items())
 
     def apply(self, V: FpMatrix) -> FpMatrix:
         """``self @ V`` for a thin ``V``, term by term through
@@ -647,6 +621,37 @@ def _factor_product(x: FpMatrix | None, y: FpMatrix | None) -> FpMatrix | None:
     if x is None:
         return y
     return x if y is None else x @ y
+
+
+def _kron_sum_is_zero(p: int, terms: list, rows: tuple[int, int]) -> bool:
+    """Whether ``sum c L (x) R`` over ``terms``, a block whose row slot has
+    factor dimensions ``rows``, is zero, at factor size.
+
+    Grouped by the factor object they share on one side (the side with fewer
+    groups), the terms are ``sum_g S_g (x) F_g``.  Row reduction of the
+    vectorised ``S_g`` writes ``S_g = sum_t a_tg V_t`` with ``V_t``
+    independent, and the block ``sum_t V_t (x) (sum_g a_tg F_g)`` is zero
+    exactly when each of these combinations is.
+    """
+    if len(terms) == 1:
+        c, L, R = terms[0]
+        return not c or (L is not None and L.is_zero()) or (R is not None and R.is_zero())
+    groupings = []
+    for side in (2, 1):  # shared right factors, then shared left ones
+        groups: dict = {}
+        for t in terms:
+            groups.setdefault(id(t[side]), (t[side], []))[1].append((t[0], t[3 - side]))
+        groupings.append((side, list(groups.values())))
+    side, groups = min(groupings, key=lambda sg: len(sg[1]))
+    n_summed, n_shared = (rows[0], rows[1])[:: 1 if side == 2 else -1]
+
+    def vec(f, n):  # a factor as a row, None being the n x n identity
+        return (f.a if f is not None else np.eye(n, dtype=np.int64)).reshape(-1)
+
+    summed = FpMatrix(p, [sum(c * vec(f, n_summed) for c, f in members) for _, members in groups])
+    red, pivots = summed.transpose().rref()
+    shared = np.array([vec(f, n_shared) for f, _ in groups])
+    return not (red.a[: len(pivots)] @ shared % p).any()
 
 
 def nonpivot_columns(n: int, pivots) -> list[int]:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smallhom
@@ -27,6 +28,7 @@ from smallhom.chain import (
     ChainMap,
     certify_classes,
     compose_shifted,
+    cone_homology_dims,
     euler_characteristic,
     homology_rank_dims,
     homology_space,
@@ -183,7 +185,7 @@ except AssertionError as exc:
 
 def test_homology_rank_dims_rejects_negative_homology_under_optimize(run_optimized):
     # d_1 d_2 = 1 on k -> k -> k, so dim H_1 = 1 - 1 - 1 = -1; the check
-    # certifies cone dimensions, so it must not be an assert
+    # guards the reference route, so it must not be an assert
     run = run_optimized(NEGATIVE_HOMOLOGY)
     assert run.returncode == 1
     assert run.stderr.strip() == "optimize=1: rank bookkeeping must stay non-negative: dim H_1 = -1"
@@ -371,7 +373,7 @@ def test_rank_dims_agree_with_subquotients(two_term, algebra):
 
 def test_rank_dims_agree_with_subquotients_on_the_rank2_cone():
     # the F_3 `3 3` primitive cone of ChainRun, whose certificate reads its
-    # homology off ranks; the subquotient route stays the reference
+    # homology off the long exact sequence; ranks and subquotients agree
     from smallhom.construction import build_class_complex, build_thetas, find_parameter_system
     from smallhom.algebra import minimal_resolution
 
@@ -388,23 +390,36 @@ def test_rank_dims_agree_with_subquotients_on_the_rank2_cone():
     assert ranks == subquotient_dims(cone) == {0: 1, 1: 2, 4: 2, 5: 1}
 
 
-RANK2_TEMPLATE = ["--config", str(Path(__file__).resolve().parent.parent / "configs" / "chain-rank2.ini")]
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+RANK2_TEMPLATE = ["--config", str(CONFIGS / "chain-rank2.ini")]
+RANK3_TEMPLATE = ["--config", str(CONFIGS / "chain-rank3-f2.ini")]
 F2_POWER2 = ["--mode", "chain", "--char", "2", "--exponents", "2 2", "--power", "2", "--coproduct"]
+F3_SHIFTED = ["--mode", "chain", "--char", "3", "--exponents", "3 3", "--coproduct", "shifted"]
 
 
-@pytest.mark.parametrize("args", [RANK2_TEMPLATE, F2_POWER2 + ["primitive"], F2_POWER2 + ["shifted"]],
-                         ids=["chain-rank2", "f2-power2-primitive", "f2-power2-shifted"])
+@pytest.mark.parametrize("args", [RANK2_TEMPLATE, F2_POWER2 + ["primitive"], F2_POWER2 + ["shifted"],
+                                  RANK3_TEMPLATE, F3_SHIFTED],
+                         ids=["chain-rank2", "f2-power2-primitive", "f2-power2-shifted", "chain-rank3-f2",
+                              "f3-shifted"])
 def test_kunneth_classes_against_the_subquotient_route(args, chain_run_parts, tmp_path):
-    # the subquotient route on the run's own tower is the reference
+    # the subquotient and rank routes on the run's own tower and cone are the reference
     assert cli.main(["certify", *args, "--out", str(tmp_path / "run.cert")]) == 0
-    (tower,), (thetas,) = chain_run_parts["towers"], chain_run_parts["thetas"]
+    (tower,), (thetas,), (cone,) = (chain_run_parts[k] for k in ("towers", "thetas", "cones"))
     big = tower.complex
     dims = homology_rank_dims(big)
     sub = subquotient_classes(big)
     assert {n: h.dim for n, h in sub.items() if h.dim} == dims
     classes = kunneth_classes(tower)
     assert list(classes) == list(sub)  # one record per tower degree
-    certify_classes(big, classes, dims)
+    certify_classes(big, classes)
+    assert {n: h.dim for n, h in classes.items() if h.dim} == dims
+    # the cone by the long exact sequence against the cone's ranks, and a
+    # zero map, whose cone splits, against its own
+    u = compose_shifted(thetas[0], thetas[1])
+    assert cone_homology_dims(u, classes) == homology_rank_dims(cone)
+    zero = ChainMap(big, big, u.shift, {}, check=False)
+    split = cone_homology_dims(zero, classes)
+    assert split == homology_rank_dims(mapping_cone(zero)) != homology_rank_dims(cone)
     # subquotient coordinates of the Kunneth representatives: a change of basis
     change = {n: sub[n].class_of(h.reps) for n, h in classes.items() if h.dim}
     assert list(change) == list(dims)
@@ -425,13 +440,43 @@ def test_kunneth_classes_against_the_subquotient_route(args, chain_run_parts, tm
     assert nonzero >= len(thetas)
 
 
+@pytest.mark.parametrize("p, exponents", [(3, [3]), (5, [5]), (2, [2, 2])])
+def test_subquotient_and_kunneth_records_are_contractions(p, exponents):
+    # random complexes of free and trivial summands, and their tensor pairs:
+    # every record passes certify_classes, whose homotopy identity is checked
+    # here once more on assembled matrices
+    from smallhom.acceptance import module_pieces, random_complex
+
+    A = qci_algebra(FieldSpec(p), exponents, coproduct="primitive")
+    pieces, rng = module_pieces(A), random.Random(p)
+    complexes = [random_complex(pieces, rng, length=2) for _ in range(6)]
+    for C in complexes:
+        classes = subquotient_classes(C)
+        certify_classes(C, classes)
+        for n, h in classes.items():
+            P, h_n = h.contraction
+            below = classes.get(n - 1)
+            total = P.a - np.eye(C.module_at(n).dim, dtype=np.int64)
+            if h_n is not None:
+                total = total + C.diffs[n + 1].matrix.a @ h_n.a
+            if n in C.diffs and below.contraction[1] is not None:
+                total = total + below.contraction[1].a @ C.diffs[n].matrix.a
+            assert not (total % p).any()
+    for C1, C2 in zip(complexes[::2], complexes[1::2]):
+        tower = tensor_tower([C1, C2], DiagonalTensor(A))
+        classes = kunneth_classes(tower)
+        certify_classes(tower.complex, classes)
+        dims = {n: h.dim for n, h in classes.items() if h.dim}
+        assert dims == homology_rank_dims(tower.complex) == subquotient_dims(tower.complex)
+
+
 # A self map built unchecked whose degree-1 component sends x^2, the H_1
 # representative of A --x--> A, to the unit, which is not a cycle; on the
 # tower C (x) C its left lift sends a Kunneth representative off the cycles.
 NON_CYCLE_IMAGE = """
 from smallhom.algebra import DiagonalTensor, ModuleMorphism, qci_algebra, regular_module
-from smallhom.chain import (ChainComplex, ChainMap, certify_classes, homology_rank_dims, homology_space,
-                            induced_on_homology, kunneth_classes, tensor_tower)
+from smallhom.chain import (ChainComplex, ChainMap, certify_classes, homology_space, induced_on_homology,
+                            kunneth_classes, tensor_tower)
 from smallhom.linalg import FieldSpec, FpMatrix
 
 A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
@@ -441,7 +486,7 @@ to_unit = ModuleMorphism(reg, reg, FpMatrix(3, [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
 f = ChainMap(C, C, 0, {1: to_unit}, check=False)
 tower = tensor_tower([C, C], DiagonalTensor(A))
 kunneth = kunneth_classes(tower)
-certify_classes(tower.complex, kunneth, homology_rank_dims(tower.complex))
+certify_classes(tower.complex, kunneth)
 CASES = {
     "subquotient": (f, {i: homology_space(C, i) for i in C.degrees()}),
     "kunneth": (tower.lift_factor_map(0, f), kunneth),
@@ -524,9 +569,6 @@ def test_rank3_lifts_agree_with_the_dense_reference(dense_laws):
         assert theta.law_defects() == dense_laws.law_defects(theta) == []
 
 
-RANK3_TEMPLATE = ["--config", str(Path(__file__).resolve().parent.parent / "configs" / "chain-rank3-f2.ini")]
-
-
 def _tower_read_shapes(monkeypatch, args, chain_run_parts, tmp_path):
     """Run ``args`` and return the tower and the operand shapes of every
     product made inside a law check, the trivial-action check, an induced
@@ -587,9 +629,48 @@ def test_rank3_tower_reads_multiply_no_tower_size_matrices(monkeypatch, chain_ru
     _assert_tower_reads_at_factor_size(tower, shapes, 512)
 
 
-def test_chain_run_leaves_the_tower_and_cone_unbuilt(chain_run_parts, tmp_path):
-    assert cli.main(["certify", *RANK2_TEMPLATE, "--out", str(tmp_path / "run.cert")]) == 0
+def _elimination_widths(monkeypatch) -> list:
+    """``(tower built, columns)`` for every ``rank``, ``rref`` and
+    ``_dense_peeled_rank`` call of a run."""
+    widths, built = [], [False]
+    for owner, name in ((FpMatrix, "rank"), (FpMatrix, "rref"), (smallhom.linalg, "_dense_peeled_rank")):
+        def counted(a, *args, real=getattr(owner, name)):
+            widths.append((built[0], (a.a if isinstance(a, FpMatrix) else a).shape[1]))
+            return real(a, *args)
+        monkeypatch.setattr(owner, name, counted)
+    tower = construction.tensor_tower
+
+    def recorded(*args, **kwargs):
+        out = tower(*args, **kwargs)
+        built[0] = True
+        return out
+
+    monkeypatch.setattr(construction, "tensor_tower", recorded)
+    return widths
+
+
+def test_chain_run_leaves_the_tower_and_cone_unbuilt(chain_run_parts, monkeypatch, tmp_path):
+    widths = _elimination_widths(monkeypatch)
+    for args in (RANK2_TEMPLATE, RANK3_TEMPLATE):
+        for recorded in chain_run_parts.values():
+            recorded.clear()
+        widths.clear()
+        assert cli.main(["certify", *args, "--out", str(tmp_path / "run.cert")]) == 0
+        _assert_tower_and_cone_unbuilt(chain_run_parts, widths)
+
+
+def _assert_tower_and_cone_unbuilt(chain_run_parts, widths):
     (tower,), (cone,) = chain_run_parts["towers"], chain_run_parts["cones"]
+    # no cone differential was assembled: each is a grid of its pieces' blocks
+    assert cone.diffs and all(d.blocks._dense is None for d in cone.diffs.values())
+    # nothing as wide as a tower term was ranked or row-reduced; once the
+    # tower exists, nothing wider than a factor homotopy's solve, which
+    # eliminates d on its pivot columns against a factor term's identity
+    last = tower.pairs[-1]
+    factor_term = max(M.dim for C in (last.left, last.right) for M in C.objects.values())
+    assert max(w for _, w in widths) < min(tower.complex.dims().values())
+    assert any(built for built, _ in widths)
+    assert max(w for built, w in widths if built) <= 2 * factor_term
     stages = [tp.complex for tp in tower.pairs]
     # homology_space ran on the factor complexes, never on a tower stage,
     # and no tower differential was row-reduced

@@ -281,6 +281,18 @@ def corrupted(kind):
             return dataclasses.replace(h, duals=h.duals.scale(0))
         if kind == "wrong-size-pairing" and n == C.hi:  # a 1 x 2 pairing
             return dataclasses.replace(h, reps=hstack([h.reps, h.reps]))
+        if kind == "corrupt-homotopy" and n == 0:
+            # one entry of h_0 moved in a row where d_1 is nonzero
+            def contract(record, real=h.contract):
+                P, h0 = real(record)
+                k = int(np.flatnonzero(C.diffs[1].matrix.a.any(axis=0))[0])
+                bad = h0.a.copy()
+                bad[k, 0] += 1
+                return P, FpMatrix(p, bad)
+            return dataclasses.replace(h, contract=contract)
+        if kind == "dropped-class" and n == 0:
+            # W Z = I, d Z = 0 and W d = 0 still hold; only the homotopy identity fails
+            return dataclasses.replace(h, reps=h.reps.take_columns(range(1, h.dim)), duals=FpMatrix(p, h.duals.a[1:]))
         return h
     return homology_space
 """
@@ -288,7 +300,9 @@ CLASS_DEFECTS = {
     "not-a-cycle": "a degree-1 representative is not a cycle",
     "boundary-pairing": "a degree-0 cocycle does not vanish on boundaries",
     "singular-pairing": "the degree-1 classes do not pair to the identity",
-    "wrong-size-pairing": "4 classes in degree 1, but dim H_1 = 2",
+    "wrong-size-pairing": "the degree-1 classes do not pair to the identity",
+    "corrupt-homotopy": "the degree-0 homotopy identity fails",
+    "dropped-class": "the degree-0 homotopy identity fails",
 }
 F2_RANK2 = ["certify", "--mode", "chain", "--char", "2", "--exponents", "2 2", "--coproduct", "primitive"]
 CORRUPT_CLASSES_RUN = f"""
@@ -322,6 +336,54 @@ def test_corrupt_factor_classes_fail_under_optimize(run_optimized):
 
 
 RANK2_CONFIG = ["certify", "--config", str(Path(__file__).resolve().parent.parent / "configs" / "chain-rank2.ini")]
+CORRUPT_CONE = """
+import sys
+
+import numpy as np
+from smallhom import cli, construction
+from smallhom.chain import BlockMorphism, ChainMap
+from smallhom.linalg import FpMatrix, KronBlocks
+
+real_mapping_cone = construction.mapping_cone
+
+
+def corrupted_cone(u):
+    # the first entry of the left factor of u's first Kronecker term whose
+    # change breaks the chain-map law of u: one block of the cone is wrong
+    j, f = next(iter(u.comps.items()))
+    kb = f.blocks
+    key = next(iter(kb.terms))
+    (c, L, R), *rest = kb.terms[key]
+    for r, col in np.ndindex(*L.shape):
+        a = L.a.copy()
+        a[r, col] += 1
+        terms = {**kb.terms, key: [(c, FpMatrix(kb.p, a), R), *rest]}
+        bad = BlockMorphism(f.source, f.target, KronBlocks(kb.p, kb.row_slots, kb.col_slots, terms))
+        v = ChainMap(u.source, u.target, u.shift, {**u.comps, j: bad}, check=False)
+        if v.law_defects():
+            return real_mapping_cone(v)
+    raise RuntimeError("no entry breaks the law")
+"""
+CORRUPT_CONE_RUN = f"""
+assert False, "reached only without -O"
+construction.mapping_cone = corrupted_cone
+print(f"optimize={{sys.flags.optimize}} exit={{cli.main({RANK2_CONFIG!r})}}")
+"""
+CORRUPT_CONE_MESSAGE = "certification error: chain-map law fails at degree 0\n"
+
+
+def test_corrupt_cone_block_exits_2(monkeypatch, capsys, run_optimized):
+    scope: dict = {}
+    exec(CORRUPT_CONE, scope)
+    monkeypatch.setattr(construction, "mapping_cone", scope["corrupted_cone"])
+    assert run_cli(RANK2_CONFIG) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == CORRUPT_CONE_MESSAGE
+    run = run_optimized(CORRUPT_CONE + CORRUPT_CONE_RUN)
+    assert run.stdout == "optimize=1 exit=2\n"
+    assert run.stderr == CORRUPT_CONE_MESSAGE
+
+
 # Three corruptions that the Kronecker-block law checks must catch
 BLOCK_LAW_CONTROLS = """
 import dataclasses
@@ -496,7 +558,9 @@ def test_commutators_for_one_generator_are_usage_errors(values, capsys):
 def test_lefschetz_element_missing_t7_t8_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(lefschetz, "LEFSCHETZ_TERMS", lefschetz.LEFSCHETZ_TERMS[:3])
     assert run_cli(["certify", "--mode", "symbolic", "--rank", "8", "--char", "3"]) == 2
-    assert "cone_total = fail" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "cone_total = fail" in out and "closed_form = fail" in out
+    assert "closed_form = total 280 != 2^8 - 2^2 < 2^8" in out
 
 
 def test_nonprojective_tensor_exits_2(nonprojective_powered_tensor, capsys):

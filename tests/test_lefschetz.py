@@ -99,11 +99,15 @@ def test_cone_dimensions_requires_rank8():
 
 
 def test_total_with_tail_values():
-    assert total_with_tail(8) == 252 < 256
-    assert total_with_tail(10) == 1008 == 2 ** 10 - 2 ** 4
-    assert total_with_tail(16) == 64512 == 2 ** 16 - 2 ** 10
+    table = cone_dimensions(LefschetzModel(8, F3))
+    assert total_with_tail(table, 8) == 252 < 256
+    assert total_with_tail(table, 10) == 1008 == 2 ** 10 - 2 ** 4
+    assert total_with_tail(table, 16) == 64512 == 2 ** 16 - 2 ** 10
     with pytest.raises(ValueError):
-        total_with_tail(7)
+        total_with_tail(table, 7)
+    # the total scales the table's, so a wrong table gives a wrong total
+    wrong = cone_oracle(LefschetzModel(8, F3), LEFSCHETZ_TERMS[:3])
+    assert total_with_tail(wrong, 10) == 280 * 4 != 2 ** 10 - 2 ** 4
 
 
 def test_cone_oracle_rejects_the_zero_element():
@@ -142,8 +146,9 @@ def test_cone_conservation_random_elements():
 
 
 def test_ratio_constancy():
+    table = cone_dimensions(LefschetzModel(8, F3))
     for d in range(8, 21):
-        assert 64 * total_with_tail(d) == 63 * 2 ** d
+        assert 64 * total_with_tail(table, d) == 63 * 2 ** d
 
 
 def test_family_lengths_formula():

@@ -541,6 +541,10 @@ def test_kron_blocks_is_zero_merges_terms_that_share_a_factor(p, monkeypatch):
         # L1 (x) R + L1 (x) R2 - L1 (x) (R + R2), the identity on neither side
         "shared left": ([(1, L1, R), (1, L1, R2), (p - 1, L1, R + R2)], True),
         "shared left, almost": ([(1, L1, R), (2, L1, R2), (p - 1, L1, R + R2)], False),
+        # L1 (x) R + L2 (x) R' + (L1 + L2) (x) (-R), R' a copy of R: no factor
+        # object is shared, and the terms cancel through L1 + L2 - (L1 + L2) = 0
+        "left relation": ([(1, L1, R), (1, L2, FpMatrix(p, R.a)), (1, L1 + L2, R.scale(p - 1))], True),
+        "left relation, almost": ([(1, L1, R), (1, L2, FpMatrix(p, R.a)), (1, almost, R.scale(p - 1))], False),
     }
     for name, (ts, zero) in cases.items():
         kb = KronBlocks(p, [(3, 2)], [(4, 5)], {(0, 0): ts})
@@ -553,19 +557,20 @@ def test_kron_blocks_is_zero_merges_terms_that_share_a_factor(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_kron_blocks_is_zero_falls_back_to_the_block_sum(p, monkeypatch):
+def test_kron_blocks_is_zero_resolves_terms_that_share_no_factor(p, monkeypatch):
     rng = np.random.default_rng(p)
     formed = _count_blocks(monkeypatch)
     L, R = FpMatrix(p, rng.integers(1, p, (3, 4))), FpMatrix(p, rng.integers(1, p, (2, 5)))
-    # (2L) (x) (2^-1 R) = L (x) R with no factor object in common: only the block sum sees it cancel
+    # (2L) (x) (2^-1 R) = L (x) R with no factor object in common: it cancels
+    # through the relation 2L = 2 * L between the left factors
     inv2 = pow(2, p - 2, p)
     ts = [(1, L, R), (p - 1, L.scale(2), R.scale(inv2))]
     kb = KronBlocks(p, [(3, 2)], [(4, 5)], {(0, 0): ts})
     assert kb.is_zero() and kb.dense().is_zero()
     off = KronBlocks(p, [(3, 2)], [(4, 5)], {(0, 0): [(1, L, R), (p - 1, L.scale(2), R)]})
     assert not off.is_zero() and not off.dense().is_zero()
-    # kb's fallback block sum and the two dense() calls; off shares R and merges
-    assert formed == [(0, 0)] * 3
+    # only the two dense() calls form the block: no zero test sums it at block size
+    assert formed == [(0, 0)] * 2
 
 
 def test_immutability():
