@@ -105,12 +105,19 @@ def les_cone_table_rank8() -> dict[tuple[int, int], int]:
 PROFILE_RANKS = {0: 1, 1: 8, 2: 28, 3: 56, 4: 28, 5: 8, 6: 1}
 
 
+def rank8_table():
+    """The cone table of the Lefschetz element on the rank-8 model over F_3."""
+    return cone_dimensions(LefschetzModel(8, FieldSpec(3)))
+
+
 # ----------------------------------------------------------------------
 # criteria
 # ----------------------------------------------------------------------
-def criterion_symbolic_total() -> CriterionResult:
+def criterion_symbolic_total(rank8=rank8_table) -> CriterionResult:
+    """``rank8`` returns the rank-8 table, which :func:`run_all` shares
+    among the criteria that read it."""
     def work(details: list[str]) -> bool:
-        table = cone_dimensions(LefschetzModel(8, FieldSpec(3)))
+        table = rank8()
         expected = les_cone_table_rank8()
         details.append(f"total {table.total}, per-degree {sorted(table.entries.items())}")
         return table.total == 252 == 2 ** 8 - 4 and table.entries == expected
@@ -118,10 +125,10 @@ def criterion_symbolic_total() -> CriterionResult:
     return _timed("symbolic-total-rank8", 1.0, work)
 
 
-def criterion_closed_form() -> CriterionResult:
+def criterion_closed_form(rank8=rank8_table) -> CriterionResult:
     def work(details: list[str]) -> bool:
         ok = True
-        table = cone_dimensions(LefschetzModel(8, FieldSpec(3)))
+        table = rank8()
         for d in range(8, 17):
             total = total_with_tail(table, d)
             ok = ok and total == 2 ** d - 2 ** (d - 6) and total < 2 ** d
@@ -131,11 +138,11 @@ def criterion_closed_form() -> CriterionResult:
     return _timed("closed-form-8-16", 1.0, work)
 
 
-def criterion_lefschetz_profile() -> CriterionResult:
+def criterion_lefschetz_profile(rank8=rank8_table) -> CriterionResult:
     def work(details: list[str]) -> bool:
         ok = True
         for p in (3, 5):
-            prof = verify_lefschetz_profile(cone_dimensions(LefschetzModel(8, FieldSpec(p))))
+            prof = verify_lefschetz_profile(rank8() if p == 3 else cone_dimensions(LefschetzModel(8, FieldSpec(p))))
             ok = ok and prof.ok and prof.ranks == PROFILE_RANKS
             details.append(f"F{p} ranks {prof.ranks}")
         prof2 = verify_lefschetz_profile(cone_dimensions(LefschetzModel(8, FieldSpec(2))))
@@ -334,7 +341,7 @@ def _relations_hold_directly(A, mats) -> bool:
     return True
 
 
-def criterion_property_suites(seed: int = 0) -> CriterionResult:
+def criterion_property_suites(seed: int = 0, rank8=rank8_table) -> CriterionResult:
     def work(details: list[str]) -> bool:
         rng = random.Random(seed)
         cases = 0
@@ -410,9 +417,9 @@ def criterion_property_suites(seed: int = 0) -> CriterionResult:
             table = cone_oracle(model, element)
             ok = ok and table.total == 2 * 2 ** d - 2 * sum(table.ranks.values())
             cases += 1
-        rank8 = cone_dimensions(LefschetzModel(8, FieldSpec(3)))
+        table = rank8()
         for d in range(8, 21):
-            ok = ok and 64 * total_with_tail(rank8, d) == 63 * 2 ** d
+            ok = ok and 64 * total_with_tail(table, d) == 63 * 2 ** d
             cases += 1
         details.append(f"cone conservation and ratio: {40 + 13} cases")
         details.append(f"total cases {cases}, seed {seed}")
@@ -424,19 +431,19 @@ def criterion_property_suites(seed: int = 0) -> CriterionResult:
 def run_all(seed: int = 0) -> list[CriterionResult]:
     from functools import cache
 
-    # one primitive rank-2 run per call, read by two criteria; the first
-    # criterion to ask pays for it
-    primitive = cache(rank2_report)
+    # one primitive rank-2 run and one rank-8 table per call, each read by
+    # several criteria; the first criterion to ask pays for it
+    primitive, rank8 = cache(rank2_report), cache(rank8_table)
     return [
-        criterion_symbolic_total(),
-        criterion_closed_form(),
-        criterion_lefschetz_profile(),
+        criterion_symbolic_total(rank8),
+        criterion_closed_form(rank8),
+        criterion_lefschetz_profile(rank8),
         criterion_rank1_construction(),
         criterion_rank2_hypercube(primitive),
         criterion_oracle_equivalence(primitive),
         criterion_bimodule_variant(),
         criterion_family_lengths(),
-        criterion_property_suites(seed),
+        criterion_property_suites(seed, rank8),
     ]
 
 

@@ -16,8 +16,9 @@ defining relations are verified at construction time, or follow from a fact
 proved once: every diagonal tensor satisfies them because the coproduct is an
 algebra map, which :class:`DiagonalTensor` proves on ``regular (x) regular``.
 A diagonal tensor stores no action matrices: it acts through its two factors
-(:meth:`Module.act`) and is flagged projective from their nonzeros
-(:func:`is_projective`).
+(:meth:`Module.act`).  Every module that is not a sum is flagged projective
+from coordinate lists of its nonzeros (:func:`is_projective`): a stored
+action gives them directly, a tensor builds them from its factors'.
 Bimodules are plain modules over the enveloping algebra ``A (x) A^op``, whose
 first ``c`` generators act on the left and last ``c`` on the right.
 """
@@ -243,7 +244,6 @@ class Module:
         self.algebra = algebra
         self.dim = dim
         self._action = action
-        self._mono_acts: dict[tuple, FpMatrix] = {}
         # Hom blocks out of this module, keyed weakly by their target (:func:`hom_space_basis`)
         self._homs: weakref.WeakKeyDictionary | None = None
         self.summands: tuple[Module, ...] | None = summands
@@ -265,7 +265,7 @@ class Module:
             if self._by_parts:
                 raise ValueError("a diagonal tensor acts through its factors (Module.act); "
                                  "its action matrices are never assembled")
-            self._action = tuple(_sum_action(self.summands))
+            self._action = tuple(_sum_action(self))
         return self._action
 
     def act(self, g: int, V: FpMatrix) -> FpMatrix:
@@ -288,12 +288,10 @@ class Module:
         if not self._by_parts:
             return self.action[g] @ V
         out = np.zeros((self.dim, V.cols), dtype=np.int64)
-        off = 0
-        for S in self.summands:
+        for S, off in _summand_offsets(self):
             block = V.a[off : off + S.dim]
             if block.any():  # a summand where V vanishes is skipped
                 out[off : off + S.dim] = S.act(g, FpMatrix._adopt(V.p, block, reduced=True)).a
-            off += S.dim
         return FpMatrix._adopt(V.p, out, reduced=True)
 
     def _mono_map(self, mono):
@@ -319,21 +317,6 @@ class Module:
                 rhs = (self.action[i] @ self.action[j]).scale(A.commutator(i, j))
                 if lhs != rhs:
                     raise CertificationError(f"generators {i},{j} violate the commutation relation")
-
-    def act_mono(self, mono) -> FpMatrix:
-        """Action matrix of the basis monomial ``x^mono``: one product on the
-        cached action of a shorter monomial (:meth:`Algebra.split_first`)."""
-        mono = tuple(mono)
-        cached = self._mono_acts.get(mono)
-        if cached is None:
-            split = self.algebra.split_first(mono)
-            if split is None:
-                cached = FpMatrix.identity(self.algebra.p, self.dim)
-            else:
-                i, shorter = split
-                cached = self.action[i] @ self.act_mono(shorter)
-            self._mono_acts[mono] = cached
-        return cached
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra.describe()})"
@@ -401,22 +384,29 @@ class ModuleMorphism:
 
 def direct_sum_modules(mods: list[Module]) -> Module:
     """Block-diagonal sum recording its summands; its action is assembled on the first read."""
-    pos = sum(m.dim for m in mods)
-    return Module._recorded(mods[0].algebra, pos, summands=tuple(mods))
+    return Module._recorded(mods[0].algebra, sum(m.dim for m in mods), summands=tuple(mods))
 
 
-def _sum_action(mods: tuple[Module, ...]) -> list[FpMatrix]:
-    A = mods[0].algebra
-    dim = sum(m.dim for m in mods)
+def _sum_action(M: Module) -> list[FpMatrix]:
+    """The block-diagonal action of the recorded sum ``M``."""
     action = []
-    for g in range(A.ngens):
-        out = np.zeros((dim, dim), dtype=np.int64)
-        off = 0
-        for m in mods:
-            out[off : off + m.dim, off : off + m.dim] = m.action[g].a
-            off += m.dim
-        action.append(FpMatrix._adopt(A.p, out, reduced=True))
+    for g in range(M.algebra.ngens):
+        out = np.zeros((M.dim, M.dim), dtype=np.int64)
+        for S, off in _summand_offsets(M):
+            out[off : off + S.dim, off : off + S.dim] = S.action[g].a
+        action.append(FpMatrix._adopt(M.algebra.p, out, reduced=True))
     return action
+
+
+def _summand_offsets(M: Module) -> list[tuple[Module, int]]:
+    """The recorded summands of ``M`` with their offsets; ``M`` alone if it is no sum."""
+    if M.summands is None:
+        return [(M, 0)]
+    out, off = [], 0
+    for S in M.summands:
+        out.append((S, off))
+        off += S.dim
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -459,27 +449,35 @@ def quotient_module(M: Module, cols: FpMatrix) -> tuple[Module, ModuleMorphism, 
     return quo, proj, section
 
 
-def free_images_matrix(A: Algebra, target: Module, slot_images: FpMatrix) -> FpMatrix:
-    """Matrix of the free-module map sending the unit of slot ``t`` to
-    column ``t`` of ``slot_images``; basis vector ``slot*dimA + k`` goes to
-    ``basis[k] . slot_images[:, t]``.
+def mono_images(M: Module, V: FpMatrix) -> np.ndarray:
+    """``x^mono . V`` for every basis monomial, stacked as ``(M.dim, V.cols, dim A)``
+    in the lexicographic order of ``A.basis``.
 
-    ``x^mono . V`` is built for all slots at once, in the lexicographic order
-    of ``A.basis``: ``x^mono = x_i * x^shorter`` for the first generator ``i``
-    in ``mono`` (:meth:`Algebra.split_first`), and ``shorter`` comes earlier
-    in that order, so each monomial costs one ``dim x dim`` by ``dim x rank``
-    product (``dim A - 1`` in all).  Stacked as ``(dim, rank, dim A)``, the
-    images reshape to the slot-major columns.
+    ``x^mono = x_i * x^shorter`` for the first generator ``i`` in ``mono``
+    (:meth:`Algebra.split_first`), and ``shorter`` comes earlier in that
+    order, so each monomial costs one ``dim x dim`` by ``dim x cols`` product
+    (``dim A - 1`` in all).  On ``V = I`` the stack holds the action of every
+    monomial, ``[r, c, k]`` being entry ``(r, c)`` of ``basis[k]``.
     """
+    A = M.algebra
     images: list[FpMatrix] = []
     for mono in A.basis:
         split = A.split_first(mono)
         if split is None:
-            images.append(slot_images)
+            images.append(V)
         else:
             i, shorter = split
-            images.append(target.action[i] @ images[A.index[shorter]])
-    stack = np.stack([x.a for x in images], axis=-1)
+            images.append(M.action[i] @ images[A.index[shorter]])
+    return np.stack([x.a for x in images], axis=-1)
+
+
+def free_images_matrix(A: Algebra, target: Module, slot_images: FpMatrix) -> FpMatrix:
+    """Matrix of the free-module map sending the unit of slot ``t`` to
+    column ``t`` of ``slot_images``; basis vector ``slot*dimA + k`` goes to
+    ``basis[k] . slot_images[:, t]``: the slot-major reshape of
+    :func:`mono_images`.
+    """
+    stack = mono_images(target, slot_images)
     return FpMatrix._adopt(A.p, stack.reshape(target.dim, slot_images.cols * A.dim), reduced=True)
 
 
@@ -505,8 +503,7 @@ def projective_cover(M: Module) -> Cover:
     tops = nonpivot_columns(M.dim, echelon_pivots(radical_subspace(M)))
     rank = len(tops)
     gens = np.zeros((M.dim, rank), dtype=np.int64)
-    for k, c in enumerate(tops):
-        gens[c, k] = 1
+    gens[tops, range(rank)] = 1
     free = free_module(A, rank)
     epi = ModuleMorphism(free, M, free_images_matrix(A, M, FpMatrix(A.p, gens)), check=False)
     # the kernel eliminates epi once; the rank then reads its pivot count
@@ -522,24 +519,20 @@ def is_projective(M: Module) -> bool:
     ``rad M`` the span of the generator images.
 
     A sum is projective iff each summand is, so a recorded sum asks its
-    summands.  A diagonal tensor ranks its radical stack
-    ``[x_1 | ... | x_c]`` from coordinate lists built from its factors'
-    nonzeros (:func:`_mono_coords`), so only the core left after peeling
-    singletons is ever dense.
+    summands.  Any other module ranks its radical stack ``[x_1 | ... | x_c]``
+    from coordinate lists of its nonzeros (:func:`_mono_coords`), so only the
+    core left after peeling singletons is ever dense.
     """
     if M._projective is None and M.summands is not None:
         M._projective = all(is_projective(S) for S in M.summands)
     elif M._projective is None:
         A = M.algebra
-        if not M.dim or not A.ngens:
-            rad_rank = 0
-        elif M.factors is not None:
+        rad_rank = 0
+        if A.ngens:
             gens = [_mono_coords(M, tuple(int(k == g) for k in range(A.ngens))) for g in range(A.ngens)]
             rows, cols, vals = (np.concatenate(x) for x in zip(*gens))
             cols += np.repeat(np.arange(A.ngens) * M.dim, [r.size for r, _, _ in gens])
             rad_rank = _peeled_rank((M.dim, A.ngens * M.dim), rows, cols, vals, A.p)
-        else:  # the action is stored: its dense stack peels faster than summed lists
-            rad_rank = hstack(list(M.action)).transpose().rank()
         M._projective = A.dim * (M.dim - rad_rank) == M.dim
     return M._projective
 
@@ -549,25 +542,26 @@ def _mono_coords(M: Module, mono) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     which a coordinate may repeat (values add up); a recorded module's
     action is never assembled for them.
 
-    A sum places its summands' lists at their offsets.  A diagonal tensor
-    pairs its factors' lists term by term of ``Delta(x_g)``: entries at
-    ``(r, c)`` of ``L`` and ``(r', c')`` of ``R`` give the entry of
-    ``L (x) R`` at ``(r * dim R + r', c * dim R + c')``, and a factor that is
-    itself a tensor or a sum gives its lists the same way.
+    A module with a stored action reads a generator off it and forms a
+    longer monomial by :meth:`Module._mono_map`.  A sum places its summands'
+    lists at their offsets.  A diagonal tensor pairs its factors' lists term
+    by term of ``Delta(x_g)``: entries at ``(r, c)`` of ``L`` and
+    ``(r', c')`` of ``R`` give the entry of ``L (x) R`` at
+    ``(r * dim R + r', c * dim R + c')``, and a factor that is itself a
+    tensor or a sum gives its lists the same way.
     """
     p = M.algebra.p
     if not any(mono):
         idx = np.arange(M.dim)
         return idx, idx, np.ones(M.dim, dtype=np.int64)
     if M.summands is not None:
-        parts, off = [], 0
-        for S in M.summands:
+        parts = []
+        for S, off in _summand_offsets(M):
             r, c, v = _mono_coords(S, mono)
             parts.append((r + off, c + off, v))
-            off += S.dim
         return tuple(np.concatenate(x) for x in zip(*parts))
     if M.factors is None:
-        a = M.action[mono.index(1)].a if sum(mono) == 1 else M.act_mono(mono).a
+        a = M.action[mono.index(1)].a if sum(mono) == 1 else M._mono_map(mono)(FpMatrix.identity(p, M.dim)).a
         r, c = a.nonzero()
         return r, c, a[r, c]
     if sum(mono) != 1:
@@ -609,8 +603,10 @@ class Resolution:
         self.aug = cover0.epi
         self._diffs: list[ModuleMorphism] = []
         self.syzygies: list[Syzygy] = [Syzygy(cover0.kernel, cover0.kernel_incl)]
-        # coboundary spaces by degree, filled by construction._coboundary_space
+        # coboundary spaces by degree, filled by construction._coboundary_space;
+        # the target's monomial actions, stacked once by construction._delta_matrix
         self._coboundaries: dict[int, FpMatrix] = {}
+        self._target_acts: np.ndarray | None = None
         for i in range(1, length + 1):
             omega = self.syzygies[i - 1]
             cov = projective_cover(omega.module)
@@ -697,17 +693,6 @@ def _hom_kernel(M: Module, N: Module) -> tuple[FpMatrix, np.ndarray]:
     order = np.argsort(free[0] * M.dim + free[1])
     flat = out.reshape(N.dim * M.dim, start).take(order, axis=1)
     return FpMatrix._adopt(M.algebra.p, flat, reduced=True), free[:, order]
-
-
-def _summand_offsets(M: Module) -> list[tuple[Module, int]]:
-    """The recorded summands of ``M`` with their offsets; ``M`` alone if it is no sum."""
-    if M.summands is None:
-        return [(M, 0)]
-    out, off = [], 0
-    for S in M.summands:
-        out.append((S, off))
-        off += S.dim
-    return out
 
 
 # ----------------------------------------------------------------------

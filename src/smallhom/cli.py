@@ -79,6 +79,8 @@ class RunConfig:
             raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.variant not in VARIANTS:
             raise UsageError(f"variant must be one of {VARIANTS}")
+        if self.variant == "bimodule" and self.mode != "chain":
+            raise UsageError("the bimodule variant runs in chain mode only")
         if self.mode == "symbolic":
             if self.rank < 8:
                 raise UsageError("symbolic mode needs rank >= 8 (ranks 4..7 are unsupported; "

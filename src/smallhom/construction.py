@@ -42,6 +42,7 @@ from .algebra import (
     free_images_matrix,
     is_projective,
     minimal_resolution,
+    mono_images,
     one_sided_projective,
     quotient_module,
     regular_bimodule,
@@ -117,8 +118,9 @@ def _delta_matrix(res: Resolution, a: int) -> FpMatrix:
     """
     A, T = res.algebra, res.module
     b_a, b_next = res.ranks[a], res.ranks[a + 1]
-    acts = np.stack([T.act_mono(mono).a for mono in A.basis], axis=-1)  # acts[r, c, k]
-    acts_rows = FpMatrix._adopt(A.p, acts.reshape(T.dim * T.dim, A.dim), reduced=True)
+    if res._target_acts is None:
+        res._target_acts = mono_images(T, FpMatrix.identity(A.p, T.dim))  # acts[r, c, k]
+    acts_rows = FpMatrix._adopt(A.p, res._target_acts.reshape(T.dim * T.dim, A.dim), reduced=True)
     D = _diff_units(res, a).a.reshape(b_a, A.dim, b_next)  # D[s, k, t] = D_k[s, t]
     d_cols = FpMatrix._adopt(A.p, D.transpose(1, 0, 2).reshape(A.dim, b_a * b_next), reduced=True)
     # summed[(r, c), (s, t)] = sum_k act_k[r, c] D_k[s, t] = Delta[(r, t), (c, s)]
@@ -552,15 +554,19 @@ class ChainRun:
 
 
 class BimoduleRun:
-    """Chain-level pipeline for the two-sided (enveloping-algebra) route."""
+    """Chain-level pipeline for the two-sided (enveloping-algebra) route.
+
+    Rank 1 only: the run needs one degree-n class whose reduced pushout is
+    projective, and one class cannot cut a rank-2 support down to a point
+    (no class does over F_2[x,y]/(x^2,y^2), nor over F_3[x,y]/(x^3,y^3)
+    with q = 1 or q = 2).
+    """
 
     def __init__(self, algebra: Algebra, rank: int | None = None, degree: int = 2,
                  budget: Budget | None = None):
         c = algebra.ngens if rank is None else rank
-        if c != algebra.ngens:
-            raise UnsupportedRank("the two-sided route uses the generator count as rank")
-        if c > 2:
-            raise UnsupportedRank("two-sided chain level supports rank <= 2")
+        if c != 1 or algebra.ngens != 1:
+            raise UnsupportedRank("the two-sided route supports rank 1 only (one generator)")
         if degree % 2 or degree < 2:
             raise ValueError("the class degree must be even and >= 2")
         self.algebra = algebra

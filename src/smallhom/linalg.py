@@ -33,17 +33,19 @@ exactly when the vector lies outside the span.  :meth:`FpMatrix.solve` is
 for general systems.
 
 A rank alone does not need the reduced echelon form.  :meth:`FpMatrix.rank`
-reads the pivot count of a cached form when there is one; otherwise it peels
-singletons first, the fill-free first step of structured Gaussian
-elimination (Bouillaguet and Delaplace, "Sparse Gaussian elimination modulo
-p: an update", CASC 2016).  A column whose only nonzero sits in row ``i``
-splits off a 1x1 block: column operations with it clear the rest of row
-``i`` and touch no other row.  So it adds one to the rank, and row ``i`` and
-the column go; the other singleton columns in row ``i`` become zero, which is
+reads the pivot count of a cached form when there is one; otherwise it ranks
+the coordinate lists of its nonzeros by :func:`_peeled_rank`, the one rank
+route for matrices that are not eliminated anyway.  It peels singletons
+first, the fill-free first step of structured Gaussian elimination
+(Bouillaguet and Delaplace, "Sparse Gaussian elimination modulo p: an
+update", CASC 2016).  A column whose only nonzero sits in row ``i`` splits
+off a 1x1 block: column operations with it clear the rest of row ``i`` and
+touch no other row.  So it adds one to the rank, and row ``i`` and the
+column go; the other singleton columns in row ``i`` become zero, which is
 why a round counts the distinct rows of its singleton columns.  Rows peel the
-same way.  Forward elimination runs only on the core that is left.  The
-peeling reads coordinate lists, so a matrix that is never assembled, such as
-a diagonal tensor's radical stack, is ranked from lists of its nonzeros.
+same way.  Forward elimination runs only on the core that is left, the only
+part ever made dense.  A matrix that is never assembled, such as a module's
+radical stack, is ranked the same way from lists of its nonzeros.
 """
 
 from __future__ import annotations
@@ -250,7 +252,8 @@ class FpMatrix:
             if self._rref is not None:
                 self._rank = len(self._rref[1])
             else:
-                self._rank = _dense_peeled_rank(self.a, self.p)
+                rows, cols = self.a.nonzero()
+                self._rank = _peeled_rank(self.shape, rows, cols, self.a[rows, cols], self.p)
         return self._rank
 
     def kernel_basis(self) -> "FpMatrix":
@@ -360,7 +363,7 @@ def _peeled_rank(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, val
     are dropped, so the lists may come from several sparse products.  Only
     the core that is left after peeling is made dense.
     """
-    rank, (rows, cols, vals) = _peel(shape, _distinct_nonzeros(shape, rows, cols, vals, p))
+    rank, rows, cols, vals = _peel(shape, *_distinct_nonzeros(shape, rows, cols, vals, p))
     if not rows.size:
         return rank
     index = []  # each line's position in the core
@@ -374,19 +377,10 @@ def _peeled_rank(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, val
     return rank + len(_eliminate(core, p, reduce_above=False)[0])
 
 
-def _dense_peeled_rank(a: np.ndarray, p: int) -> int:
-    """:func:`_peeled_rank` of a dense matrix, whose core is read off ``a``."""
-    rank, (rows, cols) = _peel(a.shape, list(a.nonzero()))
-    if not rows.size:
-        return rank
-    core = a[np.ix_(np.unique(rows), np.unique(cols))]
-    return rank + len(_eliminate(core, p, reduce_above=False)[0])
-
-
-def _peel(shape: tuple[int, int], coords: list[np.ndarray]) -> tuple[int, list[np.ndarray]]:
-    """Peel singleton columns and rows off the distinct nonzeros at
-    ``(coords[0], coords[1])``; further lists in ``coords`` (the values) are
-    filtered along.  Returns the pivots peeled and the lists that are left.
+def _peel(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+          vals: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Peel singleton columns and rows off the distinct nonzeros ``vals`` at
+    ``(rows, cols)``.  Returns the pivots peeled and the lists that are left.
 
     The nonzeros stay coordinate lists, so zero rows and columns never
     appear and dropping a row drops its entries.  A round drops the rows of
@@ -396,10 +390,10 @@ def _peel(shape: tuple[int, int], coords: list[np.ndarray]) -> tuple[int, list[n
     """
     rank = 0
     peeled = True
-    while peeled and coords[0].size:
+    while peeled and rows.size:
         peeled = False
         for axis in (1, 0):  # singleton columns, then singleton rows
-            line, cross = coords[axis], coords[1 - axis]
+            line, cross = (cols, rows) if axis else (rows, cols)
             single = np.bincount(line, minlength=shape[axis])[line] == 1
             if not single.any():
                 continue
@@ -407,12 +401,12 @@ def _peel(shape: tuple[int, int], coords: list[np.ndarray]) -> tuple[int, list[n
             hit[cross[single]] = True
             rank += int(np.count_nonzero(hit))
             keep = ~hit[cross]
-            coords = [c[keep] for c in coords]
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
             peeled = True
-    return rank, coords
+    return rank, rows, cols, vals
 
 
-def _distinct_nonzeros(shape: tuple[int, int], rows, cols, vals, p: int) -> list[np.ndarray]:
+def _distinct_nonzeros(shape: tuple[int, int], rows, cols, vals, p: int) -> tuple[np.ndarray, ...]:
     """Coordinate lists with each coordinate once and every value in ``1..p-1``."""
     vals = np.asarray(vals, dtype=np.int64) % p
     key = np.asarray(rows, dtype=np.int64) * shape[1] + np.asarray(cols, dtype=np.int64)
@@ -421,12 +415,9 @@ def _distinct_nonzeros(shape: tuple[int, int], rows, cols, vals, p: int) -> list
         key, vals = key[order], vals[order]
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         key, vals = key[starts], np.add.reduceat(vals, starts) % p
+        rows, cols = np.divmod(key, shape[1])
     nz = vals != 0
-    key, vals = key[nz], vals[nz]
-    if not key.size:
-        return [key, key, vals]
-    rows, cols = np.divmod(key, shape[1])
-    return [rows, cols, vals]
+    return rows[nz], cols[nz], vals[nz]
 
 
 def hstack(mats: list[FpMatrix]) -> FpMatrix:

@@ -142,10 +142,11 @@ def hom_space_reference():
 
 
 def _radical_projective(M) -> bool:
-    """The whole-module test: ``M`` is free iff ``dim A * dim(M / rad M) = dim M``."""
+    """The whole-module test: ``M`` is free iff ``dim A * dim(M / rad M) = dim M``,
+    with ``dim rad M`` the pivot count of the dense radical stack's RREF."""
     if M.dim == 0:
         return True
-    rad_dim = FpMatrix(M.algebra.p, np.hstack(_dense_action(M))).rank()
+    rad_dim = len(FpMatrix(M.algebra.p, np.hstack(_dense_action(M))).rref()[1])
     return M.algebra.dim * (M.dim - rad_dim) == M.dim
 
 
@@ -210,9 +211,9 @@ def action_builds(monkeypatch):
     builds = []
     real_sum = smallhom.algebra._sum_action
 
-    def counted_sum(mods):
-        builds.append(("sum", tuple(m.dim for m in mods)))
-        return real_sum(mods)
+    def counted_sum(M):
+        builds.append(("sum", tuple(S.dim for S in M.summands)))
+        return real_sum(M)
 
     monkeypatch.setattr(smallhom.algebra, "_sum_action", counted_sum)
     return builds

@@ -65,19 +65,30 @@ def test_negative_control_sign_corruption(capsys):
 
 
 def test_run_all_aggregates(monkeypatch):
-    runs = []
+    runs, tables = [], []
     real = acceptance.rank2_report
+    real_table = acceptance.cone_dimensions
 
     def recorded(coproduct="primitive"):
         runs.append(coproduct)
         return real(coproduct)
 
+    def recorded_table(model):
+        tables.append((model.d, model.field.p))
+        return real_table(model)
+
     monkeypatch.setattr(acceptance, "rank2_report", recorded)
-    results = acceptance.run_all(seed=0)
-    assert len(results) == 9
-    assert all(r.passed for r in results)
-    # the hypercube and oracle criteria share one primitive rank-2 run
-    assert sorted(runs) == ["primitive", "shifted"]
+    monkeypatch.setattr(acceptance, "cone_dimensions", recorded_table)
+    for _ in range(2):  # each call builds its own shared pieces
+        runs.clear()
+        tables.clear()
+        results = acceptance.run_all(seed=0)
+        assert len(results) == 9
+        assert all(r.passed for r in results)
+        # the hypercube and oracle criteria share one primitive rank-2 run
+        assert sorted(runs) == ["primitive", "shifted"]
+        # the total, closed-form, profile and ratio checks share one F_3 rank-8 table
+        assert sorted(tables) == [(8, 2), (8, 3), (8, 5)]
 
 
 # sha256 of every complex random_complex yields inside the property suite

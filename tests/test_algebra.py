@@ -15,6 +15,7 @@ from smallhom.algebra import (
     Module,
     ModuleMorphism,
     OverBaseTensor,
+    _mono_coords,
     direct_sum_modules,
     enveloping,
     free_images_matrix,
@@ -23,6 +24,7 @@ from smallhom.algebra import (
     intertwining_system,
     is_projective,
     minimal_resolution,
+    mono_images,
     one_sided_projective,
     projective_cover,
     qci_algebra,
@@ -452,10 +454,19 @@ def test_free_images_matrix_matches_per_monomial_reference(rank, free_images_ref
         assert np.array_equal(out.a, free_images_reference(A, M, V))
 
 
-def test_act_mono_matches_product_chain(mono_action_reference):
+def test_mono_images_match_product_chain(mono_action_reference):
     for A, M in _reference_targets():
-        for mono in reversed(A.basis):  # longest first: the cache fills on the way down
-            assert np.array_equal(M.act_mono(mono).a, mono_action_reference(M, mono))
+        acts = mono_images(M, FpMatrix.identity(A.p, M.dim))
+        assert acts.shape == (M.dim, M.dim, A.dim)
+        for k, mono in enumerate(A.basis):
+            want = mono_action_reference(M, mono)
+            assert np.array_equal(acts[:, :, k], want)
+            # the coordinate lists of a leaf: a generator off its action, a
+            # longer monomial through _mono_map
+            rows, cols, vals = _mono_coords(M, mono)
+            got = np.zeros((M.dim, M.dim), dtype=np.int64)
+            np.add.at(got, (rows, cols), vals)
+            assert np.array_equal(got % A.p, want)
 
 
 @pytest.mark.parametrize("rank", [0, 1, 4])

@@ -630,14 +630,13 @@ def test_rank3_tower_reads_multiply_no_tower_size_matrices(monkeypatch, chain_ru
 
 
 def _elimination_widths(monkeypatch) -> list:
-    """``(tower built, columns)`` for every ``rank``, ``rref`` and
-    ``_dense_peeled_rank`` call of a run."""
+    """``(tower built, columns)`` for every ``rank`` and ``rref`` call of a run."""
     widths, built = [], [False]
-    for owner, name in ((FpMatrix, "rank"), (FpMatrix, "rref"), (smallhom.linalg, "_dense_peeled_rank")):
-        def counted(a, *args, real=getattr(owner, name)):
-            widths.append((built[0], (a.a if isinstance(a, FpMatrix) else a).shape[1]))
-            return real(a, *args)
-        monkeypatch.setattr(owner, name, counted)
+    for name in ("rank", "rref"):
+        def counted(a, real=getattr(FpMatrix, name)):
+            widths.append((built[0], a.cols))
+            return real(a)
+        monkeypatch.setattr(FpMatrix, name, counted)
     tower = construction.tensor_tower
 
     def recorded(*args, **kwargs):

@@ -151,6 +151,22 @@ def test_bimodule_certify(capsys):
     assert "reduced_pushout_projective = pass" in out
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "crosscheck"])
+def test_bimodule_variant_outside_chain_mode_is_a_usage_error(mode, capsys):
+    code = run_cli(["certify", "--mode", mode, "--variant", "bimodule", "--rank", "8" if mode == "symbolic" else "2",
+                    "--char", "3", "--exponents", "3 3"])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the bimodule variant runs in chain mode only" in captured.err
+
+
+def test_two_sided_rank2_is_rejected_up_front(capsys):
+    code = run_cli(["certify", "--mode", "chain", "--variant", "bimodule", "--char", "3", "--exponents", "3 3"])
+    assert code == 64
+    assert "the two-sided route supports rank 1 only" in capsys.readouterr().err
+
+
 def test_budget_error_names_the_two_sided_stage(capsys):
     code = run_cli(["certify", "--mode", "chain", "--variant", "bimodule", "--char", "5",
                     "--exponents", "5", "--budget-dim", "10"])

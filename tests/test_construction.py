@@ -17,8 +17,12 @@ from smallhom.algebra import (
     minimal_resolution,
     projective_cover,
     qci_algebra,
+    quotient_module,
+    radical_subspace,
     regular_bimodule,
     regular_module,
+    restrict_left,
+    restrict_right,
     trivial_module,
     zero_module,
 )
@@ -276,11 +280,22 @@ def _delta_resolutions():
     yield minimal_resolution(zero_module(one), 2)
 
 
-def test_delta_matrix_matches_column_by_column_reference(free_images_reference):
+def test_delta_matrix_matches_column_by_column_reference(free_images_reference, monkeypatch):
+    stacked = []
+    real = construction.mono_images
+
+    def counted(M, V):
+        stacked.append(M)
+        return real(M, V)
+
+    monkeypatch.setattr(construction, "mono_images", counted)
     for res in _delta_resolutions():
+        stacked.clear()
         for a in range(res.length):
             delta = _delta_matrix(res, a)
             assert np.array_equal(delta.a, _delta_column_by_column(res, a, free_images_reference))
+        # the target's monomial actions are stacked once per resolution
+        assert stacked == [res.module]
 
 
 def test_class_complex_homology_and_self_map(res1):
@@ -397,6 +412,15 @@ def test_bimodule_run_rank_window():
     A = qci_algebra(F3, [3, 3, 3], {})
     with pytest.raises(UnsupportedRank):
         BimoduleRun(A)
+    # rank 2 is rejected before the enveloping resolution: no class of these
+    # algebras gives a projective reduced pushout
+    for B in (qci_algebra(FieldSpec(2), [2, 2]), qci_algebra(F3, [3, 3]), qci_algebra(F3, [3, 3], {(0, 1): 2})):
+        with pytest.raises(UnsupportedRank, match="rank 1 only"):
+            BimoduleRun(B)
+        with pytest.raises(UnsupportedRank):
+            BimoduleRun(B, rank=1)
+    with pytest.raises(UnsupportedRank):
+        BimoduleRun(qci_algebra(F3, [3]), rank=2)
 
 
 def test_lefschetz_element_missing_t7_t8_fails_cone_total(monkeypatch):
@@ -440,6 +464,27 @@ def test_recorded_sum_flags_match_the_radical_test(char, exponents, power, monke
     for C, flags in seen:
         assert C.objects and all(M.summands is not None for M in C.objects.values())
         assert flags == {i: projective_reference(M) for i, M in sorted(C.objects.items())}
+
+
+def test_leaf_projectivity_matches_the_radical_test(projective_reference):
+    # modules with stored actions, ranked from the coordinate lists of their
+    # nonzeros: resolution terms and syzygies, pushouts, quotients, one-sided
+    # restrictions of bimodules, trivial and zero-dim modules
+    leaves = []
+    for A in (qci_algebra(FieldSpec(2), [2, 2]), qci_algebra(F3, [3, 2], {(0, 1): -1}), qci_algebra(FieldSpec(5), [5])):
+        res = minimal_resolution(trivial_module(A), 3)
+        leaves += res.projectives + [S.module for S in res.syzygies] + [trivial_module(A), zero_module(A)]
+        leaves += [pushout_module(z)[0] for z in ext_classes(res, 2)]
+        reg = regular_module(A)
+        leaves += [quotient_module(reg, cols)[0] for cols in (radical_subspace(reg), FpMatrix.zeros(A.p, A.dim, 0))]
+        env = enveloping(A)
+        bimodules = [S.module for S in minimal_resolution(regular_bimodule(env), 1).syzygies]
+        for M in [regular_bimodule(env)] + bimodules:
+            leaves += [M, restrict_left(env, M), restrict_right(env, M)]
+    assert all(M.summands is None and M.factors is None for M in leaves)
+    flags = [is_projective(M) for M in leaves]
+    assert flags == [projective_reference(M) for M in leaves]
+    assert True in flags and False in flags
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))

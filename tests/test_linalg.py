@@ -463,6 +463,22 @@ def test_coordinate_peeled_rank_matches_the_dense_rank(p):
         assert _peeled_rank(a.shape, *_split_entries(p, a, rng), p) == want
 
 
+@pytest.mark.parametrize("p", [2, 3, 1048573])
+def test_rank_matches_the_rref_rank_with_zero_rows_and_columns(p):
+    rng = np.random.default_rng(p)
+    cases = [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 5), (5, 0), (4, 6))]
+    cases.append(p * rng.integers(1, 3, size=(4, 4)))  # no nonzeros once reduced mod p
+    for _ in range(20):
+        a = rng.integers(0, p, size=(7, 9)) * (rng.random((7, 9)) < 0.4)
+        a[rng.random(7) < 0.3] = 0  # zero rows
+        a[:, rng.random(9) < 0.3] = 0  # zero columns
+        cases += [a, a.T]
+    for a in cases:
+        m = FpMatrix(p, a)
+        assert m.rank() == _dense_rank(p, a)
+        assert m._rref is None  # ranked from its coordinate lists
+
+
 def test_coordinate_peeled_rank_cancels_repeats():
     empty = np.array([], dtype=np.int64)
     assert _peeled_rank((3, 3), empty, empty, empty, 5) == 0
