@@ -16,7 +16,8 @@ defining relations are verified at construction time, or follow from a fact
 proved once: every diagonal tensor satisfies them because the coproduct is an
 algebra map, which :class:`DiagonalTensor` proves on ``regular (x) regular``.
 A diagonal tensor stores no action matrices: it acts through its two factors
-(:meth:`Module.act`).  Every module that is not a sum is flagged projective
+(:meth:`Module.act`), as a free module of rank two or more acts through one
+regular module.  Every module that is not a sum is flagged projective
 from coordinate lists of its nonzeros (:func:`is_projective`): a stored
 action gives them directly, a tensor builds them from its factors'.
 Bimodules are plain modules over the enveloping algebra ``A (x) A^op``, whose
@@ -25,6 +26,7 @@ first ``c`` generators act on the left and last ``c`` on the right.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -32,8 +34,8 @@ from math import prod
 
 import numpy as np
 
-from .linalg import (FieldSpec, FpMatrix, _peeled_rank, echelon_pivots, hstack, kron_apply, kron_array,
-                     nonpivot_columns, quotient_by_subspace, read_coordinates)
+from .linalg import (FieldSpec, FpMatrix, _distinct_nonzeros, _peeled_rank, echelon_pivots, hstack, kron_apply,
+                     kron_array, nonpivot_columns, quotient_by_subspace, read_coordinates)
 
 
 class CertificationError(ValueError):
@@ -221,10 +223,15 @@ class Module:
 
     A direct sum records its summands and a diagonal tensor its two factors
     (:func:`tensor_diagonal`); both answer :func:`is_projective` from those,
-    and a sum also answers :func:`hom_space_basis`.  A sum's action matrices
-    are assembled on the first read of :attr:`action`, unless it has a
-    tensor inside: a tensor's are never assembled, and such a module acts
-    through its parts (:meth:`act`).
+    and a sum also answers :func:`hom_space_basis`.  How :meth:`act` applies
+    a generator depends on what is recorded:
+
+    * a tensor, or a sum with one inside, acts through its parts, and its
+      action matrices are never assembled;
+    * a sum of copies of one module, such as a free module, acts through
+      that module, and assembles its action only when :attr:`action` is read;
+    * any other sum assembles its action on the first read of :attr:`action`
+      or the first :meth:`act`.
     """
 
     def __init__(self, algebra: Algebra, action, check: bool = True):
@@ -250,6 +257,8 @@ class Module:
         self.factors: tuple[Module, Module] | None = factors
         # a tensor, or a sum with one inside: its action is never assembled
         self._by_parts = factors is not None or any(S._by_parts for S in summands or ())
+        # the one module of a sum of copies, such as a free module: it acts through that module
+        self._copies = summands[0] if summands and all(S is summands[0] for S in summands) else None
         self._projective: bool | None = None
 
     @classmethod
@@ -274,9 +283,11 @@ class Module:
         A diagonal tensor applies the terms ``c x^u (x) x^v`` of
         ``Delta(x_g)`` one by one through the reshape identity
         (:func:`~smallhom.linalg.kron_apply`), each factor acting by its own
-        :meth:`act`, so a tensor of tensors stays unassembled too.  A sum
-        with a tensor inside acts summand by summand, skipping those where
-        ``V`` is zero; any other module acts by its (assembled) action.
+        :meth:`act`, so a tensor of tensors stays unassembled too.  A sum of
+        ``r`` copies of one module ``S`` applies ``I_r (x) x_g`` the same way,
+        in one product of ``S``'s size.  Another sum with a tensor inside
+        acts summand by summand, skipping those where ``V`` is zero; any
+        other module acts by its (assembled) action.
         """
         if self.factors is not None:
             M, N = self.factors
@@ -285,6 +296,9 @@ class Module:
                 term = c * kron_apply(V, (M.dim, N.dim), M._mono_map(u), N._mono_map(v)).a
                 out = term if out is None else out + term
             return FpMatrix._adopt(self.algebra.p, out)
+        if self._copies is not None:
+            S = self._copies
+            return kron_apply(V, (len(self.summands), S.dim), None, functools.partial(S.act, g))
         if not self._by_parts:
             return self.action[g] @ V
         out = np.zeros((self.dim, V.cols), dtype=np.int64)
@@ -339,10 +353,15 @@ def free_module(A: Algebra, rank: int) -> Module:
     """Free module of the given rank, basis indexed slot-major.
 
     Basis vector ``slot * dim A + k`` is the monomial ``basis[k]`` sitting in
-    copy ``slot``, so the actions are ``kron(I_rank, L_i)``.
+    copy ``slot``.  Rank 2 and up is the sum of ``rank`` copies of one
+    regular module, which stores no action: it acts through that module
+    (:meth:`Module.act`), and its action ``kron(I_rank, L_i)`` is assembled
+    only if something reads it.  Rank 1 is the regular module, rank 0 the
+    zero module.
     """
-    eye = FpMatrix.identity(A.p, rank)
-    return Module(A, [eye.kron(L) for L in A.left_actions], check=False)
+    if rank < 2:
+        return regular_module(A) if rank else zero_module(A)
+    return Module._recorded(A, rank * A.dim, summands=(regular_module(A),) * rank)
 
 
 class ModuleMorphism:
@@ -428,8 +447,8 @@ def submodule(M: Module, cols: FpMatrix) -> tuple[Module, ModuleMorphism]:
     basis = cols.column_space()
     pivots = echelon_pivots(basis)
     acts = []
-    for x in M.action:
-        inside = read_coordinates(basis, pivots, x @ basis)
+    for g in range(M.algebra.ngens):
+        inside = read_coordinates(basis, pivots, M.act(g, basis))
         if inside is None:
             raise CertificationError("columns do not span an action-stable subspace")
         acts.append(inside)
@@ -455,7 +474,7 @@ def mono_images(M: Module, V: FpMatrix) -> np.ndarray:
 
     ``x^mono = x_i * x^shorter`` for the first generator ``i`` in ``mono``
     (:meth:`Algebra.split_first`), and ``shorter`` comes earlier in that
-    order, so each monomial costs one ``dim x dim`` by ``dim x cols`` product
+    order, so each monomial costs one :meth:`Module.act` on ``dim x cols``
     (``dim A - 1`` in all).  On ``V = I`` the stack holds the action of every
     monomial, ``[r, c, k]`` being entry ``(r, c)`` of ``basis[k]``.
     """
@@ -467,7 +486,7 @@ def mono_images(M: Module, V: FpMatrix) -> np.ndarray:
             images.append(V)
         else:
             i, shorter = split
-            images.append(M.action[i] @ images[A.index[shorter]])
+            images.append(M.act(i, images[A.index[shorter]]))
     return np.stack([x.a for x in images], axis=-1)
 
 
@@ -483,13 +502,28 @@ def free_images_matrix(A: Algebra, target: Module, slot_images: FpMatrix) -> FpM
 
 @dataclass
 class Cover:
-    """A projective cover: free module, epimorphism and its kernel."""
+    """A projective cover: free module, epimorphism and a basis of its kernel.
+
+    The kernel is built as a submodule of ``free``, with its stability
+    check, on the first read of :attr:`kernel` or :attr:`kernel_incl`.
+    """
 
     rank: int
     free: Module
     epi: ModuleMorphism
-    kernel: Module
-    kernel_incl: ModuleMorphism
+    ker_cols: FpMatrix
+
+    @functools.cached_property
+    def _kernel(self) -> tuple[Module, ModuleMorphism]:
+        return submodule(self.free, self.ker_cols)
+
+    @property
+    def kernel(self) -> Module:
+        return self._kernel[0]
+
+    @property
+    def kernel_incl(self) -> ModuleMorphism:
+        return self._kernel[1]
 
 
 def projective_cover(M: Module) -> Cover:
@@ -510,8 +544,7 @@ def projective_cover(M: Module) -> Cover:
     ker_cols = epi.matrix.kernel_basis()
     if epi.matrix.rank() != M.dim:
         raise AssertionError("cover must be surjective")
-    kernel, incl = submodule(free, ker_cols)
-    return Cover(rank, free, epi, kernel, incl)
+    return Cover(rank, free, epi, ker_cols)
 
 
 def is_projective(M: Module) -> bool:
@@ -532,7 +565,8 @@ def is_projective(M: Module) -> bool:
             gens = [_mono_coords(M, tuple(int(k == g) for k in range(A.ngens))) for g in range(A.ngens)]
             rows, cols, vals = (np.concatenate(x) for x in zip(*gens))
             cols += np.repeat(np.arange(A.ngens) * M.dim, [r.size for r, _, _ in gens])
-            rad_rank = _peeled_rank((M.dim, A.ngens * M.dim), rows, cols, vals, A.p)
+            shape = (M.dim, A.ngens * M.dim)
+            rad_rank = _peeled_rank(shape, *_distinct_nonzeros(shape, rows, cols, vals, A.p), A.p)
         M._projective = A.dim * (M.dim - rad_rank) == M.dim
     return M._projective
 
@@ -588,7 +622,11 @@ class Resolution:
 
     ``diff(i)`` is ``P_i -> P_{i-1}`` for ``1 <= i <= length``; the
     augmentation ``P_0 -> M`` and the syzygies ``omega(i) = im diff(i)`` are
-    kept with explicit inclusion and cover maps.
+    kept with explicit inclusion and cover maps.  The free terms are sums of
+    copies of one regular module (:func:`free_module`).  Building ``P_i``
+    reads ``omega(i)``, so ``omega(1) .. omega(length)`` are built with the
+    resolution, and ``omega(length + 1)``, the kernel of the last cover,
+    only when something reads it.
     """
 
     def __init__(self, module: Module, length: int):
@@ -597,26 +635,26 @@ class Resolution:
         self.module = module
         self.algebra = module.algebra
         self.length = length
-        cover0 = projective_cover(module)
-        self.projectives = [cover0.free]
-        self.ranks = [cover0.rank]
-        self.aug = cover0.epi
+        # the cover whose kernel is the next syzygy, until omega builds it
+        self._cover = projective_cover(module)
+        self.projectives = [self._cover.free]
+        self.ranks = [self._cover.rank]
+        self.aug = self._cover.epi
         self._diffs: list[ModuleMorphism] = []
-        self.syzygies: list[Syzygy] = [Syzygy(cover0.kernel, cover0.kernel_incl)]
+        self._syzygies: list[Syzygy] = []
         # coboundary spaces by degree, filled by construction._coboundary_space;
         # the target's monomial actions, stacked once by construction._delta_matrix
         self._coboundaries: dict[int, FpMatrix] = {}
         self._target_acts: np.ndarray | None = None
         for i in range(1, length + 1):
-            omega = self.syzygies[i - 1]
-            cov = projective_cover(omega.module)
+            omega = self.omega(i)
+            cov = self._cover = projective_cover(omega.module)
             omega.epi = cov.epi
             d = ModuleMorphism(cov.free, self.projectives[i - 1],
                                omega.incl.matrix @ cov.epi.matrix, check=False)
             self.projectives.append(cov.free)
             self.ranks.append(cov.rank)
             self._diffs.append(d)
-            self.syzygies.append(Syzygy(cov.kernel, cov.kernel_incl))
 
     def diff(self, i: int) -> ModuleMorphism:
         if not 1 <= i <= self.length:
@@ -627,7 +665,15 @@ class Resolution:
         """The i-th syzygy, 1-based; ``omega(i).incl`` lands in P_{i-1}."""
         if not 1 <= i <= self.length + 1:
             raise IndexError(f"syzygy {i} not computed")
-        return self.syzygies[i - 1]
+        if i > len(self._syzygies):  # the kernel of the last cover, built on first read
+            self._syzygies.append(Syzygy(self._cover.kernel, self._cover.kernel_incl))
+            self._cover = None
+        return self._syzygies[i - 1]
+
+    @property
+    def syzygies(self) -> list[Syzygy]:
+        """``omega(1) .. omega(length + 1)``."""
+        return [self.omega(i) for i in range(1, self.length + 2)]
 
     def betti(self) -> list[int]:
         return list(self.ranks)
@@ -660,9 +706,11 @@ def hom_space_basis(M: Module, N: Module) -> FpMatrix:
     block's kernel column placed at the block's offsets: row
     ``(noff + i) * M.dim + moff + j`` for block entry ``(i, j)``.  The
     scattered block bases, ordered by their free rows, are therefore this
-    basis entry for entry.  Nested sums recurse.  Each pair of summands that
-    are not sums is solved once: the result is cached on the source, keyed
-    weakly by the target, so the cache makes no reference cycle.
+    basis entry for entry.  Nested sums recurse.  Each pair is solved, or
+    scattered from its blocks, once: the result is cached on the source,
+    keyed weakly by the target, so the cache makes no reference cycle.  So
+    a sum that recurs as a summand, such as a free module, is scattered
+    once per target.
     """
     return _hom_kernel(M, N)[0]
 
@@ -670,15 +718,21 @@ def hom_space_basis(M: Module, N: Module) -> FpMatrix:
 def _hom_kernel(M: Module, N: Module) -> tuple[FpMatrix, np.ndarray]:
     """:func:`hom_space_basis` and, for each of its columns, the position
     ``(i, j)`` in ``h`` of its free variable, as a ``2 x cols`` array."""
+    if M._homs is None:
+        M._homs = weakref.WeakKeyDictionary()
+    solved = M._homs.get(N)
+    if solved is None:
+        solved = M._homs[N] = _solve_hom(M, N)
+    return solved
+
+
+def _solve_hom(M: Module, N: Module) -> tuple[FpMatrix, np.ndarray]:
+    """:func:`_hom_kernel` without its cache: the kernel of the intertwining
+    system of two modules that are not sums, else the scattered blocks."""
     if M.summands is None and N.summands is None:
-        if M._homs is None:
-            M._homs = weakref.WeakKeyDictionary()
-        solved = M._homs.get(N)
-        if solved is None:
-            system = FpMatrix(M.algebra.p, intertwining_system(M, N))
-            free = nonpivot_columns(system.cols, system.rref()[1])
-            solved = M._homs[N] = (system.kernel_basis(), np.array(np.divmod(free, M.dim), dtype=np.intp))
-        return solved
+        system = FpMatrix(M.algebra.p, intertwining_system(M, N))
+        free = nonpivot_columns(system.cols, system.rref()[1])
+        return system.kernel_basis(), np.array(np.divmod(free, M.dim), dtype=np.intp)
     targets = _summand_offsets(N)
     blocks = [(Ma, moff, Nb, noff, *_hom_kernel(Ma, Nb)) for Ma, moff in _summand_offsets(M) for Nb, noff in targets]
     # h as an N.dim x M.dim x (columns) array; the columns go block by block

@@ -45,7 +45,8 @@ column go; the other singleton columns in row ``i`` become zero, which is
 why a round counts the distinct rows of its singleton columns.  Rows peel the
 same way.  Forward elimination runs only on the core that is left, the only
 part ever made dense.  A matrix that is never assembled, such as a module's
-radical stack, is ranked the same way from lists of its nonzeros.
+radical stack, is ranked the same way from lists of its nonzeros, merged
+first by :func:`_distinct_nonzeros` when a coordinate may repeat.
 """
 
 from __future__ import annotations
@@ -356,14 +357,15 @@ def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> tuple[list[int], li
 
 
 def _peeled_rank(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:
-    """Rank of the ``shape`` matrix with entries ``vals`` at ``(rows, cols)``:
-    peel singletons (:func:`_peel`), then eliminate the core.
+    """Rank of the ``shape`` matrix with the distinct nonzeros ``vals``, all
+    in ``1..p-1``, at ``(rows, cols)``: peel singletons (:func:`_peel`),
+    then eliminate the core.
 
-    Repeated coordinates add up modulo ``p`` and entries that come to zero
-    are dropped, so the lists may come from several sparse products.  Only
-    the core that is left after peeling is made dense.
+    Lists in which a coordinate may repeat, such as those of several sparse
+    products, go through :func:`_distinct_nonzeros` first.  Only the core
+    that is left after peeling is made dense.
     """
-    rank, rows, cols, vals = _peel(shape, *_distinct_nonzeros(shape, rows, cols, vals, p))
+    rank, rows, cols, vals = _peel(shape, rows, cols, vals)
     if not rows.size:
         return rank
     index = []  # each line's position in the core

@@ -358,7 +358,8 @@ def test_hom_space_columns_are_independent_module_morphisms(truncated, anticommu
 def _block_route_cases(A):
     """Modules over ``A`` built from a few shared leaves, and the leaves: sums
     of one and of several summands, a repeated summand, a zero summand and
-    nested sums; with a coproduct also a diagonal tensor summand."""
+    nested sums; with a coproduct also a diagonal tensor summand.  The free
+    leaf of rank 2 is itself a sum of two copies of one regular module."""
     k, free1, free2, zero = trivial_module(A), free_module(A, 1), free_module(A, 2), zero_module(A)
     leaves = [k, free1, free2, zero]
     sum_ = direct_sum_modules
@@ -432,14 +433,104 @@ def test_free_module_slot_major_indexing(truncated):
     assert not x.a[:3, 3:].any()
 
 
+FREE_ALGEBRAS = [qci_algebra(FieldSpec(2), [2, 2]), qci_algebra(F3, [3, 3], {(0, 1): -1}),
+                 qci_algebra(FieldSpec(5), [5])]
+
+
+@pytest.mark.parametrize("A", FREE_ALGEBRAS, ids=["F2-2-2", "F3-3-3-skew", "F5-5"])
+@pytest.mark.parametrize("rank", [0, 1, 2, 5])
+def test_free_module_acts_through_one_regular_module(A, rank, action_builds):
+    F = free_module(A, rank)
+    assert F.dim == rank * A.dim
+    if rank >= 2:  # copies of one regular module, with no action stored
+        assert len(F.summands) == rank and all(S is F.summands[0] for S in F.summands)
+        assert F._action is None
+    rng = np.random.default_rng(rank)
+    for cols in (0, 1, 4):
+        V = FpMatrix(A.p, rng.integers(0, A.p, size=(F.dim, cols)))
+        for g, L in enumerate(A.left_actions):
+            want = np.kron(np.eye(rank, dtype=np.int64), L.a) @ V.a % A.p
+            assert np.array_equal(F.act(g, V).a, want)
+    assert action_builds == [] and (rank < 2 or F._action is None)
+    # a reader of the dense action still gets kron(I_rank, L_g), assembled once
+    eye = np.eye(rank, dtype=np.int64)
+    assert all(np.array_equal(x.a, np.kron(eye, L.a)) for x, L in zip(F.action, A.left_actions, strict=True))
+    assert F.action is F.action and len(action_builds) == (rank >= 2)
+
+
+@pytest.mark.parametrize("M", ["free", "regular"])
+def test_resolving_a_projective_module_gives_rank_zero_covers(M):
+    A = qci_algebra(F3, [3, 3], {(0, 1): -1})
+    P = free_module(A, 2) if M == "free" else regular_module(A)
+    res = minimal_resolution(P, 3)
+    assert res.betti() == [P.dim // A.dim, 0, 0, 0]
+    assert res.aug.matrix.rank() == P.dim
+    assert [S.module.dim for S in res.syzygies] == [0, 0, 0, 0]
+    assert all(Q.dim == 0 and is_projective(Q) for Q in res.projectives[1:])
+    assert all(res.diff(i).matrix.shape == (res.projectives[i - 1].dim, 0) for i in range(1, 4))
+
+
+def test_syzygies_are_built_once_and_the_last_on_first_read(monkeypatch, sum_action_reference):
+    A = qci_algebra(F3, [3, 3], {(0, 1): -1})
+    built = []
+    monkeypatch.setattr("smallhom.algebra.submodule", lambda M, cols: built.append(M) or submodule(M, cols))
+    length = 3
+    res = minimal_resolution(trivial_module(A), length)
+    # omega(1) .. omega(length) feed the covers; the last cover's kernel waits
+    assert built == res.projectives[:length]
+    last = res.omega(length + 1)
+    assert built == res.projectives and last.epi is None
+    assert res.omega(length + 1) is last and [res.omega(i) for i in range(1, length + 2)] == res.syzygies
+    assert len(built) == length + 1  # reading again builds nothing
+    # the same syzygy as an eager build: the kernel of a fresh cover of omega(length)
+    eager = projective_cover(res.omega(length).module)
+    assert eager.kernel_incl.matrix == last.incl.matrix
+    assert last.incl.source is last.module and last.incl.target is res.projectives[length]
+    assert all(x == y for x, y in zip(eager.kernel.action, last.module.action, strict=True))
+    # the inclusion intertwines the dense action of the free term
+    P = res.projectives[length]
+    for x, y in zip(last.module.action, sum_action_reference(P.summands or (P,)), strict=True):
+        assert (FpMatrix(A.p, y) @ last.incl.matrix) == (last.incl.matrix @ x)
+
+
+UNSTABLE_COVER_KERNEL = """
+import sys
+import smallhom.algebra as algebra
+from smallhom.linalg import FieldSpec
+assert False, "reached only without -O"
+# the transposed regular action moves x to 1, so the kernel (the radical) is not stable
+real = algebra.free_module
+algebra.free_module = lambda A, rank: algebra.Module(A, [x.transpose() for x in real(A, rank).action])
+A = algebra.qci_algebra(FieldSpec(3), [3])
+cover = algebra.projective_cover(algebra.trivial_module(A))
+print("cover built")
+try:
+    cover.kernel
+except algebra.CertificationError as exc:
+    sys.exit(f"optimize={sys.flags.optimize}: {exc}")
+"""
+
+
+def test_an_unstable_cover_kernel_raises_when_read(monkeypatch, run_optimized):
+    monkeypatch.setattr("smallhom.algebra.free_module", lambda A, rank: Module(
+        A, [x.transpose() for x in free_module(A, rank).action]))
+    cover = projective_cover(trivial_module(qci_algebra(F3, [3])))  # the kernel is not built yet
+    for read in ("kernel", "kernel_incl"):
+        with pytest.raises(CertificationError, match="^columns do not span an action-stable subspace$"):
+            getattr(cover, read)
+    run = run_optimized(UNSTABLE_COVER_KERNEL)
+    assert (run.returncode, run.stdout) == (1, "cover built\n")
+    assert run.stderr.strip() == "optimize=1: columns do not span an action-stable subspace"
+
+
 def _reference_targets():
-    """Targets over p = 2, 3, 5, one with q != 1: trivial, regular, free,
-    a syzygy (non-trivial, not free) and the zero module."""
+    """Targets over p = 2, 3, 5, one with q != 1: trivial, regular, free of
+    ranks 0, 2 and 5, a syzygy (non-trivial, not free) and the zero module."""
     algebras = [qci_algebra(FieldSpec(2), [2, 2, 2], coproduct="primitive"),
                 qci_algebra(F3, [3, 2], {(0, 1): -1}),
                 qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2})]
     for A in algebras:
-        for M in (trivial_module(A), regular_module(A), free_module(A, 2),
+        for M in (trivial_module(A), regular_module(A), free_module(A, 0), free_module(A, 2), free_module(A, 5),
                   projective_cover(trivial_module(A)).kernel, zero_module(A)):
             yield A, M
 
@@ -669,7 +760,8 @@ def test_deferred_actions_match_the_eager_assembly_and_build_once(coproduct, act
         assert all(np.array_equal(x.a, r) for x, r in zip(_acting(M), ref, strict=True))
         with pytest.raises(ValueError, match="^a diagonal tensor acts through its factors"):
             M.action
-    assert action_builds == [("sum", (9, 1, 18))] and nested._action is None
+    # assembling mixed reads the action of its free summand, two copies of one regular module
+    assert action_builds == [("sum", (9, 1, 18)), ("sum", (9, 9))] and nested._action is None
 
 
 def test_a_sum_acts_through_its_summands(two_vars, action_builds, sum_action_reference):

@@ -100,15 +100,22 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert code == 0 and "rank = 10" in out and "total = 1008" in out
 
 
-def test_budget_exit_code(capsys, tensor_diagonal_calls, matmul_calls):
+def test_budget_exit_code(capsys, monkeypatch, tensor_diagonal_calls, matmul_calls):
+    syzygies = []
+    real_submodule = algebra.submodule
+    monkeypatch.setattr(algebra, "submodule", lambda M, cols: syzygies.append(M.dim) or real_submodule(M, cols))
     code = run_cli(["certify", "--mode", "chain", "--char", "3",
                     "--exponents", "3 3 3", "--coproduct", "primitive"])
     assert code == 65
     err = capsys.readouterr().err
-    assert "budget error" in err
     # sizes are checked before the parameter search builds its first tensor
-    assert "parameter search: tensor 729 x 27 = 19683 exceeds budget 4096" in err
+    assert err == "budget error: parameter search: tensor 729 x 27 = 19683 exceeds budget 4096\n"
     assert tensor_diagonal_calls == []
+    # the resolution of length 3 builds omega(1) .. omega(3), in P_0 .. P_2;
+    # omega(4), the kernel of the last cover, is never read
+    assert syzygies == [27, 81, 162]
+    # P_3 (rank 10, dim 270) acts through its regular module: no dense action
+    assert not [c for c in matmul_calls if c[:2] == (270, 270) or c[1:] == (270, 270)]
     # free-module maps take one product per monomial, not one per matvec
     # (5760 products when each slot and monomial was its own matvec)
     assert len(matmul_calls) < 1000

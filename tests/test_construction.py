@@ -468,12 +468,13 @@ def test_recorded_sum_flags_match_the_radical_test(char, exponents, power, monke
 
 def test_leaf_projectivity_matches_the_radical_test(projective_reference):
     # modules with stored actions, ranked from the coordinate lists of their
-    # nonzeros: resolution terms and syzygies, pushouts, quotients, one-sided
-    # restrictions of bimodules, trivial and zero-dim modules
+    # nonzeros: the summands of resolution terms, syzygies, pushouts,
+    # quotients, one-sided restrictions of bimodules, trivial and zero-dim modules
     leaves = []
     for A in (qci_algebra(FieldSpec(2), [2, 2]), qci_algebra(F3, [3, 2], {(0, 1): -1}), qci_algebra(FieldSpec(5), [5])):
         res = minimal_resolution(trivial_module(A), 3)
-        leaves += res.projectives + [S.module for S in res.syzygies] + [trivial_module(A), zero_module(A)]
+        leaves += [S for P in res.projectives for S in P.summands or (P,)]
+        leaves += [S.module for S in res.syzygies] + [trivial_module(A), zero_module(A)]
         leaves += [pushout_module(z)[0] for z in ext_classes(res, 2)]
         reg = regular_module(A)
         leaves += [quotient_module(reg, cols)[0] for cols in (radical_subspace(reg), FpMatrix.zeros(A.p, A.dim, 0))]

@@ -11,6 +11,7 @@ from smallhom.linalg import (
     FieldSpec,
     FpMatrix,
     KronBlocks,
+    _distinct_nonzeros,
     _peeled_rank,
     block,
     hstack,
@@ -460,7 +461,8 @@ def test_coordinate_peeled_rank_matches_the_dense_rank(p):
         rows, cols = a.nonzero()
         assert FpMatrix(p, a).rank() == want  # the dense entry
         assert _peeled_rank(a.shape, rows, cols, a[rows, cols], p) == want
-        assert _peeled_rank(a.shape, *_split_entries(p, a, rng), p) == want
+        merged = _distinct_nonzeros(a.shape, *_split_entries(p, a, rng), p)
+        assert _peeled_rank(a.shape, *merged, p) == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 1048573])
@@ -480,14 +482,17 @@ def test_rank_matches_the_rref_rank_with_zero_rows_and_columns(p):
 
 
 def test_coordinate_peeled_rank_cancels_repeats():
+    def merged_rank(shape, rows, cols, vals, p):
+        return _peeled_rank(shape, *_distinct_nonzeros(shape, rows, cols, vals, p), p)
+
     empty = np.array([], dtype=np.int64)
-    assert _peeled_rank((3, 3), empty, empty, empty, 5) == 0
+    assert merged_rank((3, 3), empty, empty, empty, 5) == 0
     # two entries at (0, 0) that cancel mod 5, and an all-zero value list
-    assert _peeled_rank((2, 2), np.array([0, 0, 1]), np.array([0, 0, 1]), np.array([2, 3, 4]), 5) == 1
-    assert _peeled_rank((2, 2), np.array([0, 1]), np.array([1, 0]), np.array([0, 10]), 5) == 0
+    assert merged_rank((2, 2), np.array([0, 0, 1]), np.array([0, 0, 1]), np.array([2, 3, 4]), 5) == 1
+    assert merged_rank((2, 2), np.array([0, 1]), np.array([1, 0]), np.array([0, 10]), 5) == 0
     # a cancelled entry would otherwise make the cycle's columns independent
     rows, cols = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 1])
-    assert _peeled_rank((2, 2), rows, cols, np.array([1, 1, 1, 3, 3]), 5) == 1
+    assert merged_rank((2, 2), rows, cols, np.array([1, 1, 1, 3, 3]), 5) == 1
 
 
 def _kron_blocks(p, rng, row_slots, col_slots, terms_per_block, identity=True):
