@@ -34,7 +34,7 @@ from math import prod
 
 import numpy as np
 
-from .linalg import (FieldSpec, FpMatrix, _distinct_nonzeros, _peeled_rank, echelon_pivots, hstack, kron_apply,
+from .linalg import (FieldSpec, FpMatrix, _peeled_rank, echelon_pivots, hstack, kron_apply,
                      kron_array, nonpivot_columns, quotient_by_subspace, read_coordinates)
 
 
@@ -553,8 +553,9 @@ def is_projective(M: Module) -> bool:
 
     A sum is projective iff each summand is, so a recorded sum asks its
     summands.  Any other module ranks its radical stack ``[x_1 | ... | x_c]``
-    from coordinate lists of its nonzeros (:func:`_mono_coords`), so only the
-    core left after peeling singletons is ever dense.
+    by :func:`_peeled_rank` from the coordinate lists of :func:`_mono_coords`.
+    Their coordinates may repeat and their values may vanish mod p, which
+    the rank allows, so they go in as they are.  The stack is never dense.
     """
     if M._projective is None and M.summands is not None:
         M._projective = all(is_projective(S) for S in M.summands)
@@ -565,8 +566,7 @@ def is_projective(M: Module) -> bool:
             gens = [_mono_coords(M, tuple(int(k == g) for k in range(A.ngens))) for g in range(A.ngens)]
             rows, cols, vals = (np.concatenate(x) for x in zip(*gens))
             cols += np.repeat(np.arange(A.ngens) * M.dim, [r.size for r, _, _ in gens])
-            shape = (M.dim, A.ngens * M.dim)
-            rad_rank = _peeled_rank(shape, *_distinct_nonzeros(shape, rows, cols, vals, A.p), A.p)
+            rad_rank = _peeled_rank((M.dim, A.ngens * M.dim), rows, cols, vals, A.p)
         M._projective = A.dim * (M.dim - rad_rank) == M.dim
     return M._projective
 

@@ -134,7 +134,7 @@ class ChainComplex:
             if i in self.objects and (i - 1) in self.objects:
                 self.diffs[i] = d
             elif not d.is_zero():
-                raise ValueError(f"nonzero differential {i} attached to a zero object")
+                raise CertificationError(f"nonzero differential {i} attached to a zero object")
         self._zero = zero_module(algebra)
         self._hcache: dict[int, HomologySpace] = {}
         if check:

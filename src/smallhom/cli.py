@@ -10,7 +10,7 @@ Certificates are deterministic structured text (stable key order, no
 timestamps, configuration echoed), so re-running a configuration reproduces
 the certificate byte for byte.  Exit codes: 0 all verdicts pass, 2 a
 verdict or a certification check failed, 64 usage or configuration error,
-65 budget exceeded.
+65 budget exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -385,6 +385,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"budget error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (AssertionError, CertificationError) as exc:
         # a check inside the certification failed: the claim is not certified

@@ -33,25 +33,21 @@ exactly when the vector lies outside the span.  :meth:`FpMatrix.solve` is
 for general systems.
 
 A rank alone does not need the reduced echelon form.  :meth:`FpMatrix.rank`
-reads the pivot count of a cached form when there is one; otherwise it ranks
-the coordinate lists of its nonzeros by :func:`_peeled_rank`, the one rank
-route for matrices that are not eliminated anyway.  It peels singletons
-first, the fill-free first step of structured Gaussian elimination
+reads the pivot count of a cached form when there is one; otherwise
+:func:`_peeled_rank` ranks the coordinate lists of its nonzeros, the one rank
+route, and never makes a matrix dense.  It is structured Gaussian elimination
 (Bouillaguet and Delaplace, "Sparse Gaussian elimination modulo p: an
-update", CASC 2016).  A column whose only nonzero sits in row ``i`` splits
-off a 1x1 block: column operations with it clear the rest of row ``i`` and
-touch no other row.  So it adds one to the rank, and row ``i`` and the
-column go; the other singleton columns in row ``i`` become zero, which is
-why a round counts the distinct rows of its singleton columns.  Rows peel the
-same way.  Forward elimination runs only on the core that is left, the only
-part ever made dense.  A matrix that is never assembled, such as a module's
-radical stack, is ranked the same way from lists of its nonzeros, merged
-first by :func:`_distinct_nonzeros` when a coordinate may repeat.
+update", CASC 2016): singletons are peeled first (:func:`_peel`), which makes
+no fill-in, and the core that is left is eliminated on rows kept as dicts by
+Markowitz pivoting (Markowitz, Management Science 3, 1957).  A matrix that is
+never assembled, such as a module's radical stack, is ranked the same way
+from lists in which a coordinate may repeat and a value may vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import accumulate
 
 import numpy as np
@@ -238,13 +234,13 @@ class FpMatrix:
         """
         if self._rref is None:
             m = self.a.copy()
-            pivots, pivot_rows, free = _eliminate(m, self.p, reduce_above=True)
+            pivots, pivot_rows, free = _eliminate(m, self.p)
             m = m[pivot_rows + free.nonzero()[0].tolist()]
             self._rref = (FpMatrix._adopt(self.p, m), tuple(pivots))
         return self._rref
 
     def rank(self) -> int:
-        """The rank: a cached RREF's pivot count, else peel and eliminate.
+        """The rank: a cached RREF's pivot count, else :func:`_peeled_rank`.
 
         A caller that needs the RREF too should ask for it first, so that
         the matrix is eliminated once.
@@ -309,15 +305,13 @@ def kron_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> tuple[list[int], list[int], np.ndarray]:
-    """Gaussian elimination of ``m`` in place, column by column.
+def _eliminate(m: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Gauss-Jordan elimination of ``m`` in place, column by column.
 
     Returns the pivot columns, their rows and the mask of rows that hold no
-    pivot.  Rows stay in place: each pivot row is scaled to a leading 1, and
-    its column is cleared in every other row when ``reduce_above`` (the
-    Gauss-Jordan step of a reduced form), otherwise only in the rows that
-    hold no pivot yet, which is all a rank needs.  The pivot row of column
-    ``c`` vanishes left of ``c``, so every row update starts at column ``c``.
+    pivot.  Rows stay in place: each pivot row is scaled to a leading 1 and
+    its column is cleared in every other row.  The pivot row of column ``c``
+    vanishes left of ``c``, so every row update starts at column ``c``.
     """
     rows, cols = m.shape
     pivots: list[int] = []
@@ -336,14 +330,13 @@ def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> tuple[list[int], li
         if lead != 1:
             row *= pow(lead, p - 2, p)
             row %= p
-        rest = nz if reduce_above else candidates
-        if rest.size == 2:
-            # one other row, rest[0] + rest[1] - i: update its view in place
-            other = m[int(rest[0] + rest[1]) - i, c:]
+        if nz.size == 2:
+            # one other row, nz[0] + nz[1] - i: update its view in place
+            other = m[int(nz[0] + nz[1]) - i, c:]
             other -= int(other[0]) * row
             other %= p
-        elif rest.size > 2:
-            touched = rest[rest != i]
+        elif nz.size > 2:
+            touched = nz[nz != i]
             blk = m[touched, c:]
             blk -= blk[:, :1] * row
             blk %= p
@@ -357,38 +350,63 @@ def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> tuple[list[int], li
 
 
 def _peeled_rank(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:
-    """Rank of the ``shape`` matrix with the distinct nonzeros ``vals``, all
-    in ``1..p-1``, at ``(rows, cols)``: peel singletons (:func:`_peel`),
-    then eliminate the core.
-
-    Lists in which a coordinate may repeat, such as those of several sparse
-    products, go through :func:`_distinct_nonzeros` first.  Only the core
-    that is left after peeling is made dense.
+    """Rank of the ``shape`` matrix whose entries are the sums mod ``p`` of
+    ``vals`` at ``(rows, cols)``.  Values that vanish mod ``p`` are dropped
+    and singletons peeled (:func:`_peel`).  The core keeps one dict per row,
+    repeats added up, and the rows of each column.  The column of least count
+    (from a heap, stale pairs skipped) is pivoted in its shortest row, which
+    is merged into the column's other rows and removed.
     """
-    rank, rows, cols, vals = _peel(shape, rows, cols, vals)
-    if not rows.size:
-        return rank
-    index = []  # each line's position in the core
-    for lines, n in ((rows, shape[0]), (cols, shape[1])):
-        kept = np.unique(lines)
-        at = np.empty(n, dtype=np.intp)
-        at[kept] = np.arange(kept.size)
-        index.append((kept.size, at[lines]))
-    core = np.zeros((index[0][0], index[1][0]), dtype=np.int64)
-    core[index[0][1], index[1][1]] = vals
-    return rank + len(_eliminate(core, p, reduce_above=False)[0])
+    nz = vals % p != 0
+    rank, rows, cols, vals = _peel(shape, rows[nz], cols[nz], vals[nz])
+    grid: dict[int, dict[int, int]] = {}
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        row = grid.setdefault(i, {})
+        row[j] = (row.get(j, 0) + v) % p
+    grid = {i: {j: v for j, v in row.items() if v} for i, row in grid.items()}
+    lines: dict[int, set[int]] = {}
+    for i, row in grid.items():
+        for j in row:
+            lines.setdefault(j, set()).add(i)
+    heap = sorted((len(s), j) for j, s in lines.items())  # a sorted list is a heap
+    while heap:
+        n, j = heappop(heap)
+        col = lines[j]
+        if not n or len(col) != n:
+            continue
+        i = min(col, key=lambda r: len(grid[r]))
+        pivot = grid.pop(i)
+        inv = pow(pivot[j], p - 2, p)
+        for r in col - {i}:
+            row = grid[r]
+            f = row[j] * inv % p
+            for k, v in pivot.items():
+                row[k] = x = (row.get(k, 0) - f * v) % p
+                if x:
+                    lines[k].add(r)
+                else:
+                    del row[k]
+                    lines[k].discard(r)
+        rank += 1
+        for k in pivot:
+            lines[k].discard(i)
+            heappush(heap, (len(lines[k]), k))
+    return rank
 
 
 def _peel(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
           vals: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Peel singleton columns and rows off the distinct nonzeros ``vals`` at
-    ``(rows, cols)``.  Returns the pivots peeled and the lists that are left.
+    """Peel singleton columns and rows off the entries ``vals`` at ``(rows,
+    cols)``; returns the pivots peeled and the lists that are left.
 
-    The nonzeros stay coordinate lists, so zero rows and columns never
-    appear and dropping a row drops its entries.  A round drops the rows of
-    the singleton columns, one pivot per distinct row, then the columns of
-    the singleton rows, one pivot per distinct column; the singletons' own
-    columns (rows) are empty after that.  Rounds repeat while they peel.
+    A column whose only nonzero sits in row ``i`` splits off a 1x1 block
+    (column operations with it clear row ``i`` and touch no other row): it
+    adds one to the rank, row ``i`` and the column go, and the other singleton
+    columns in row ``i`` become zero.  A round drops the rows of the singleton
+    columns, one pivot per distinct row, then the columns of the singleton
+    rows likewise; rounds repeat while they peel.  Coordinates may repeat if
+    every listed value is nonzero mod p: a line listed once then holds one
+    nonzero, and a line whose repeats cancel is listed twice, so never peeled.
     """
     rank = 0
     peeled = True
@@ -406,20 +424,6 @@ def _peel(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
             peeled = True
     return rank, rows, cols, vals
-
-
-def _distinct_nonzeros(shape: tuple[int, int], rows, cols, vals, p: int) -> tuple[np.ndarray, ...]:
-    """Coordinate lists with each coordinate once and every value in ``1..p-1``."""
-    vals = np.asarray(vals, dtype=np.int64) % p
-    key = np.asarray(rows, dtype=np.int64) * shape[1] + np.asarray(cols, dtype=np.int64)
-    if key.size > 1 and not (key[1:] > key[:-1]).all():
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], vals[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        key, vals = key[starts], np.add.reduceat(vals, starts) % p
-        rows, cols = np.divmod(key, shape[1])
-    nz = vals != 0
-    return rows[nz], cols[nz], vals[nz]
 
 
 def hstack(mats: list[FpMatrix]) -> FpMatrix:

@@ -525,6 +525,111 @@ def test_block_law_controls_fail_under_optimize(run_optimized):
                           "optimize=1\n")
 
 
+# Corruptions that each fail one theta verdict of a rank-2 run, and one
+# that leaves a class complex's d_1 pointing at a dropped degree-0 term
+THETA_CONTROLS = """
+from smallhom import construction
+
+real_build_thetas = construction.build_thetas
+real_compose_shifted = construction.compose_shifted
+real_induced_on_homology = construction.induced_on_homology
+real_chain_complex = construction.ChainComplex
+thetas = []
+
+
+def recorded_build_thetas(*args, **kwargs):
+    thetas[:] = real_build_thetas(*args, **kwargs)
+    return thetas
+
+
+def square_to_product(a, b):
+    # theta_i theta_i becomes theta_i theta_j, j != i: nonzero on homology
+    if a is b and any(a is t for t in thetas):
+        b = thetas[1] if a is thetas[0] else thetas[0]
+    return real_compose_shifted(a, b)
+
+
+def corrupted_induced(kind):
+    def induced_on_homology(f, classes):
+        out = real_induced_on_homology(f, classes)
+        if thetas and f is thetas[1]:
+            if kind == "sign":  # theta_1 from H_m changes sign: the matrices commute
+                out[f.shift] = out[f.shift].scale(-1)
+            else:  # theta_1 is zero on homology: theta_1 applied to H_0 is no basis
+                out = {j: x.scale(0) for j, x in out.items()}
+        return out
+    return induced_on_homology
+
+
+def degree_zero_dropped(algebra, objects, diffs, check=True):
+    return real_chain_complex(algebra, {i: M for i, M in objects.items() if i}, diffs, check)
+
+
+def corrupt(kind):
+    construction.build_thetas = recorded_build_thetas
+    construction.compose_shifted = square_to_product if kind == "theta_squares_null" else real_compose_shifted
+    construction.induced_on_homology = {
+        "theta_anticommute": corrupted_induced("sign"),
+        "exterior_freeness": corrupted_induced("zero"),
+    }.get(kind, real_induced_on_homology)
+    construction.ChainComplex = degree_zero_dropped if kind == "zero_object" else real_chain_complex
+
+
+def failed_verdicts(out):
+    return sorted(line.split(" = ")[0].strip() for line in out.splitlines() if line.endswith(" = fail"))
+"""
+THETA_KINDS = ("theta_squares_null", "theta_anticommute", "exterior_freeness", "zero_object")
+ZERO_OBJECT_MESSAGE = "certification error: nonzero differential 1 attached to a zero object\n"
+THETA_CONTROLS_RUN = f"""
+import contextlib
+import io
+import sys
+from smallhom import cli
+assert False, "reached only without -O"
+for kind in {THETA_KINDS!r}:
+    corrupt(kind)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main({RANK2_CONFIG!r})
+    print(f"optimize={{sys.flags.optimize}} {{kind}} exit={{code}} failed={{failed_verdicts(out.getvalue())}}")
+"""
+
+
+@pytest.mark.parametrize("kind", THETA_KINDS)
+def test_theta_verdict_controls_exit_2(kind, monkeypatch, capsys):
+    scope: dict = {}
+    exec(THETA_CONTROLS, scope)
+    for name in ("build_thetas", "compose_shifted", "induced_on_homology", "ChainComplex"):
+        monkeypatch.setattr(construction, name, getattr(construction, name))  # restored afterwards
+    scope["corrupt"](kind)
+    assert run_cli(RANK2_CONFIG) == 2
+    captured = capsys.readouterr()
+    if kind == "zero_object":
+        assert captured.out == "" and captured.err == ZERO_OBJECT_MESSAGE
+    else:
+        assert scope["failed_verdicts"](captured.out) == [kind] and captured.err == ""
+
+
+def test_theta_verdict_controls_fail_under_optimize(run_optimized):
+    run = run_optimized(THETA_CONTROLS + THETA_CONTROLS_RUN)
+    failed = {kind: [kind] for kind in THETA_KINDS[:3]}
+    assert run.stdout == "".join(f"optimize=1 {kind} exit=2 failed={failed.get(kind, [])}\n"
+                                 for kind in THETA_KINDS)
+    assert run.stderr == ZERO_OBJECT_MESSAGE
+
+
+def test_out_of_memory_exits_65(monkeypatch, capsys):
+    message = "Unable to allocate 8.93 GiB for an array with shape (23402, 51234) and data type int64"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(construction, "tensor_tower", exhausted)
+    assert run_cli(RANK2_CONFIG) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"budget error: out of memory: {message}\n"
+
+
 def test_python_m_smallhom_runs_from_a_checkout():
     root = Path(cli.__file__).resolve().parents[2]
     env = {**os.environ, "PYTHONPATH": "src"}

@@ -488,7 +488,11 @@ def test_leaf_projectivity_matches_the_radical_test(projective_reference):
     assert True in flags and False in flags
 
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+# not the raised-budget templates (``*-raised.ini``): a dense radical stack of
+# their 14641-dim terms would take gigabytes, and their certificates are held
+# byte for byte by test_golden_certificates.py
+CONFIGS = sorted(c for c in (Path(__file__).resolve().parent.parent / "configs").glob("*.ini")
+                 if not c.stem.endswith("-raised"))
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])

@@ -1,5 +1,7 @@
 """Exact linear algebra over prime fields."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from smallhom.linalg import (
     FieldSpec,
     FpMatrix,
     KronBlocks,
-    _distinct_nonzeros,
     _peeled_rank,
     block,
     hstack,
@@ -361,64 +362,61 @@ def test_block_assembly():
 
 
 def _rank_cases(p, rng):
-    """Inputs for the peeled rank, each with the core it should leave."""
+    """Inputs for the peeled rank: empty, dense, sparse, and some that peel
+    in rounds or not at all."""
     def nonzero(*shape):
         return rng.randint(1, p, size=shape)
 
-    cases = [(np.zeros(shape, dtype=np.int64), None) for shape in ((0, 5), (5, 0), (0, 0), (4, 6))]
+    cases = [np.zeros(shape, dtype=np.int64) for shape in ((0, 5), (5, 0), (0, 0), (4, 6))]
     # dense, square, wide, tall and of low rank
     for shape in ((7, 7), (12, 5), (5, 12)):
-        cases.append((rng.randint(0, p, size=shape), "any"))
-    cases.append((rng.randint(0, p, size=(20, 3)) @ rng.randint(0, p, size=(3, 15)) % p, "any"))
+        cases.append(rng.randint(0, p, size=shape))
+    cases.append(rng.randint(0, p, size=(20, 3)) @ rng.randint(0, p, size=(3, 15)) % p)
     # sparse: 0.5% nonzero
     for shape in ((200, 100), (100, 200), (150, 150)):
-        cases.append((nonzero(*shape) * (rng.rand(*shape) < 0.005), "any"))
+        cases.append(nonzero(*shape) * (rng.rand(*shape) < 0.005))
     # row 0 holds the only nonzero of columns 0..3: one pivot, not four;
     # the transpose has four singleton rows in one column
     shared = np.zeros((6, 9), dtype=np.int64)
     shared[0, :4] = nonzero(4)
     shared[0, 4:] = rng.randint(0, p, size=5)
     shared[1:, 4:] = nonzero(5, 5)
-    cases += [(shared, (5, 5)), (shared.T, (5, 5))]
+    cases += [shared, shared.T]
     # a cycle: every row and column has two nonzeros, so nothing peels;
     # with the entries 1 and -1 the all-ones vector is in the kernel
     cycle = np.zeros((6, 6), dtype=np.int64)
     cycle[range(6), range(6)] = 1
     cycle[range(6), [1, 2, 3, 4, 5, 0]] = p - 1
-    cases.append((cycle, (6, 6)))
+    cases.append(cycle)
     random_cycle = np.zeros((6, 6), dtype=np.int64)
     random_cycle[range(6), range(6)] = nonzero(6)
     random_cycle[range(6), [1, 2, 3, 4, 5, 0]] = nonzero(6)
-    cases.append((random_cycle, (6, 6)))
+    cases.append(random_cycle)
     # a staircase peels one end per round, down to nothing
     stairs = np.zeros((8, 8), dtype=np.int64)
     stairs[range(8), range(8)] = nonzero(8)
     stairs[range(7), range(1, 8)] = nonzero(7)
-    cases.append((stairs, None))
+    cases.append(stairs)
     return cases
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
 def test_peeled_rank_matches_rref(p, monkeypatch):
-    cores = []
+    calls = []
     real = smallhom.linalg._eliminate
 
-    def recorded(m, p, reduce_above):
-        cores.append(m.shape)
-        return real(m, p, reduce_above)
+    def recorded(m, p):
+        calls.append(m.shape)
+        return real(m, p)
 
     monkeypatch.setattr(smallhom.linalg, "_eliminate", recorded)
-    rng = np.random.RandomState(3)
-    for a, core in _rank_cases(p, rng):
-        cores.clear()
+    for a in _rank_cases(p, np.random.RandomState(3)):
         peeled = FpMatrix(p, a)
         rank = peeled.rank()
-        assert peeled._rref is None  # the rank did not build an RREF
+        assert peeled._rref is None and not calls  # no RREF and no dense elimination
         assert rank == len(FpMatrix(p, a).rref()[1])
-        if core is None:
-            assert cores == [a.shape]  # the rref only
-        elif core != "any":
-            assert cores[0] == core
+        assert calls == [a.shape]  # the rref only
+        calls.clear()
 
 
 def test_rank_reads_a_cached_rref(monkeypatch):
@@ -450,7 +448,7 @@ def _split_entries(p, a, rng):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
 def test_coordinate_peeled_rank_matches_the_dense_rank(p):
     rng = np.random.default_rng(p)
-    cases = [a for a, _ in _rank_cases(p, np.random.RandomState(5))]
+    cases = _rank_cases(p, np.random.RandomState(5))
     for density in (0.02, 0.1, 0.5, 1.0):  # random sparse and dense matrices
         for shape in ((12, 30), (30, 12), (25, 25)):
             cases.append(rng.integers(0, p, size=shape) * (rng.random(shape) < density))
@@ -461,8 +459,7 @@ def test_coordinate_peeled_rank_matches_the_dense_rank(p):
         rows, cols = a.nonzero()
         assert FpMatrix(p, a).rank() == want  # the dense entry
         assert _peeled_rank(a.shape, rows, cols, a[rows, cols], p) == want
-        merged = _distinct_nonzeros(a.shape, *_split_entries(p, a, rng), p)
-        assert _peeled_rank(a.shape, *merged, p) == want
+        assert _peeled_rank(a.shape, *_split_entries(p, a, rng), p) == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 1048573])
@@ -482,17 +479,82 @@ def test_rank_matches_the_rref_rank_with_zero_rows_and_columns(p):
 
 
 def test_coordinate_peeled_rank_cancels_repeats():
-    def merged_rank(shape, rows, cols, vals, p):
-        return _peeled_rank(shape, *_distinct_nonzeros(shape, rows, cols, vals, p), p)
-
     empty = np.array([], dtype=np.int64)
-    assert merged_rank((3, 3), empty, empty, empty, 5) == 0
+    assert _peeled_rank((3, 3), empty, empty, empty, 5) == 0
     # two entries at (0, 0) that cancel mod 5, and an all-zero value list
-    assert merged_rank((2, 2), np.array([0, 0, 1]), np.array([0, 0, 1]), np.array([2, 3, 4]), 5) == 1
-    assert merged_rank((2, 2), np.array([0, 1]), np.array([1, 0]), np.array([0, 10]), 5) == 0
+    assert _peeled_rank((2, 2), np.array([0, 0, 1]), np.array([0, 0, 1]), np.array([2, 3, 4]), 5) == 1
+    assert _peeled_rank((2, 2), np.array([0, 1]), np.array([1, 0]), np.array([0, 10]), 5) == 0
     # a cancelled entry would otherwise make the cycle's columns independent
     rows, cols = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 1])
-    assert merged_rank((2, 2), rows, cols, np.array([1, 1, 1, 3, 3]), 5) == 1
+    assert _peeled_rank((2, 2), rows, cols, np.array([1, 1, 1, 3, 3]), 5) == 1
+    # a zero listed alone in column 1 is no singleton: peeling it would give 2
+    rows, cols = np.array([0, 1, 0, 1, 0]), np.array([0, 0, 2, 2, 1])
+    assert _peeled_rank((2, 3), rows, cols, np.array([1, 1, 1, 1, 5]), 5) == 1
+    # entries that cancel once a pivot row is merged in: the rank stays 2
+    rows, cols = np.array([0, 0, 1, 1, 2, 2]), np.array([0, 1, 0, 1, 0, 1])
+    assert _peeled_rank((3, 2), rows, cols, np.array([1, 2, 1, 2, 1, 1]), 5) == 2
+
+
+def _cycle(p, n, gains, chords=0, rng=None):
+    """An ``n x n`` cycle: column ``j`` is ``e_j + g_j e_{j+1 mod n}``, and
+    ``chords`` random columns get a third nonzero at a further row.
+
+    Without chords nothing peels; the rank is ``n - 1`` when the product of
+    the ``-g_j`` is 1 (a balanced cycle), else ``n``.
+    """
+    a = np.zeros((n, n), dtype=np.int64)
+    a[range(n), range(n)] = 1
+    a[[(j + 1) % n for j in range(n)], range(n)] = np.asarray(gains) % p
+    for j in (rng.choice(n, chords, replace=False) if chords else ()):
+        a[(j + 2 + rng.integers(0, n - 2)) % n, j] = rng.integers(1, p)
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 1048573])
+def test_sparse_rank_of_two_and_three_nonzeros_per_column(p):
+    rng = np.random.default_rng(p + 1)
+    cases = [_cycle(p, 9, [-1] * 9)]
+    if p > 2:  # over F_2 every cycle is balanced
+        cases.append(_cycle(p, 9, [-1] * 8 + [-2]))  # the product of the -g_j is 2
+        assert _dense_rank(p, cases[-1]) == 9
+    for n in (3, 10, 40):
+        gains = rng.integers(1, p, n)
+        # fix the last gain so that the product of the -g_j is 1
+        prod = 1
+        for g in gains[:-1]:
+            prod = prod * -int(g) % p
+        gains[-1] = -pow(prod, p - 2, p) % p
+        assert _dense_rank(p, _cycle(p, n, gains)) == n - 1
+        cases += [_cycle(p, n, gains), _cycle(p, n, rng.integers(1, p, n))]
+        cases += [_cycle(p, n, gains, chords=n // 3 + 1, rng=rng), _cycle(p, n, gains, chords=n, rng=rng)]
+    for rows, cols, per_col in ((30, 45, 2), (45, 30, 2), (30, 45, 3), (45, 30, 3), (20, 20, 3)):
+        a = np.zeros((rows, cols), dtype=np.int64)
+        for j in range(cols):
+            a[rng.choice(rows, per_col, replace=False), j] = rng.integers(1, p, per_col)
+        cases.append(a)
+    for a in cases:
+        assert np.count_nonzero(a, axis=0).min() >= 2  # no singleton column
+        want = _dense_rank(p, a)
+        for b in (a, a.T):
+            rows, cols = b.nonzero()
+            assert _peeled_rank(b.shape, rows, cols, b[rows, cols], p) == want
+            assert _peeled_rank(b.shape, *_split_entries(p, b, rng), p) == want
+
+
+def test_peeled_rank_memory_stays_with_the_nonzeros():
+    # a 3000-cycle peels nowhere; a dense core of it would take 72 MB
+    n, p = 3000, 5
+    rows = np.concatenate([np.arange(n), (np.arange(n) + 1) % n])
+    cols = np.tile(np.arange(n), 2)
+    vals = np.concatenate([np.ones(n, dtype=np.int64), np.full(n, p - 1)])
+    tracemalloc.start()
+    try:
+        rank = _peeled_rank((n, n), rows, cols, vals, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == n - 1
+    assert peak < 1000 * rows.size  # bytes: a small multiple of the 6000 nonzeros
 
 
 def _kron_blocks(p, rng, row_slots, col_slots, terms_per_block, identity=True):
