@@ -134,15 +134,6 @@ class Algebra:
             raise ValueError("commutator indices must be increasing")
         return self.q.get((i, j), 1)
 
-    def split_first(self, mono) -> tuple[int, tuple] | None:
-        """``(i, shorter)`` with ``x^mono = x_i * x^shorter`` for the first
-        generator ``i`` in ``mono``; ``None`` for the unit.  ``shorter`` comes
-        before ``mono`` in the lexicographic basis order."""
-        for i, e in enumerate(mono):
-            if e:
-                return i, mono[:i] + (e - 1,) + mono[i + 1 :]
-        return None
-
     def mono_mul(self, e, f):
         """Product of basis monomials: ``(coeff, mono)`` or ``None`` if zero.
 
@@ -472,22 +463,27 @@ def mono_images(M: Module, V: FpMatrix) -> np.ndarray:
     """``x^mono . V`` for every basis monomial, stacked as ``(M.dim, V.cols, dim A)``
     in the lexicographic order of ``A.basis``.
 
-    ``x^mono = x_i * x^shorter`` for the first generator ``i`` in ``mono``
-    (:meth:`Algebra.split_first`), and ``shorter`` comes earlier in that
-    order, so each monomial costs one :meth:`Module.act` on ``dim x cols``
-    (``dim A - 1`` in all).  On ``V = I`` the stack holds the action of every
-    monomial, ``[r, c, k]`` being entry ``(r, c)`` of ``basis[k]``.
+    ``x^mono = x_1^{e_1} ... x_c^{e_c}`` with the last generator acting
+    first, so the images are built by generator powers: the stack starts as
+    ``V`` and, for ``i = c, ..., 1``, becomes ``[S, x_i S, ..., x_i^{a_i - 1} S]``
+    with ``e_i`` the leading index, each power one :meth:`Module.act` on the
+    whole stack.  That is ``sum(a_i - 1)`` products of width
+    ``cols * prod_{j > i} a_j``, and the leading index of the last round is
+    ``e_1``, which gives the lexicographic order.  On ``V = I`` the stack
+    holds the action of every monomial, ``[r, c, k]`` being entry ``(r, c)``
+    of ``basis[k]``.
     """
     A = M.algebra
-    images: list[FpMatrix] = []
-    for mono in A.basis:
-        split = A.split_first(mono)
-        if split is None:
-            images.append(V)
-        else:
-            i, shorter = split
-            images.append(M.act(i, images[A.index[shorter]]))
-    return np.stack([x.a for x in images], axis=-1)
+    stack = V.a.reshape(M.dim, V.cols, 1)
+    for i in reversed(range(A.ngens)):
+        width = stack.shape[2]
+        power = FpMatrix._adopt(A.p, stack.reshape(M.dim, V.cols * width), reduced=True)
+        powers = [power]
+        for _ in range(A.exponents[i] - 1):
+            powers.append(power := M.act(i, power))
+        stack = np.stack([x.a.reshape(M.dim, V.cols, width) for x in powers], axis=2)
+        stack = stack.reshape(M.dim, V.cols, A.exponents[i] * width)
+    return stack
 
 
 def free_images_matrix(A: Algebra, target: Module, slot_images: FpMatrix) -> FpMatrix:
@@ -642,9 +638,11 @@ class Resolution:
         self.aug = self._cover.epi
         self._diffs: list[ModuleMorphism] = []
         self._syzygies: list[Syzygy] = []
-        # coboundary spaces by degree, filled by construction._coboundary_space;
+        # coboundary spaces and right inverses of the syzygy covers by degree,
+        # filled by construction._coboundary_space and construction._syzygy_section;
         # the target's monomial actions, stacked once by construction._delta_matrix
         self._coboundaries: dict[int, FpMatrix] = {}
+        self._sections: dict[int, FpMatrix] = {}
         self._target_acts: np.ndarray | None = None
         for i in range(1, length + 1):
             omega = self.omega(i)
@@ -843,6 +841,9 @@ class DiagonalTensor:
         self.algebra = algebra
         self.budget = budget or Budget()
         self._coproduct_proved = False
+        # the tensor of each factor pair while it lives; it holds its factors,
+        # so their ids stay theirs while the entry does
+        self._pairs: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def _prove_coproduct(self) -> None:
         """Check that Delta sends each defining relation to zero in A (x) A.
@@ -891,10 +892,16 @@ class DiagonalTensor:
             acc = terms
 
     def pair(self, M: Module, N: Module) -> Module:
+        """``M (x) N``, one module per pair of factor objects: a pair asked
+        for again while its tensor lives gets that tensor, flags and all, as
+        the tensor tower's top term gets the parameter search's tensor."""
         self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
         if not self._coproduct_proved:
             self._prove_coproduct()
-        return tensor_diagonal(M, N)
+        T = self._pairs.get((id(M), id(N)))
+        if T is None:
+            T = self._pairs[id(M), id(N)] = tensor_diagonal(M, N)
+        return T
 
 
 class OverBaseTensor:

@@ -13,6 +13,12 @@ whose homology is the coefficient object in degrees 0 and n-1 and nothing
 else, together with a degree-(n-1) chain self map (unit embedding composed
 with the augmentation) that is not null-homotopic and squares to zero.
 
+Classes are built from the images of a basis of cocycles modulo
+coboundaries, and each is validated when it is built (cocycle, both morphism
+laws, the exact factorization through the syzygy, nonzero class).  The
+factorization reads one right inverse of the syzygy cover per degree.  The
+parameter search builds only the classes of the tuples it tries.
+
 Tensoring several of these and lifting the self maps gives anticommuting
 odd-degree operators; the cone of a quadratic element of the resulting
 exterior algebra is the certified object: a bounded complex of projectives
@@ -21,6 +27,7 @@ whose total homology undercuts the hypercube bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -136,9 +143,28 @@ def _coboundary_space(res: Resolution, n: int) -> FpMatrix:
     return res._coboundaries[n]
 
 
+def _syzygy_section(res: Resolution, n: int) -> FpMatrix:
+    """A right inverse ``S`` of the cover ``E: P_n -> Omega^n`` (``E S = I``),
+    solved once per resolution and degree.  ``E`` is onto, so a map ``f`` out
+    of ``P_n`` that factors through ``E`` does so uniquely, as ``(f S) E``."""
+    if n not in res._sections:
+        E = res.omega(n).epi.matrix
+        S = E.solve(FpMatrix.identity(E.p, E.rows))
+        if S is None:
+            raise AssertionError("the syzygy cover is onto")
+        res._sections[n] = S
+    return res._sections[n]
+
+
 def class_from_images(res: Resolution, n: int, images: FpMatrix) -> CohomologyClass:
     """Build and validate a degree-n class, ``n >= 1``, from slot-unit images
-    of its cocycle; the cocycle factors through the n-th syzygy."""
+    of its cocycle.
+
+    The images must define a cocycle, which must be a module map; its
+    factorization ``Z = full S`` through the n-th syzygy
+    (:func:`_syzygy_section`) is checked exactly, ``Z E == full``, and must
+    be a module map; the class must be nonzero.
+    """
     if n < 1:
         raise ValueError(f"Ext classes are built in degrees n >= 1, not {n}")
     A = res.algebra
@@ -152,18 +178,19 @@ def class_from_images(res: Resolution, n: int, images: FpMatrix) -> CohomologyCl
         raise CertificationError("images do not define a cocycle")
     cocycle = ModuleMorphism(res.projectives[n], T, full, check=True)
     omega = res.omega(n)
-    zt = omega.epi.matrix.transpose().solve(full.transpose())
-    if zt is None:
+    z = full @ _syzygy_section(res, n)
+    if z @ omega.epi.matrix != full:
         raise AssertionError("cocycles factor through the syzygy")
-    induced = ModuleMorphism(omega.module, T, zt.transpose(), check=True)
+    induced = ModuleMorphism(omega.module, T, z, check=True)
     cls = CohomologyClass(res, n, images, cocycle, induced)
     if cls.is_zero_class():
         raise ValueError("the class is zero in cohomology")
     return cls
 
 
-def ext_classes(res: Resolution, n: int) -> list[CohomologyClass]:
-    """A deterministic basis of the degree-n self-extensions of the target, ``n >= 1``.
+def _class_images(res: Resolution, n: int) -> list[FpMatrix]:
+    """Slot-unit images of a deterministic basis of the degree-n
+    self-extensions of the target, ``n >= 1``, before any validation.
 
     Cocycles modulo coboundaries on vectorized slot-unit images; for the
     trivial coefficient module both spaces are degenerate (minimality) and
@@ -180,10 +207,14 @@ def ext_classes(res: Resolution, n: int) -> list[CohomologyClass]:
     stacked = FpMatrix(p, np.hstack([bnd.a, cocycles.a]))
     _, pivots = stacked.rref()
     reps = [pc - bnd.cols for pc in pivots if pc >= bnd.cols]
-    out = []
-    for k in reps:
-        out.append(class_from_images(res, n, FpMatrix(p, cocycles.a[:, k].reshape(T.dim, res.ranks[n]))))
-    return out
+    return [FpMatrix(p, cocycles.a[:, k].reshape(T.dim, res.ranks[n])) for k in reps]
+
+
+def ext_classes(res: Resolution, n: int) -> list[CohomologyClass]:
+    """A deterministic basis of the degree-n self-extensions of the target,
+    ``n >= 1``: every class of :func:`_class_images`, built and validated at
+    once by :func:`class_from_images`."""
+    return [class_from_images(res, n, images) for images in _class_images(res, n)]
 
 
 def yoneda_power(z: CohomologyClass, s: int) -> CohomologyClass:
@@ -329,14 +360,25 @@ def verify_parameter_system(ps: ParameterSystem, ctx) -> bool:
 
 def find_parameter_system(res: Resolution, count: int, ctx, degree: int = 2) -> ParameterSystem:
     """First tuple of basis classes (lexicographic indices) passing the
-    projectivity verification."""
+    projectivity verification.
+
+    A class is built from its images (:func:`_class_images`) when the first
+    tuple that holds it is tried, and validated then exactly as
+    :func:`ext_classes` validates it; a class that no tried tuple holds is
+    never built.
+    """
     if degree % 2 or degree < 2:
         raise ValueError("parameter degrees must be even and >= 2")
-    classes = ext_classes(res, degree)
-    if len(classes) < count:
-        raise ValueError(f"only {len(classes)} classes in degree {degree}, need {count}")
-    for combo in itertools.combinations(range(len(classes)), count):
-        ps = ParameterSystem(tuple(classes[i] for i in combo), degree, combo)
+    images = _class_images(res, degree)
+    if len(images) < count:
+        raise ValueError(f"only {len(images)} classes in degree {degree}, need {count}")
+
+    @functools.cache
+    def basis_class(i: int) -> CohomologyClass:
+        return class_from_images(res, degree, images[i])
+
+    for combo in itertools.combinations(range(len(images)), count):
+        ps = ParameterSystem(tuple(basis_class(i) for i in combo), degree, combo)
         if verify_parameter_system(ps, ctx):
             return ps
     raise ValueError("no basis-class tuple verifies as a parameter system")

@@ -1,6 +1,7 @@
 """Split-local algebras, modules, covers, resolutions, tensor structures."""
 
 import re
+from math import prod
 
 import numpy as np
 import pytest
@@ -561,13 +562,20 @@ def test_mono_images_match_product_chain(mono_action_reference):
 
 
 @pytest.mark.parametrize("rank", [0, 1, 4])
-def test_free_images_matrix_makes_one_thin_product_per_monomial(rank, matmul_calls):
-    A = qci_algebra(F3, [3, 3], {(0, 1): 2})
-    M = projective_cover(trivial_module(A)).kernel
-    V = FpMatrix.zeros(3, M.dim, rank)
-    matmul_calls.clear()
-    free_images_matrix(A, M, V)
-    assert matmul_calls == [(M.dim, M.dim, rank)] * (A.dim - 1)
+def test_free_images_matrix_makes_one_product_per_generator_power(rank, matmul_calls, free_images_reference):
+    # the powers of x_c act on V, then those of x_{c-1} on the stack of their
+    # images, and so on: sum(a_i - 1) products, of width rank * prod_{j > i} a_j
+    skew = qci_algebra(F3, [3, 3], {(0, 1): 2})
+    env = enveloping(qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2})).algebra
+    for A in (skew, env):
+        M = projective_cover(trivial_module(A)).kernel
+        V = FpMatrix(A.p, np.random.default_rng(rank).integers(0, A.p, size=(M.dim, rank)))
+        matmul_calls.clear()
+        out = free_images_matrix(A, M, V)
+        assert matmul_calls == [(M.dim, M.dim, rank * prod(A.exponents[i + 1:]))
+                                for i in reversed(range(A.ngens)) for _ in range(A.exponents[i] - 1)]
+        assert np.array_equal(out.a, free_images_reference(A, M, V))
+    assert len(matmul_calls) == 1 + 2 + 1 + 2  # env: exponents 2, 3, 2, 3
 
 
 def test_submodule_reads_coordinates_and_rejects_unstable_columns(truncated, two_vars):
@@ -620,6 +628,22 @@ def test_diagonal_tensor_proves_the_coproduct_once(truncated, tensor_diagonal_ca
     ctx.pair(reg, reg)
     # the first pair builds regular (x) regular for the proof, then its own tensor
     assert tensor_diagonal_calls == [(3, 3), (1, 3), (3, 3)]
+
+
+def test_diagonal_tensor_builds_one_module_per_factor_pair(truncated, tensor_diagonal_calls):
+    ctx = DiagonalTensor(truncated)
+    k, reg = trivial_module(truncated), regular_module(truncated)
+    T = ctx.pair(k, reg)
+    assert is_projective(T)
+    # the same factor objects give the same module, flag included
+    assert ctx.pair(k, reg) is T and T._projective
+    # another order or another object with equal action gives another tensor
+    assert ctx.pair(reg, k) is not T and ctx.pair(k, regular_module(truncated)) is not T
+    assert tensor_diagonal_calls == [(3, 3), (1, 3), (3, 1), (1, 3)]
+    # a tensor that nobody holds is forgotten, and its pair built anew
+    del T
+    assert ctx.pair(k, reg)._projective is None
+    assert tensor_diagonal_calls[-1] == (1, 3)
 
 
 PROOF_CASES = {

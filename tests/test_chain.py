@@ -309,8 +309,11 @@ def test_tower_checks_every_stage_before_building(two_term, algebra, tensor_diag
         tensor_tower([two_term] * 3, DiagonalTensor(algebra, Budget(max_dim=53)))
     assert tensor_diagonal_calls == []
     tensor_tower([two_term] * 3, DiagonalTensor(algebra, Budget(max_dim=54)))
-    # 4 + 6 summands, plus the coproduct proof on regular (x) regular at the first pair
-    assert len(tensor_diagonal_calls) == 4 + 6 + 1
+    # the coproduct proof on regular (x) regular at the first pair, then one
+    # tensor per pair of factor objects: two_term holds one regular module in
+    # both degrees, so stage 1's four summands share one tensor, and stage 2
+    # pairs its three sums with that module, each at two total degrees
+    assert tensor_diagonal_calls == [(3, 3), (3, 3), (9, 3), (18, 3), (9, 3)]
 
 
 @pytest.mark.parametrize("char, exponents, power", [(3, [3, 3], 1), (2, [2, 2], 2)])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smallhom import cli, construction, lefschetz
+from smallhom import algebra, cli, construction, lefschetz
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
     Budget,
@@ -213,6 +213,29 @@ def test_pushout_rejects_a_wrong_size_quotient_under_optimize(run_optimized):
     assert run.stderr.strip() == "optimize=1: pushout dimension count"
 
 
+def test_chain_run_ranks_the_k_tensor_once(monkeypatch):
+    # the tower's top term pairs the same two pushouts as the parameter
+    # search, so it is the same module and shares its projectivity flag
+    ranked, systems = [], []
+    real, real_verify = algebra.is_projective, construction.verify_parameter_system
+
+    def spy(M):
+        if M._projective is None and M.summands is None:
+            ranked.append(M.factors)
+        return real(M)
+
+    for module in (algebra, construction):
+        monkeypatch.setattr(module, "is_projective", spy)
+    monkeypatch.setattr(construction, "verify_parameter_system",
+                        lambda ps, ctx: systems.append(ps) or real_verify(ps, ctx))
+    report = ChainRun(qci_algebra(FieldSpec(3), [3, 3], coproduct="primitive"), 2).run()
+    ps = systems[-1]  # the search tries tuples until one verifies
+    assert ps.verified and list(ps.indices) == report["parameter_indices"]
+    top = max(report["tensor_projective"])
+    assert report["tensor_projective"][top] and report["tensor_dims"][top] == ps.tensor.dim == 81
+    assert ranked.count(tuple(K for K, _, _ in ps.pushouts)) == 1
+
+
 UNSOLVABLE = """
 import sys
 import smallhom.construction as construction
@@ -222,6 +245,18 @@ assert False, "reached only without -O"
 A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
 res = minimal_resolution(trivial_module(A), 5)
 z = construction.ext_classes(res, 2)[0]
+{corrupt}
+try:
+    {call}
+except AssertionError as exc:
+    sys.exit(f"optimize={{sys.flags.optimize}}: {{exc}}")
+"""
+
+# the cached right inverse of the degree-2 syzygy cover, zeroed: Z = full S is
+# then zero, a module map, but Z E != full
+ZEROED_SECTION = "res._sections[2] = FpMatrix.zeros(3, *res._sections[2].shape)"
+
+FAILING_SOLVES = """
 real = FpMatrix.solve
 solved = []
 def solve(self, b):
@@ -229,21 +264,23 @@ def solve(self, b):
     solved.append(b)
     return real(self, b) if len(solved) <= {keep} else None
 FpMatrix.solve = solve
-try:
-    {call}
-except AssertionError as exc:
-    sys.exit(f"optimize={{sys.flags.optimize}}: {{exc}}")
 """
 
 
-@pytest.mark.parametrize("call, keep, message", [
-    ("construction.class_from_images(res, 2, z.images)", 0, "cocycles factor through the syzygy"),
-    ("construction.yoneda_power(z, 2)", 0, "the class images lift through the augmentation"),
-    ("construction.yoneda_power(z, 2)", 1, "resolution exactness guarantees the lift"),
+@pytest.mark.parametrize("call, corrupt, message", [
+    pytest.param("construction.class_from_images(res, 2, z.images)", ZEROED_SECTION,
+                 "cocycles factor through the syzygy",
+                 id="construction.class_from_images(res, 2, z.images)-zeroed section"),
+    pytest.param("construction.yoneda_power(z, 2)", FAILING_SOLVES.format(keep=0),
+                 "the class images lift through the augmentation",
+                 id="construction.yoneda_power(z, 2)-0-the class images lift through the augmentation"),
+    pytest.param("construction.yoneda_power(z, 2)", FAILING_SOLVES.format(keep=1),
+                 "resolution exactness guarantees the lift",
+                 id="construction.yoneda_power(z, 2)-1-resolution exactness guarantees the lift"),
 ])
-def test_factorization_and_lifts_fail_under_optimize(run_optimized, call, keep, message):
-    # a failed solve must raise, not pass an assert that python -O strips
-    run = run_optimized(UNSOLVABLE.format(call=call, keep=keep))
+def test_factorization_and_lifts_fail_under_optimize(run_optimized, call, corrupt, message):
+    # a failed factorization or solve must raise, not pass an assert that python -O strips
+    run = run_optimized(UNSOLVABLE.format(call=call, corrupt=corrupt))
     assert run.returncode == 1
     assert run.stderr.strip() == f"optimize=1: {message}"
 
