@@ -105,6 +105,14 @@ def blocks_of(f: ModuleMorphism | FpMatrix | KronBlocks) -> KronBlocks:
     return KronBlocks.single(f if isinstance(f, FpMatrix) else f.matrix)
 
 
+def apply_map(f: ModuleMorphism | FpMatrix | KronBlocks, V: FpMatrix) -> FpMatrix:
+    """``f V``: Kronecker blocks at factor size (:meth:`KronBlocks.apply`), a
+    plain map or matrix by one product."""
+    if isinstance(f, (KronBlocks, BlockMorphism)):
+        return blocks_of(f).apply(V)
+    return (f if isinstance(f, FpMatrix) else f.matrix) @ V
+
+
 def vanishes(products: list[tuple[int, object, object]]) -> bool:
     """Whether ``sum c * (a o b)`` is zero, each of ``a``, ``b`` a map or
     matrix (:func:`blocks_of`) and ``None`` a zero map: the one check of every
@@ -228,11 +236,11 @@ class HomologySpace:
 
     def read(self, vectors: FpMatrix) -> FpMatrix:
         """``W`` on the columns of ``vectors``."""
-        return blocks_of(self.duals).apply(vectors)
+        return apply_map(self.duals, vectors)
 
     def class_of(self, vectors: FpMatrix) -> FpMatrix:
         """Homology classes of cycle vectors given in the term's coordinates."""
-        if self.d is not None and not blocks_of(self.d).apply(vectors).is_zero():
+        if self.d is not None and not apply_map(self.d, vectors).is_zero():
             raise CertificationError("vector is not a cycle")
         return self.read(vectors)
 
@@ -536,7 +544,7 @@ def induced_on_homology(f: ChainMap, classes: dict[int, HomologySpace]) -> dict[
         if fj is None:
             out[j] = FpMatrix.zeros(f.source.algebra.p, target.dim if target is not None else 0, h.dim)
         else:
-            out[j] = target.class_of(blocks_of(fj).apply(h.reps))
+            out[j] = target.class_of(apply_map(fj, h.reps))
     return out
 
 
@@ -775,7 +783,7 @@ def certify_classes(C: ChainComplex, classes: dict[int, HomologySpace]) -> None:
     for n in C.degrees():
         h = classes[n]
         Z = h.reps
-        if n in C.diffs and not blocks_of(C.diffs[n]).apply(Z).is_zero():
+        if n in C.diffs and not apply_map(C.diffs[n], Z).is_zero():
             raise CertificationError(f"a degree-{n} representative is not a cycle")
         if n + 1 in C.diffs and not (blocks_of(h.duals) @ blocks_of(C.diffs[n + 1])).is_zero():
             raise CertificationError(f"a degree-{n} cocycle does not vanish on boundaries")

@@ -14,6 +14,17 @@ totals for arbitrary rank ``d >= 8``.
 
 Degrees are carried symbolically as pairs ``(t, off)`` meaning ``t*m + off``
 with ``off`` in {0, 1}, so one table serves every odd weight ``m``.
+
+A multiplication matrix is built on bitmasks: subset ``{s_1 < ... < s_t}``
+of the basis is the ``int64`` with bits ``s_i - 1`` set, so a model has at
+most :data:`MAX_RANK` generators.  Left multiplication by a generator ``g``
+vanishes on masks holding bit ``g - 1``, sets it on the others, and has the
+sign ``(-1)^k`` for the ``k`` set bits below it (the generators in front of
+``g``).  All (subset, term) pairs of one element are multiplied at once, and
+each product's row is found by binary search in the sorted masks of the
+target grade; no table over all ``2^d`` subsets is made.
+:func:`multiply_generator` and :func:`multiply_monomial` are the
+subset-tuple reference.
 """
 
 from __future__ import annotations
@@ -34,6 +45,9 @@ LEFSCHETZ_TERMS: tuple[tuple[int, tuple[int, int]], ...] = (
     (1, (5, 6)),
     (1, (7, 8)),
 )
+# generator s is bit s - 1 of an int64 subset mask: at most 62 generators keep
+# every mask below 2**62, clear of the sign bit with one bit to spare
+MAX_RANK = 62
 
 
 @dataclass(frozen=True)
@@ -46,6 +60,8 @@ class LefschetzModel:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("rank must be >= 1")
+        if self.d > MAX_RANK:
+            raise ValueError(f"rank must be at most {MAX_RANK}, the subset masks are int64; got {self.d}")
 
     def grade_basis(self, t: int) -> list[tuple[int, ...]]:
         if t < 0 or t > self.d:
@@ -56,6 +72,11 @@ class LefschetzModel:
         if t < 0 or t > self.d:
             return 0
         return comb(self.d, t)
+
+    def grade_masks(self, t: int) -> np.ndarray:
+        """:meth:`grade_basis` as bitmasks, generator s at bit s - 1, in basis order."""
+        subsets = combinations([1 << s for s in range(self.d)], t) if 0 <= t <= self.d else ()
+        return np.array(list(map(sum, subsets)), dtype=np.int64)
 
 
 def multiply_generator(subset: tuple[int, ...], gen: int) -> tuple[int, tuple[int, ...]] | None:
@@ -91,21 +112,48 @@ def element_grade(element) -> int:
     return grades.pop()
 
 
+def _parity(x: np.ndarray, width: int) -> np.ndarray:
+    """Parity of the set bits of each entry of ``x``, all below bit ``width``,
+    by folding halves together with XOR."""
+    for k in reversed(range((width - 1).bit_length())):
+        x = x ^ (x >> (1 << k))
+    return x & 1
+
+
 def multiplication_matrix(model: LefschetzModel, element, t: int) -> FpMatrix:
-    """Matrix of left multiplication from grade t to grade t + |element|."""
-    g = element_grade(element)
-    src = model.grade_basis(t)
-    dst = model.grade_basis(t + g)
-    index = {subset: k for k, subset in enumerate(dst)}
-    mat = np.zeros((len(dst), len(src)), dtype=np.int64)
-    for col, subset in enumerate(src):
-        for coeff, mono in element:
-            res = multiply_monomial(subset, mono)
-            if res is None:
-                continue
-            sign, out = res
-            mat[index[out], col] += coeff * sign
-    return FpMatrix(model.field.p, mat)
+    """Matrix of left multiplication from grade t to grade t + |element|,
+    on subset bitmasks (see the module docstring).
+
+    Moving ``t_{g_1} ... t_{g_k}`` past a subset ``S`` costs the sign of
+    sorting the monomial times ``(-1)^|S & B|``, where ``B``, the XOR of the
+    masks below each ``g_i``, is one mask per term.  Terms on one generator
+    set differ only by the first sign, so they are merged first; then no two
+    surviving (subset, term) pairs share a product.
+    """
+    g, p, d = element_grade(element), model.field.p, model.d
+    merged: dict[int, list[int]] = {}  # monomial mask -> [B, coefficient]
+    for coeff, mono in element:
+        if mono and (min(mono) < 1 or max(mono) > d):
+            raise ValueError(f"element generators must lie in 1..{d}, got {mono}")
+        mask = below = inversions = 0
+        for s in mono:
+            inversions += (mask >> s).bit_count()  # generators in front of s and above it
+            mask |= 1 << (s - 1)
+            below ^= (1 << (s - 1)) - 1
+        if mask.bit_count() == g:  # a repeated generator squares to zero
+            merged.setdefault(mask, [below, 0])[1] += -coeff if inversions % 2 else coeff
+    # a coefficient c in 1..p-1 and the step c -> p - c that negates it
+    terms = [(mask, below, c % p, p - 2 * (c % p)) for mask, (below, c) in merged.items() if c % p]
+    term_mask, term_below, coeff, negate = np.array(terms, dtype=np.int64).reshape(len(terms), 4).T[:, :, None]
+    src, dst = model.grade_masks(t), model.grade_masks(t + g)
+    # every (term, subset) pair at once: rows are terms, columns subsets
+    alive = (src & term_mask) == 0
+    vals = coeff + _parity(src & term_below, d) * negate
+    order = dst.argsort()
+    rows = order[np.searchsorted(dst[order], (src | term_mask)[alive])]
+    mat = np.zeros((dst.size, src.size), dtype=np.int64)
+    mat[rows, alive.nonzero()[1]] = vals[alive]
+    return FpMatrix._adopt(p, mat, reduced=True)
 
 
 def w_matrix(model: LefschetzModel, t: int) -> FpMatrix:

@@ -156,7 +156,8 @@ class FpMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
             return NotImplemented
-        return self.p == other.p and self.a.shape == other.a.shape and np.array_equal(self.a, other.a)
+        a, b = self.a, other.a
+        return self.p == other.p and a.shape == b.shape and bool((a == b).all())
 
     def __hash__(self):
         return hash((self.p, self.a.shape, self.a.tobytes()))
@@ -186,20 +187,22 @@ class FpMatrix:
         return FpMatrix(self.p, -self.a)
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        self._coerce(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        (m, k), n = self.shape, other.cols
+        p, a, b = self.p, self.a, other.a
+        if p != other.p:
+            raise ValueError("mixing matrices over different fields")
+        (m, k), (k2, n) = a.shape, b.shape
+        if k != k2:
+            raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
         # entries lie in 0..p-1, so every partial sum is an integer <= bound
-        bound = k * (self.p - 1) ** 2
+        bound = k * (p - 1) ** 2
         if bound < FLOAT32_EXACT and m * k * n >= BLAS_MIN_WORK:
-            c = (self.a.astype(np.float32) @ other.a.astype(np.float32)).astype(np.int64)
+            c = (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int64)
         elif bound < INT64_EXACT:
-            c = self.a @ other.a
+            c = a @ b
         else:
-            raise ValueError(f"product over F_{self.p} with inner dimension {k} could overflow: "
+            raise ValueError(f"product over F_{p} with inner dimension {k} could overflow: "
                              f"k * (p - 1)**2 = {bound} >= 2**63")
-        return FpMatrix._adopt(self.p, c)
+        return FpMatrix._adopt(p, c)
 
     def scale(self, c: int) -> "FpMatrix":
         return FpMatrix(self.p, self.a * (c % self.p))
@@ -236,7 +239,7 @@ class FpMatrix:
             m = self.a.copy()
             pivots, pivot_rows, free = _eliminate(m, self.p)
             m = m[pivot_rows + free.nonzero()[0].tolist()]
-            self._rref = (FpMatrix._adopt(self.p, m), tuple(pivots))
+            self._rref = (FpMatrix._adopt(self.p, m, reduced=True), tuple(pivots))
         return self._rref
 
     def rank(self) -> int:
@@ -312,14 +315,15 @@ def _eliminate(m: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]
     pivot.  Rows stay in place: each pivot row is scaled to a leading 1 and
     its column is cleared in every other row.  The pivot row of column ``c``
     vanishes left of ``c``, so every row update starts at column ``c``.
+    Only the columns that are nonzero at the start are visited: a row
+    operation keeps a zero column zero.  Every entry written is reduced, so
+    ``m`` stays in ``0..p-1``.
     """
-    rows, cols = m.shape
+    rows = m.shape[0]
     pivots: list[int] = []
     pivot_rows: list[int] = []
     free = np.ones(rows, dtype=bool)
-    if not rows or not m.any():
-        return pivots, pivot_rows, free
-    for c in range(cols):
+    for c in m.any(axis=0).nonzero()[0].tolist():
         nz = m[:, c].nonzero()[0]
         candidates = nz[free[nz]]
         if not candidates.size:
@@ -624,15 +628,24 @@ def _kron_sum_is_zero(p: int, terms: list, rows: tuple[int, int]) -> bool:
     """Whether ``sum c L (x) R`` over ``terms``, a block whose row slot has
     factor dimensions ``rows``, is zero, at factor size.
 
-    Grouped by the factor object they share on one side (the side with fewer
+    When every term shares one factor object ``S`` on one side (a single
+    term among them), the block is ``S (x) F`` with ``F = sum c F_t`` the
+    combination of the other factors, and it is zero exactly when ``S`` is
+    zero or ``F`` vanishes mod p: both are read off directly.  Otherwise,
+    grouped by the factor object they share on one side (the side with fewer
     groups), the terms are ``sum_g S_g (x) F_g``.  Row reduction of the
     vectorised ``S_g`` writes ``S_g = sum_t a_tg V_t`` with ``V_t``
     independent, and the block ``sum_t V_t (x) (sum_g a_tg F_g)`` is zero
     exactly when each of these combinations is.
     """
-    if len(terms) == 1:
-        c, L, R = terms[0]
-        return not c or (L is not None and L.is_zero()) or (R is not None and R.is_zero())
+    def vec(f, n):  # a factor as a row, None being the n x n identity
+        return (f.a if f is not None else np.eye(n, dtype=np.int64)).reshape(-1)
+
+    for side, (n_summed, n_shared) in ((2, rows), (1, rows[::-1])):  # a shared right factor, then left
+        S = terms[0][side]
+        if all(t[side] is S for t in terms):
+            F = sum(t[0] * vec(t[3 - side], n_summed) for t in terms) % p
+            return not (F.any() and vec(S, n_shared).any())
     groupings = []
     for side in (2, 1):  # shared right factors, then shared left ones
         groups: dict = {}
@@ -641,10 +654,6 @@ def _kron_sum_is_zero(p: int, terms: list, rows: tuple[int, int]) -> bool:
         groupings.append((side, list(groups.values())))
     side, groups = min(groupings, key=lambda sg: len(sg[1]))
     n_summed, n_shared = (rows[0], rows[1])[:: 1 if side == 2 else -1]
-
-    def vec(f, n):  # a factor as a row, None being the n x n identity
-        return (f.a if f is not None else np.eye(n, dtype=np.int64)).reshape(-1)
-
     summed = FpMatrix(p, [sum(c * vec(f, n_summed) for c, f in members) for _, members in groups])
     red, pivots = summed.transpose().rref()
     shared = np.array([vec(f, n_shared) for f, _ in groups])

@@ -17,6 +17,33 @@ from smallhom.algebra import intertwining_system
 from smallhom.linalg import FpMatrix
 
 
+def _reference_rref(rows, ncols, p):
+    """Textbook Gauss-Jordan on lists of Python integers, visiting every
+    column in turn: first nonzero pivot at or below the current row, row
+    swap, scale, clear the column."""
+    m = [[x % p for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                m[k] = [(x - f * y) % p for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@pytest.fixture
+def rref_reference():
+    return _reference_rref
+
+
 @pytest.fixture
 def tensor_diagonal_calls(monkeypatch):
     """``(dim M, dim N)`` of every ``tensor_diagonal`` call made during a test."""

@@ -41,6 +41,56 @@ def test_generator_multiplication_signs():
     assert out == (1, 2, 3) and sign == -1
 
 
+def _subset_reference(model, element, t) -> list:
+    """The multiplication matrix by its definition: each basis subset times
+    each term through :func:`multiply_monomial`, summed, then reduced."""
+    g = len(element[0][1])
+    dst = model.grade_basis(t + g)
+    rows = {subset: k for k, subset in enumerate(dst)}
+    src = model.grade_basis(t)
+    mat = [[0] * len(src) for _ in dst]
+    for col, subset in enumerate(src):
+        for coeff, mono in element:
+            res = multiply_monomial(subset, mono)
+            if res is not None:
+                mat[rows[res[1]]][col] += coeff * res[0]
+    return [[x % model.field.p for x in row] for row in mat]
+
+
+def test_multiplication_matrix_matches_the_subset_reference():
+    rng = random.Random(11)
+    for d in range(1, 11):
+        for p in (2, 3, 5, 7):
+            model = LefschetzModel(d, FieldSpec(p))
+            for _ in range(8):
+                # unsorted and repeated generators, coefficients outside 0..p-1
+                g = rng.randint(0, min(d, 4))
+                element = tuple((rng.randint(-2 * p, 3 * p), tuple(rng.randint(1, d) for _ in range(g)))
+                                for _ in range(rng.randint(1, 5)))
+                for t in range(-1, d + 2):
+                    got = multiplication_matrix(model, element, t)
+                    assert got.shape == (model.grade_dim(t + g), model.grade_dim(t))
+                    assert got.a.tolist() == _subset_reference(model, element, t), (d, p, element, t)
+
+
+def test_lefschetz_model_rank_is_bounded_by_the_mask_width():
+    with pytest.raises(ValueError, match="at most 62"):
+        LefschetzModel(63, F3)
+    with pytest.raises(ValueError, match="at most 62"):
+        LefschetzModel(64, F3)
+    # the top generators sit on the highest bits a model uses
+    model = LefschetzModel(62, F3)
+    element = ((1, (62,)), (2, (61,)))
+    assert multiplication_matrix(model, element, 1).a.tolist() == _subset_reference(model, element, 1)
+
+
+def test_multiplication_matrix_rejects_generators_outside_the_model():
+    model = LefschetzModel(4, F3)
+    for mono in ((0, 1), (2, 5)):
+        with pytest.raises(ValueError, match="1..4"):
+            multiplication_matrix(model, ((1, mono),), 1)
+
+
 def test_w_matrix_ranks_f3():
     model = LefschetzModel(8, F3)
     assert w_matrix(model, 0).rank() == 1

@@ -219,33 +219,12 @@ def test_quotient_by_subspace_splitting():
     assert sub.solve(residual) is not None  # residual lies in the subspace
 
 
-def _reference_rref(rows, ncols, p):
-    """Textbook Gauss-Jordan on lists of Python integers: first nonzero
-    pivot at or below the current row, row swap, scale, clear the column."""
-    m = [[x % p for x in row] for row in rows]
-    pivots, r = [], 0
-    for c in range(ncols):
-        i = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if i is None:
-            continue
-        m[r], m[i] = m[i], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c]:
-                f = m[k][c]
-                m[k] = [(x - f * y) % p for x, y in zip(m[k], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 def _transpose(rows, ncols):
     return [[row[c] for row in rows] for c in range(ncols)]
 
 
-def _reference_kernel(rows, ncols, p):
-    red, pivots = _reference_rref(rows, ncols, p)
+def _reference_kernel(rref, rows, ncols, p):
+    red, pivots = rref(rows, ncols, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = [[0] * len(free) for _ in range(ncols)]
     for k, f in enumerate(free):
@@ -255,9 +234,9 @@ def _reference_kernel(rows, ncols, p):
     return basis
 
 
-def _reference_solve(rows, ncols, rhs, p):
+def _reference_solve(rref, rows, ncols, rhs, p):
     aug = [row + b for row, b in zip(rows, rhs)]
-    red, pivots = _reference_rref(aug, ncols + len(rhs[0]), p)
+    red, pivots = rref(aug, ncols + len(rhs[0]), p)
     if any(pc >= ncols for pc in pivots):
         return None
     x = [[0] * len(rhs[0]) for _ in range(ncols)]
@@ -266,14 +245,14 @@ def _reference_solve(rows, ncols, rhs, p):
     return x
 
 
-def _reference_column_space(rows, ncols, p):
-    red, pivots = _reference_rref(_transpose(rows, ncols), len(rows), p)
+def _reference_column_space(rref, rows, ncols, p):
+    red, pivots = rref(_transpose(rows, ncols), len(rows), p)
     return _transpose(red[: len(pivots)], len(rows))
 
 
-def _reference_quotient(rows, ncols, p):
+def _reference_quotient(rref, rows, ncols, p):
     n = len(rows)
-    red, pivots = _reference_rref(_transpose(rows, ncols), n, p)
+    red, pivots = rref(_transpose(rows, ncols), n, p)
     nonpiv = [c for c in range(n) if c not in pivots]
     qmap = [[0] * n for _ in nonpiv]
     section = [[0] * len(nonpiv) for _ in range(n)]
@@ -302,27 +281,27 @@ def _elimination_cases(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
-def test_elimination_matches_reference(p):
+def test_elimination_matches_reference(p, rref_reference):
     rng = np.random.RandomState(1)
     for a in _elimination_cases(p):
         rows, ncols = a.tolist(), a.shape[1]
         m = FpMatrix(p, a)
         red, pivots = m.rref()
-        ref_red, ref_pivots = _reference_rref(rows, ncols, p)
+        ref_red, ref_pivots = rref_reference(rows, ncols, p)
         assert red.shape == a.shape and red.a.tolist() == ref_red
         assert list(pivots) == ref_pivots and m.rank() == len(ref_pivots)
-        assert m.kernel_basis().a.tolist() == _reference_kernel(rows, ncols, p)
+        assert m.kernel_basis().a.tolist() == _reference_kernel(rref_reference, rows, ncols, p)
         assert m.column_space().shape == (a.shape[0], len(ref_pivots))
-        assert m.column_space().a.tolist() == _reference_column_space(rows, ncols, p)
+        assert m.column_space().a.tolist() == _reference_column_space(rref_reference, rows, ncols, p)
         qmap, section = quotient_by_subspace(p, m)
-        ref_q, ref_s = _reference_quotient(rows, ncols, p)
+        ref_q, ref_s = _reference_quotient(rref_reference, rows, ncols, p)
         assert qmap.shape == (len(ref_q), a.shape[0]) and qmap.a.tolist() == ref_q
         assert section.shape == (a.shape[0], len(ref_q)) and section.a.tolist() == ref_s
         if a.shape[0]:
             # one consistent right-hand side and one random one
             for b in (a @ rng.randint(0, p, size=(ncols, 2)) % p, rng.randint(0, p, size=(a.shape[0], 2))):
                 sol = m.solve(FpMatrix(p, b))
-                ref = _reference_solve(rows, ncols, b.tolist(), p)
+                ref = _reference_solve(rref_reference, rows, ncols, b.tolist(), p)
                 assert (sol is None) == (ref is None)
                 if ref is not None:
                     assert sol.shape == (ncols, 2) and sol.a.tolist() == ref
@@ -463,10 +442,15 @@ def test_coordinate_peeled_rank_matches_the_dense_rank(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 1048573])
-def test_rank_matches_the_rref_rank_with_zero_rows_and_columns(p):
+def test_rank_matches_the_rref_rank_with_zero_rows_and_columns(p, rref_reference):
     rng = np.random.default_rng(p)
     cases = [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 5), (5, 0), (4, 6))]
     cases.append(p * rng.integers(1, 3, size=(4, 4)))  # no nonzeros once reduced mod p
+    base = rng.integers(1, p, size=(5, 4)) * (rng.random((5, 4)) < 0.7)
+    zeros = np.zeros((5, 3), dtype=np.int64)
+    interleaved = np.zeros((5, 9), dtype=np.int64)
+    interleaved[:, 1::2] = base
+    cases += [np.hstack([zeros, base]), interleaved, np.hstack([base, zeros])]  # leading, interleaved, trailing
     for _ in range(20):
         a = rng.integers(0, p, size=(7, 9)) * (rng.random((7, 9)) < 0.4)
         a[rng.random(7) < 0.3] = 0  # zero rows
@@ -476,6 +460,10 @@ def test_rank_matches_the_rref_rank_with_zero_rows_and_columns(p):
         m = FpMatrix(p, a)
         assert m.rank() == _dense_rank(p, a)
         assert m._rref is None  # ranked from its coordinate lists
+        # elimination skips the zero columns; the reference visits every column
+        red, pivots = FpMatrix(p, a).rref()
+        ref_red, ref_pivots = rref_reference(a.tolist(), a.shape[1], p)
+        assert red.a.tolist() == ref_red and list(pivots) == ref_pivots
 
 
 def test_coordinate_peeled_rank_cancels_repeats():
@@ -614,27 +602,56 @@ def _count_blocks(monkeypatch):
 def test_kron_blocks_is_zero_merges_terms_that_share_a_factor(p, monkeypatch):
     rng = np.random.default_rng(p)
     formed = _count_blocks(monkeypatch)
+    reduced = []
+    real_rref = FpMatrix.rref
+
+    def counted_rref(self):
+        reduced.append(self.shape)
+        return real_rref(self)
+
+    monkeypatch.setattr(FpMatrix, "rref", counted_rref)
     L1, L2 = (FpMatrix(p, rng.integers(0, p, (3, 4))) for _ in range(2))
     R, R2 = (FpMatrix(p, rng.integers(0, p, (2, 5))) for _ in range(2))
     almost = FpMatrix(p, (L1 + L2).a + np.eye(3, 4, dtype=np.int64))  # off by one entry
+    x, y = FpMatrix(p, rng.integers(0, p, (3, 3))), FpMatrix(p, rng.integers(1, p, (2, 2)))
+    x_plus_1 = FpMatrix(p, x.a + np.eye(3, dtype=np.int64))
+    zero_R = FpMatrix.zeros(p, 2, 5)
+    # name: (column slot, terms, zero, whether every term shares one factor object)
     cases = {
         # L1 (x) R + L2 (x) R - (L1 + L2) (x) R: cancels in the summed left factor
-        "shared right": ([(1, L1, R), (1, L2, R), (p - 1, L1 + L2, R)], True),
-        "shared right, almost": ([(1, L1, R), (1, L2, R), (p - 1, almost, R)], False),
+        "shared right": ((4, 5), [(1, L1, R), (1, L2, R), (p - 1, L1 + L2, R)], True, True),
+        "shared right, almost": ((4, 5), [(1, L1, R), (1, L2, R), (p - 1, almost, R)], False, True),
         # L1 (x) R + L1 (x) R2 - L1 (x) (R + R2), the identity on neither side
-        "shared left": ([(1, L1, R), (1, L1, R2), (p - 1, L1, R + R2)], True),
-        "shared left, almost": ([(1, L1, R), (2, L1, R2), (p - 1, L1, R + R2)], False),
+        "shared left": ((4, 5), [(1, L1, R), (1, L1, R2), (p - 1, L1, R + R2)], True, True),
+        "shared left, almost": ((4, 5), [(1, L1, R), (2, L1, R2), (p - 1, L1, R + R2)], False, True),
+        # entries that add up to a multiple of p, never to zero over the integers
+        "cancels mod p": ((4, 5), [(1, L1, R), (1, L1.scale(p - 1), R)], True, True),
+        "cancels mod p, coefficients": ((4, 5), [(2, L1, R), (p - 2, L1, R)], True, True),
+        "cancels mod p, almost": ((4, 5), [(2, L1, R), (p - 1, L1, R)], False, True),
+        # a zero shared factor kills any sum on the other side
+        "zero shared factor": ((4, 5), [(1, L1, zero_R), (1, L2, zero_R)], True, True),
+        # identity factors: shared on the left, summed on the left, shared on the right
+        "shared left identity": ((3, 5), [(1, None, R), (1, None, R2), (p - 1, None, R + R2)], True, True),
+        "shared left identity, almost": ((3, 5), [(1, None, R), (1, None, R2)], False, True),
+        "summed left identity": ((3, 5), [(1, None, R), (1, x, R), (p - 1, x_plus_1, R)], True, True),
+        "summed left identity, almost": ((3, 5), [(1, None, R), (1, x, R), (p - 1, x, R)], False, True),
+        "shared right identity": ((4, 2), [(1, L1, None), (1, L2, None), (p - 1, L1 + L2, None)], True, True),
+        "summed right identity": ((4, 2), [(1, L1, None), (p - 1, L1, y)], False, True),
         # L1 (x) R + L2 (x) R' + (L1 + L2) (x) (-R), R' a copy of R: no factor
         # object is shared, and the terms cancel through L1 + L2 - (L1 + L2) = 0
-        "left relation": ([(1, L1, R), (1, L2, FpMatrix(p, R.a)), (1, L1 + L2, R.scale(p - 1))], True),
-        "left relation, almost": ([(1, L1, R), (1, L2, FpMatrix(p, R.a)), (1, almost, R.scale(p - 1))], False),
+        "left relation": ((4, 5), [(1, L1, R), (1, L2, FpMatrix(p, R.a)), (1, L1 + L2, R.scale(p - 1))],
+                          True, False),
+        "left relation, almost": ((4, 5), [(1, L1, R), (1, L2, FpMatrix(p, R.a)), (1, almost, R.scale(p - 1))],
+                                  False, False),
     }
-    for name, (ts, zero) in cases.items():
-        kb = KronBlocks(p, [(3, 2)], [(4, 5)], {(0, 0): ts})
+    for name, (cols, ts, zero, one_group) in cases.items():
+        kb = KronBlocks(p, [(3, 2)], [cols], {(0, 0): ts})
+        reduced.clear()
         assert kb.is_zero() == zero == kb.dense().is_zero(), name
+        # a sum on one shared factor is read off directly, without row reduction
+        assert bool(reduced) != one_group, name
     assert formed == [(0, 0)] * len(cases)  # only by dense(), never by is_zero
     # identity factors merge too: x (x) 1 - x (x) 1 over a square slot
-    x = FpMatrix(p, rng.integers(0, p, (3, 3)))
     kb = KronBlocks(p, [(3, 2)], [(3, 2)], {(0, 0): [(1, x, None), (p - 1, x, None)]})
     assert kb.is_zero() and kb.dense().is_zero()
 
