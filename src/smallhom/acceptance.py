@@ -174,7 +174,7 @@ def criterion_rank1_construction() -> CriterionResult:
         A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
         ok = True
         for power in (1, 2):
-            rep = ChainRun(A, 1, degree=2, power=power).run()
+            rep = ChainRun(A, degree=2, power=power).run()
             ok = _verdicts_ok(rep, details) and ok
             n = rep["effective_degree"]
             factor = rep["factor_0"]
@@ -189,7 +189,7 @@ def criterion_rank1_construction() -> CriterionResult:
 
 def rank2_report(coproduct: str = "primitive") -> dict:
     """The ``ChainRun`` report over F_3[x,y]/(x^3,y^3) with this coproduct."""
-    return ChainRun(qci_algebra(FieldSpec(3), [3, 3], coproduct=coproduct), 2).run()
+    return ChainRun(qci_algebra(FieldSpec(3), [3, 3], coproduct=coproduct)).run()
 
 
 def criterion_rank2_hypercube(primitive=rank2_report) -> CriterionResult:
@@ -452,7 +452,7 @@ def control_sign_corruption() -> CriterionResult:
 
     def work(details: list[str]) -> bool:
         A = qci_algebra(FieldSpec(3), [3, 3], coproduct="primitive")
-        rep = ChainRun(A, 2, drop_koszul_sign=True).run()
+        rep = ChainRun(A, drop_koszul_sign=True).run()
         broken = {v.name: v.passed for v in rep["verdicts"]}
         details.append(f"theta_chain_maps verdict with corrupted signs: {broken['theta_chain_maps']}")
         return broken["theta_chain_maps"] is False

@@ -122,7 +122,6 @@ class Algebra:
         self.index = {mono: k for k, mono in enumerate(self.basis)}
         self.dim = prod(self.exponents)
         self.unit_index = self.index[(0,) * self.ngens]
-        self.radical_indices = tuple(k for k, mono in enumerate(self.basis) if sum(mono) > 0)
         self._left = None
         self._right = None
 
@@ -905,39 +904,35 @@ class DiagonalTensor:
 
 
 class OverBaseTensor:
-    """Tensor over the base algebra: bimodule (x)_A (bimodule or module).
+    """Tensor over the base algebra: bimodule (x)_A left module.
 
     The product is the quotient of the Kronecker product by the span of
-    ``(b x_i) (x) b' - b (x) (x_i b')`` over all generators; the generator
-    relations for longer elements follow by telescoping.  The quotient has
-    the relations of its verified factors once the span is checked stable.
+    ``(b x_i) (x) v - b (x) (x_i v)`` over all generators; the generator
+    relations for longer elements follow by telescoping.  It is a left
+    module through the bimodule's left action, and it has the relations of
+    its verified factors once the span is checked stable.
     """
 
     def __init__(self, env: Enveloping, budget: Budget | None = None):
         self.env = env
         self.budget = budget or Budget()
 
-    def _is_bimodule(self, M: Module) -> bool:
-        return M.algebra.ngens == self.env.algebra.ngens
-
     def pair(self, M: Module, N: Module, stage: str | None = None) -> Module:
-        """``M (x)_A N``; ``stage`` names the construction in a budget error."""
-        if not self._is_bimodule(M):
+        """``M (x)_A N`` for a bimodule ``M`` and a left module ``N``, which
+        acts through its first ``ngens`` generators; ``stage`` names the
+        construction in a budget error."""
+        if M.algebra.ngens != self.env.algebra.ngens:
             raise ValueError("left tensor factor must be a bimodule")
         self.budget.check(M.dim * N.dim, stage, (M.dim, N.dim))
         p = self.env.base.p
-        bimodule = self._is_bimodule(N)
         eye_m, eye_n = FpMatrix.identity(p, M.dim), FpMatrix.identity(p, N.dim)
-        left_n = self.env.left_part(N) if bimodule else N.action
-        rels = [rm.kron(eye_n) - eye_m.kron(ln) for rm, ln in zip(self.env.right_part(M), left_n)]
+        rels = [rm.kron(eye_n) - eye_m.kron(ln) for rm, ln in zip(self.env.right_part(M), N.action)]
         rel_cols = hstack(rels) if rels else FpMatrix.zeros(p, M.dim * N.dim, 0)
         qmap, section = quotient_by_subspace(p, rel_cols)
-        big = [lm.kron(eye_n) for lm in self.env.left_part(M)]
-        big += [eye_m.kron(rn) for rn in self.env.right_part(N)] if bimodule else []
         acts = []
-        for i, x in enumerate(big):
-            qx = qmap @ x
+        for i, lm in enumerate(self.env.left_part(M)):
+            qx = qmap @ lm.kron(eye_n)
             if not (qx @ rel_cols).is_zero():
                 raise CertificationError(f"generator {i} does not preserve the relation span")
             acts.append(qx @ section)
-        return Module(self.env.algebra if bimodule else self.env.base, acts, check=False)
+        return Module(self.env.base, acts, check=False)

@@ -61,7 +61,7 @@ from .algebra import (
     Module,
     ModuleMorphism,
     direct_sum_modules,
-    intertwining_system,
+    hom_space_basis,
     is_projective,
     zero_module,
 )
@@ -458,74 +458,56 @@ def cone_homology_dims(u: ChainMap, classes: dict[int, HomologySpace]) -> dict[i
 
 
 def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, ModuleMorphism] | None]:
-    """Solve ``comps[j] = d h_j + (-1)^shift h_{j-1} d`` for module maps h.
+    """Solve ``comps[j] = d h_j + (-1)^shift h_{j-1} d`` for module maps
+    ``h_j: S_j -> T_{j+shift+1}``; returns the witness on success.
 
-    The unknowns ``h_j: S_j -> T_{j+shift+1}`` are constrained to be module
-    morphisms; returns the witness on success.
+    Each unknown is a combination of a basis of its Hom space, ``h_j = B_j
+    c_j`` with ``B_j`` from :func:`~smallhom.algebra.hom_space_basis`, so the
+    system holds only the homotopy equations, their coefficient blocks times
+    ``B_j``, and is solved for the coordinates ``c_j``.  The witness is
+    checked to be module maps and the identity is re-checked exactly.
     """
     if f.is_zero():
         return True, {}
     S, T, s = f.source, f.target, f.shift
     p = S.algebra.p
     sign = -1 if s % 2 else 1
-    blocks = []  # (degree j, target module, source module, offset, size)
-    offset = 0
+    blocks = {}  # degree j -> (source module, target module, B_j, column offset)
+    nvars = 0
     for j in S.degrees():
-        tmod = T.module_at(j + s + 1)
-        smod = S.module_at(j)
-        size = tmod.dim * smod.dim
-        if size:
-            blocks.append((j, tmod, smod, offset, size))
-            offset += size
-    nvars = offset
-    index = {b[0]: b for b in blocks}
-    rows = []
-    rhs = []
+        smod, tmod = S.module_at(j), T.module_at(j + s + 1)
+        if smod.dim * tmod.dim:
+            basis = hom_space_basis(smod, tmod)
+            blocks[j] = (smod, tmod, basis, nvars)
+            nvars += basis.cols
 
-    def add_equation(coef_blocks, rhs_mat):
-        row = np.zeros((rhs_mat.size, nvars), dtype=np.int64)
-        for j, mat in coef_blocks:
-            blk = index.get(j)
-            if blk is None:
-                continue
-            _, tmod, smod, off, size = blk
-            row[:, off : off + size] = mat
-        rows.append(row)
-        rhs.append(rhs_mat.reshape(-1, 1))
+    def coefficients(row: np.ndarray, j: int, coef: np.ndarray) -> None:
+        _, _, basis, off = blocks[j]
+        row[:, off : off + basis.cols] = (FpMatrix(p, coef) @ basis).a
 
     # homotopy equations, one per degree with anything nonzero
-    eqdegs = set(f.comps) | {b[0] for b in blocks} | {b[0] + 1 for b in blocks}
-    for j in sorted(eqdegs):
-        tmod = T.module_at(j + s)
-        smod = S.module_at(j)
-        if tmod.dim * smod.dim == 0:
+    eqdegs = sorted(set(f.comps) | set(blocks) | {j + 1 for j in blocks})
+    rows, rhs = [], []
+    for j in eqdegs:
+        tdim, sdim = T.module_at(j + s).dim, S.module_at(j).dim
+        if tdim * sdim == 0:
             continue
-        coef = []
-        if j in index:
-            d_t = T.diff_at(j + s + 1).matrix
-            coef.append((j, kron_array(d_t.a, np.eye(smod.dim, dtype=np.int64))))
-        if (j - 1) in index:
-            d_s = S.diff_at(j).matrix
-            prev_t = T.module_at(j + s).dim
-            coef.append((j - 1, sign * kron_array(np.eye(prev_t, dtype=np.int64), d_s.a.T)))
-        add_equation(coef, f.component(j).matrix.a)
-
-    # module-morphism constraints for each unknown block, all generators at once
-    for j, tmod, smod, off, size in blocks:
-        eqs = intertwining_system(smod, tmod)
-        add_equation([(j, eqs)], np.zeros(len(eqs), dtype=np.int64))
-
-    system = FpMatrix(p, np.vstack(rows)) if rows else FpMatrix.zeros(p, 0, nvars)
-    target = FpMatrix(p, np.vstack(rhs)) if rhs else FpMatrix.zeros(p, 0, 1)
-    sol = system.solve(target)
+        row = np.zeros((tdim * sdim, nvars), dtype=np.int64)
+        if j in blocks:
+            coefficients(row, j, kron_array(T.diff_at(j + s + 1).matrix.a, np.eye(sdim, dtype=np.int64)))
+        if (j - 1) in blocks:
+            coefficients(row, j - 1, sign * kron_array(np.eye(tdim, dtype=np.int64), S.diff_at(j).matrix.a.T))
+        rows.append(row)
+        rhs.append(f.component(j).matrix.a.reshape(-1, 1))
+    sol = FpMatrix(p, np.vstack(rows)).solve(FpMatrix(p, np.vstack(rhs)))
     if sol is None:
         return False, None
     witness = {}
-    for j, tmod, smod, off, size in blocks:
-        h = FpMatrix(p, sol.a[off : off + size, 0].reshape(tmod.dim, smod.dim))
-        witness[j] = ModuleMorphism(smod, tmod, h, check=True)
+    for j, (smod, tmod, basis, off) in blocks.items():
+        h = basis @ FpMatrix(p, sol.a[off : off + basis.cols])
+        witness[j] = ModuleMorphism(smod, tmod, FpMatrix(p, h.a.reshape(tmod.dim, smod.dim)), check=True)
     # re-check the homotopy identity exactly
-    for j in sorted(eqdegs):
+    for j in eqdegs:
         if not vanishes([(1, T.diffs.get(j + s + 1), witness.get(j)), (sign, witness.get(j - 1), S.diffs.get(j)),
                          (-1, ModuleMorphism.identity(T.module_at(j + s)), f.comps.get(j))]):
             raise AssertionError("homotopy witness failed re-check")

@@ -81,15 +81,14 @@ class RunConfig:
             raise UsageError(f"variant must be one of {VARIANTS}")
         if self.variant == "bimodule" and self.mode != "chain":
             raise UsageError("the bimodule variant runs in chain mode only")
-        if self.mode == "symbolic":
-            if self.rank < 8:
-                raise UsageError("symbolic mode needs rank >= 8 (ranks 4..7 are unsupported; "
-                                 "chain mode covers 1..3)")
-        else:
+        if self.mode != "symbolic":
             if not self.exponents:
                 raise UsageError("chain modes need an exponent list")
             if self.rank == 0:
                 self.rank = len(self.exponents)
+            elif self.rank != len(self.exponents):
+                raise UsageError("the rank must equal the generator count of the algebra "
+                                 "(its Krull-dimension proxy)")
         if self.power < 1:
             raise UsageError("power must be >= 1")
 
@@ -269,9 +268,9 @@ def execute(cfg: RunConfig) -> tuple[dict, int]:
     elif cfg.mode == "crosscheck" and cfg.rank < 2:
         raise UsageError("crosscheck needs rank >= 2 (the quadratic element)")
     elif cfg.variant == "bimodule":
-        report = BimoduleRun(build_algebra(cfg), cfg.rank, cfg.degree, cfg.budget).run()
+        report = BimoduleRun(build_algebra(cfg), degree=cfg.degree, budget=cfg.budget).run()
     else:
-        report = ChainRun(build_algebra(cfg), cfg.rank, cfg.degree, cfg.power, cfg.budget).run()
+        report = ChainRun(build_algebra(cfg), degree=cfg.degree, power=cfg.power, budget=cfg.budget).run()
         verdict_filter = CROSSCHECK_VERDICTS if cfg.mode == "crosscheck" else None
     tree, ok = report_to_tree(cfg, report, verdict_filter)
     return tree, EXIT_OK if ok else EXIT_VERDICT

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 from math import comb
 
@@ -93,7 +94,6 @@ class CohomologyClass:
     resolution: Resolution
     degree: int
     images: FpMatrix
-    cocycle: ModuleMorphism
     induced: ModuleMorphism
 
     @property
@@ -176,13 +176,13 @@ def class_from_images(res: Resolution, n: int, images: FpMatrix) -> CohomologyCl
     full = free_images_matrix(A, T, images)
     if not (full @ _diff_units(res, n)).is_zero():
         raise CertificationError("images do not define a cocycle")
-    cocycle = ModuleMorphism(res.projectives[n], T, full, check=True)
+    ModuleMorphism(res.projectives[n], T, full, check=True)  # the cocycle is a module map
     omega = res.omega(n)
     z = full @ _syzygy_section(res, n)
     if z @ omega.epi.matrix != full:
         raise AssertionError("cocycles factor through the syzygy")
     induced = ModuleMorphism(omega.module, T, z, check=True)
-    cls = CohomologyClass(res, n, images, cocycle, induced)
+    cls = CohomologyClass(res, n, images, induced)
     if cls.is_zero_class():
         raise ValueError("the class is zero in cohomology")
     return cls
@@ -325,7 +325,6 @@ def build_class_complex(cls: CohomologyClass, pushout=None) -> ClassComplex:
 @dataclass
 class ParameterSystem:
     classes: tuple[CohomologyClass, ...]
-    degree: int
     indices: tuple[int, ...]
     verified: bool | None = None
     # set by verify_parameter_system: pushout_module(z) per class, and the
@@ -358,9 +357,11 @@ def verify_parameter_system(ps: ParameterSystem, ctx) -> bool:
     return ps.verified
 
 
-def find_parameter_system(res: Resolution, count: int, ctx, degree: int = 2) -> ParameterSystem:
+def find_parameter_system(res: Resolution, ctx, degree: int = 2) -> ParameterSystem:
     """First tuple of basis classes (lexicographic indices) passing the
-    projectivity verification.
+    projectivity verification, one class per generator of the algebra: the
+    generator count is the Krull dimension of the cohomology ring of these
+    algebras, the number of parameters the construction needs.
 
     A class is built from its images (:func:`_class_images`) when the first
     tuple that holds it is tried, and validated then exactly as
@@ -369,6 +370,7 @@ def find_parameter_system(res: Resolution, count: int, ctx, degree: int = 2) -> 
     """
     if degree % 2 or degree < 2:
         raise ValueError("parameter degrees must be even and >= 2")
+    count = res.algebra.ngens
     images = _class_images(res, degree)
     if len(images) < count:
         raise ValueError(f"only {len(images)} classes in degree {degree}, need {count}")
@@ -378,7 +380,7 @@ def find_parameter_system(res: Resolution, count: int, ctx, degree: int = 2) -> 
         return class_from_images(res, degree, images[i])
 
     for combo in itertools.combinations(range(len(images)), count):
-        ps = ParameterSystem(tuple(basis_class(i) for i in combo), degree, combo)
+        ps = ParameterSystem(tuple(basis_class(i) for i in combo), combo)
         if verify_parameter_system(ps, ctx):
             return ps
     raise ValueError("no basis-class tuple verifies as a parameter system")
@@ -405,12 +407,15 @@ class Verdict:
 class ChainRun:
     """Chain-level pipeline for the module-category route.
 
-    Supported ranks: 1..3 (tensor sizes explode beyond that; ranks 4..7 are
-    rejected rather than extrapolated, and 8+ belong to the symbolic model).
+    The rank is the algebra's generator count, the Krull dimension of its
+    cohomology ring.  Supported ranks: 1..3 (tensor sizes explode beyond
+    that; ranks 4..7 are rejected rather than extrapolated, and 8+ belong to
+    the symbolic model).
     """
 
-    def __init__(self, algebra: Algebra, rank: int, degree: int = 2, power: int = 1,
+    def __init__(self, algebra: Algebra, *, degree: int = 2, power: int = 1,
                  budget: Budget | None = None, drop_koszul_sign: bool = False):
+        rank = algebra.ngens
         if rank < 1:
             raise UnsupportedRank("rank must be positive")
         if 4 <= rank <= 7:
@@ -418,13 +423,9 @@ class ChainRun:
                                   "8 generators and chain level stops at 3")
         if rank > 7:
             raise UnsupportedRank("chain level supports rank <= 3; use the symbolic mode")
-        if rank != algebra.ngens:
-            raise UnsupportedRank("the rank must equal the generator count of the algebra "
-                                  "(its Krull-dimension proxy)")
         if degree % 2 or degree < 2:
             raise ValueError("the class degree must be even and >= 2")
         self.algebra = algebra
-        self.rank = rank
         self.base_degree = degree
         self.power = power
         self.budget = budget or Budget()
@@ -432,7 +433,7 @@ class ChainRun:
 
     def run(self) -> dict:
         A = self.algebra
-        c = self.rank
+        c = A.ngens
         n = self.base_degree * self.power
         m = n - 1
         ctx = DiagonalTensor(A, self.budget)
@@ -453,12 +454,12 @@ class ChainRun:
         res = minimal_resolution(trivial_module(A), n + 1)
         report["betti"] = res.betti()
 
-        base_ps = find_parameter_system(res, c, ctx, self.base_degree)
+        base_ps = find_parameter_system(res, ctx, self.base_degree)
         if self.power == 1:
             ps = base_ps  # the search has verified it already
         else:
             classes = tuple(yoneda_power(z, self.power) for z in base_ps.classes)
-            ps = ParameterSystem(classes, n, base_ps.indices)
+            ps = ParameterSystem(classes, base_ps.indices)
             verify_parameter_system(ps, ctx)
         lemma_ok = ps.verified
         ktensor = ps.tensor
@@ -598,21 +599,18 @@ class ChainRun:
 class BimoduleRun:
     """Chain-level pipeline for the two-sided (enveloping-algebra) route.
 
-    Rank 1 only: the run needs one degree-n class whose reduced pushout is
-    projective, and one class cannot cut a rank-2 support down to a point
-    (no class does over F_2[x,y]/(x^2,y^2), nor over F_3[x,y]/(x^3,y^3)
-    with q = 1 or q = 2).
+    The rank is the algebra's generator count, and it must be 1: the run
+    needs one degree-n class whose reduced pushout is projective, and one
+    class cannot cut a rank-2 support down to a point (no class does over
+    F_2[x,y]/(x^2,y^2), nor over F_3[x,y]/(x^3,y^3) with q = 1 or q = 2).
     """
 
-    def __init__(self, algebra: Algebra, rank: int | None = None, degree: int = 2,
-                 budget: Budget | None = None):
-        c = algebra.ngens if rank is None else rank
-        if c != 1 or algebra.ngens != 1:
+    def __init__(self, algebra: Algebra, *, degree: int = 2, budget: Budget | None = None):
+        if algebra.ngens != 1:
             raise UnsupportedRank("the two-sided route supports rank 1 only (one generator)")
         if degree % 2 or degree < 2:
             raise ValueError("the class degree must be even and >= 2")
         self.algebra = algebra
-        self.rank = c
         self.degree = degree
         self.budget = budget or Budget()
 
@@ -626,7 +624,7 @@ class BimoduleRun:
         report: dict = {
             "mode": "chain",
             "variant": "bimodule",
-            "rank": self.rank,
+            "rank": A.ngens,
             "effective_degree": n,
             "shift": m,
             "enveloping_dim": env.algebra.dim,
@@ -685,12 +683,31 @@ class BimoduleRun:
         return report
 
 
+def max_printable_rank() -> int | None:
+    """The largest rank ``d`` whose bound ``2^d`` the interpreter prints in
+    decimal, from its integer string limit; ``None`` when there is no limit.
+
+    ``2^d`` has at most ``limit`` digits exactly when ``2^d < 10^limit``.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return (10 ** limit).bit_length() - 1 if limit else None
+
+
 class SymbolicRun:
-    """Symbolic pipeline for rank >= 8: rank profiles and closed-form totals."""
+    """Symbolic pipeline for rank >= 8: rank profiles and closed-form totals.
+
+    The rank is capped by :func:`max_printable_rank`, so that the totals of
+    the certificate print.
+    """
 
     def __init__(self, field, rank: int, degree: int = 2):
         if rank < 8:
-            raise UnsupportedRank("symbolic mode needs rank >= 8")
+            raise UnsupportedRank("symbolic mode needs rank >= 8 (ranks 4..7 are unsupported; "
+                                  "chain mode covers 1..3)")
+        top = max_printable_rank()
+        if top is not None and rank > top:
+            raise UnsupportedRank(f"symbolic mode supports rank <= {top}: the bound 2^rank must print "
+                                  "within the interpreter's integer string limit")
         if degree % 2 or degree < 2:
             raise ValueError("the class degree must be even and >= 2")
         self.field = field

@@ -96,7 +96,7 @@ class FieldSpec:
 class FpMatrix:
     """An immutable dense matrix over F_p."""
 
-    __slots__ = ("p", "a", "_rref", "_rank")
+    __slots__ = ("p", "a", "_rref")
 
     def __init__(self, p: int, array) -> None:
         self.p = int(p)
@@ -107,7 +107,6 @@ class FpMatrix:
         arr.setflags(write=False)
         self.a = arr
         self._rref = None
-        self._rank = None
 
     @classmethod
     def _adopt(cls, p: int, arr: np.ndarray, reduced: bool = False) -> "FpMatrix":
@@ -124,7 +123,6 @@ class FpMatrix:
         out.p = p
         out.a = arr
         out._rref = None
-        out._rank = None
         return out
 
     # ------------------------------------------------------------------
@@ -158,9 +156,6 @@ class FpMatrix:
             return NotImplemented
         a, b = self.a, other.a
         return self.p == other.p and a.shape == b.shape and bool((a == b).all())
-
-    def __hash__(self):
-        return hash((self.p, self.a.shape, self.a.tobytes()))
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, shape={self.a.shape})"
@@ -244,17 +239,15 @@ class FpMatrix:
 
     def rank(self) -> int:
         """The rank: a cached RREF's pivot count, else :func:`_peeled_rank`.
+        A peeled rank is not cached: no caller ranks one matrix twice.
 
         A caller that needs the RREF too should ask for it first, so that
         the matrix is eliminated once.
         """
-        if self._rank is None:
-            if self._rref is not None:
-                self._rank = len(self._rref[1])
-            else:
-                rows, cols = self.a.nonzero()
-                self._rank = _peeled_rank(self.shape, rows, cols, self.a[rows, cols], self.p)
-        return self._rank
+        if self._rref is not None:
+            return len(self._rref[1])
+        rows, cols = self.a.nonzero()
+        return _peeled_rank(self.shape, rows, cols, self.a[rows, cols], self.p)
 
     def kernel_basis(self) -> "FpMatrix":
         """Columns span the right null space; count = cols - rank.

@@ -237,15 +237,38 @@ def test_cone_les_identity_on_random_maps(algebra):
             assert got == expected
 
 
-def test_null_homotopy_cases(two_term):
+def test_null_homotopy_cases(two_term, monkeypatch):
     zero = ChainMap(two_term, two_term, 0, {}, check=True)
     ok, witness = is_null_homotopic(zero)
     assert ok and witness == {}
     ident = ChainMap.identity(two_term)
     assert not is_null_homotopic(ident)[0]
     cone = mapping_cone(ident)
+    # the unknowns are Hom-space coordinates: with every Hom basis between
+    # the cone's sums solved beforehand, the solver writes no intertwining rows
+    bases = {j: hom_space_basis(cone.module_at(j), cone.module_at(j + 1)) for j in cone.degrees()}
+    calls = []
+    monkeypatch.setattr("smallhom.algebra.intertwining_system", lambda *a: calls.append(a))
+    monkeypatch.setattr(chain, "intertwining_system", lambda *a: calls.append(a), raising=False)
     ok, witness = is_null_homotopic(ChainMap.identity(cone))
-    assert ok and witness
+    assert ok and witness and calls == []
+    for j, h in witness.items():
+        assert (h.source, h.target) == (cone.module_at(j), cone.module_at(j + 1))
+        assert bases[j].solve(FpMatrix(3, h.matrix.a.reshape(-1, 1))) is not None
+
+
+def test_class_complex_self_map_is_decided_with_no_unknowns(monkeypatch):
+    # the complex spans degrees 0..n-1 and the self map has shift n-1, so
+    # every h_j would land in a zero term: the system has no columns
+    from smallhom.algebra import minimal_resolution
+    from smallhom.construction import build_class_complex, ext_classes
+
+    A = qci_algebra(F3, [3], coproduct="primitive")
+    cc = build_class_complex(ext_classes(minimal_resolution(trivial_module(A), 3), 2)[0])
+    shapes, real = [], FpMatrix.solve
+    monkeypatch.setattr(FpMatrix, "solve", lambda self, b: shapes.append(self.shape) or real(self, b))
+    assert is_null_homotopic(cc.self_map) == (False, None)
+    assert len(shapes) == 1 and shapes[0][0] > 0 and shapes[0][1] == 0
 
 
 ZERO_WITNESS = """
@@ -331,7 +354,7 @@ def test_chain_run_budget_is_exact(char, exponents, power, monkeypatch):
 
     def run(max_dim, max_entries):
         sizes.clear()
-        return ChainRun(A, 2, power=power, budget=Budget(max_dim, max_entries)).run()
+        return ChainRun(A, power=power, budget=Budget(max_dim, max_entries)).run()
 
     run(10**6, 10**12)
     largest = max(sizes)
@@ -382,7 +405,7 @@ def test_rank_dims_agree_with_subquotients_on_the_rank2_cone():
 
     A = qci_algebra(F3, [3, 3], {(0, 1): 1}, coproduct="primitive")
     ctx = DiagonalTensor(A)
-    ps = find_parameter_system(minimal_resolution(trivial_module(A), 3), 2, ctx)
+    ps = find_parameter_system(minimal_resolution(trivial_module(A), 3), ctx)
     ccs = [build_class_complex(z) for z in ps.classes]
     tower = tensor_tower([cc.complex for cc in ccs], ctx)
     thetas = build_thetas(tower, ccs)
@@ -562,7 +585,7 @@ def test_rank3_lifts_agree_with_the_dense_reference(dense_laws):
 
     A = qci_algebra(FieldSpec(2), [2, 2, 2], coproduct="primitive")
     ctx = DiagonalTensor(A)
-    ps = find_parameter_system(minimal_resolution(trivial_module(A), 3), 3, ctx)
+    ps = find_parameter_system(minimal_resolution(trivial_module(A), 3), ctx)
     ccs = [build_class_complex(z, po) for z, po in zip(ps.classes, ps.pushouts)]
     tower = tensor_tower([cc.complex for cc in ccs], ctx)
     assert max(tower.complex.dims().values()) == 1536

@@ -41,6 +41,73 @@ def test_chain_rank4_is_usage_error(capsys):
     assert code == 64
 
 
+RANK_MISMATCH = "usage error: the rank must equal the generator count of the algebra (its Krull-dimension proxy)\n"
+
+RANK_MISMATCH_RUN = """
+import sys
+from smallhom import cli
+assert False, "reached only without -O"
+args = ["certify", "--mode", "chain", "--char", "3", "--exponents", "3 3", "--coproduct", "primitive"]
+codes = [cli.main(args + ["--rank", "1"]), cli.main(args + ["--config", CONFIG])]
+print(f"optimize={sys.flags.optimize} exits={codes}")
+"""
+
+
+def test_chain_rank_other_than_the_generator_count_is_usage_error(tmp_path, capsys, run_optimized):
+    config = tmp_path / "rank.ini"
+    config.write_text("[run]\nrank = 3\n")
+    args = ["certify", "--mode", "chain", "--char", "3", "--exponents", "3 3", "--coproduct", "primitive"]
+    for extra in (["--rank", "1"], ["--config", str(config)]):
+        assert run_cli(args + extra) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == RANK_MISMATCH
+    run = run_optimized(RANK_MISMATCH_RUN.replace("CONFIG", repr(str(config))))
+    assert run.stdout == "optimize=1 exits=[64, 64]\n"
+    assert run.stderr == RANK_MISMATCH * 2
+
+
+def test_five_generators_are_outside_the_chain_window(capsys):
+    args = ["certify", "--mode", "chain", "--char", "2", "--exponents", "2 2 2 2 2"]
+    for extra in ([], ["--rank", "5"]):
+        assert run_cli(args + extra) == 64
+        assert capsys.readouterr().err == ("usage error: ranks 4..7 are not supported: the quadratic "
+                                           "element needs 8 generators and chain level stops at 3\n")
+
+
+SYMBOLIC_CAP_RUN = """
+import os
+import sys
+from smallhom import cli, construction
+assert False, "reached only without -O"
+top = construction.max_printable_rank()
+calls, real = [], construction.cone_dimensions
+construction.cone_dimensions = lambda model: calls.append(model.d) or real(model)
+codes = [cli.main(["certify", "--mode", "symbolic", "--rank", str(d), "--char", "3", "--out", os.devnull])
+         for d in (top, top + 1)]
+print(f"optimize={sys.flags.optimize} top={top} exits={codes} tables={calls}")
+"""
+
+
+def test_symbolic_rank_stops_where_the_bound_stops_printing(monkeypatch, capsys, run_optimized):
+    limit = sys.get_int_max_str_digits()
+    top = construction.max_printable_rank()
+    assert limit and top == (10 ** limit).bit_length() - 1  # 14284 at the default limit of 4300
+    assert len(str(2 ** top)) == limit
+    with pytest.raises(ValueError, match="integer string conversion"):
+        str(2 ** (top + 1))
+    calls, real = [], construction.cone_dimensions
+    monkeypatch.setattr(construction, "cone_dimensions", lambda model: calls.append(model.d) or real(model))
+    assert run_cli(["certify", "--mode", "symbolic", "--rank", str(top), "--char", "3"]) == 0
+    assert f"bound = {2 ** top}\n" in capsys.readouterr().out and calls == [8]
+    refused = (f"usage error: symbolic mode supports rank <= {top}: the bound 2^rank must print "
+               "within the interpreter's integer string limit\n")
+    assert run_cli(["certify", "--mode", "symbolic", "--rank", str(top + 1), "--char", "3"]) == 64
+    assert capsys.readouterr() == ("", refused) and calls == [8]
+    run = run_optimized(SYMBOLIC_CAP_RUN)
+    assert run.stdout == f"optimize=1 top={top} exits=[0, 64] tables=[8]\n"
+    assert run.stderr == refused
+
+
 def test_characteristic_above_2_pow_20_is_usage_error(capsys):
     code = run_cli(["certify", "--mode", "chain", "--char", "2147483647", "--exponents", "2"])
     assert code == 64
@@ -346,7 +413,7 @@ def test_corrupt_factor_classes_fail_certification(kind, monkeypatch, capsys):
     monkeypatch.setattr(chain, "homology_space", scope["corrupted"](kind))
     message = CLASS_DEFECTS[kind]
     with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
-        ChainRun(algebra.qci_algebra(FieldSpec(2), [2, 2], coproduct="primitive"), 2).run()
+        ChainRun(algebra.qci_algebra(FieldSpec(2), [2, 2], coproduct="primitive")).run()
     assert run_cli(F2_RANK2) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"certification error: {message}\n"
@@ -479,7 +546,7 @@ except CertificationError as exc:
     print(f"flipped sign: {{exc}}")
 chain._slot_blocks = real_slot_blocks
 construction.build_thetas = perturbed_build_thetas
-rep = construction.ChainRun(qci_algebra(F3, [3, 3], coproduct="primitive"), 2).run()
+rep = construction.ChainRun(qci_algebra(F3, [3, 3], coproduct="primitive")).run()
 print("perturbed theta_chain_maps:", {{v.name: v.passed for v in rep["verdicts"]}}["theta_chain_maps"])
 construction.build_thetas = real_build_thetas
 cli.ChainRun = dropped_sign_run
@@ -505,7 +572,7 @@ def test_flipped_koszul_sign_in_one_block_fails_tensor_pair(monkeypatch):
 def test_lift_of_a_perturbed_factor_map_fails_theta_chain_maps(monkeypatch):
     controls = _block_law_controls()
     monkeypatch.setattr(construction, "build_thetas", controls["perturbed_build_thetas"])
-    rep = ChainRun(algebra.qci_algebra(FieldSpec(3), [3, 3], coproduct="primitive"), 2).run()
+    rep = ChainRun(algebra.qci_algebra(FieldSpec(3), [3, 3], coproduct="primitive")).run()
     verdicts = {v.name: v.passed for v in rep["verdicts"]}
     assert verdicts["factor_complexes"] is True and verdicts["theta_chain_maps"] is False
 

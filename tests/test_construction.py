@@ -228,7 +228,7 @@ def test_chain_run_ranks_the_k_tensor_once(monkeypatch):
         monkeypatch.setattr(module, "is_projective", spy)
     monkeypatch.setattr(construction, "verify_parameter_system",
                         lambda ps, ctx: systems.append(ps) or real_verify(ps, ctx))
-    report = ChainRun(qci_algebra(FieldSpec(3), [3, 3], coproduct="primitive"), 2).run()
+    report = ChainRun(qci_algebra(FieldSpec(3), [3, 3], coproduct="primitive")).run()
     ps = systems[-1]  # the search tries tuples until one verifies
     assert ps.verified and list(ps.indices) == report["parameter_indices"]
     top = max(report["tensor_projective"])
@@ -348,18 +348,25 @@ def test_class_complex_homology_and_self_map(res1):
 
 def test_parameter_system_search_and_duplicate_failure(res2, two_vars):
     ctx = DiagonalTensor(two_vars)
-    ps = find_parameter_system(res2, 2, ctx)
+    ps = find_parameter_system(res2, ctx)
     assert ps.verified
     big = tensor_pushouts([pushout_module(z)[0] for z in ps.classes], ctx)
     assert big.dim == 81 and is_projective(big)
     cls = ext_classes(res2, 2)
-    bad = ParameterSystem((cls[0], cls[0]), 2, (0, 0))
+    bad = ParameterSystem((cls[0], cls[0]), (0, 0))
     assert not verify_parameter_system(bad, ctx)
+
+
+def test_parameter_search_takes_one_class_per_generator():
+    # the count is the generator count: three classes over three generators
+    A = qci_algebra(FieldSpec(2), [2, 2, 2], coproduct="primitive")
+    ps = find_parameter_system(minimal_resolution(trivial_module(A), 3), DiagonalTensor(A))
+    assert ps.verified and len(ps.classes) == len(ps.indices) == 3
 
 
 def test_theta_maps_rank2(res2, two_vars):
     ctx = DiagonalTensor(two_vars)
-    ps = find_parameter_system(res2, 2, ctx)
+    ps = find_parameter_system(res2, ctx)
     ccs = [build_class_complex(z) for z in ps.classes]
     tower = tensor_tower([cc.complex for cc in ccs], ctx)
     assert subquotient_dims(tower.complex) == {0: 1, 1: 2, 2: 1}
@@ -382,7 +389,7 @@ def test_mini_cone_matches_oracle(res2, two_vars):
     from smallhom.lefschetz import LefschetzModel, cone_oracle
 
     ctx = DiagonalTensor(two_vars)
-    ps = find_parameter_system(res2, 2, ctx)
+    ps = find_parameter_system(res2, ctx)
     ccs = [build_class_complex(z) for z in ps.classes]
     tower = tensor_tower([cc.complex for cc in ccs], ctx)
     thetas = build_thetas(tower, ccs)
@@ -395,20 +402,23 @@ def test_mini_cone_matches_oracle(res2, two_vars):
 
 
 def test_chain_run_rank_windows(one_var, two_vars):
-    with pytest.raises(UnsupportedRank):
-        ChainRun(one_var, 5)
-    with pytest.raises(UnsupportedRank):
-        ChainRun(one_var, 9)
-    with pytest.raises(UnsupportedRank):
-        ChainRun(one_var, 0)
-    with pytest.raises(UnsupportedRank):
-        ChainRun(two_vars, 1)  # rank must match the generator count
+    # the rank is the generator count: a stale positional rank is an error,
+    # not a class degree
+    with pytest.raises(TypeError):
+        ChainRun(two_vars, 2)
+    F2 = FieldSpec(2)
+    with pytest.raises(UnsupportedRank, match="ranks 4..7"):
+        ChainRun(qci_algebra(F2, [2] * 5))
+    with pytest.raises(UnsupportedRank, match="chain level supports rank <= 3"):
+        ChainRun(qci_algebra(F2, [2] * 9))
+    with pytest.raises(UnsupportedRank, match="rank must be positive"):
+        ChainRun(qci_algebra(F2, []))
     with pytest.raises(ValueError):
-        ChainRun(one_var, 1, degree=3)
+        ChainRun(one_var, degree=3)
 
 
 def test_chain_run_rank1_report(one_var):
-    rep = ChainRun(one_var, 1).run()
+    rep = ChainRun(one_var).run()
     assert all(v.passed for v in rep["verdicts"])
     assert rep["betti"] == [1, 1, 1, 1]
     assert rep["family_lengths"] == [(1 + 2) * (2 * s - 1) + 2 for s in range(1, 6)]
@@ -416,7 +426,7 @@ def test_chain_run_rank1_report(one_var):
 
 def test_chain_run_budget(two_vars):
     with pytest.raises(BudgetExceeded):
-        ChainRun(two_vars, 2, budget=Budget(max_dim=50)).run()
+        ChainRun(two_vars, budget=Budget(max_dim=50)).run()
 
 
 def test_symbolic_run_values():
@@ -454,10 +464,8 @@ def test_bimodule_run_rank_window():
     for B in (qci_algebra(FieldSpec(2), [2, 2]), qci_algebra(F3, [3, 3]), qci_algebra(F3, [3, 3], {(0, 1): 2})):
         with pytest.raises(UnsupportedRank, match="rank 1 only"):
             BimoduleRun(B)
-        with pytest.raises(UnsupportedRank):
-            BimoduleRun(B, rank=1)
-    with pytest.raises(UnsupportedRank):
-        BimoduleRun(qci_algebra(F3, [3]), rank=2)
+    with pytest.raises(TypeError):
+        BimoduleRun(qci_algebra(F3, [3]), 2)
 
 
 def test_lefschetz_element_missing_t7_t8_fails_cone_total(monkeypatch):
@@ -470,14 +478,14 @@ def test_lefschetz_element_missing_t7_t8_fails_cone_total(monkeypatch):
 
 def test_nonprojective_tensor_fails_only_lemma_projective(one_var, nonprojective_powered_tensor):
     # negative control: the operational test of the powered parameter system
-    rep = ChainRun(one_var, 1, power=2).run()
+    rep = ChainRun(one_var, power=2).run()
     assert len(nonprojective_powered_tensor) == 2
     failed = [v.name for v in rep["verdicts"] if not v.passed]
     assert failed == ["lemma_projective"]
 
 
 def test_corrupted_sign_hook_breaks_thetas(two_vars):
-    rep = ChainRun(two_vars, 2, drop_koszul_sign=True).run()
+    rep = ChainRun(two_vars, drop_koszul_sign=True).run()
     names = {v.name: v.passed for v in rep["verdicts"]}
     assert names["theta_chain_maps"] is False
 
@@ -496,7 +504,7 @@ def test_recorded_sum_flags_match_the_radical_test(char, exponents, power, monke
 
     monkeypatch.setattr(construction, "projectivity_flags", recorded)
     A = qci_algebra(FieldSpec(char), exponents, coproduct="primitive")
-    assert all(v.passed for v in ChainRun(A, 2, power=power).run()["verdicts"])
+    assert all(v.passed for v in ChainRun(A, power=power).run()["verdicts"])
     assert len(seen) == 2  # the tensor tower, then the cone
     for C, flags in seen:
         assert C.objects and all(M.summands is not None for M in C.objects.values())
