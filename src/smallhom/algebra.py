@@ -824,8 +824,15 @@ def one_sided_projective(env: Enveloping, M: Module) -> bool:
     return is_projective(restrict_left(env, M)) and is_projective(restrict_right(env, M))
 
 
+def tensor_unit(env: Enveloping, M: Module) -> Module:
+    """``M (x)_A k = M / M rad A`` for a bimodule ``M``: each ``x_i`` kills ``k``, so the
+    relations ``(b x_i) (x) v - b (x) x_i v`` span the image of the right generators.
+    :func:`quotient_module` checks that span stable and the quotient's relations."""
+    return quotient_module(restrict_left(env, M), hstack(env.right_part(M)))[0]
+
+
 # ----------------------------------------------------------------------
-# tensor contexts: the diagonal tensor of complexes, the tensor over A of modules
+# tensor context: the diagonal tensor of complexes
 # ----------------------------------------------------------------------
 class DiagonalTensor:
     """Tensor over the ground field with the diagonal (coproduct) action.
@@ -901,38 +908,3 @@ class DiagonalTensor:
         if T is None:
             T = self._pairs[id(M), id(N)] = tensor_diagonal(M, N)
         return T
-
-
-class OverBaseTensor:
-    """Tensor over the base algebra: bimodule (x)_A left module.
-
-    The product is the quotient of the Kronecker product by the span of
-    ``(b x_i) (x) v - b (x) (x_i v)`` over all generators; the generator
-    relations for longer elements follow by telescoping.  It is a left
-    module through the bimodule's left action, and it has the relations of
-    its verified factors once the span is checked stable.
-    """
-
-    def __init__(self, env: Enveloping, budget: Budget | None = None):
-        self.env = env
-        self.budget = budget or Budget()
-
-    def pair(self, M: Module, N: Module, stage: str | None = None) -> Module:
-        """``M (x)_A N`` for a bimodule ``M`` and a left module ``N``, which
-        acts through its first ``ngens`` generators; ``stage`` names the
-        construction in a budget error."""
-        if M.algebra.ngens != self.env.algebra.ngens:
-            raise ValueError("left tensor factor must be a bimodule")
-        self.budget.check(M.dim * N.dim, stage, (M.dim, N.dim))
-        p = self.env.base.p
-        eye_m, eye_n = FpMatrix.identity(p, M.dim), FpMatrix.identity(p, N.dim)
-        rels = [rm.kron(eye_n) - eye_m.kron(ln) for rm, ln in zip(self.env.right_part(M), N.action)]
-        rel_cols = hstack(rels) if rels else FpMatrix.zeros(p, M.dim * N.dim, 0)
-        qmap, section = quotient_by_subspace(p, rel_cols)
-        acts = []
-        for i, lm in enumerate(self.env.left_part(M)):
-            qx = qmap @ lm.kron(eye_n)
-            if not (qx @ rel_cols).is_zero():
-                raise CertificationError(f"generator {i} does not preserve the relation span")
-            acts.append(qx @ section)
-        return Module(self.env.base, acts, check=False)

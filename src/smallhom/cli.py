@@ -91,6 +91,11 @@ class RunConfig:
                                  "(its Krull-dimension proxy)")
         if self.power < 1:
             raise UsageError("power must be >= 1")
+        # options a route does not read must not be echoed into its certificate
+        if self.power != 1 and (self.mode == "symbolic" or self.variant == "bimodule"):
+            raise UsageError("a power other than 1 needs the module variant in chain or crosscheck mode")
+        if self.mode == "symbolic" and (self.exponents or self.coproduct):
+            raise UsageError("symbolic mode takes no exponents or coproduct")
 
     def echo(self) -> dict:
         return {

@@ -43,7 +43,6 @@ from .algebra import (
     DiagonalTensor,
     Module,
     ModuleMorphism,
-    OverBaseTensor,
     Resolution,
     direct_sum_modules,
     enveloping,
@@ -54,6 +53,7 @@ from .algebra import (
     one_sided_projective,
     quotient_module,
     regular_bimodule,
+    tensor_unit,
     trivial_module,
 )
 from .chain import (
@@ -99,6 +99,11 @@ class CohomologyClass:
     @property
     def target(self) -> Module:
         return self.resolution.module
+
+    @functools.cached_property
+    def pushout(self) -> tuple[Module, ModuleMorphism, ModuleMorphism]:
+        """:func:`pushout_module` of the class, built on the first read."""
+        return pushout_module(self)
 
     def is_zero_class(self) -> bool:
         bnd = _coboundary_space(self.resolution, self.degree)
@@ -294,20 +299,17 @@ def pushout_module(cls: CohomologyClass) -> tuple[Module, ModuleMorphism, Module
     d_prev = res.diff(n - 1)
     rho_mat = d_prev.matrix @ FpMatrix(d_prev.matrix.p, section.a[T.dim :, :])
     rho = ModuleMorphism(K, d_prev.target, rho_mat, check=True)
-    # rho is induced: it must agree with d_{n-1} on the projective part
-    lift_back = rho.matrix @ proj.matrix
-    direct = d_prev.matrix @ FpMatrix(d_prev.matrix.p, np.hstack(
-        [np.zeros((P.dim, T.dim), dtype=np.int64), np.eye(P.dim, dtype=np.int64)]))
-    if lift_back != direct:
+    # rho is induced: rho . proj must be [0 | d_{n-1}] on T (+) P_{n-1}
+    lift_back = (rho.matrix @ proj.matrix).a
+    if lift_back[:, : T.dim].any() or not np.array_equal(lift_back[:, T.dim :], d_prev.matrix.a):
         raise AssertionError("pushout quotient must be compatible with d_{n-1}")
     return K, mu, rho
 
 
-def build_class_complex(cls: CohomologyClass, pushout=None) -> ClassComplex:
-    """The class complex; ``pushout`` is ``pushout_module(cls)`` when the
-    caller has built it already."""
+def build_class_complex(cls: CohomologyClass) -> ClassComplex:
+    """The class complex on the class's pushout (:attr:`CohomologyClass.pushout`)."""
     res, n = cls.resolution, cls.degree
-    K, mu, rho = pushout if pushout is not None else pushout_module(cls)
+    K, mu, rho = cls.pushout
     objects = {n - 1: K}
     diffs = {n - 1: rho}
     for i in range(0, n - 1):
@@ -324,12 +326,13 @@ def build_class_complex(cls: CohomologyClass, pushout=None) -> ClassComplex:
 # ----------------------------------------------------------------------
 @dataclass
 class ParameterSystem:
+    """Basis classes (``indices`` into the degree's basis), each holding its
+    pushout (:attr:`CohomologyClass.pushout`); :func:`verify_parameter_system`
+    sets ``tensor``, the tensor of the pushouts, and ``verified``."""
+
     classes: tuple[CohomologyClass, ...]
     indices: tuple[int, ...]
     verified: bool | None = None
-    # set by verify_parameter_system: pushout_module(z) per class, and the
-    # tensor of the pushout modules
-    pushouts: tuple | None = None
     tensor: Module | None = None
 
 
@@ -347,12 +350,9 @@ def tensor_pushouts(mods: list[Module], ctx) -> Module:
 
 
 def verify_parameter_system(ps: ParameterSystem, ctx) -> bool:
-    """The operational test: the tensor of the pushout modules is projective.
-
-    Keeps the pushouts and their tensor on ``ps`` for later stages.
-    """
-    ps.pushouts = tuple(pushout_module(z) for z in ps.classes)
-    ps.tensor = tensor_pushouts([K for K, _, _ in ps.pushouts], ctx)
+    """The operational test: the tensor of the classes' pushouts is
+    projective.  Keeps the tensor on ``ps``; each class keeps its pushout."""
+    ps.tensor = tensor_pushouts([z.pushout[0] for z in ps.classes], ctx)
     ps.verified = is_projective(ps.tensor)
     return ps.verified
 
@@ -464,13 +464,13 @@ class ChainRun:
         lemma_ok = ps.verified
         ktensor = ps.tensor
         report["parameter_indices"] = list(base_ps.indices)
-        report["pushout_dims"] = [K.dim for K, _, _ in ps.pushouts]
+        report["pushout_dims"] = [z.pushout[0].dim for z in ps.classes]
         report["k_tensor_dim"] = ktensor.dim
         report["k_tensor_free_rank"] = ktensor.dim // A.dim if lemma_ok else None
         verdicts.append(Verdict("lemma_projective", lemma_ok,
                                 f"tensor of pushouts has dim {ktensor.dim}"))
 
-        ccs = [build_class_complex(z, po) for z, po in zip(ps.classes, ps.pushouts)]
+        ccs = [build_class_complex(z) for z in ps.classes]
         factor_ok = True
         for idx, cc in enumerate(ccs):
             hs = {j: homology_space(cc.complex, j) for j in cc.complex.degrees()}
@@ -603,6 +603,8 @@ class BimoduleRun:
     needs one degree-n class whose reduced pushout is projective, and one
     class cannot cut a rank-2 support down to a point (no class does over
     F_2[x,y]/(x^2,y^2), nor over F_3[x,y]/(x^3,y^3) with q = 1 or q = 2).
+    The reduced pushout ``K (x)_A k`` is the quotient of the pushout by its
+    right radical (:func:`~smallhom.algebra.tensor_unit`).
     """
 
     def __init__(self, algebra: Algebra, *, degree: int = 2, budget: Budget | None = None):
@@ -619,7 +621,6 @@ class BimoduleRun:
         n = self.degree
         m = n - 1
         env = enveloping(A)
-        ctx = OverBaseTensor(env, self.budget)
         verdicts: list[Verdict] = []
         report: dict = {
             "mode": "chain",
@@ -635,10 +636,11 @@ class BimoduleRun:
 
         classes = ext_classes(res, n)
         chosen = None
-        unit = trivial_module(A)
         for idx, z in enumerate(classes):
             cc = build_class_complex(z)
-            reduced = ctx.pair(cc.pushout, unit, "reduced pushout")
+            # the reduced pushout is budgeted as the tensor K (x)_A k, k of dim 1
+            self.budget.check(cc.pushout.dim, "reduced pushout", (cc.pushout.dim, 1))
+            reduced = tensor_unit(env, cc.pushout)
             if is_projective(reduced):
                 chosen = (idx, z, cc, reduced)
                 break

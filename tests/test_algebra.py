@@ -15,7 +15,6 @@ from smallhom.algebra import (
     DiagonalTensor,
     Module,
     ModuleMorphism,
-    OverBaseTensor,
     _mono_coords,
     direct_sum_modules,
     enveloping,
@@ -36,6 +35,7 @@ from smallhom.algebra import (
     restrict_right,
     submodule,
     tensor_diagonal,
+    tensor_unit,
     trivial_module,
     zero_module,
 )
@@ -257,25 +257,22 @@ def test_enveloping_noncommutative_right_block():
     assert bim.dim == 4
 
 
-def test_tensor_over_base_unit_laws(truncated):
+def test_regular_bimodule_tensor_unit_is_the_unit(truncated):
+    # A (x)_A k = k
     env = enveloping(truncated)
-    ctx = OverBaseTensor(env)
-    bim = regular_bimodule(env)
-    assert ctx.pair(bim, bim).dim == 3
-    k = trivial_module(truncated)
-    assert ctx.pair(bim, k).dim == 1
-    reg = regular_module(truncated)
-    t = ctx.pair(bim, reg)
-    assert t.dim == 3 and is_projective(t)
+    reduced = tensor_unit(env, regular_bimodule(env))
+    assert reduced.algebra is truncated and reduced.dim == 1
+    assert list(reduced.action) == list(trivial_module(truncated).action)
 
 
-def test_projective_bimodule_tensor_is_projective(truncated):
+@pytest.mark.parametrize("rank", [1, 2])
+def test_free_bimodule_tensor_unit_is_free(truncated, rank):
+    # (A (x) A^op)^r (x)_A k = A^r: dim r * dim A and projective
     env = enveloping(truncated)
-    q0 = free_module(env.algebra, 1)  # dim 9 free bimodule
-    assert one_sided_projective(env, q0)
-    k = trivial_module(truncated)
-    t = OverBaseTensor(env).pair(q0, k)
-    assert is_projective(t) and t.dim == 3
+    free = free_module(env.algebra, rank)  # dim 9 r
+    assert one_sided_projective(env, free)
+    reduced = tensor_unit(env, free)
+    assert reduced.dim == rank * truncated.dim and is_projective(reduced)
 
 
 def test_budget_guard(truncated):
@@ -747,14 +744,33 @@ def test_tensor_projectivity_matches_the_dense_radical(p, exps, coproduct, proje
     assert flags[-1] is False and True in flags
 
 
-def test_over_base_tensor_checks_that_the_relation_span_is_stable(truncated):
+FAKE_BIMODULE = """
+import sys
+from smallhom.algebra import CertificationError, Module, enveloping, qci_algebra, tensor_unit
+from smallhom.linalg import FieldSpec
+assert False, "reached only without -O"
+A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
+env = enveloping(A)
+x = A.left_actions[0]
+try:
+    tensor_unit(env, Module(env.algebra, [x, x.transpose()], check=False))
+except CertificationError as exc:
+    sys.exit(f"optimize={sys.flags.optimize}: {exc}")
+"""
+
+
+def test_tensor_unit_checks_that_the_right_radical_is_stable(truncated, run_optimized):
     # left x and right x^T do not commute, so this unchecked "bimodule" is not
-    # one, and x (x) 1 moves the span of x^T (x) 1 = (e0, e1) to e2
+    # one, and x moves the span of x^T, (e0, e1), to e2: the projection onto
+    # the quotient fails its law check
     env = enveloping(truncated)
     x = truncated.left_actions[0]
     fake = Module(env.algebra, [x, x.transpose()], check=False)
-    with pytest.raises(CertificationError, match="^generator 0 does not preserve the relation span$"):
-        OverBaseTensor(env).pair(fake, trivial_module(truncated))
+    with pytest.raises(CertificationError, match="^matrix does not intertwine the actions$"):
+        tensor_unit(env, fake)
+    run = run_optimized(FAKE_BIMODULE)
+    assert run.returncode == 1
+    assert run.stderr.strip() == "optimize=1: matrix does not intertwine the actions"
 
 
 def test_sum_projectivity_reads_the_summands(truncated, projective_reference):

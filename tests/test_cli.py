@@ -235,6 +235,42 @@ def test_bimodule_variant_outside_chain_mode_is_a_usage_error(mode, capsys):
     assert "the bimodule variant runs in chain mode only" in captured.err
 
 
+BIMODULE_F3 = ["--mode", "chain", "--variant", "bimodule", "--char", "3", "--exponents", "3"]
+SYMBOLIC_R8 = ["--mode", "symbolic", "--rank", "8", "--char", "3"]
+IGNORED_POWER = "usage error: a power other than 1 needs the module variant in chain or crosscheck mode\n"
+IGNORED_ALGEBRA = "usage error: symbolic mode takes no exponents or coproduct\n"
+
+
+@pytest.mark.parametrize("flags, config, err", [
+    (BIMODULE_F3 + ["--power", "2"],
+     "[run]\nmode = chain\nvariant = bimodule\npower = 2\n[algebra]\nchar = 3\nexponents = 3\n", IGNORED_POWER),
+    (SYMBOLIC_R8 + ["--power", "3"], "[run]\nmode = symbolic\nrank = 8\npower = 3\n", IGNORED_POWER),
+    (SYMBOLIC_R8 + ["--exponents", "5 5"], "[run]\nmode = symbolic\nrank = 8\n[algebra]\nexponents = 5 5\n",
+     IGNORED_ALGEBRA),
+    (SYMBOLIC_R8 + ["--coproduct", "shifted"], "[run]\nmode = symbolic\nrank = 8\n[algebra]\ncoproduct = shifted\n",
+     IGNORED_ALGEBRA),
+], ids=["bimodule-power", "symbolic-power", "symbolic-exponents", "symbolic-coproduct"])
+def test_options_the_route_ignores_are_usage_errors(flags, config, err, tmp_path, capsys):
+    # a certificate must not echo an option its route never reads
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(config)
+    for args in (flags, ["--config", str(cfgfile)]):
+        assert run_cli(["certify", *args]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
+
+
+@pytest.mark.parametrize("flags, defaults", [
+    (BIMODULE_F3, ["--power", "1", "--coproduct", "none"]),
+    (SYMBOLIC_R8, ["--power", "1", "--coproduct", "none", "--exponents", ""]),
+], ids=["bimodule", "symbolic"])
+def test_the_default_options_still_certify_unchanged(flags, defaults, capsys):
+    assert run_cli(["certify", *flags]) == 0
+    plain = capsys.readouterr().out
+    assert run_cli(["certify", *flags, *defaults]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_two_sided_rank2_is_rejected_up_front(capsys):
     code = run_cli(["certify", "--mode", "chain", "--variant", "bimodule", "--char", "3", "--exponents", "3 3"])
     assert code == 64

@@ -233,7 +233,28 @@ def test_chain_run_ranks_the_k_tensor_once(monkeypatch):
     assert ps.verified and list(ps.indices) == report["parameter_indices"]
     top = max(report["tensor_projective"])
     assert report["tensor_projective"][top] and report["tensor_dims"][top] == ps.tensor.dim == 81
-    assert ranked.count(tuple(K for K, _, _ in ps.pushouts)) == 1
+    assert ranked.count(tuple(z.pushout[0] for z in ps.classes)) == 1
+
+
+def test_a_class_builds_its_pushout_once(monkeypatch):
+    # F_3 [3, 3] has three degree-2 classes; with the first tuple (0, 1)
+    # failing, class 0 is also in the second, (0, 2), and keeps its pushout
+    A = qci_algebra(F3, [3, 3], coproduct="primitive")
+    res = minimal_resolution(trivial_module(A), 3)
+    assert len(ext_classes(res, 2)) == 3
+    built, verdicts = [], iter([False])
+    real = construction.pushout_module
+    monkeypatch.setattr(construction, "pushout_module", lambda z: built.append(z) or real(z))
+    monkeypatch.setattr(construction, "is_projective", lambda M: next(verdicts, True))
+    ps = find_parameter_system(res, DiagonalTensor(A))
+    assert ps.indices == (0, 2)
+    assert len({id(z) for z in built}) == len(built) == 3  # each class once, not class 0 twice
+    assert built[0] is ps.classes[0]
+    z = ps.classes[0]
+    first, second = build_class_complex(z), build_class_complex(z)
+    assert first.pushout is second.pushout is z.pushout[0]
+    assert first.complex.objects[1] is second.complex.objects[1] is z.pushout[0]
+    assert len(built) == 3
 
 
 UNSOLVABLE = """
