@@ -17,9 +17,11 @@ proved once: every diagonal tensor satisfies them because the coproduct is an
 algebra map, which :class:`DiagonalTensor` proves on ``regular (x) regular``.
 A diagonal tensor stores no action matrices: it acts through its two factors
 (:meth:`Module.act`), as a free module of rank two or more acts through one
-regular module.  Every module that is not a sum is flagged projective
-from coordinate lists of its nonzeros (:func:`is_projective`): a stored
-action gives them directly, a tensor builds them from its factors'.
+regular module.  A tensor with a projective factor is flagged projective
+by an antipode that :class:`DiagonalTensor` also proves once; any other
+module that is not a sum is flagged from coordinate lists of its nonzeros
+(:func:`is_projective`): a stored action gives them directly, a tensor
+builds them from its factors'.
 Bimodules are plain modules over the enveloping algebra ``A (x) A^op``, whose
 first ``c`` generators act on the left and last ``c`` on the right.
 """
@@ -193,6 +195,18 @@ class Algebra:
             terms.append((1, gen, gen))
         return terms
 
+    def antipode_terms(self, i: int):
+        """Terms ``(coeff, mono)`` of the antipode on x_i: ``S(x) = -x`` for
+        the primitive coproduct; for the shifted one ``1 + t`` is grouplike,
+        so ``S(t) = (1 + t)^{-1} - 1 = sum_{k=1}^{a-1} (-t)^k``.
+        :meth:`DiagonalTensor._prove_antipode` checks them."""
+        if self.coproduct is None:
+            raise ValueError("algebra carries no coproduct")
+        gen = tuple(1 if k == i else 0 for k in range(self.ngens))
+        if self.coproduct == "primitive":
+            return [(self.p - 1, gen)]
+        return [((-1) ** k % self.p, tuple(k * e for e in gen)) for k in range(1, self.exponents[i])]
+
     def describe(self) -> str:
         qs = ",".join(f"q{i + 1}{j + 1}={v}" for (i, j), v in sorted(self.q.items()))
         cop = self.coproduct or "none"
@@ -250,6 +264,9 @@ class Module:
         # the one module of a sum of copies, such as a free module: it acts through that module
         self._copies = summands[0] if summands and all(S is summands[0] for S in summands) else None
         self._projective: bool | None = None
+        # the DiagonalTensor whose pair made this tensor: it proves the
+        # antipode that flags a tensor with a projective factor (is_projective)
+        self.hopf: DiagonalTensor | None = None
 
     @classmethod
     def _recorded(cls, algebra: Algebra, dim: int, summands=None, factors=None) -> "Module":
@@ -336,7 +353,10 @@ def trivial_module(A: Algebra) -> Module:
 
 
 def regular_module(A: Algebra) -> Module:
-    return Module(A, A.left_actions, check=False)
+    """A acting on itself: free of rank one, so flagged projective as it is made."""
+    M = Module(A, A.left_actions, check=False)
+    M._projective = True
+    return M
 
 
 def free_module(A: Algebra, rank: int) -> Module:
@@ -543,27 +563,53 @@ def projective_cover(M: Module) -> Cover:
 
 
 def is_projective(M: Module) -> bool:
-    """Projective = free here: ``dim A * dim(M / rad M) = dim M``, with
-    ``rad M`` the span of the generator images.
+    """Projective = free here, computed once per module by one of three routes:
 
-    A sum is projective iff each summand is, so a recorded sum asks its
-    summands.  Any other module ranks its radical stack ``[x_1 | ... | x_c]``
-    by :func:`_peeled_rank` from the coordinate lists of :func:`_mono_coords`.
+    * a sum is projective iff each summand is, so a recorded sum asks its
+      summands;
+    * a diagonal tensor made by :meth:`DiagonalTensor.pair` with a
+      projective factor is projective: ``P (x) X`` is whenever ``P`` is, in
+      the finite tensor category of modules over a Hopf algebra (Etingof,
+      Gelaki, Nikshych and Ostrik, *Tensor Categories*, AMS 2015, Section
+      4.2).  The pair's context proves the antipode once;
+    * any other module by :func:`_free_by_rank`.
+    """
+    if M._projective is None:
+        if M.summands is not None:
+            M._projective = all(is_projective(S) for S in M.summands)
+        elif M.hopf is not None and any(is_projective(F) for F in M.factors):
+            M.hopf.prove_antipode()
+            M._projective = True
+        else:
+            M._projective = _free_by_rank(M)
+    return M._projective
+
+
+def _free_by_rank(M: Module) -> bool:
+    """``dim A * dim(M / rad M) = dim M``, with ``rad M`` the span of the
+    generator images: the radical stack ``[x_1 | ... | x_c]`` is ranked by
+    :func:`_peeled_rank` from the coordinate lists of :func:`_mono_coords`.
     Their coordinates may repeat and their values may vanish mod p, which
     the rank allows, so they go in as they are.  The stack is never dense.
     """
-    if M._projective is None and M.summands is not None:
-        M._projective = all(is_projective(S) for S in M.summands)
-    elif M._projective is None:
-        A = M.algebra
-        rad_rank = 0
-        if A.ngens:
-            gens = [_mono_coords(M, tuple(int(k == g) for k in range(A.ngens))) for g in range(A.ngens)]
-            rows, cols, vals = (np.concatenate(x) for x in zip(*gens))
-            cols += np.repeat(np.arange(A.ngens) * M.dim, [r.size for r, _, _ in gens])
-            rad_rank = _peeled_rank((M.dim, A.ngens * M.dim), rows, cols, vals, A.p)
-        M._projective = A.dim * (M.dim - rad_rank) == M.dim
-    return M._projective
+    A = M.algebra
+    rad_rank = 0
+    if A.ngens:
+        gens = [_mono_coords(M, tuple(int(k == g) for k in range(A.ngens))) for g in range(A.ngens)]
+        rows, cols, vals = (np.concatenate(x) for x in zip(*gens))
+        cols += np.repeat(np.arange(A.ngens) * M.dim, [r.size for r, _, _ in gens])
+        rad_rank = _peeled_rank((M.dim, A.ngens * M.dim), rows, cols, vals, A.p)
+    return A.dim * (M.dim - rad_rank) == M.dim
+
+
+def free_restrictions(M: Module) -> frozenset[int]:
+    """The generators ``x_k`` over whose subalgebra ``F_p[x_k]/(x_k^{a_k})``
+    the module ``M`` (with a stored action) is free: those with
+    ``rank(x_k on M) = dim M * (a_k - 1) / a_k``.  Each Jordan block of
+    ``x_k`` of size ``b`` adds ``b - 1`` to the rank, so the rank reaches that
+    value exactly when every block has size ``a_k``."""
+    exps = M.algebra.exponents
+    return frozenset(k for k, x in enumerate(M.action) if x.rank() * exps[k] == M.dim * (exps[k] - 1))
 
 
 def _mono_coords(M: Module, mono) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -838,7 +884,9 @@ class DiagonalTensor:
     """Tensor over the ground field with the diagonal (coproduct) action.
 
     The first :meth:`pair` proves that the coproduct is an algebra map, which
-    gives every diagonal tensor over the algebra its relations.
+    gives every diagonal tensor over the algebra its relations.  The first
+    :func:`is_projective` that reads a tensor's flag off a projective factor
+    proves the antipode (:meth:`prove_antipode`).
     """
 
     def __init__(self, algebra: Algebra, budget: Budget | None = None):
@@ -847,6 +895,7 @@ class DiagonalTensor:
         self.algebra = algebra
         self.budget = budget or Budget()
         self._coproduct_proved = False
+        self._antipode_proved = False
         # the tensor of each factor pair while it lives; it holds its factors,
         # so their ids stay theirs while the entry does
         self._pairs: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -877,6 +926,54 @@ class DiagonalTensor:
                     raise CertificationError(f"the coproduct violates the commutation of {i},{j}")
         self._coproduct_proved = True
 
+    def prove_antipode(self) -> None:
+        """:meth:`_prove_antipode`, once per context."""
+        if not self._antipode_proved:
+            self._prove_antipode()
+            self._antipode_proved = True
+
+    def _prove_antipode(self) -> None:
+        """Check that ``S`` of :meth:`Algebra.antipode_terms` is an antipode.
+
+        ``S`` extends from the generators to an anti-algebra map of A when it
+        respects the relations: ``S(x_i)^{a_i} = 0`` and, as ``x_j x_i =
+        q_ij x_i x_j``, ``S(x_i) S(x_j) = q_ij S(x_j) S(x_i)``.  Delta being an
+        algebra map (:meth:`_prove_coproduct`), the elements ``a`` with
+        ``m(S (x) 1)Delta(a) = eps(a) = m(1 (x) S)Delta(a)`` then form a
+        subalgebra, so checking both on the generators, where ``eps`` is zero,
+        proves them on A.  An element is checked as its action on the regular
+        module, which is faithful: a matrix of size dim A.
+        """
+        A = self.algebra
+        one = FpMatrix.identity(A.p, A.dim)
+        powers: dict[tuple, FpMatrix] = {(0,) * A.ngens: one}
+
+        def x(u) -> FpMatrix:  # x^u = x_i x^{u - e_i}, x_i its first generator
+            if u not in powers:
+                i = next(k for k, e in enumerate(u) if e)
+                powers[u] = A.left_actions[i] @ x(u[:i] + (u[i] - 1,) + u[i + 1 :])
+            return powers[u]
+
+        def total(elements) -> FpMatrix:
+            return functools.reduce(FpMatrix.__add__, elements)
+
+        S = [total(x(u).scale(c) for c, u in A.antipode_terms(i)) for i in range(A.ngens)]
+
+        def s(u) -> FpMatrix:  # S(x^u) = S(x_c)^{u_c} ... S(x_1)^{u_1}
+            factors = (S[i].power(u[i]) for i in reversed(range(A.ngens)) if u[i])
+            return functools.reduce(FpMatrix.__matmul__, factors, one)
+
+        for i in range(A.ngens):
+            if not S[i].power(A.exponents[i]).is_zero():
+                raise CertificationError(f"the antipode violates x_{i}^{A.exponents[i]} = 0")
+            for j in range(i + 1, A.ngens):
+                if S[i] @ S[j] != (S[j] @ S[i]).scale(A.commutator(i, j)):
+                    raise CertificationError(f"the antipode violates the commutation of {i},{j}")
+            terms = A.coproduct_terms(i)
+            if not (total((s(u) @ x(v)).scale(c) for c, u, v in terms).is_zero()
+                    and total((x(u) @ s(v)).scale(c) for c, u, v in terms).is_zero()):
+                raise CertificationError(f"the antipode violates m(S (x) 1)Delta(x_{i}) = 0 = m(1 (x) S)Delta(x_{i})")
+
     def check_sizes(self, stage: str, factor_dims: list[dict[int, int]]) -> None:
         """Check the budget for every pair of a left-associated tensor
         before any of them is built.
@@ -900,11 +997,16 @@ class DiagonalTensor:
     def pair(self, M: Module, N: Module) -> Module:
         """``M (x) N``, one module per pair of factor objects: a pair asked
         for again while its tensor lives gets that tensor, flags and all, as
-        the tensor tower's top term gets the parameter search's tensor."""
+        the tensor tower's top term gets the parameter search's tensor.  A
+        sum of one module is that module here (same basis, same action), so
+        at rank 3 the tower's top term, ``(K_1 (x) K_2) (x) K_3`` with its
+        left factor a one-summand tower term, is the search's tensor too."""
+        M, N = (X.summands[0] if X.summands is not None and len(X.summands) == 1 else X for X in (M, N))
         self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
         if not self._coproduct_proved:
             self._prove_coproduct()
         T = self._pairs.get((id(M), id(N)))
         if T is None:
             T = self._pairs[id(M), id(N)] = tensor_diagonal(M, N)
+            T.hopf = self
         return T

@@ -96,6 +96,8 @@ class RunConfig:
             raise UsageError("a power other than 1 needs the module variant in chain or crosscheck mode")
         if self.mode == "symbolic" and (self.exponents or self.coproduct):
             raise UsageError("symbolic mode takes no exponents or coproduct")
+        if self.mode == "symbolic" and self.budget != Budget():
+            raise UsageError("symbolic mode takes no budget other than the default")
 
     def echo(self) -> dict:
         return {

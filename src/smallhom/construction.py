@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -47,6 +48,7 @@ from .algebra import (
     direct_sum_modules,
     enveloping,
     free_images_matrix,
+    free_restrictions,
     is_projective,
     minimal_resolution,
     mono_images,
@@ -104,6 +106,11 @@ class CohomologyClass:
     def pushout(self) -> tuple[Module, ModuleMorphism, ModuleMorphism]:
         """:func:`pushout_module` of the class, built on the first read."""
         return pushout_module(self)
+
+    @functools.cached_property
+    def free_restrictions(self) -> frozenset[int]:
+        """:func:`~smallhom.algebra.free_restrictions` of the pushout, ranked on the first read."""
+        return free_restrictions(self.pushout[0])
 
     def is_zero_class(self) -> bool:
         bnd = _coboundary_space(self.resolution, self.degree)
@@ -215,11 +222,31 @@ def _class_images(res: Resolution, n: int) -> list[FpMatrix]:
     return [FpMatrix(p, cocycles.a[:, k].reshape(T.dim, res.ranks[n])) for k in reps]
 
 
-def ext_classes(res: Resolution, n: int) -> list[CohomologyClass]:
+class ExtClasses(Sequence):
     """A deterministic basis of the degree-n self-extensions of the target,
-    ``n >= 1``: every class of :func:`_class_images`, built and validated at
-    once by :func:`class_from_images`."""
-    return [class_from_images(res, n, images) for images in _class_images(res, n)]
+    ``n >= 1``: the classes of :func:`_class_images`, each built and
+    validated by :func:`class_from_images` on its first read, so a class
+    that nothing reads is never built."""
+
+    def __init__(self, res: Resolution, n: int):
+        self.resolution, self.degree = res, n
+        self.images = _class_images(res, n)
+        self._classes: list[CohomologyClass | None] = [None] * len(self.images)
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        if self._classes[i] is None:
+            self._classes[i] = class_from_images(self.resolution, self.degree, self.images[i])
+        return self._classes[i]
+
+
+def ext_classes(res: Resolution, n: int) -> ExtClasses:
+    """The degree-n basis classes, built as they are read (:class:`ExtClasses`)."""
+    return ExtClasses(res, n)
 
 
 def yoneda_power(z: CohomologyClass, s: int) -> CohomologyClass:
@@ -337,22 +364,50 @@ class ParameterSystem:
 
 
 def tensor_pushouts(mods: list[Module], ctx) -> Module:
-    """Left-associated tensor of the pushout modules of a parameter system.
-
-    ``ctx`` is a :class:`DiagonalTensor`: every product size is checked
-    against its budget before the first product is built.
-    """
-    ctx.check_sizes("parameter search", [{0: K.dim} for K in mods])
+    """Left-associated tensor of the pushout modules of a parameter system,
+    each product by :meth:`DiagonalTensor.pair` (``ctx``)."""
     acc = mods[0]
     for nxt in mods[1:]:
         acc = ctx.pair(acc, nxt)
     return acc
 
 
-def verify_parameter_system(ps: ParameterSystem, ctx) -> bool:
+def passes_restriction_screen(classes) -> bool:
+    """The cyclic-restriction screen, a necessary condition at factor size
+    for the tensor of the classes' pushouts to be projective: every
+    generator ``x_k`` has a pushout free over ``B_k = F_p[x_k]/(x_k^p)``
+    (:attr:`CohomologyClass.free_restrictions`).
+
+    ``B_k`` is a sub-Hopf algebra under both coproducts, and a projective
+    module restricts to a free ``B_k``-module.  Over ``B_k`` the support
+    variety of a tensor is the intersection of its factors' (Carlson, "The
+    varieties and the cohomology ring of a module", J. Algebra 85 (1983), for
+    the shifted coproduct, where ``B_k`` is the group algebra of Z/p;
+    Friedlander and Parshall, "Support varieties for restricted Lie
+    algebras", Invent. Math. 86 (1986), for the primitive one), and the
+    variety of ``B_k`` is a line, so a tensor is free over ``B_k`` only if a
+    factor is.
+    """
+    covered = frozenset().union(*(z.free_restrictions for z in classes))
+    return len(covered) == classes[0].resolution.algebra.ngens
+
+
+def verify_parameter_system(ps: ParameterSystem, ctx, screen: bool = False) -> bool:
     """The operational test: the tensor of the classes' pushouts is
-    projective.  Keeps the tensor on ``ps``; each class keeps its pushout."""
-    ps.tensor = tensor_pushouts([z.pushout[0] for z in ps.classes], ctx)
+    projective.  Keeps the tensor on ``ps``; each class keeps its pushout.
+
+    The size of every product is checked against ``ctx``'s budget before
+    any is built.  With ``screen`` a tuple that fails
+    :func:`passes_restriction_screen` is then rejected with no tensor and no
+    rank.  The screen only rejects: a tuple that passes is verified by its
+    full rank.
+    """
+    mods = [z.pushout[0] for z in ps.classes]
+    ctx.check_sizes("parameter search", [{0: K.dim} for K in mods])
+    if screen and not passes_restriction_screen(ps.classes):
+        ps.verified = False
+        return False
+    ps.tensor = tensor_pushouts(mods, ctx)
     ps.verified = is_projective(ps.tensor)
     return ps.verified
 
@@ -363,25 +418,20 @@ def find_parameter_system(res: Resolution, ctx, degree: int = 2) -> ParameterSys
     generator count is the Krull dimension of the cohomology ring of these
     algebras, the number of parameters the construction needs.
 
-    A class is built from its images (:func:`_class_images`) when the first
-    tuple that holds it is tried, and validated then exactly as
-    :func:`ext_classes` validates it; a class that no tried tuple holds is
-    never built.
+    A class is built when the first tuple that holds it is tried
+    (:class:`ExtClasses`); a class that no tried tuple holds is never built.
+    Each tuple is screened at factor size before its tensor is built
+    (:func:`verify_parameter_system`).
     """
     if degree % 2 or degree < 2:
         raise ValueError("parameter degrees must be even and >= 2")
     count = res.algebra.ngens
-    images = _class_images(res, degree)
-    if len(images) < count:
-        raise ValueError(f"only {len(images)} classes in degree {degree}, need {count}")
-
-    @functools.cache
-    def basis_class(i: int) -> CohomologyClass:
-        return class_from_images(res, degree, images[i])
-
-    for combo in itertools.combinations(range(len(images)), count):
-        ps = ParameterSystem(tuple(basis_class(i) for i in combo), combo)
-        if verify_parameter_system(ps, ctx):
+    classes = ext_classes(res, degree)
+    if len(classes) < count:
+        raise ValueError(f"only {len(classes)} classes in degree {degree}, need {count}")
+    for combo in itertools.combinations(range(len(classes)), count):
+        ps = ParameterSystem(tuple(classes[i] for i in combo), combo)
+        if verify_parameter_system(ps, ctx, screen=True):
             return ps
     raise ValueError("no basis-class tuple verifies as a parameter system")
 
@@ -636,7 +686,7 @@ class BimoduleRun:
 
         classes = ext_classes(res, n)
         chosen = None
-        for idx, z in enumerate(classes):
+        for idx, z in enumerate(classes):  # each class is built when the loop reaches it
             cc = build_class_complex(z)
             # the reduced pushout is budgeted as the tensor K (x)_A k, k of dim 1
             self.budget.check(cc.pushout.dim, "reduced pushout", (cc.pushout.dim, 1))

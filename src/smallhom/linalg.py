@@ -161,7 +161,7 @@ class FpMatrix:
         return f"FpMatrix(p={self.p}, shape={self.a.shape})"
 
     def is_zero(self) -> bool:
-        return not self.a.any()
+        return not np.count_nonzero(self.a)  # a C call: ndarray.any goes through a Python wrapper
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -228,9 +228,13 @@ class FpMatrix:
         """Reduced row echelon form and its pivot columns.
 
         :func:`_eliminate` leaves the rows in place; the pivot rows are
-        gathered into echelon order at the end, the others after them.
+        gathered into echelon order at the end, the others after them.  A
+        zero matrix is its own RREF (a view of its array, so that the cache
+        makes no reference cycle), with no pivots and no elimination.
         """
-        if self._rref is None:
+        if self._rref is None and self.is_zero():
+            self._rref = (FpMatrix._adopt(self.p, self.a, reduced=True), ())
+        elif self._rref is None:
             m = self.a.copy()
             pivots, pivot_rows, free = _eliminate(m, self.p)
             m = m[pivot_rows + free.nonzero()[0].tolist()]

@@ -6,6 +6,7 @@ from math import prod
 import numpy as np
 import pytest
 
+from smallhom import algebra
 from smallhom.linalg import FieldSpec, FpMatrix, echelon_pivots
 from smallhom.algebra import (
     Algebra,
@@ -742,6 +743,75 @@ def test_tensor_projectivity_matches_the_dense_radical(p, exps, coproduct, proje
         assert flags[-1] == projective_reference(t), (M, N)
     # trivial (x) trivial is the trivial module: a tensor that is not projective
     assert flags[-1] is False and True in flags
+
+
+@pytest.mark.parametrize("coproduct", ["primitive", "shifted"])
+@pytest.mark.parametrize("p, exps", [(2, [2, 2]), (3, [3, 3]), (5, [5])], ids=["F2", "F3", "F5"])
+def test_a_projective_factor_flags_a_pair_by_the_antipode(p, exps, coproduct, projective_reference, monkeypatch):
+    A = qci_algebra(FieldSpec(p), exps, coproduct=coproduct)
+    ranked, proofs = [], []
+    real_rank, real_proof = algebra._free_by_rank, DiagonalTensor._prove_antipode
+    monkeypatch.setattr(algebra, "_free_by_rank", lambda M: ranked.append(M) or real_rank(M))
+    monkeypatch.setattr(DiagonalTensor, "_prove_antipode", lambda ctx: proofs.append(ctx) or real_proof(ctx))
+    ctx = DiagonalTensor(A)
+    k, reg, free = trivial_module(A), regular_module(A), free_module(A, 2)
+    syz = projective_cover(k).kernel
+    inner = ctx.pair(syz, free)  # a tensor with a free factor, as a factor
+    pairs = [ctx.pair(M, N) for M, N in [(free, syz), (syz, reg), (inner, k), (k, direct_sum_modules([reg, free]))]]
+    assert proofs == []  # the proof waits for the first flag read off a factor
+    assert all(is_projective(T) for T in pairs) and proofs == [ctx]
+    assert not [M for M in ranked if M.factors is not None]  # no tensor ranked
+    assert all(projective_reference(T) for T in pairs)
+    # a tensor with no projective factor is ranked, though its factor is a tensor
+    T = ctx.pair(ctx.pair(k, syz), k)
+    assert is_projective(T) == projective_reference(T) and ranked[-1] is T
+    assert proofs == [ctx]  # once per context
+    # a tensor made outside a context is ranked, its free factor notwithstanding
+    plain = tensor_diagonal(reg, k)
+    assert is_projective(plain) and ranked[-1] is plain
+
+
+def test_a_sum_of_one_module_pairs_as_that_module(truncated, tensor_diagonal_calls):
+    ctx = DiagonalTensor(truncated)
+    k, reg = trivial_module(truncated), regular_module(truncated)
+    T = ctx.pair(k, reg)
+    assert ctx.pair(direct_sum_modules([k]), direct_sum_modules([reg])) is T
+    assert ctx.pair(direct_sum_modules([k, k]), reg) is not T
+    assert tensor_diagonal_calls == [(3, 3), (1, 3), (2, 3)]
+
+
+WRONG_ANTIPODE = """
+import sys
+from smallhom import cli
+from smallhom.algebra import Algebra
+assert False, "reached only without -O"
+{setup}
+sys.exit(cli.main(["certify", "--mode", "chain", "--char", "3", "--exponents", "3 3", "--coproduct", "{coproduct}"]))
+"""
+
+ANTIPODE_CASES = {
+    # S(x) = x: m(S (x) 1)Delta(x) = 2x over F_3
+    "identity": ("Algebra.antipode_terms = lambda A, i: [(1, tuple(int(k == i) for k in range(A.ngens)))]\n",
+                 "primitive", "the antipode violates m(S (x) 1)Delta(x_0) = 0 = m(1 (x) S)Delta(x_0)"),
+    # S(t) = -t, the primitive antipode, misses the t^2 term the shifted one needs
+    "first-term": ("real = Algebra.antipode_terms\nAlgebra.antipode_terms = lambda A, i: real(A, i)[:1]\n",
+                   "shifted", "the antipode violates m(S (x) 1)Delta(x_0) = 0 = m(1 (x) S)Delta(x_0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANTIPODE_CASES))
+def test_a_wrong_antipode_fails_the_run(case, monkeypatch, capsys, run_optimized):
+    from smallhom import cli
+
+    setup, coproduct, message = ANTIPODE_CASES[case]
+    monkeypatch.setattr(Algebra, "antipode_terms", Algebra.antipode_terms)
+    exec(setup, {"Algebra": Algebra})
+    argv = ["certify", "--mode", "chain", "--char", "3", "--exponents", "3 3", "--coproduct", coproduct]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"certification error: {message}\n"
+    run = run_optimized(WRONG_ANTIPODE.format(setup=setup, coproduct=coproduct))
+    assert run.returncode == 2 and run.stderr == f"certification error: {message}\n"
 
 
 FAKE_BIMODULE = """

@@ -239,6 +239,7 @@ BIMODULE_F3 = ["--mode", "chain", "--variant", "bimodule", "--char", "3", "--exp
 SYMBOLIC_R8 = ["--mode", "symbolic", "--rank", "8", "--char", "3"]
 IGNORED_POWER = "usage error: a power other than 1 needs the module variant in chain or crosscheck mode\n"
 IGNORED_ALGEBRA = "usage error: symbolic mode takes no exponents or coproduct\n"
+IGNORED_BUDGET = "usage error: symbolic mode takes no budget other than the default\n"
 
 
 @pytest.mark.parametrize("flags, config, err", [
@@ -249,7 +250,12 @@ IGNORED_ALGEBRA = "usage error: symbolic mode takes no exponents or coproduct\n"
      IGNORED_ALGEBRA),
     (SYMBOLIC_R8 + ["--coproduct", "shifted"], "[run]\nmode = symbolic\nrank = 8\n[algebra]\ncoproduct = shifted\n",
      IGNORED_ALGEBRA),
-], ids=["bimodule-power", "symbolic-power", "symbolic-exponents", "symbolic-coproduct"])
+    (SYMBOLIC_R8 + ["--budget-dim", "100"], "[run]\nmode = symbolic\nrank = 8\n[budget]\nmax_dim = 100\n",
+     IGNORED_BUDGET),
+    (SYMBOLIC_R8 + ["--budget-entries", "100000000000"],
+     "[run]\nmode = symbolic\nrank = 8\n[budget]\nmax_entries = 100000000000\n", IGNORED_BUDGET),
+], ids=["bimodule-power", "symbolic-power", "symbolic-exponents", "symbolic-coproduct", "symbolic-budget-dim",
+        "symbolic-budget-entries"])
 def test_options_the_route_ignores_are_usage_errors(flags, config, err, tmp_path, capsys):
     # a certificate must not echo an option its route never reads
     cfgfile = tmp_path / "run.ini"
@@ -262,7 +268,8 @@ def test_options_the_route_ignores_are_usage_errors(flags, config, err, tmp_path
 
 @pytest.mark.parametrize("flags, defaults", [
     (BIMODULE_F3, ["--power", "1", "--coproduct", "none"]),
-    (SYMBOLIC_R8, ["--power", "1", "--coproduct", "none", "--exponents", ""]),
+    (SYMBOLIC_R8, ["--power", "1", "--coproduct", "none", "--exponents", "", "--budget-dim", "4096",
+                   "--budget-entries", "20000000"]),
 ], ids=["bimodule", "symbolic"])
 def test_the_default_options_still_certify_unchanged(flags, defaults, capsys):
     assert run_cli(["certify", *flags]) == 0
@@ -275,6 +282,19 @@ def test_two_sided_rank2_is_rejected_up_front(capsys):
     code = run_cli(["certify", "--mode", "chain", "--variant", "bimodule", "--char", "3", "--exponents", "3 3"])
     assert code == 64
     assert "the two-sided route supports rank 1 only" in capsys.readouterr().err
+
+
+def test_the_two_sided_route_builds_classes_until_one_fits(monkeypatch, capsys):
+    # F_5 [5] has five degree-2 classes and class 0 gives a projective reduced
+    # pushout, so one class is built; the other four are only counted
+    built = []
+    real = construction.class_from_images
+    monkeypatch.setattr(construction, "class_from_images",
+                        lambda res, n, images: built.append(n) or real(res, n, images))
+    assert run_cli(["certify", "--mode", "chain", "--variant", "bimodule", "--char", "5", "--exponents", "5"]) == 0
+    assert built == [2]
+    results = cli.parse_tree(capsys.readouterr().out)["certificate"]["results"]
+    assert (results["class_index"], results["class_count"], results["reduced_pushout_dim"]) == ("0", "5", "5")
 
 
 def test_budget_error_names_the_two_sided_stage(capsys):

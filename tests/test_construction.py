@@ -1,5 +1,6 @@
 """The pushout construction, parameter systems, theta maps and pipelines."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from smallhom.chain import (
 from smallhom.construction import (
     BimoduleRun,
     ChainRun,
+    CohomologyClass,
     ParameterSystem,
     SymbolicRun,
     UnsupportedRank,
@@ -46,6 +48,7 @@ from smallhom.construction import (
     class_from_images,
     ext_classes,
     find_parameter_system,
+    passes_restriction_screen,
     pushout_module,
     tensor_pushouts,
     verify_parameter_system,
@@ -86,8 +89,9 @@ def res2(two_vars):
 
 
 def test_ext_class_counts(res1, res2):
-    assert len(ext_classes(res1, 2)) == 1
-    assert len(ext_classes(res2, 2)) == 3
+    # every class is built, and so validated, as it is read
+    assert len(list(ext_classes(res1, 2))) == 1
+    assert len(list(ext_classes(res2, 2))) == 3
     with pytest.raises(ValueError, match="degrees n >= 1"):
         ext_classes(res1, 0)  # no pipeline asks for degree 0
 
@@ -142,7 +146,15 @@ def test_coboundary_is_a_zero_class():
     images = FpMatrix(5, delta.a[:, j].reshape(res.module.dim, res.ranks[2]))
     with pytest.raises(ValueError, match="zero in cohomology"):
         class_from_images(res, 2, images)
-    assert ext_classes(res, 2)
+    assert list(ext_classes(res, 2))  # every basis class builds and validates
+
+
+def test_ext_classes_build_each_class_of_a_slice(res2):
+    classes = ext_classes(res2, 2)
+    head = classes[:2]
+    assert [type(z) for z in head] == [CohomologyClass] * 2
+    assert all(z is classes[k] for k, z in zip(range(1, 3), classes[1:]))
+    assert head[0] is classes[0] and classes[5:] == []
 
 
 def test_induced_morphism_is_epi_onto_unit(res1):
@@ -213,27 +225,40 @@ def test_pushout_rejects_a_wrong_size_quotient_under_optimize(run_optimized):
     assert run.stderr.strip() == "optimize=1: pushout dimension count"
 
 
+def _tensor_leaves(M) -> tuple:
+    """The factor modules of a left-associated tensor, reading through sums of one module."""
+    if M.factors is not None:
+        return sum((_tensor_leaves(F) for F in M.factors), ())
+    if M.summands is not None and len(M.summands) == 1:
+        return _tensor_leaves(M.summands[0])
+    return (M,)
+
+
 def test_chain_run_ranks_the_k_tensor_once(monkeypatch):
-    # the tower's top term pairs the same two pushouts as the parameter
-    # search, so it is the same module and shares its projectivity flag
+    # configs/chain-rank2.ini and configs/chain-rank3-f2.ini: the tower's top
+    # term pairs the same pushouts as the parameter search, so it is the same
+    # module and shares its projectivity flag; every other tower and cone term
+    # has a free factor, so no tensor but a tried tuple's K-tensor and, at
+    # rank 3, its left factor K_1 (x) K_2 (at factor size) is ranked
     ranked, systems = [], []
-    real, real_verify = algebra.is_projective, construction.verify_parameter_system
-
-    def spy(M):
-        if M._projective is None and M.summands is None:
-            ranked.append(M.factors)
-        return real(M)
-
-    for module in (algebra, construction):
-        monkeypatch.setattr(module, "is_projective", spy)
+    real_rank, real_verify = algebra._free_by_rank, construction.verify_parameter_system
+    monkeypatch.setattr(algebra, "_free_by_rank", lambda M: ranked.append(M) or real_rank(M))
     monkeypatch.setattr(construction, "verify_parameter_system",
-                        lambda ps, ctx: systems.append(ps) or real_verify(ps, ctx))
-    report = ChainRun(qci_algebra(FieldSpec(3), [3, 3], coproduct="primitive")).run()
-    ps = systems[-1]  # the search tries tuples until one verifies
-    assert ps.verified and list(ps.indices) == report["parameter_indices"]
-    top = max(report["tensor_projective"])
-    assert report["tensor_projective"][top] and report["tensor_dims"][top] == ps.tensor.dim == 81
-    assert ranked.count(tuple(z.pushout[0] for z in ps.classes)) == 1
+                        lambda ps, ctx, **kw: systems.append(ps) or real_verify(ps, ctx, **kw))
+    for char, exponents, k_dim in [(3, [3, 3], 81), (2, [2, 2, 2], 512)]:
+        ranked.clear()
+        systems.clear()
+        report = ChainRun(qci_algebra(FieldSpec(char), exponents, coproduct="primitive")).run()
+        ps = systems[-1]  # the search tries tuples until one verifies
+        assert ps.verified and list(ps.indices) == report["parameter_indices"]
+        top = max(report["tensor_projective"])
+        assert report["tensor_projective"][top] and report["tensor_dims"][top] == ps.tensor.dim == k_dim
+        assert all(report["tensor_projective"].values()) and all(report["cone"]["projective"].values())
+        tensors = [M for M in ranked if M.factors is not None]
+        assert [_tensor_leaves(M) for M in tensors].count(tuple(z.pushout[0] for z in ps.classes)) == 1
+        k_tensors = [s.tensor for s in systems if s.tensor is not None]
+        parts = k_tensors + [F for T in k_tensors for F in T.factors]
+        assert all(any(M is X for X in parts) for M in tensors)
 
 
 def test_a_class_builds_its_pushout_once(monkeypatch):
@@ -245,7 +270,7 @@ def test_a_class_builds_its_pushout_once(monkeypatch):
     built, verdicts = [], iter([False])
     real = construction.pushout_module
     monkeypatch.setattr(construction, "pushout_module", lambda z: built.append(z) or real(z))
-    monkeypatch.setattr(construction, "is_projective", lambda M: next(verdicts, True))
+    monkeypatch.setattr(construction, "passes_restriction_screen", lambda classes: next(verdicts, True))
     ps = find_parameter_system(res, DiagonalTensor(A))
     assert ps.indices == (0, 2)
     assert len({id(z) for z in built}) == len(built) == 3  # each class once, not class 0 twice
@@ -376,6 +401,24 @@ def test_parameter_system_search_and_duplicate_failure(res2, two_vars):
     cls = ext_classes(res2, 2)
     bad = ParameterSystem((cls[0], cls[0]), (0, 0))
     assert not verify_parameter_system(bad, ctx)
+
+
+@pytest.mark.parametrize("coproduct", ["primitive", "shifted"])
+@pytest.mark.parametrize("char, exponents", [
+    (2, [2, 2]), (3, [3, 3]), (2, [2, 2, 2]),
+    pytest.param(3, [3, 3, 3], marks=pytest.mark.slow),  # 20 tensors of 19683 dimensions
+], ids=["F2-2-2", "F3-3-3", "F2-2-2-2", "F3-3-3-3"])
+def test_restriction_screen_rejects_exactly_the_tuples_whose_rank_fails(char, exponents, coproduct):
+    # the screen against the full rank of each tuple's tensor, every tuple of
+    # degree-2 basis classes that the parameter search could try
+    A = qci_algebra(FieldSpec(char), exponents, coproduct=coproduct)
+    classes = ext_classes(minimal_resolution(trivial_module(A), 3), 2)
+    ctx = DiagonalTensor(A, Budget(10**6, 10**12))
+    screened, ranked = [], []
+    for combo in itertools.combinations(classes, len(exponents)):
+        screened.append(passes_restriction_screen(combo))
+        ranked.append(algebra._free_by_rank(tensor_pushouts([z.pushout[0] for z in combo], ctx)))
+    assert screened == ranked and True in ranked and False in ranked
 
 
 def test_parameter_search_takes_one_class_per_generator():

@@ -308,6 +308,25 @@ def test_elimination_matches_reference(p, rref_reference):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
+def test_a_zero_matrix_is_its_own_rref(p, rref_reference, monkeypatch):
+    calls = []
+    real = smallhom.linalg._eliminate
+    monkeypatch.setattr(smallhom.linalg, "_eliminate", lambda m, q: calls.append(m.shape) or real(m, q))
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (4, 6), (6, 4)]
+    for a in [np.zeros(shape, dtype=np.int64) for shape in shapes] + [p * np.ones((3, 3), dtype=np.int64)]:
+        m = FpMatrix(p, a)
+        red, pivots = m.rref()
+        ref_red, ref_pivots = rref_reference(a.tolist(), a.shape[1], p)
+        assert red.shape == a.shape and red.a.tolist() == ref_red and list(pivots) == ref_pivots == []
+        assert m.kernel_basis() == FpMatrix.identity(p, a.shape[1]) and m.column_space().shape == (a.shape[0], 0)
+        assert m.rref()[0] is red
+    assert calls == []  # no elimination
+    m = FpMatrix(p, np.eye(2, dtype=np.int64))
+    m.rref()
+    assert calls == [(2, 2)]  # the spy does see a nonzero matrix eliminated
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
 def test_identity_row_conventions(p):
     """Kernel bases are the identity on the free rows, echelonized column
     bases on the pivot rows, and quotients depend only on the span."""
@@ -394,7 +413,7 @@ def test_peeled_rank_matches_rref(p, monkeypatch):
         rank = peeled.rank()
         assert peeled._rref is None and not calls  # no RREF and no dense elimination
         assert rank == len(FpMatrix(p, a).rref()[1])
-        assert calls == [a.shape]  # the rref only
+        assert calls == ([a.shape] if a.any() else [])  # the rref only; a zero matrix is its own
         calls.clear()
 
 
