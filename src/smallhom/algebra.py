@@ -36,8 +36,8 @@ from math import prod
 
 import numpy as np
 
-from .linalg import (FieldSpec, FpMatrix, _peeled_rank, echelon_pivots, hstack, kron_apply,
-                     kron_array, nonpivot_columns, quotient_by_subspace, read_coordinates)
+from .linalg import (FieldSpec, FpMatrix, _peeled_rank, echelon_pivots, hstack, is_echelonized,
+                     kron_apply, kron_array, nonpivot_columns, quotient_by_subspace, read_coordinates)
 
 
 class CertificationError(ValueError):
@@ -452,9 +452,11 @@ def submodule(M: Module, cols: FpMatrix) -> tuple[Module, ModuleMorphism]:
     """The submodule spanned by the given columns (must be action-stable).
 
     The basis is echelonized, so the action coordinates are read off its
-    pivot rows and re-checked by one product per generator.
+    pivot rows and re-checked by one product per generator.  Columns that
+    are already the echelonized basis (:func:`is_echelonized`), such as a
+    cover's kernel, are that basis as they are.
     """
-    basis = cols.column_space()
+    basis = cols if is_echelonized(cols) else cols.column_space()
     pivots = echelon_pivots(basis)
     acts = []
     for g in range(M.algebra.ngens):
@@ -517,7 +519,8 @@ def free_images_matrix(A: Algebra, target: Module, slot_images: FpMatrix) -> FpM
 
 @dataclass
 class Cover:
-    """A projective cover: free module, epimorphism and a basis of its kernel.
+    """A projective cover: free module, epimorphism and the echelonized basis
+    of its kernel.
 
     The kernel is built as a submodule of ``free``, with its stability
     check, on the first read of :attr:`kernel` or :attr:`kernel_incl`.
@@ -555,9 +558,10 @@ def projective_cover(M: Module) -> Cover:
     gens[tops, range(rank)] = 1
     free = free_module(A, rank)
     epi = ModuleMorphism(free, M, free_images_matrix(A, M, FpMatrix(A.p, gens)), check=False)
-    # the kernel eliminates epi once; the rank then reads its pivot count
-    ker_cols = epi.matrix.kernel_basis()
-    if epi.matrix.rank() != M.dim:
+    # one elimination gives the kernel echelonized, as the syzygy's basis,
+    # and the rank, its pivot count
+    ker_cols = epi.matrix.echelon_kernel()
+    if epi.matrix.cols - ker_cols.cols != M.dim:
         raise AssertionError("cover must be surjective")
     return Cover(rank, free, epi, ker_cols)
 

@@ -355,12 +355,28 @@ def build_class_complex(cls: CohomologyClass) -> ClassComplex:
 class ParameterSystem:
     """Basis classes (``indices`` into the degree's basis), each holding its
     pushout (:attr:`CohomologyClass.pushout`); :func:`verify_parameter_system`
-    sets ``tensor``, the tensor of the pushouts, and ``verified``."""
+    sets ``tensor``, the tensor of the pushouts, and ``verified``.  The
+    classes are any sequence, such as the lazy :class:`PickedClasses`."""
 
-    classes: tuple[CohomologyClass, ...]
+    classes: Sequence[CohomologyClass]
     indices: tuple[int, ...]
     verified: bool | None = None
     tensor: Module | None = None
+
+
+class PickedClasses(Sequence):
+    """The classes at ``indices`` of a basis (:class:`ExtClasses`), each
+    built on its first read, so a tuple refused after reading its first class
+    builds no other."""
+
+    def __init__(self, basis: ExtClasses, indices: tuple[int, ...]):
+        self.basis, self.indices = basis, indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i: int) -> CohomologyClass:
+        return self.basis[self.indices[i]]
 
 
 def tensor_pushouts(mods: list[Module], ctx) -> Module:
@@ -397,13 +413,17 @@ def verify_parameter_system(ps: ParameterSystem, ctx, screen: bool = False) -> b
     projective.  Keeps the tensor on ``ps``; each class keeps its pushout.
 
     The size of every product is checked against ``ctx``'s budget before
-    any is built.  With ``screen`` a tuple that fails
+    any is built, and before any class but the first is read: the classes
+    are of one degree, and every degree-n pushout has dimension ``dim T +
+    dim P_{n-1} - dim Omega^n`` (:func:`pushout_module` checks it), so the
+    first sizes them all.  With ``screen`` a tuple that fails
     :func:`passes_restriction_screen` is then rejected with no tensor and no
     rank.  The screen only rejects: a tuple that passes is verified by its
     full rank.
     """
+    first = ps.classes[0].pushout[0]
+    ctx.check_sizes("parameter search", [{0: first.dim}] * len(ps.classes))
     mods = [z.pushout[0] for z in ps.classes]
-    ctx.check_sizes("parameter search", [{0: K.dim} for K in mods])
     if screen and not passes_restriction_screen(ps.classes):
         ps.verified = False
         return False
@@ -418,10 +438,10 @@ def find_parameter_system(res: Resolution, ctx, degree: int = 2) -> ParameterSys
     generator count is the Krull dimension of the cohomology ring of these
     algebras, the number of parameters the construction needs.
 
-    A class is built when the first tuple that holds it is tried
-    (:class:`ExtClasses`); a class that no tried tuple holds is never built.
-    Each tuple is screened at factor size before its tensor is built
-    (:func:`verify_parameter_system`).
+    A class is built when the first tuple that holds it reads it
+    (:class:`PickedClasses`); a class that no tried tuple reads is never
+    built.  Each tuple is sized from its first class and screened at factor
+    size before its tensor is built (:func:`verify_parameter_system`).
     """
     if degree % 2 or degree < 2:
         raise ValueError("parameter degrees must be even and >= 2")
@@ -430,7 +450,7 @@ def find_parameter_system(res: Resolution, ctx, degree: int = 2) -> ParameterSys
     if len(classes) < count:
         raise ValueError(f"only {len(classes)} classes in degree {degree}, need {count}")
     for combo in itertools.combinations(range(len(classes)), count):
-        ps = ParameterSystem(tuple(classes[i] for i in combo), combo)
+        ps = ParameterSystem(PickedClasses(classes, combo), combo)
         if verify_parameter_system(ps, ctx, screen=True):
             return ps
     raise ValueError("no basis-class tuple verifies as a parameter system")

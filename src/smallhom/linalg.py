@@ -25,6 +25,10 @@ Conventions fixed here and relied on by every other module:
   is the identity on its pivot rows, and each column's pivot row is its
   first nonzero row (:func:`echelon_pivots`).  That reading holds for these
   bases only: a kernel basis column may be nonzero above its free row.
+* :meth:`FpMatrix.echelon_kernel` gives a kernel already echelonized, from
+  one elimination of the column-reversed matrix, and
+  :func:`is_echelonized` recognises such a basis, so a kernel that is to be
+  echelonized is eliminated once, not twice.
 
 Because of these identity rows, the coordinates of a vector in either kind
 of basis are not solved for: they are read off those rows
@@ -207,16 +211,23 @@ class FpMatrix:
         return FpMatrix._adopt(self.p, self.a.T, reduced=True)
 
     def power(self, e: int) -> "FpMatrix":
+        """``self`` to the power ``e >= 0`` by repeated squaring."""
         if self.rows != self.cols:
             raise ValueError("powers need a square matrix")
         if e < 0:
             raise ValueError(f"powers need an exponent >= 0, got {e}")
         if e == 0:
             return FpMatrix.identity(self.p, self.rows)
-        out = self
-        for _ in range(e - 1):
-            out = out @ self
-        return out
+        # repeated squaring: one product per bit of e below the top and one
+        # per set bit after the first, 7 rather than 22 at e = 23
+        out, square = None, self
+        while True:
+            if e & 1:
+                out = square if out is None else out @ square
+            e >>= 1
+            if not e:
+                return out
+            square = square @ square
 
     def take_columns(self, idx) -> "FpMatrix":
         return FpMatrix._adopt(self.p, self.a[:, list(idx)], reduced=True)
@@ -264,6 +275,23 @@ class FpMatrix:
         basis[free, range(len(free))] = 1
         basis[list(pivots)] = -red.a[: len(pivots), free]
         return FpMatrix._adopt(self.p, basis)
+
+    def echelon_kernel(self) -> "FpMatrix":
+        """The right null space as an echelonized column basis, equal to
+        ``kernel_basis().column_space()`` but from one elimination; the rank
+        is ``cols`` minus its column count.
+
+        That elimination is of the matrix with its columns reversed.  In
+        reversed order a kernel basis vector is 1 on its free column and
+        nonzero elsewhere only on pivot columns left of it (a reduced row
+        vanishes left of its pivot), and it vanishes on the other free
+        columns.  Reversed back, its free row is its first nonzero row, where
+        it is 1, and it vanishes on the other free rows: with the columns in
+        ascending order of those rows, that is the reduced echelon basis of
+        the span, which is unique.
+        """
+        flipped = FpMatrix._adopt(self.p, self.a[:, ::-1], reduced=True)
+        return FpMatrix._adopt(self.p, flipped.kernel_basis().a[::-1, ::-1].copy(), reduced=True)
 
     def column_space(self) -> "FpMatrix":
         """Echelonized basis of the column space, returned as columns."""
@@ -673,6 +701,17 @@ def echelon_pivots(basis: FpMatrix) -> list[int]:
     if not basis.a.size:
         return []
     return (basis.a != 0).argmax(axis=0).tolist()
+
+
+def is_echelonized(basis: FpMatrix) -> bool:
+    """Whether ``basis`` is the echelonized basis of its own span, as
+    :meth:`FpMatrix.column_space` would return it: its pivots
+    (:func:`echelon_pivots`) ascend strictly and it is the identity on them.
+    The reduced echelon form of a span is unique, so such a basis needs no
+    elimination."""
+    pivots = echelon_pivots(basis)
+    return (all(a < b for a, b in zip(pivots, pivots[1:]))
+            and np.array_equal(basis.a[pivots], np.eye(len(pivots), dtype=np.int64)))
 
 
 def read_coordinates(basis: FpMatrix, rows, v: FpMatrix) -> FpMatrix | None:

@@ -152,6 +152,23 @@ def test_projective_cover_cases(truncated):
     assert projective_cover(z).rank == 0
 
 
+def test_a_cover_kernel_is_echelonized_once(two_vars, monkeypatch):
+    # the cover's kernel comes echelonized from one elimination, and the
+    # syzygy is built on it as it is: no second elimination
+    res = minimal_resolution(trivial_module(two_vars), 2)
+    mods = [trivial_module(two_vars), regular_module(two_vars), res.omega(1).module, res.omega(2).module]
+    echelonized = []
+    real = FpMatrix.column_space
+    monkeypatch.setattr(FpMatrix, "column_space", lambda m: echelonized.append(m.shape) or real(m))
+    for M in mods:
+        cov = projective_cover(M)
+        reference = cov.epi.matrix.kernel_basis()
+        echelonized.clear()
+        assert cov.kernel_incl.matrix == real(reference)
+        assert echelonized == []
+        assert cov.kernel.dim == cov.free.dim - M.dim
+
+
 def test_minimal_resolution_betti(truncated, two_vars):
     assert minimal_resolution(trivial_module(truncated), 4).betti() == [1, 1, 1, 1, 1]
     assert minimal_resolution(trivial_module(two_vars), 3).betti() == [1, 2, 3, 4]

@@ -188,6 +188,32 @@ def test_budget_exit_code(capsys, monkeypatch, tensor_diagonal_calls, matmul_cal
     assert len(matmul_calls) < 1000
 
 
+BUDGET_EXIT_RUN = """
+import sys
+from smallhom import cli
+assert False, "reached only without -O"
+sys.exit(cli.main(["certify", "--mode", "chain", "--char", "3", "--exponents", "3 3 3", "--coproduct", "primitive"]))
+"""
+
+
+def test_budget_exit_is_the_same_under_optimize(run_optimized):
+    # the parameter search refuses a tuple by an exception, not an assert
+    run = run_optimized(BUDGET_EXIT_RUN)
+    assert run.returncode == 65
+    assert run.stdout == ""
+    assert run.stderr == "budget error: parameter search: tensor 729 x 27 = 19683 exceeds budget 4096\n"
+
+
+@pytest.mark.parametrize("cap, code", [(80, 65), (81, 0)])
+def test_parameter_search_budget_boundary(cap, code, capsys):
+    # the K-tensor of F_3 [3, 3] is 9 x 9 = 81: sized from the first pushout,
+    # refused one below that and built at it
+    args = ["certify", "--mode", "chain", "--char", "3", "--exponents", "3 3", "--coproduct", "primitive"]
+    assert run_cli(args + ["--budget-dim", str(cap)]) == code
+    err = capsys.readouterr().err
+    assert err == ("budget error: parameter search: tensor 9 x 9 = 81 exceeds budget 80\n" if code else "")
+
+
 @pytest.mark.parametrize("args", [
     ["--mode", "symbolic", "--rank", "8", "--char", "3", "--budget-dim", "-7"],
     ["--mode", "chain", "--char", "3", "--exponents", "3 3", "--coproduct", "primitive", "--budget-dim", "0"],

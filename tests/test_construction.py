@@ -421,6 +421,37 @@ def test_restriction_screen_rejects_exactly_the_tuples_whose_rank_fails(char, ex
     assert screened == ranked and True in ranked and False in ranked
 
 
+@pytest.mark.parametrize("char, exponents, coproduct, power", [
+    (3, [3, 3], "primitive", 1), (3, [3, 3], "shifted", 1), (2, [2, 2, 2], "primitive", 1),
+    (3, [3], "primitive", 2),
+], ids=["F3-3-3-primitive", "F3-3-3-shifted", "F2-2-2-2", "F3-3-power2"])
+def test_every_class_of_a_degree_gives_a_pushout_of_one_dimension(char, exponents, coproduct, power):
+    # verify_parameter_system sizes a tuple from its first pushout: every
+    # degree-n pushout is dim T + dim P_{n-1} - dim Omega^n, whatever the class
+    A = qci_algebra(FieldSpec(char), exponents, coproduct=coproduct)
+    n = 2 * power
+    res = minimal_resolution(trivial_module(A), n + 1)
+    classes = list(ext_classes(res, n))
+    if power > 1:
+        classes += [yoneda_power(z, power) for z in ext_classes(res, 2)]
+    assert len(classes) > 1
+    expected = res.module.dim + res.projectives[n - 1].dim - res.omega(n).module.dim
+    assert {z.pushout[0].dim for z in classes} == {expected}
+
+
+def test_a_refused_tuple_builds_its_first_class_only(monkeypatch):
+    # the budget refuses F_2 [2, 2, 2]'s first tuple from its first pushout
+    A = qci_algebra(FieldSpec(2), [2, 2, 2], coproduct="primitive")
+    res = minimal_resolution(trivial_module(A), 3)
+    built = []
+    real = construction.class_from_images
+    monkeypatch.setattr(construction, "class_from_images",
+                        lambda res, n, images: built.append(n) or real(res, n, images))
+    with pytest.raises(BudgetExceeded, match="parameter search: tensor 8 x 8 = 64 exceeds budget 63"):
+        find_parameter_system(res, DiagonalTensor(A, Budget(63)))
+    assert built == [2]
+
+
 def test_parameter_search_takes_one_class_per_generator():
     # the count is the generator count: three classes over three generators
     A = qci_algebra(FieldSpec(2), [2, 2, 2], coproduct="primitive")

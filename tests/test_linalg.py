@@ -16,6 +16,7 @@ from smallhom.linalg import (
     _peeled_rank,
     block,
     hstack,
+    is_echelonized,
     is_prime,
     kron_array,
     kron_apply,
@@ -134,6 +135,31 @@ def test_power_small_exponents():
         m.power(-1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 23])
+def test_power_by_squaring_matches_sequential_products(p):
+    rng = np.random.RandomState(p)
+    n = 5
+    nilpotent = np.triu(rng.randint(1, p, size=(n, n)), k=1)  # zero from the 5th power on
+    for a in (rng.randint(0, p, size=(n, n)), np.zeros((n, n)), nilpotent):
+        m = FpMatrix(p, a)
+        sequential = FpMatrix.identity(p, n)
+        for e in range(13):
+            assert m.power(e) == sequential, e
+            sequential = sequential @ m
+    assert FpMatrix(p, nilpotent).power(n).is_zero()
+
+
+def test_power_takes_one_product_per_bit(matmul_calls):
+    # e = 23 = 0b10111: four squarings and three products of set bits,
+    # where sequential products took 22
+    m = FpMatrix(23, np.random.RandomState(0).randint(0, 23, size=(4, 4)))
+    m.power(23)
+    assert len(matmul_calls) == 7
+    matmul_calls.clear()
+    m.power(1)
+    assert matmul_calls == []
+
+
 def test_kron_scalars_and_identities():
     two = FpMatrix(3, [[2]])
     assert two.kron(two) == FpMatrix(3, [[1]])
@@ -208,6 +234,40 @@ def test_column_space_is_echelonized_and_spans():
     cs = m.column_space()
     assert cs.cols == m.rank() == 1
     assert cs.solve(FpMatrix(3, [[1], [2], [0]])) is not None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_echelon_kernel_is_the_echelonized_kernel_basis(p, monkeypatch):
+    rng = np.random.RandomState(10 + p)
+    cases = _elimination_cases(p) + [rng.randint(0, p, size=rng.randint(1, 9, size=2)) for _ in range(40)]
+    eliminated = []
+    real = smallhom.linalg._eliminate
+    monkeypatch.setattr(smallhom.linalg, "_eliminate", lambda m, q: eliminated.append(m.shape) or real(m, q))
+    for a in cases:
+        m = FpMatrix(p, a)
+        eliminated.clear()
+        kernel = m.echelon_kernel()
+        assert len(eliminated) <= 1  # none for a zero matrix
+        reference = FpMatrix(p, a).kernel_basis().column_space()
+        assert kernel.shape == reference.shape and np.array_equal(kernel.a, reference.a)
+        assert m.cols - kernel.cols == FpMatrix(p, a).rank()
+        assert is_echelonized(kernel)
+        assert (m @ kernel).is_zero()
+
+
+def test_is_echelonized_recognises_column_space_bases_only():
+    p = 3
+    for a in _elimination_cases(p):
+        assert is_echelonized(FpMatrix(p, a).column_space())
+    # a kernel basis may be nonzero above its free row
+    kernel = FpMatrix(p, [[1, 1, 0]]).kernel_basis()
+    assert kernel.a.tolist() == [[2, 0], [1, 0], [0, 1]]
+    assert not is_echelonized(kernel)
+    assert not is_echelonized(FpMatrix(p, [[0, 1], [1, 0]]))  # pivots out of order
+    assert not is_echelonized(FpMatrix(p, [[2], [0]]))  # leading entry not 1
+    assert not is_echelonized(FpMatrix(p, [[1, 0], [0, 0]]))  # a zero column
+    assert not is_echelonized(FpMatrix(p, [[1, 1], [0, 1]]))  # not reduced
+    assert not is_echelonized(FpMatrix.zeros(p, 0, 2))
 
 
 def test_quotient_by_subspace_splitting():

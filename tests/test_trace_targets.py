@@ -91,11 +91,12 @@ def test_every_span_target_is_reached_on_its_home_workload(monkeypatch):
         assert unreached == [], workload
 
 
-def test_budget_exit_builds_the_classes_of_its_first_tuple_and_reaches_its_targets(monkeypatch):
+def test_budget_exit_builds_one_class_and_one_pushout_and_reaches_its_targets(monkeypatch):
     # the parameter search builds a class when a tuple reads it, and solves
     # one right inverse per syzygy degree for all of them; the first tuple of
-    # F_3 [3, 3, 3] trips the budget, so 3 of the 6 degree-2 classes are
-    # built, and the traced run must still reach the targets homed here
+    # F_3 [3, 3, 3] is sized from its first pushout and trips the budget, so
+    # 1 of the 6 degree-2 classes and 1 pushout are built, and the traced run
+    # must still reach the targets homed here
     from smallhom import cli, construction
     from smallhom.linalg import FpMatrix
 
@@ -105,14 +106,17 @@ def test_budget_exit_builds_the_classes_of_its_first_tuple_and_reaches_its_targe
     assert {attr for _, _, attr, _ in targets} == {
         "find_parameter_system", "verify_parameter_system", "Module.verify_relations", "Budget.check"}
     counts = _count_calls(monkeypatch, targets)
-    built, solved = [], []
+    built, solved, pushouts = [], [], []
     real_class, real_solve = construction.class_from_images, FpMatrix.solve
+    real_pushout = construction.pushout_module
     monkeypatch.setattr(construction, "class_from_images",
                         lambda res, n, images: built.append(n) or real_class(res, n, images))
+    monkeypatch.setattr(construction, "pushout_module", lambda z: pushouts.append(z) or real_pushout(z))
     monkeypatch.setattr(FpMatrix, "solve", lambda self, b: solved.append(self.shape) or real_solve(self, b))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(list(op.argv))
     assert code == workloads.load_golden()[op.id]["exit"] == 65
-    assert built == [2, 2, 2]
+    assert built == [2]
+    assert len(pushouts) == 1
     assert len(solved) <= len(set(built))
     assert [f"{name} ({attr})" for name, _, attr, _ in targets if not counts[name, attr]] == []
