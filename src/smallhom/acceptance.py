@@ -255,13 +255,16 @@ class ModulePieces:
     """The summands of the random modules over one algebra: the free modules
     of ranks 1 and 2 and the trivial module.
 
-    Built once and shared by every module drawn from them, so that
-    :func:`~smallhom.algebra.hom_space_basis` solves each pair of pieces once.
+    Built once and shared by every module drawn from them, as is the sum of
+    each ordered choice of pieces (``sums``, filled by :func:`random_module`),
+    so that :func:`~smallhom.algebra.hom_space_basis` solves each pair of
+    sums once and each sum assembles its action once.
     """
 
     algebra: Algebra
     free: tuple[Module, Module]
     trivial: Module
+    sums: dict[tuple[Module, ...], Module] = field(default_factory=dict, compare=False)
 
 
 def module_pieces(A: Algebra) -> ModulePieces:
@@ -269,14 +272,18 @@ def module_pieces(A: Algebra) -> ModulePieces:
 
 
 def random_module(pieces: ModulePieces, rng: random.Random) -> Module:
-    """A random direct sum of one or two pieces (always valid)."""
+    """A random direct sum of one or two pieces (always valid), the same
+    object for the same choice."""
     chosen = []
     for _ in range(rng.randint(1, 2)):
         if rng.random() < 0.5:
             chosen.append(pieces.free[rng.randint(1, 2) - 1])
         else:
             chosen.append(pieces.trivial)
-    return direct_sum_modules(chosen)
+    key = tuple(chosen)
+    if key not in pieces.sums:
+        pieces.sums[key] = direct_sum_modules(chosen)
+    return pieces.sums[key]
 
 
 def random_complex(pieces: ModulePieces, rng: random.Random, length: int = 3) -> ChainComplex:

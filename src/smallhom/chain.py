@@ -215,7 +215,8 @@ class HomologySpace:
     ``W`` reads the class of any cycle, and ``W (x Z)`` is the action of a
     generator ``x`` on homology.  A Kunneth record keeps ``W`` as
     :class:`~smallhom.linalg.KronBlocks`, so it is applied at factor size.
-    ``contract(record)`` gives the :attr:`contraction`.
+    ``contract(record)`` gives the :attr:`contraction`, and the first read
+    of :attr:`module` builds the induced module and checks its relations.
     """
 
     term: Module
@@ -251,12 +252,16 @@ class HomologySpace:
 
     @cached_property
     def module(self) -> Module:
-        """The homology module, its relations checked."""
+        """The homology module, built and its relations checked on the first read."""
         return Module(self.term.algebra, self.action(), check=True)
 
 
 def homology_space(C: ChainComplex, i: int) -> HomologySpace:
-    """Degree ``i`` homology as cycles modulo boundaries, with its module.
+    """Degree ``i`` homology as cycles modulo boundaries.
+
+    The checks that boundaries are cycles and that the cycles are stable
+    under the action run here; the induced module waits for its first read
+    (:attr:`HomologySpace.module`).
 
     ``Z`` is the section of the quotient by the boundaries' cycle
     coordinates, and ``W`` is the quotient map on the free rows of the kernel
@@ -289,7 +294,6 @@ def homology_space(C: ChainComplex, i: int) -> HomologySpace:
         return record.reps @ record.duals, up and _boundary_homotopy(d_out, up.matrix, Z @ W)
 
     hs = HomologySpace(obj, C.diffs.get(i), Z, W, contract)
-    hs.module  # built here, so that its relations are checked with the record
     C._hcache[i] = hs
     return hs
 

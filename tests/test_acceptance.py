@@ -10,8 +10,8 @@ import re
 import numpy as np
 import pytest
 
-from smallhom import acceptance
-from smallhom.algebra import hom_space_basis, qci_algebra
+from smallhom import acceptance, algebra
+from smallhom.algebra import direct_sum_modules, hom_space_basis, qci_algebra
 from smallhom.chain import ChainComplex
 from smallhom.linalg import FieldSpec, FpMatrix
 
@@ -146,6 +146,54 @@ def test_suite_complexes_match_the_dense_hom_spaces(seed, monkeypatch, hom_space
         assert sorted(C.diffs) == sorted(D.diffs)
         for i in C.diffs:
             assert np.array_equal(C.diffs[i].matrix.a, D.diffs[i].matrix.a), i
+
+
+def _fresh_random_module(pieces, rng):
+    """The draw of :func:`acceptance.random_module` with a new sum every time."""
+    chosen = []
+    for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.5:
+            chosen.append(pieces.free[rng.randint(1, 2) - 1])
+        else:
+            chosen.append(pieces.trivial)
+    return direct_sum_modules(chosen)
+
+
+def test_the_same_draw_returns_the_same_sum():
+    pieces = acceptance.module_pieces(qci_algebra(FieldSpec(3), [3]))
+    for seed in range(20):
+        M = acceptance.random_module(pieces, random.Random(seed))
+        assert acceptance.random_module(pieces, random.Random(seed)) is M
+    # one sum per ordered choice of one or two of the three pieces
+    assert len(pieces.sums) <= 3 + 3 * 3
+
+
+def test_memoized_sums_draw_like_fresh_ones():
+    pieces = acceptance.module_pieces(qci_algebra(FieldSpec(3), [2, 2], {(0, 1): -1}))
+    rng, reference = random.Random(11), random.Random(11)
+    for _ in range(200):
+        M, N = acceptance.random_module(pieces, rng), _fresh_random_module(pieces, reference)
+        assert M.summands == N.summands
+        assert all(x == y for x, y in zip(M.action, N.action, strict=True))
+    assert rng.getstate() == reference.getstate()
+
+
+def test_property_suite_solves_each_pair_of_sums_once(monkeypatch):
+    # keyed by the pieces a sum is made of, so a sum built afresh for a
+    # repeated draw counts as a repeat; the modules are held, so no id is reused
+    solved, held, real = [], [], algebra._solve_hom
+
+    def key(M):
+        return tuple(map(id, M.summands)) if M.summands is not None else id(M)
+
+    def counted(M, N):
+        held.append((M, N))
+        solved.append((key(M), key(N)))
+        return real(M, N)
+
+    monkeypatch.setattr(algebra, "_solve_hom", counted)
+    assert acceptance.criterion_property_suites(seed=0).passed
+    assert solved and len(set(solved)) == len(solved)
 
 
 def test_kernel_constrained_matches_per_element_reference(kernel_constrained_reference):

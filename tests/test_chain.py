@@ -17,6 +17,7 @@ from smallhom.algebra import (
     Budget,
     BudgetExceeded,
     DiagonalTensor,
+    Module,
     ModuleMorphism,
     hom_space_basis,
     qci_algebra,
@@ -115,6 +116,49 @@ def test_homology_induced_module_structure(algebra):
     h0 = homology_space(C, 0).module
     assert h0.dim == 2 and not h0.action[0].is_zero()
     assert h0.action[0].power(2).is_zero()
+
+
+@pytest.fixture
+def relation_checks(monkeypatch):
+    """Every module whose relations :meth:`Module.verify_relations` checks, in order."""
+    checked, real = [], Module.verify_relations
+    monkeypatch.setattr(Module, "verify_relations", lambda M: checked.append(M) or real(M))
+    return checked
+
+
+def test_homology_module_is_built_and_checked_on_its_first_read(algebra, relation_checks):
+    reg = regular_module(algebra)
+    d = ModuleMorphism(reg, reg, algebra.left_actions[0].power(2), check=True)
+    C = ChainComplex(algebra, {0: reg, 1: reg}, {1: d})
+    hs = [homology_space(C, i) for i in C.degrees()]
+    assert relation_checks == [] and all("module" not in h.__dict__ for h in hs)
+    h0 = hs[0].module
+    assert relation_checks == [h0] and h0.dim == 2
+    assert hs[0].module is h0 and relation_checks == [h0]
+
+
+def test_a_homology_module_that_is_read_still_fails_its_relations(algebra, monkeypatch):
+    reg = regular_module(algebra)
+    d = ModuleMorphism(reg, reg, algebra.left_actions[0].power(2), check=True)
+    C = ChainComplex(algebra, {0: reg, 1: reg}, {1: d})
+    hs = homology_space(C, 0)
+    # x + 1 on H_0 is invertible, so x^3 = 0 fails
+    real = chain.HomologySpace.action
+    monkeypatch.setattr(chain.HomologySpace, "action", lambda h: [x + FpMatrix.identity(x.p, x.rows) for x in real(h)])
+    with pytest.raises(CertificationError, match="violates x\\^3 = 0"):
+        hs.module
+
+
+def test_bimodule_run_checks_the_two_homology_modules_it_reads(relation_checks, monkeypatch, tmp_path):
+    records, real = [], construction.homology_space
+    monkeypatch.setattr(construction, "homology_space", lambda C, i: records.append(real(C, i)) or records[-1])
+    config = Path(__file__).resolve().parent.parent / "configs" / "bimodule-rank1.ini"
+    out = tmp_path / "bimodule-rank1.cert"
+    assert cli.main(["certify", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).resolve().parent / "data" / "bimodule-rank1.cert").read_bytes()
+    read = [h.__dict__["module"] for h in records if "module" in h.__dict__]
+    # H_0 and H_m, each checked once; no other degree builds a module
+    assert len(read) == 2 and [relation_checks.count(M) for M in read] == [1, 1]
 
 
 def test_class_of_rejects_a_non_cycle(two_term):

@@ -1,9 +1,10 @@
 """Certificates of the configuration templates and of the selftest, byte for byte.
 
 ``tests/data/<name>.cert`` is the certificate of ``configs/<name>.ini``,
-and ``tests/data/selftest-seed1.cert`` that of ``smallhom selftest --seed 1``
-(which carries no timings); a change that alters any byte of one must
-re-record it on purpose.
+and ``tests/data/selftest-seed<s>.cert`` that of ``smallhom selftest --seed
+<s>`` (which carries no timings) for seeds 0, 1 and 7, so the property
+suites' draws are pinned at three seeds; a change that alters any byte of
+one must re-record it on purpose.
 """
 
 from pathlib import Path
@@ -15,12 +16,13 @@ from smallhom import cli
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
 DATA = Path(__file__).resolve().parent / "data"
-SELFTEST = DATA / "selftest-seed1.cert"
+SELFTEST_SEEDS = (0, 1, 7)
+SELFTESTS = {DATA / f"selftest-seed{seed}.cert" for seed in SELFTEST_SEEDS}
 
 
 def test_every_template_has_a_recorded_certificate():
     assert CONFIGS
-    assert [c.stem for c in CONFIGS] == sorted(d.stem for d in DATA.glob("*.cert") if d != SELFTEST)
+    assert [c.stem for c in CONFIGS] == sorted(d.stem for d in DATA.glob("*.cert") if d not in SELFTESTS)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
@@ -30,7 +32,8 @@ def test_certificate_is_byte_identical(config, tmp_path):
     assert out.read_bytes() == (DATA / f"{config.stem}.cert").read_bytes()
 
 
-def test_selftest_certificate_is_byte_identical(tmp_path):
+@pytest.mark.parametrize("seed", SELFTEST_SEEDS)
+def test_selftest_certificate_is_byte_identical(seed, tmp_path):
     out = tmp_path / "selftest.cert"
-    assert cli.main(["selftest", "--seed", "1", "--out", str(out)]) == 0
-    assert out.read_bytes() == SELFTEST.read_bytes()
+    assert cli.main(["selftest", "--seed", str(seed), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"selftest-seed{seed}.cert").read_bytes()
