@@ -18,7 +18,7 @@ algebra map, which :class:`DiagonalTensor` proves on ``regular (x) regular``.
 A diagonal tensor stores no action matrices: it acts through its two factors
 (:meth:`Module.act`), as a free module of rank two or more acts through one
 regular module.  A tensor with a projective factor is flagged projective
-by an antipode that :class:`DiagonalTensor` also proves once; any other
+by an antipode that :class:`DiagonalTensor` proves with the coproduct; any other
 module that is not a sum is flagged from coordinate lists of its nonzeros
 (:func:`is_projective`): a stored action gives them directly, a tensor
 builds them from its factors'.
@@ -36,7 +36,7 @@ from math import prod
 
 import numpy as np
 
-from .linalg import (FieldSpec, FpMatrix, _peeled_rank, echelon_pivots, hstack, is_echelonized,
+from .linalg import (FieldSpec, FpMatrix, _factor_product, _peeled_rank, echelon_pivots, hstack, is_echelonized,
                      kron_apply, kron_array, nonpivot_columns, quotient_by_subspace, read_coordinates)
 
 
@@ -185,27 +185,26 @@ class Algebra:
         return Algebra(self.field, self.exponents, qop)
 
     def coproduct_terms(self, i: int):
-        """Terms ``(coeff, mono, mono)`` of the chosen coproduct on x_i."""
+        """Terms ``(c, u, v)`` of the chosen coproduct on x_i, meaning
+        ``c x_u (x) x_v``: ``u`` and ``v`` are generator indices, ``None``
+        being the unit.  Both coproducts have degree at most 1 in each factor."""
         if self.coproduct is None:
             raise ValueError("algebra carries no coproduct")
-        gen = tuple(1 if k == i else 0 for k in range(self.ngens))
-        one = (0,) * self.ngens
-        terms = [(1, gen, one), (1, one, gen)]
+        terms = [(1, i, None), (1, None, i)]
         if self.coproduct == "shifted":
-            terms.append((1, gen, gen))
+            terms.append((1, i, i))
         return terms
 
     def antipode_terms(self, i: int):
-        """Terms ``(coeff, mono)`` of the antipode on x_i: ``S(x) = -x`` for
-        the primitive coproduct; for the shifted one ``1 + t`` is grouplike,
-        so ``S(t) = (1 + t)^{-1} - 1 = sum_{k=1}^{a-1} (-t)^k``.
-        :meth:`DiagonalTensor._prove_antipode` checks them."""
+        """Terms ``(c, k)`` of the antipode on x_i, meaning ``c x_i^k``:
+        ``S(x) = -x`` for the primitive coproduct; for the shifted one
+        ``1 + t`` is grouplike, so ``S(t) = (1 + t)^{-1} - 1 = sum_{k=1}^{a-1}
+        (-t)^k``.  :meth:`DiagonalTensor._prove_antipode` checks them."""
         if self.coproduct is None:
             raise ValueError("algebra carries no coproduct")
-        gen = tuple(1 if k == i else 0 for k in range(self.ngens))
         if self.coproduct == "primitive":
-            return [(self.p - 1, gen)]
-        return [((-1) ** k % self.p, tuple(k * e for e in gen)) for k in range(1, self.exponents[i])]
+            return [(self.p - 1, 1)]
+        return [((-1) ** k % self.p, k) for k in range(1, self.exponents[i])]
 
     def describe(self) -> str:
         qs = ",".join(f"q{i + 1}{j + 1}={v}" for (i, j), v in sorted(self.q.items()))
@@ -264,7 +263,7 @@ class Module:
         # the one module of a sum of copies, such as a free module: it acts through that module
         self._copies = summands[0] if summands and all(S is summands[0] for S in summands) else None
         self._projective: bool | None = None
-        # the DiagonalTensor whose pair made this tensor: it proves the
+        # the DiagonalTensor whose pair made this tensor: it proved the
         # antipode that flags a tensor with a projective factor (is_projective)
         self.hopf: DiagonalTensor | None = None
 
@@ -287,20 +286,22 @@ class Module:
     def act(self, g: int, V: FpMatrix) -> FpMatrix:
         """Generator ``g`` on the columns of ``V``.
 
-        A diagonal tensor applies the terms ``c x^u (x) x^v`` of
+        A diagonal tensor applies the terms ``c x_u (x) x_v`` of
         ``Delta(x_g)`` one by one through the reshape identity
         (:func:`~smallhom.linalg.kron_apply`), each factor acting by its own
-        :meth:`act`, so a tensor of tensors stays unassembled too.  A sum of
-        ``r`` copies of one module ``S`` applies ``I_r (x) x_g`` the same way,
-        in one product of ``S``'s size.  Another sum with a tensor inside
-        acts summand by summand, skipping those where ``V`` is zero; any
-        other module acts by its (assembled) action.
+        :meth:`act` (the unit not at all), so a tensor of tensors stays
+        unassembled too.  A sum of ``r`` copies of one module ``S`` applies
+        ``I_r (x) x_g`` the same way, in one product of ``S``'s size.
+        Another sum with a tensor inside acts summand by summand, skipping
+        those where ``V`` is zero; any other module acts by its (assembled)
+        action.
         """
         if self.factors is not None:
             M, N = self.factors
             out = None
             for c, u, v in self.algebra.coproduct_terms(g):
-                term = c * kron_apply(V, (M.dim, N.dim), M._mono_map(u), N._mono_map(v)).a
+                maps = (None if w is None else functools.partial(X.act, w) for X, w in ((M, u), (N, v)))
+                term = c * kron_apply(V, (M.dim, N.dim), *maps).a
                 out = term if out is None else out + term
             return FpMatrix._adopt(self.algebra.p, out)
         if self._copies is not None:
@@ -314,18 +315,6 @@ class Module:
             if block.any():  # a summand where V vanishes is skipped
                 out[off : off + S.dim] = S.act(g, FpMatrix._adopt(V.p, block, reduced=True)).a
         return FpMatrix._adopt(V.p, out, reduced=True)
-
-    def _mono_map(self, mono):
-        """``x^mono`` as a map on columns through :meth:`act`; ``None`` for the unit."""
-        gens = [i for i in reversed(range(len(mono))) for _ in range(mono[i])]
-        if not gens:
-            return None
-
-        def apply(V: FpMatrix) -> FpMatrix:
-            for i in gens:  # x^mono = x_1^{e_1} ... x_c^{e_c}: the last generator acts first
-                V = self.act(i, V)
-            return V
-        return apply
 
     def verify_relations(self) -> None:
         A = self.algebra
@@ -575,14 +564,14 @@ def is_projective(M: Module) -> bool:
       projective factor is projective: ``P (x) X`` is whenever ``P`` is, in
       the finite tensor category of modules over a Hopf algebra (Etingof,
       Gelaki, Nikshych and Ostrik, *Tensor Categories*, AMS 2015, Section
-      4.2).  The pair's context proves the antipode once;
+      4.2).  The pair's context proved the antipode before it made the
+      tensor, so this reads flags only;
     * any other module by :func:`_free_by_rank`.
     """
     if M._projective is None:
         if M.summands is not None:
             M._projective = all(is_projective(S) for S in M.summands)
         elif M.hopf is not None and any(is_projective(F) for F in M.factors):
-            M.hopf.prove_antipode()
             M._projective = True
         else:
             M._projective = _free_by_rank(M)
@@ -592,14 +581,14 @@ def is_projective(M: Module) -> bool:
 def _free_by_rank(M: Module) -> bool:
     """``dim A * dim(M / rad M) = dim M``, with ``rad M`` the span of the
     generator images: the radical stack ``[x_1 | ... | x_c]`` is ranked by
-    :func:`_peeled_rank` from the coordinate lists of :func:`_mono_coords`.
+    :func:`_peeled_rank` from the coordinate lists of :func:`_gen_coords`.
     Their coordinates may repeat and their values may vanish mod p, which
     the rank allows, so they go in as they are.  The stack is never dense.
     """
     A = M.algebra
     rad_rank = 0
     if A.ngens:
-        gens = [_mono_coords(M, tuple(int(k == g) for k in range(A.ngens))) for g in range(A.ngens)]
+        gens = [_gen_coords(M, g) for g in range(A.ngens)]
         rows, cols, vals = (np.concatenate(x) for x in zip(*gens))
         cols += np.repeat(np.arange(A.ngens) * M.dim, [r.size for r, _, _ in gens])
         rad_rank = _peeled_rank((M.dim, A.ngens * M.dim), rows, cols, vals, A.p)
@@ -616,40 +605,37 @@ def free_restrictions(M: Module) -> frozenset[int]:
     return frozenset(k for k, x in enumerate(M.action) if x.rank() * exps[k] == M.dim * (exps[k] - 1))
 
 
-def _mono_coords(M: Module, mono) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``x^mono`` on ``M`` as coordinate lists ``(rows, cols, values)``, in
-    which a coordinate may repeat (values add up); a recorded module's
-    action is never assembled for them.
+def _gen_coords(M: Module, g: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Generator ``x_g`` on ``M``, the unit for ``None``, as coordinate
+    lists ``(rows, cols, values)``, in which a coordinate may repeat (values
+    add up); a recorded module's action is never assembled for them.
 
-    A module with a stored action reads a generator off it and forms a
-    longer monomial by :meth:`Module._mono_map`.  A sum places its summands'
-    lists at their offsets.  A diagonal tensor pairs its factors' lists term
-    by term of ``Delta(x_g)``: entries at ``(r, c)`` of ``L`` and
-    ``(r', c')`` of ``R`` give the entry of ``L (x) R`` at
+    A module with a stored action reads the generator off it.  A sum places
+    its summands' lists at their offsets.  A diagonal tensor pairs its
+    factors' lists term by term of ``Delta(x_g)``: entries at ``(r, c)`` of
+    ``L`` and ``(r', c')`` of ``R`` give the entry of ``L (x) R`` at
     ``(r * dim R + r', c * dim R + c')``, and a factor that is itself a
     tensor or a sum gives its lists the same way.
     """
-    p = M.algebra.p
-    if not any(mono):
+    if g is None:
         idx = np.arange(M.dim)
         return idx, idx, np.ones(M.dim, dtype=np.int64)
     if M.summands is not None:
         parts = []
         for S, off in _summand_offsets(M):
-            r, c, v = _mono_coords(S, mono)
+            r, c, v = _gen_coords(S, g)
             parts.append((r + off, c + off, v))
         return tuple(np.concatenate(x) for x in zip(*parts))
     if M.factors is None:
-        a = M.action[mono.index(1)].a if sum(mono) == 1 else M._mono_map(mono)(FpMatrix.identity(p, M.dim)).a
+        a = M.action[g].a
         r, c = a.nonzero()
         return r, c, a[r, c]
-    if sum(mono) != 1:
-        raise ValueError("a diagonal tensor gives coordinate lists of its generators only")
+    p = M.algebra.p
     L, R = M.factors
     parts = []
-    for coeff, u, v in M.algebra.coproduct_terms(mono.index(1)):
-        lr, lc, lv = _mono_coords(L, u)
-        rr, rc, rv = _mono_coords(R, v)
+    for coeff, u, v in M.algebra.coproduct_terms(g):
+        lr, lc, lv = _gen_coords(L, u)
+        rr, rc, rv = _gen_coords(R, v)
         parts.append(((lr[:, None] * R.dim + rr).ravel(), (lc[:, None] * R.dim + rc).ravel(),
                       (coeff * lv[:, None] % p * rv).ravel() % p))
     return tuple(np.concatenate(x) for x in zip(*parts))
@@ -888,9 +874,9 @@ class DiagonalTensor:
     """Tensor over the ground field with the diagonal (coproduct) action.
 
     The first :meth:`pair` proves that the coproduct is an algebra map, which
-    gives every diagonal tensor over the algebra its relations.  The first
-    :func:`is_projective` that reads a tensor's flag off a projective factor
-    proves the antipode (:meth:`prove_antipode`).
+    gives every diagonal tensor over the algebra its relations, and that the
+    antipode is one, which flags a tensor with a projective factor
+    (:func:`is_projective`).
     """
 
     def __init__(self, algebra: Algebra, budget: Budget | None = None):
@@ -898,8 +884,7 @@ class DiagonalTensor:
             raise ValueError("diagonal tensor needs a coproduct")
         self.algebra = algebra
         self.budget = budget or Budget()
-        self._coproduct_proved = False
-        self._antipode_proved = False
+        self._proved = False
         # the tensor of each factor pair while it lives; it holds its factors,
         # so their ids stay theirs while the entry does
         self._pairs: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -928,13 +913,6 @@ class DiagonalTensor:
             for j in range(i + 1, A.ngens):
                 if T.act(j, xv[i]) != T.act(i, xv[j]).scale(A.commutator(i, j)):
                     raise CertificationError(f"the coproduct violates the commutation of {i},{j}")
-        self._coproduct_proved = True
-
-    def prove_antipode(self) -> None:
-        """:meth:`_prove_antipode`, once per context."""
-        if not self._antipode_proved:
-            self._prove_antipode()
-            self._antipode_proved = True
 
     def _prove_antipode(self) -> None:
         """Check that ``S`` of :meth:`Algebra.antipode_terms` is an antipode.
@@ -946,29 +924,29 @@ class DiagonalTensor:
         ``m(S (x) 1)Delta(a) = eps(a) = m(1 (x) S)Delta(a)`` then form a
         subalgebra, so checking both on the generators, where ``eps`` is zero,
         proves them on A.  An element is checked as its action on the regular
-        module, which is faithful: a matrix of size dim A.
+        module, which is faithful: a matrix of size dim A.  ``S(x_i)`` sums
+        powers of ``x_i``'s matrix, and each term of ``Delta(x_i)`` is a
+        product of at most two generator matrices.
         """
         A = self.algebra
-        one = FpMatrix.identity(A.p, A.dim)
-        powers: dict[tuple, FpMatrix] = {(0,) * A.ngens: one}
+        X = dict(enumerate(A.left_actions))
 
-        def x(u) -> FpMatrix:  # x^u = x_i x^{u - e_i}, x_i its first generator
-            if u not in powers:
-                i = next(k for k, e in enumerate(u) if e)
-                powers[u] = A.left_actions[i] @ x(u[:i] + (u[i] - 1,) + u[i + 1 :])
-            return powers[u]
-
-        def total(terms) -> FpMatrix:  # sum of c * m over (c, m), in one array wrapped once
+        def total(terms) -> FpMatrix:  # sum of c * m over (c, m), None the unit, in one array wrapped once
             acc = np.zeros((A.dim, A.dim), dtype=np.int64)
             for c, m in terms:  # at most max(a_i - 1, 3) terms, each entry below p^2 <= 2^40
-                acc += (c % A.p) * m.a
+                acc += (c % A.p) * (np.eye(A.dim, dtype=np.int64) if m is None else m.a)
             return FpMatrix._adopt(A.p, acc)
 
-        S = [total((c, x(u)) for c, u in A.antipode_terms(i)) for i in range(A.ngens)]
+        S = {}
+        for i in range(A.ngens):
+            terms = A.antipode_terms(i)
+            powers = [None, X[i]]  # x_i^k at index k, None the unit
+            while len(powers) <= max(k for _, k in terms):
+                powers.append(X[i] @ powers[-1])
+            S[i] = total((c, powers[k]) for c, k in terms)
 
-        def s(u) -> FpMatrix:  # S(x^u) = S(x_c)^{u_c} ... S(x_1)^{u_1}
-            factors = (S[i].power(u[i]) for i in reversed(range(A.ngens)) if u[i])
-            return functools.reduce(FpMatrix.__matmul__, factors, one)
+        def convolve(left, right, terms) -> FpMatrix:  # sum of c left[u] right[v], None the unit
+            return total((c, _factor_product(left.get(u), right.get(v))) for c, u, v in terms)
 
         for i in range(A.ngens):
             if not S[i].power(A.exponents[i]).is_zero():
@@ -977,29 +955,8 @@ class DiagonalTensor:
                 if S[i] @ S[j] != (S[j] @ S[i]).scale(A.commutator(i, j)):
                     raise CertificationError(f"the antipode violates the commutation of {i},{j}")
             terms = A.coproduct_terms(i)
-            if not (total((c, s(u) @ x(v)) for c, u, v in terms).is_zero()
-                    and total((c, x(u) @ s(v)) for c, u, v in terms).is_zero()):
+            if not (convolve(S, X, terms).is_zero() and convolve(X, S, terms).is_zero()):
                 raise CertificationError(f"the antipode violates m(S (x) 1)Delta(x_{i}) = 0 = m(1 (x) S)Delta(x_{i})")
-
-    def check_sizes(self, stage: str, factor_dims: list[dict[int, int]]) -> None:
-        """Check the budget for every pair of a left-associated tensor
-        before any of them is built.
-
-        ``factor_dims`` holds the graded dimensions of the factors, one dict
-        per factor (a module is ``{0: dim}``).  Pairs are visited in the
-        order :meth:`pair` sees them (by total degree, then left degree) and
-        each stage's terms sum into degree ``s + t`` as
-        :func:`~smallhom.chain.tensor_pair` assembles them.  Under the
-        diagonal coproduct ``dim(M (x) N) = dim M * dim N``, so this raises
-        exactly when a later ``pair`` call would.
-        """
-        acc = factor_dims[0]
-        for nxt in factor_dims[1:]:
-            terms: dict[int, int] = {}
-            for s, t in sorted(itertools.product(acc, nxt), key=lambda st: (st[0] + st[1], st[0])):
-                self.budget.check(acc[s] * nxt[t], stage, (acc[s], nxt[t]))
-                terms[s + t] = terms.get(s + t, 0) + acc[s] * nxt[t]
-            acc = terms
 
     def pair(self, M: Module, N: Module) -> Module:
         """``M (x) N``, one module per pair of factor objects: a pair asked
@@ -1007,11 +964,14 @@ class DiagonalTensor:
         the tensor tower's top term gets the parameter search's tensor.  A
         sum of one module is that module here (same basis, same action), so
         at rank 3 the tower's top term, ``(K_1 (x) K_2) (x) K_3`` with its
-        left factor a one-summand tower term, is the search's tensor too."""
+        left factor a one-summand tower term, is the search's tensor too.
+        The first call proves the coproduct and the antipode."""
         M, N = (X.summands[0] if X.summands is not None and len(X.summands) == 1 else X for X in (M, N))
         self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))
-        if not self._coproduct_proved:
+        if not self._proved:
             self._prove_coproduct()
+            self._prove_antipode()
+            self._proved = True
         T = self._pairs.get((id(M), id(N)))
         if T is None:
             T = self._pairs[id(M), id(N)] = tensor_diagonal(M, N)

@@ -49,6 +49,7 @@ cone matrix is assembled.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Callable
@@ -554,39 +555,56 @@ class TensorPair:
     layout: dict[int, list[SummandSlot]]
 
 
+def tensor_layout(left_dims: dict[int, int], right_dims: dict[int, int]) -> dict[int, list[SummandSlot]]:
+    """The summand slots of the tensor of two complexes with these graded
+    dimensions, in the order :func:`tensor_pair` builds them: by total
+    degree, then left degree.  Under the diagonal coproduct ``dim(M (x) N)
+    = dim M * dim N``, so the layout needs no module."""
+    layout: dict[int, list[SummandSlot]] = {}
+    for s, t in sorted(itertools.product(left_dims, right_dims), key=lambda st: (st[0] + st[1], st[0])):
+        layout.setdefault(s + t, []).append(SummandSlot(s, t, left_dims[s] * right_dims[t]))
+    return layout
+
+
+def check_tensor_sizes(ctx, stage: str, factor_dims: list[dict[int, int]]) -> None:
+    """Check ``ctx``'s budget for every pair of a left-associated tensor
+    before any of them is built.
+
+    ``factor_dims`` holds the graded dimensions of the factors, one dict
+    per factor (a module is ``{0: dim}``).  Each stage's slots come from
+    :func:`tensor_layout`, visited in build order, and sum into the next
+    stage's left factor, so this raises exactly when a later
+    :meth:`~smallhom.algebra.DiagonalTensor.pair` call would.
+    """
+    acc = factor_dims[0]
+    for nxt in factor_dims[1:]:
+        layout = tensor_layout(acc, nxt)
+        for slots in layout.values():
+            for sl in slots:
+                ctx.budget.check(sl.dim, stage, (acc[sl.left_degree], nxt[sl.right_degree]))
+        acc = {n: sum(sl.dim for sl in slots) for n, slots in layout.items()}
+
+
 def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:
     """Kunneth-style double complex totalization with Koszul signs.
 
     ``ctx`` is a :class:`~smallhom.algebra.DiagonalTensor`, whose products
-    are Kronecker products, so maps between summands are too.  The
-    differential ``d (x) 1 + (-1)^s 1 (x) d`` is the left lift of ``d_{C1}``
-    plus the right lift of ``d_{C2}``, each a map of shift -1, so it is
-    recorded by :func:`_slot_blocks` as Kronecker terms like any lifted map,
-    and ``d . d = 0`` is checked on those blocks.
+    are Kronecker products, so maps between summands are too.  Each term is
+    the sum of its :func:`tensor_layout` slots.  The differential ``d (x) 1
+    + (-1)^s 1 (x) d`` is the left lift of ``d_{C1}`` plus the right lift of
+    ``d_{C2}``, each a map of shift -1, so it is recorded by
+    :func:`_slot_blocks` as Kronecker terms like any lifted map, and
+    ``d . d = 0`` is checked on those blocks.
     """
-    layout: dict[int, list[SummandSlot]] = {}
-    objects: dict[int, Module] = {}
-    for n in range(C1.lo + C2.lo, C1.hi + C2.hi + 1):
-        slots = []
-        mods = []
-        for s in C1.degrees():
-            t = n - s
-            if t not in C2.objects:
-                continue
-            mod = ctx.pair(C1.objects[s], C2.objects[t])
-            if mod.dim == 0:
-                continue
-            slots.append(SummandSlot(s, t, mod.dim))
-            mods.append(mod)
-        if slots:
-            layout[n] = slots
-            objects[n] = direct_sum_modules(mods)
+    layout = tensor_layout(C1.dims(), C2.dims())
+    objects = {n: direct_sum_modules([ctx.pair(C1.objects[sl.left_degree], C2.objects[sl.right_degree])
+                                      for sl in slots])
+               for n, slots in layout.items()}
     blocks = _slot_blocks(C1, C2, layout, -1,
                           {s: d.matrix for s, d in C1.diffs.items()},
                           {t: d.matrix for t, d in C2.diffs.items()})
     diffs = {n: BlockMorphism(objects[n], objects[n - 1], kb) for n, kb in blocks.items()}
-    algebra = next(iter(objects.values())).algebra if objects else C1.algebra
-    cx = ChainComplex(algebra, objects, diffs, check=True)
+    cx = ChainComplex(C1.algebra, objects, diffs, check=True)
     return TensorPair(C1, C2, cx, layout)
 
 
@@ -681,11 +699,11 @@ def tensor_tower(factors: list[ChainComplex], ctx) -> TensorTower:
 
     ``ctx`` is a :class:`~smallhom.algebra.DiagonalTensor`: the size of
     every summand of every stage is checked against its budget before the
-    first one is built.
+    first one is built (:func:`check_tensor_sizes`).
     """
     if not factors:
         raise ValueError("need at least one factor")
-    ctx.check_sizes("tensor tower", [C.dims() for C in factors])
+    check_tensor_sizes(ctx, "tensor tower", [C.dims() for C in factors])
     pairs = []
     acc = factors[0]
     for nxt in factors[1:]:

@@ -94,6 +94,8 @@ class RunConfig:
         # options a route does not read must not be echoed into its certificate
         if self.power != 1 and (self.mode == "symbolic" or self.variant == "bimodule"):
             raise UsageError("a power other than 1 needs the module variant in chain or crosscheck mode")
+        if self.variant == "bimodule" and self.coproduct:
+            raise UsageError("the bimodule variant takes no coproduct")
         if self.mode == "symbolic" and (self.exponents or self.coproduct):
             raise UsageError("symbolic mode takes no exponents or coproduct")
         if self.mode == "symbolic" and self.budget != Budget():

@@ -63,6 +63,7 @@ from .chain import (
     ChainMap,
     TensorTower,
     certify_classes,
+    check_tensor_sizes,
     compose_shifted,
     cone_homology_dims,
     homology_space,
@@ -422,7 +423,7 @@ def verify_parameter_system(ps: ParameterSystem, ctx, screen: bool = False) -> b
     full rank.
     """
     first = ps.classes[0].pushout[0]
-    ctx.check_sizes("parameter search", [{0: first.dim}] * len(ps.classes))
+    check_tensor_sizes(ctx, "parameter search", [{0: first.dim}] * len(ps.classes))
     mods = [z.pushout[0] for z in ps.classes]
     if screen and not passes_restriction_screen(ps.classes):
         ps.verified = False

@@ -200,7 +200,10 @@ def _eager_sum_action(mods) -> list:
 def _eager_tensor_action(M, N) -> list:
     """``x_i`` on ``M (x) N`` as the sum of ``np.kron`` over the coproduct terms of ``x_i``."""
     A = M.algebra
-    return [sum(c * np.kron(_mono_action(M, u), _mono_action(N, v)) for c, u, v in A.coproduct_terms(i)) % A.p
+
+    def gen(X, w):  # x_w on X, the identity for the unit (None)
+        return _mono_action(X, tuple(int(k == w) for k in range(A.ngens)))
+    return [sum(c * np.kron(gen(M, u), gen(N, v)) for c, u, v in A.coproduct_terms(i)) % A.p
             for i in range(A.ngens)]
 
 

@@ -16,7 +16,7 @@ from smallhom.algebra import (
     DiagonalTensor,
     Module,
     ModuleMorphism,
-    _mono_coords,
+    _gen_coords,
     direct_sum_modules,
     enveloping,
     free_images_matrix,
@@ -319,23 +319,6 @@ def test_coproduct_proof_budget_error_names_its_stage(truncated):
     assert (err.value.stage, err.value.factors) == ("coproduct proof", (3, 3))
 
 
-def test_check_sizes_walks_pairs_in_build_order(truncated):
-    ctx = DiagonalTensor(truncated, Budget(max_dim=15))
-    # (0, 0) = 2 x 10 comes before (1, 0) = 10 x 10 however the dict is ordered
-    with pytest.raises(BudgetExceeded, match=r"^stage: tensor 2 x 10 = 20 exceeds budget 15$") as err:
-        ctx.check_sizes("stage", [{1: 10, 0: 2}, {0: 10}])
-    assert (err.value.stage, err.value.factors, err.value.dim) == ("stage", (2, 10), 20)
-    # a module is {0: dim}; the third factor meets the summed degree-0 term
-    ctx.check_sizes("stage", [{0: 3}, {0: 5}])
-    with pytest.raises(BudgetExceeded, match=r"tensor 15 x 3 = 45"):
-        ctx.check_sizes("stage", [{0: 3}, {0: 5}, {0: 3}])
-    # graded terms sum into degree s + t: {0:1, 1:2} (x) {0:1, 1:2} has 4 in degree 1
-    DiagonalTensor(truncated, Budget(max_dim=8)).check_sizes("stage", [{0: 1, 1: 2}] * 3)
-    with pytest.raises(BudgetExceeded, match=r"tensor 4 x 2 = 8 exceeds budget 7"):
-        DiagonalTensor(truncated, Budget(max_dim=7)).check_sizes("stage", [{0: 1, 1: 2}] * 3)
-    ctx.check_sizes("stage", [{0: 1000}])  # one factor: no pair to check
-
-
 def test_hom_space_basis_counts(truncated):
     k = trivial_module(truncated)
     reg = regular_module(truncated)
@@ -568,12 +551,13 @@ def test_mono_images_match_product_chain(mono_action_reference):
         for k, mono in enumerate(A.basis):
             want = mono_action_reference(M, mono)
             assert np.array_equal(acts[:, :, k], want)
-            # the coordinate lists of a leaf: a generator off its action, a
-            # longer monomial through _mono_map
-            rows, cols, vals = _mono_coords(M, mono)
-            got = np.zeros((M.dim, M.dim), dtype=np.int64)
-            np.add.at(got, (rows, cols), vals)
-            assert np.array_equal(got % A.p, want)
+            # the coordinate lists of a leaf: a generator off its action, the unit
+            # as the identity
+            if sum(mono) <= 1:
+                rows, cols, vals = _gen_coords(M, mono.index(1) if any(mono) else None)
+                got = np.zeros((M.dim, M.dim), dtype=np.int64)
+                np.add.at(got, (rows, cols), vals)
+                assert np.array_equal(got % A.p, want)
 
 
 @pytest.mark.parametrize("rank", [0, 1, 4])
@@ -662,18 +646,15 @@ def test_diagonal_tensor_builds_one_module_per_factor_pair(truncated, tensor_dia
 
 
 PROOF_CASES = {
-    # x -> x(x)1 + 1(x)x + x^2(x)x + 1(x)1 over F_5: the proof applies the
-    # square through the factor's act, and x^5 acts as the identity
-    "square-and-unit": ("real = Algebra.coproduct_terms\n"
-                        "def wrong(A, i):\n"
-                        "    mono = lambda e: tuple(e if k == i else 0 for k in range(A.ngens))\n"
-                        "    return real(A, i) + [(1, mono(2), mono(1)), (1, mono(0), mono(0))]\n"
-                        "Algebra.coproduct_terms = wrong\n"
-                        "A = qci_algebra(FieldSpec(5), [5, 5], coproduct='primitive')\n",
-                        "the coproduct violates x_0^5 = 0"),
+    # x -> x(x)1 + 1(x)x + x(x)x + 1(x)1 = (1 + x)(x)(1 + x) over F_5: the
+    # proof applies x(x)x through both factors' act, and x^5 acts as the identity
+    "grouplike": ("real = Algebra.coproduct_terms\n"
+                  "Algebra.coproduct_terms = lambda A, i: real(A, i) + [(1, i, i), (1, None, None)]\n"
+                  "A = qci_algebra(FieldSpec(5), [5, 5], coproduct='primitive')\n",
+                  "the coproduct violates x_0^5 = 0"),
     # x -> x(x)1 + 1(x)x + 1(x)1 is no algebra map: x^3 acts as the identity
     "unit-term": ("real = Algebra.coproduct_terms\n"
-                  "Algebra.coproduct_terms = lambda A, i: real(A, i) + [(1, (0,) * A.ngens, (0,) * A.ngens)]\n"
+                  "Algebra.coproduct_terms = lambda A, i: real(A, i) + [(1, None, None)]\n"
                   "A = qci_algebra(FieldSpec(3), [3, 3], coproduct='primitive')\n",
                   "the coproduct violates x_0^3 = 0"),
     # (x(x)1 + 1(x)x)^2 = 2 x(x)x over F_3, past the constructor's guard
@@ -701,7 +682,7 @@ except CertificationError as exc:
 @pytest.mark.parametrize("case", sorted(PROOF_CASES))
 def test_coproduct_proof_fails_at_the_first_pair(case, monkeypatch, run_optimized):
     setup, message = PROOF_CASES[case]
-    # the unit-term case replaces Algebra.coproduct_terms; monkeypatch restores it
+    # the grouplike and unit-term cases replace Algebra.coproduct_terms; monkeypatch restores it
     monkeypatch.setattr(Algebra, "coproduct_terms", Algebra.coproduct_terms)
     scope = {"Algebra": Algebra, "FieldSpec": FieldSpec, "qci_algebra": qci_algebra}
     exec(setup, scope)
@@ -775,7 +756,7 @@ def test_a_projective_factor_flags_a_pair_by_the_antipode(p, exps, coproduct, pr
     syz = projective_cover(k).kernel
     inner = ctx.pair(syz, free)  # a tensor with a free factor, as a factor
     pairs = [ctx.pair(M, N) for M, N in [(free, syz), (syz, reg), (inner, k), (k, direct_sum_modules([reg, free]))]]
-    assert proofs == []  # the proof waits for the first flag read off a factor
+    assert proofs == [ctx]  # the first pair proves the antipode
     assert all(is_projective(T) for T in pairs) and proofs == [ctx]
     assert not [M for M in ranked if M.factors is not None]  # no tensor ranked
     assert all(projective_reference(T) for T in pairs)
@@ -808,7 +789,7 @@ sys.exit(cli.main(["certify", "--mode", "chain", "--char", "3", "--exponents", "
 
 ANTIPODE_CASES = {
     # S(x) = x: m(S (x) 1)Delta(x) = 2x over F_3
-    "identity": ("Algebra.antipode_terms = lambda A, i: [(1, tuple(int(k == i) for k in range(A.ngens)))]\n",
+    "identity": ("Algebra.antipode_terms = lambda A, i: [(1, 1)]\n",
                  "primitive", "the antipode violates m(S (x) 1)Delta(x_0) = 0 = m(1 (x) S)Delta(x_0)"),
     # S(t) = -t, the primitive antipode, misses the t^2 term the shifted one needs
     "first-term": ("real = Algebra.antipode_terms\nAlgebra.antipode_terms = lambda A, i: real(A, i)[:1]\n",

@@ -28,6 +28,7 @@ from smallhom.chain import (
     ChainComplex,
     ChainMap,
     certify_classes,
+    check_tensor_sizes,
     compose_shifted,
     cone_homology_dims,
     euler_characteristic,
@@ -39,6 +40,7 @@ from smallhom.chain import (
     mapping_cone,
     projectivity_flags,
     shift_complex,
+    tensor_layout,
     tensor_pair,
     tensor_tower,
 )
@@ -384,6 +386,35 @@ def test_tower_checks_every_stage_before_building(two_term, algebra, tensor_diag
     assert tensor_diagonal_calls == [(3, 3), (3, 3), (9, 3), (18, 3)]
 
 
+def test_tensor_layout_is_the_build_order_of_tensor_pair(two_term, algebra):
+    # by total degree, then left degree, whatever order the dicts are in
+    layout = tensor_layout({1: 5, 0: 2}, {2: 3, 0: 7})
+    assert {n: [(sl.left_degree, sl.right_degree, sl.dim) for sl in slots] for n, slots in layout.items()} \
+        == {0: [(0, 0, 14)], 1: [(1, 0, 35)], 2: [(0, 2, 6)], 3: [(1, 2, 15)]}
+    assert list(layout) == [0, 1, 2, 3]
+    tp = tensor_pair(two_term, two_term, DiagonalTensor(algebra))
+    assert tp.layout == tensor_layout(two_term.dims(), two_term.dims())
+    assert {n: [S.dim for S in M.summands] for n, M in tp.complex.objects.items()} \
+        == {n: [sl.dim for sl in slots] for n, slots in tp.layout.items()}
+
+
+def test_check_tensor_sizes_walks_pairs_in_build_order(algebra):
+    ctx = DiagonalTensor(algebra, Budget(max_dim=15))
+    # (0, 0) = 2 x 10 comes before (1, 0) = 10 x 10 however the dict is ordered
+    with pytest.raises(BudgetExceeded, match=r"^stage: tensor 2 x 10 = 20 exceeds budget 15$") as err:
+        check_tensor_sizes(ctx, "stage", [{1: 10, 0: 2}, {0: 10}])
+    assert (err.value.stage, err.value.factors, err.value.dim) == ("stage", (2, 10), 20)
+    # a module is {0: dim}; the third factor meets the summed degree-0 term
+    check_tensor_sizes(ctx, "stage", [{0: 3}, {0: 5}])
+    with pytest.raises(BudgetExceeded, match=r"tensor 15 x 3 = 45"):
+        check_tensor_sizes(ctx, "stage", [{0: 3}, {0: 5}, {0: 3}])
+    # graded terms sum into degree s + t: {0:1, 1:2} (x) {0:1, 1:2} has 4 in degree 1
+    check_tensor_sizes(DiagonalTensor(algebra, Budget(max_dim=8)), "stage", [{0: 1, 1: 2}] * 3)
+    with pytest.raises(BudgetExceeded, match=r"tensor 4 x 2 = 8 exceeds budget 7"):
+        check_tensor_sizes(DiagonalTensor(algebra, Budget(max_dim=7)), "stage", [{0: 1, 1: 2}] * 3)
+    check_tensor_sizes(ctx, "stage", [{0: 1000}])  # one factor: no pair to check
+
+
 @pytest.mark.parametrize("char, exponents, power", [(3, [3, 3], 1), (2, [2, 2], 2)])
 def test_chain_run_budget_is_exact(char, exponents, power, monkeypatch):
     # the largest tensor pair a run builds is exactly the budget it needs
@@ -466,6 +497,18 @@ RANK2_TEMPLATE = ["--config", str(CONFIGS / "chain-rank2.ini")]
 RANK3_TEMPLATE = ["--config", str(CONFIGS / "chain-rank3-f2.ini")]
 F2_POWER2 = ["--mode", "chain", "--char", "2", "--exponents", "2 2", "--power", "2", "--coproduct"]
 F3_SHIFTED = ["--mode", "chain", "--char", "3", "--exponents", "3 3", "--coproduct", "shifted"]
+
+
+@pytest.mark.parametrize("config", ["chain-rank2", "chain-rank3-f2", "bimodule-rank1"])
+def test_pipeline_self_maps_leave_no_room_for_a_homotopy(config, monkeypatch, tmp_path):
+    # the null-homotopy solver runs on nonzero self maps, yet no degree pairs
+    # two nonzero terms, so it never forms a Hom space: its system has no unknowns
+    maps, homs = [], []
+    real_solver, real_basis = construction.is_null_homotopic, chain.hom_space_basis
+    monkeypatch.setattr(construction, "is_null_homotopic", lambda f: maps.append(f) or real_solver(f))
+    monkeypatch.setattr(chain, "hom_space_basis", lambda M, N: homs.append((M.dim, N.dim)) or real_basis(M, N))
+    assert cli.main(["certify", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(tmp_path / "run.cert")]) == 0
+    assert [f for f in maps if not f.is_zero()] and homs == []
 
 
 @pytest.mark.parametrize("args", [RANK2_TEMPLATE, F2_POWER2 + ["primitive"], F2_POWER2 + ["shifted"],

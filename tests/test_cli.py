@@ -204,6 +204,30 @@ def test_budget_exit_is_the_same_under_optimize(run_optimized):
     assert run.stderr == "budget error: parameter search: tensor 729 x 27 = 19683 exceeds budget 4096\n"
 
 
+TOWER_EXIT_ARGS = ["certify", "--mode", "chain", "--char", "5", "--exponents", "5 5", "--coproduct", "primitive",
+                   "--power", "2"]
+TOWER_EXIT_ERR = "budget error: tensor tower: tensor 75 x 75 = 5625 exceeds budget 4096\n"
+TOWER_EXIT_RUN = f"""
+import sys
+from smallhom import cli
+assert False, "reached only without -O"
+sys.exit(cli.main({TOWER_EXIT_ARGS!r}))
+"""
+
+
+def test_tower_budget_exit_builds_no_tower_term(capsys, tensor_diagonal_calls, run_optimized):
+    # the parameter search's tensors fit the budget, a 75 x 75 tower term
+    # does not: the size check on the tower path refuses it
+    assert run_cli(TOWER_EXIT_ARGS) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == TOWER_EXIT_ERR
+    # the coproduct proof's regular (x) regular and the search's two
+    # K-tensors: the tower is refused before its first term
+    assert tensor_diagonal_calls == [(25, 25), (25, 25), (50, 50)]
+    run = run_optimized(TOWER_EXIT_RUN)
+    assert (run.returncode, run.stdout, run.stderr) == (65, "", TOWER_EXIT_ERR)
+
+
 @pytest.mark.parametrize("cap, code", [(80, 65), (81, 0)])
 def test_parameter_search_budget_boundary(cap, code, capsys):
     # the K-tensor of F_3 [3, 3] is 9 x 9 = 81: sized from the first pushout,
@@ -266,11 +290,15 @@ SYMBOLIC_R8 = ["--mode", "symbolic", "--rank", "8", "--char", "3"]
 IGNORED_POWER = "usage error: a power other than 1 needs the module variant in chain or crosscheck mode\n"
 IGNORED_ALGEBRA = "usage error: symbolic mode takes no exponents or coproduct\n"
 IGNORED_BUDGET = "usage error: symbolic mode takes no budget other than the default\n"
+IGNORED_COPRODUCT = "usage error: the bimodule variant takes no coproduct\n"
 
 
 @pytest.mark.parametrize("flags, config, err", [
     (BIMODULE_F3 + ["--power", "2"],
      "[run]\nmode = chain\nvariant = bimodule\npower = 2\n[algebra]\nchar = 3\nexponents = 3\n", IGNORED_POWER),
+    (BIMODULE_F3 + ["--coproduct", "primitive"],
+     "[run]\nmode = chain\nvariant = bimodule\n[algebra]\nchar = 3\nexponents = 3\ncoproduct = primitive\n",
+     IGNORED_COPRODUCT),
     (SYMBOLIC_R8 + ["--power", "3"], "[run]\nmode = symbolic\nrank = 8\npower = 3\n", IGNORED_POWER),
     (SYMBOLIC_R8 + ["--exponents", "5 5"], "[run]\nmode = symbolic\nrank = 8\n[algebra]\nexponents = 5 5\n",
      IGNORED_ALGEBRA),
@@ -280,8 +308,8 @@ IGNORED_BUDGET = "usage error: symbolic mode takes no budget other than the defa
      IGNORED_BUDGET),
     (SYMBOLIC_R8 + ["--budget-entries", "100000000000"],
      "[run]\nmode = symbolic\nrank = 8\n[budget]\nmax_entries = 100000000000\n", IGNORED_BUDGET),
-], ids=["bimodule-power", "symbolic-power", "symbolic-exponents", "symbolic-coproduct", "symbolic-budget-dim",
-        "symbolic-budget-entries"])
+], ids=["bimodule-power", "bimodule-coproduct", "symbolic-power", "symbolic-exponents", "symbolic-coproduct",
+        "symbolic-budget-dim", "symbolic-budget-entries"])
 def test_options_the_route_ignores_are_usage_errors(flags, config, err, tmp_path, capsys):
     # a certificate must not echo an option its route never reads
     cfgfile = tmp_path / "run.ini"

@@ -1,5 +1,5 @@
 """Source hygiene, read with ``ast`` only: no import a module leaves unused,
-and no top-level function or class that nothing names."""
+and no top-level function or class, nor any method of one, that nothing names."""
 
 import ast
 import re
@@ -76,17 +76,36 @@ def _top_level_definitions() -> list[tuple[Path, ast.stmt]]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
-def test_every_top_level_definition_is_named_elsewhere():
+def _methods() -> list[tuple[Path, ast.stmt]]:
+    """Every method and property of a top-level class, dunders aside."""
+    return [(path, node) for path, cls in _top_level_definitions() if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _unnamed(definitions: list[tuple[Path, ast.stmt]]) -> list[str]:
+    """The definitions whose name appears nowhere in ``src``, ``tests``,
+    ``perfbench`` or ``pyproject.toml`` outside their own body."""
     files = sorted(ROOT.glob("src/smallhom/*.py")) + sorted(ROOT.glob("tests/*.py")) \
         + sorted(ROOT.glob("perfbench/*.py"))
     refs = {path: _references(_parse(path)) for path in files}
     toml = set(IDENT.findall((ROOT / "pyproject.toml").read_text()))
     unnamed = []
-    for path, node in _top_level_definitions():
+    for path, node in definitions:
         own = range(node.lineno, node.end_lineno + 1)
         named = node.name in toml or any(
             name == node.name and not (where == path and line in own)
             for where, lines in refs.items() for line, name in lines)
         if not named:
             unnamed.append(f"{path.name}:{node.lineno} {node.name}")
-    assert unnamed == []
+    return unnamed
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    assert _unnamed(_top_level_definitions()) == []
+
+
+def test_every_method_is_named_outside_its_body():
+    methods = _methods()
+    assert methods
+    assert _unnamed(methods) == []
