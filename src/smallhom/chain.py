@@ -144,7 +144,6 @@ class ChainComplex:
                 self.diffs[i] = d
             elif not d.is_zero():
                 raise CertificationError(f"nonzero differential {i} attached to a zero object")
-        self._zero = zero_module(algebra)
         self._hcache: dict[int, HomologySpace] = {}
         if check:
             self.validate()
@@ -173,8 +172,14 @@ class ChainComplex:
     def hi(self) -> int:
         return max(self.objects) if self.objects else 0
 
+    @cached_property
+    def _zero(self) -> Module:
+        """The zero object of every absent degree, built on the first read of one."""
+        return zero_module(self.algebra)
+
     def module_at(self, i: int) -> Module:
-        return self.objects.get(i, self._zero)
+        obj = self.objects.get(i)
+        return self._zero if obj is None else obj
 
     def diff_at(self, i: int) -> ModuleMorphism:
         d = self.diffs.get(i)
@@ -260,48 +265,69 @@ class HomologySpace:
 def homology_space(C: ChainComplex, i: int) -> HomologySpace:
     """Degree ``i`` homology as cycles modulo boundaries.
 
-    The checks that boundaries are cycles and that the cycles are stable
-    under the action run here; the induced module waits for its first read
-    (:attr:`HomologySpace.module`).
-
     ``Z`` is the section of the quotient by the boundaries' cycle
     coordinates, and ``W`` is the quotient map on the free rows of the kernel
     basis, so ``W Z = I``; the free rows of a boundary are its cycle
-    coordinates, which the quotient map kills.
+    coordinates, which the quotient map kills.  The checks that boundaries
+    are cycles and that the cycles are stable under the action run here; the
+    induced module waits for its first read (:attr:`HomologySpace.module`).
+
+    At an end of the complex the shape gives part of this (Weibel 1994,
+    section 1.1), and the same ``Z`` and ``W`` are built without it:
+
+    * with no outgoing differential, ``H_i`` is the cokernel of ``d_{i+1}``.
+      Every vector is a cycle, so the kernel basis is the identity and ``Z``
+      and ``W`` are the section and the map of the quotient by the image.
+      Neither check is made: against the identity basis the read-back
+      ``basis @ v[rows] == v`` holds for every ``v``, so neither can fail;
+    * with no incoming differential, ``H_i`` is the kernel of ``d_i``: the
+      quotient is by zero, so ``Z`` is the kernel basis and ``W`` the
+      identity on its free rows.  The action-stability check still runs,
+      as a differential that is no module map fails it.
     """
     cached = C._hcache.get(i)
     if cached is not None:
         return cached
     p = C.algebra.p
     obj = C.module_at(i)
-    d_out = C.diff_at(i).matrix
-    cycles = d_out.kernel_basis()
-    free = nonpivot_columns(d_out.cols, d_out.rref()[1])
-    boundary_coords = read_coordinates(cycles, free, C.diff_at(i + 1).matrix)
-    if boundary_coords is None:
-        raise AssertionError("boundaries must be cycles")
-    for g in range(C.algebra.ngens):
-        if read_coordinates(cycles, free, obj.act(g, cycles)) is None:
-            raise AssertionError("cycles must be action-stable")
-    qmap, section = quotient_by_subspace(p, boundary_coords)
-    duals = np.zeros((qmap.rows, obj.dim), dtype=np.int64)
-    duals[:, free] = qmap.a
-    Z, W = cycles @ section, FpMatrix._adopt(p, duals, reduced=True)
-    up = C.diffs.get(i + 1)
+    out, up = C.diffs.get(i), C.diffs.get(i + 1)
+    d_out = None if out is None else out.matrix
+    if out is None and up is None:
+        Z = W = FpMatrix.identity(p, obj.dim)
+    elif out is None:
+        W, Z = quotient_by_subspace(p, up.matrix)
+    else:
+        cycles = d_out.kernel_basis()
+        free = nonpivot_columns(d_out.cols, d_out.rref()[1])
+        if up is not None:
+            boundary_coords = read_coordinates(cycles, free, up.matrix)
+            if boundary_coords is None:
+                raise AssertionError("boundaries must be cycles")
+        for g in range(C.algebra.ngens):
+            if read_coordinates(cycles, free, obj.act(g, cycles)) is None:
+                raise AssertionError("cycles must be action-stable")
+        if up is None:  # the quotient by zero
+            qmap, Z = FpMatrix.identity(p, len(free)), cycles
+        else:
+            qmap, section = quotient_by_subspace(p, boundary_coords)
+            Z = cycles @ section
+        duals = np.zeros((qmap.rows, obj.dim), dtype=np.int64)
+        duals[:, free] = qmap.a
+        W = FpMatrix._adopt(p, duals, reduced=True)
 
     def contract(record: HomologySpace) -> tuple:
         if record.reps.cols != record.duals.rows:
             raise CertificationError(f"the degree-{i} classes do not pair to the identity")
         return record.reps @ record.duals, up and _boundary_homotopy(d_out, up.matrix, Z @ W)
 
-    hs = HomologySpace(obj, C.diffs.get(i), Z, W, contract)
+    hs = HomologySpace(obj, out, Z, W, contract)
     C._hcache[i] = hs
     return hs
 
 
-def _boundary_homotopy(d_out: FpMatrix, d_in: FpMatrix, projection: FpMatrix) -> FpMatrix:
+def _boundary_homotopy(d_out: FpMatrix | None, d_in: FpMatrix, projection: FpMatrix) -> FpMatrix:
     """``h_i`` with ``d h + h d = 1 - Z W`` on ``C_i``, whose differentials
-    are ``d_i = d_out`` and ``d_{i+1} = d_in``.
+    are ``d_i = d_out`` (``None`` when absent) and ``d_{i+1} = d_in``.
 
     ``C_i`` is the classes, the boundaries and the pivot coordinates of
     ``d_i``'s echelon form ``R``, where ``W`` vanishes and onto which ``J R``
@@ -309,9 +335,10 @@ def _boundary_homotopy(d_out: FpMatrix, d_in: FpMatrix, projection: FpMatrix) ->
     ``d_{i+1}`` on its pivot coordinates: ``d_{i+1} h_i = 1 - Z W - J R``
     and ``h_{i-1} d_i = J R``.
     """
-    red, pivots = d_out.rref()
     rhs = np.eye(projection.rows, dtype=np.int64) - projection.a
-    rhs[list(pivots)] -= red.a[: len(pivots)]
+    if d_out is not None:
+        red, pivots = d_out.rref()
+        rhs[list(pivots)] -= red.a[: len(pivots)]
     in_pivots = list(d_in.rref()[1])
     x = d_in.take_columns(in_pivots).solve(FpMatrix(d_in.p, rhs))
     if x is None:

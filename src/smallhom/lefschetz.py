@@ -112,6 +112,13 @@ def element_grade(element) -> int:
     return grades.pop()
 
 
+def check_generators(model: LefschetzModel, element) -> None:
+    """Raise unless every generator of ``element`` lies in ``1..d``."""
+    for _, mono in element:
+        if mono and (min(mono) < 1 or max(mono) > model.d):
+            raise ValueError(f"element generators must lie in 1..{model.d}, got {mono}")
+
+
 def _parity(x: np.ndarray, width: int) -> np.ndarray:
     """Parity of the set bits of each entry of ``x``, all below bit ``width``,
     by folding halves together with XOR."""
@@ -131,10 +138,9 @@ def multiplication_matrix(model: LefschetzModel, element, t: int) -> FpMatrix:
     surviving (subset, term) pairs share a product.
     """
     g, p, d = element_grade(element), model.field.p, model.d
+    check_generators(model, element)
     merged: dict[int, list[int]] = {}  # monomial mask -> [B, coefficient]
     for coeff, mono in element:
-        if mono and (min(mono) < 1 or max(mono) > d):
-            raise ValueError(f"element generators must lie in 1..{d}, got {mono}")
         mask = below = inversions = 0
         for s in mono:
             inversions += (mask >> s).bit_count()  # generators in front of s and above it
@@ -221,14 +227,19 @@ def cone_oracle(model: LefschetzModel, element) -> ConeDimensionTable:
 
     The long exact sequence of the cone gives, per degree,
     ``dim H_i = coker_i + ker_{i - shift - 1}`` where the shift is
-    ``grade * m``.
+    ``grade * m``.  From a grade ``t`` with ``t + grade > d`` the element
+    lands in grade ``t + grade``, which has no subsets of ``d`` generators,
+    so its rank there is 0 and no matrix is built; ``ranks`` keeps every key
+    ``0..d``.
     """
     if not element:
         raise ValueError("the zero element has no grade; cone_oracle needs a nonzero element")
     grade = element_grade(element)
     if grade % 2 or grade < 2:
         raise ValueError("cone elements must have positive even grade")
-    ranks = {t: multiplication_matrix(model, element, t).rank() for t in range(0, model.d + 1)}
+    check_generators(model, element)  # also where no grade builds a matrix
+    ranks = {t: multiplication_matrix(model, element, t).rank() if t + grade <= model.d else 0
+             for t in range(0, model.d + 1)}
     entries: dict[tuple[int, int], int] = {}
     for t in range(0, model.d + 1):
         coker = model.grade_dim(t) - ranks.get(t - grade, 0)

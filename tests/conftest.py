@@ -14,7 +14,7 @@ import smallhom.algebra
 import smallhom.chain
 import smallhom.construction
 from smallhom.algebra import intertwining_system
-from smallhom.linalg import FpMatrix
+from smallhom.linalg import FpMatrix, nonpivot_columns, quotient_by_subspace, read_coordinates
 
 
 def _reference_rref(rows, ncols, p):
@@ -276,6 +276,37 @@ def chain_run_parts(monkeypatch):
     monkeypatch.setattr(smallhom.chain, "homology_space", homology_space)
     monkeypatch.setattr(smallhom.construction, "homology_space", homology_space)
     return parts
+
+
+def _homology_space_reference(C, i) -> SimpleNamespace:
+    """Degree ``i`` homology by the general route in every degree: an absent
+    differential is an explicit zero map, both read-backs run, and the
+    quotient is by the boundaries' cycle coordinates even when there are
+    none.  Gives ``reps`` (``Z``), ``duals`` (``W``) and the
+    ``contraction`` ``(Z W, h)``."""
+    p = C.algebra.p
+    obj = C.module_at(i)
+    d_out = C.diff_at(i).matrix
+    cycles = d_out.kernel_basis()
+    free = nonpivot_columns(d_out.cols, d_out.rref()[1])
+    boundary_coords = read_coordinates(cycles, free, C.diff_at(i + 1).matrix)
+    if boundary_coords is None:
+        raise AssertionError("boundaries must be cycles")
+    for g in range(C.algebra.ngens):
+        if read_coordinates(cycles, free, obj.act(g, cycles)) is None:
+            raise AssertionError("cycles must be action-stable")
+    qmap, section = quotient_by_subspace(p, boundary_coords)
+    duals = np.zeros((qmap.rows, obj.dim), dtype=np.int64)
+    duals[:, free] = qmap.a
+    Z, W = cycles @ section, FpMatrix._adopt(p, duals, reduced=True)
+    up = C.diffs.get(i + 1)
+    h = up and smallhom.chain._boundary_homotopy(d_out, up.matrix, Z @ W)
+    return SimpleNamespace(reps=Z, duals=W, contraction=(Z @ W, h))
+
+
+@pytest.fixture
+def homology_space_reference():
+    return _homology_space_reference
 
 
 def _dense_square_defects(C) -> list:

@@ -1,5 +1,6 @@
 """Chain complexes, homology, cones, homotopies and tensor products."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import smallhom
-from smallhom import chain, cli, construction
+from smallhom import chain, cli, construction, linalg
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.algebra import (
     CertificationError,
@@ -235,6 +236,114 @@ def test_homology_rank_dims_rejects_negative_homology_under_optimize(run_optimiz
     run = run_optimized(NEGATIVE_HOMOLOGY)
     assert run.returncode == 1
     assert run.stderr.strip() == "optimize=1: rank bookkeeping must stay non-negative: dim H_1 = -1"
+
+
+# A differential that reads the x^2 coordinate of A = F_3[x]/(x^3): linear,
+# but no module map, and its kernel, spanned by 1 and x, is not x-stable.
+# Degree 1 has that outgoing map and, in the "both" case, an incoming one
+# into the kernel, so the boundaries are cycles and only the action fails.
+NON_MODULE_DIFFERENTIAL = """
+import sys
+from smallhom.algebra import ModuleMorphism, qci_algebra, regular_module, trivial_module
+from smallhom.chain import ChainComplex, homology_space
+from smallhom.linalg import FieldSpec, FpMatrix
+
+A = qci_algebra(FieldSpec(3), [3], coproduct="primitive")
+reg, k = regular_module(A), trivial_module(A)
+reads_x2 = ModuleMorphism(reg, reg, FpMatrix(3, [[0, 0, 1], [0, 0, 0], [0, 0, 0]]), check=False)
+to_x = ModuleMorphism(k, reg, FpMatrix(3, [[0], [1], [0]]), check=False)
+CASES = {
+    "top": ChainComplex(A, {0: reg, 1: reg}, {1: reads_x2}, check=False),
+    "both": ChainComplex(A, {0: reg, 1: reg, 2: k}, {1: reads_x2, 2: to_x}, check=False),
+}
+"""
+NON_MODULE_RUN = """
+assert False, "reached only without -O"
+for case, C in CASES.items():
+    try:
+        homology_space(C, 1)
+    except AssertionError as exc:
+        print(f"optimize={sys.flags.optimize} {case}: {exc}")
+"""
+
+
+@pytest.mark.parametrize("case", ["top", "both"])
+def test_homology_space_rejects_cycles_that_are_not_action_stable(case):
+    scope: dict = {}
+    exec(NON_MODULE_DIFFERENTIAL, scope)
+    C = scope["CASES"][case]
+    assert homology_space(C, 0).dim == 2  # no outgoing map: no check can fail there
+    with pytest.raises(AssertionError, match="^cycles must be action-stable$"):
+        homology_space(C, 1)
+
+
+def test_homology_space_rejects_cycles_that_are_not_action_stable_under_optimize(run_optimized):
+    run = run_optimized(NON_MODULE_DIFFERENTIAL + NON_MODULE_RUN)
+    assert run.stderr == ""
+    assert run.stdout == ("optimize=1 top: cycles must be action-stable\n"
+                          "optimize=1 both: cycles must be action-stable\n")
+
+
+def test_certify_exits_2_on_a_class_complex_whose_top_map_is_no_module_map(monkeypatch, capsys):
+    # the top differential of every class complex is replaced by a map that
+    # reads one coordinate of the pushout K that some generator reaches from
+    # another, so its kernel is not action-stable
+    real = construction.build_class_complex
+
+    def broken(z):
+        cc = real(z)
+        C, n = cc.complex, cc.complex.hi
+        K, d = C.objects[n], C.diffs[n]
+        j = next(j for j in range(K.dim) if any(np.delete(x.a[j], j).any() for x in K.action))
+        a = np.zeros(d.matrix.shape, dtype=np.int64)
+        a[0, j] = 1
+        bad = ModuleMorphism(K, d.target, FpMatrix(K.algebra.p, a), check=False)
+        return dataclasses.replace(cc, complex=ChainComplex(C.algebra, C.objects, {**C.diffs, n: bad}))
+
+    monkeypatch.setattr(construction, "build_class_complex", broken)
+    config = Path(__file__).resolve().parent.parent / "configs" / "chain-rank2.ini"
+    assert cli.main(["certify", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "certification error: cycles must be action-stable\n"
+
+
+def test_a_complex_builds_its_zero_object_on_the_first_read_of_an_absent_degree(algebra, monkeypatch):
+    built, real = [], chain.zero_module
+    monkeypatch.setattr(chain, "zero_module", lambda A: built.append(A) or real(A))
+    reg = regular_module(algebra)
+    C = ChainComplex(algebra, {0: reg, 1: reg}, {1: ModuleMorphism(reg, reg, algebra.left_actions[0])})
+    homology_space(C, 0), homology_space(C, 1)
+    assert built == [] and C.module_at(1) is reg
+    zero = C.module_at(5)
+    assert zero.dim == 0 and built == [algebra]
+    assert C.module_at(-1) is zero and built == [algebra]
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The shape of every matrix :func:`~smallhom.linalg._eliminate` row-reduces."""
+    shapes, real = [], linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda m, p: shapes.append(m.shape) or real(m, p))
+    return shapes
+
+
+def test_end_degrees_eliminate_one_map_and_a_lone_term_none(algebra, eliminations, matmul_calls):
+    # k --socle--> A: H_0 = A / (x^2) and H_1 = 0; the map is 3 x 1, so its
+    # transpose is told apart by shape
+    reg, k = regular_module(algebra), trivial_module(algebra)
+    socle = ModuleMorphism(k, reg, FpMatrix(3, [[0], [0], [1]]))
+    C = ChainComplex(algebra, {0: reg, 1: k}, {1: socle})
+    eliminations.clear(), matmul_calls.clear()
+    assert homology_space(C, 0).dim == 2
+    assert eliminations == [(1, 3)] and matmul_calls == []  # the incoming map's transpose, no read-back
+    assert homology_space(C, 1).dim == 0
+    assert eliminations == [(1, 3), (3, 1)]  # the outgoing map
+    assert C.diffs[1].matrix._rref is not None
+    assert homology_rank_dims(C) == {0: 2} and eliminations == [(1, 3), (3, 1)]  # its cached RREF
+    lone = ChainComplex(algebra, {0: reg}, {})
+    eliminations.clear(), matmul_calls.clear()
+    assert [homology_space(lone, i).dim for i in (0, 5)] == [3, 0]
+    assert eliminations == [] and matmul_calls == []
 
 
 def test_cone_of_identity_is_exact(two_term):
@@ -582,6 +691,55 @@ def test_subquotient_and_kunneth_records_are_contractions(p, exponents):
         certify_classes(tower.complex, classes)
         dims = {n: h.dim for n, h in classes.items() if h.dim}
         assert dims == homology_rank_dims(tower.complex) == subquotient_dims(tower.complex)
+
+
+def _assert_records_match_the_general_route(C, reference) -> set:
+    """Every degree's record equals the general route's entry for entry;
+    returns the shapes seen, by which differentials are present."""
+    shapes = set()
+    for i in range(C.lo, C.hi + 1):
+        hs, ref = homology_space(C, i), reference(C, i)
+        assert hs.reps == ref.reps and hs.duals == ref.duals
+        (P, h), (P_ref, h_ref) = hs.contraction, ref.contraction
+        assert P == P_ref and (h == h_ref if h_ref is not None else h is None)
+        out, up = i in C.diffs, i + 1 in C.diffs
+        shapes.add("absent" if i not in C.objects else {(True, True): "both", (True, False): "no incoming",
+                                                        (False, True): "no outgoing", (False, False): "lone"}[out, up])
+        if i - 1 in C.objects and i in C.objects and not out:
+            shapes.add("absent interior differential")
+    return shapes
+
+
+def property_suite_complexes(seed: int):
+    """The random complexes of ``criterion_property_suites(seed)``, drawn in its order."""
+    from smallhom.acceptance import module_pieces, random_complex
+
+    rng = random.Random(seed)
+    for p, exps in ((3, [3]), (5, [2]), (3, [2, 2])):
+        pieces = module_pieces(qci_algebra(FieldSpec(p), exps, {(0, 1): -1} if len(exps) == 2 else None))
+        for _ in range(20):
+            yield random_complex(pieces, rng)
+    pieces = module_pieces(qci_algebra(F3, [3], coproduct="primitive"))
+    for _ in range(120):
+        yield random_complex(pieces, rng, length=2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_homology_records_match_the_general_route_on_the_property_suite(seed, homology_space_reference):
+    shapes = set()
+    for C in property_suite_complexes(seed):
+        shapes |= _assert_records_match_the_general_route(C, homology_space_reference)
+    assert shapes >= {"both", "no incoming", "no outgoing", "lone", "absent interior differential"}
+
+
+@pytest.mark.parametrize("config", ["chain-rank2", "chain-rank3-f2"])
+def test_homology_records_match_the_general_route_on_class_complexes(config, chain_run_parts,
+                                                                     homology_space_reference, tmp_path):
+    assert cli.main(["certify", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(tmp_path / "run.cert")]) == 0
+    (ccs,) = chain_run_parts["class_complexes"]
+    for cc in ccs:
+        assert {"no incoming", "no outgoing"} <= _assert_records_match_the_general_route(cc.complex,
+                                                                                        homology_space_reference)
 
 
 # A self map built unchecked whose degree-1 component sends x^2, the H_1

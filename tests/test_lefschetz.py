@@ -7,9 +7,11 @@ from math import comb
 import numpy as np
 import pytest
 
+from smallhom import lefschetz
 from smallhom.linalg import FieldSpec, FpMatrix
 from smallhom.lefschetz import (
     LEFSCHETZ_TERMS,
+    ConeDimensionTable,
     LefschetzModel,
     cone_dimensions,
     cone_oracle,
@@ -89,6 +91,9 @@ def test_multiplication_matrix_rejects_generators_outside_the_model():
     for mono in ((0, 1), (2, 5)):
         with pytest.raises(ValueError, match="1..4"):
             multiplication_matrix(model, ((1, mono),), 1)
+    # grade 6 > 4 builds no matrix in the cone oracle, which still checks
+    with pytest.raises(ValueError, match="1..4"):
+        cone_oracle(model, ((1, (1, 2, 3, 4, 5, 6)),))
 
 
 def test_w_matrix_ranks_f3():
@@ -193,6 +198,40 @@ def test_cone_conservation_random_elements():
         table = cone_oracle(model, element)
         ranks = sum(multiplication_matrix(model, element, t).rank() for t in range(d + 1))
         assert table.total == 2 * 2 ** d - 2 * ranks
+
+
+def _cone_table_ranking_every_grade(model, element) -> ConeDimensionTable:
+    """The cone table with the element's rank taken from every grade
+    ``0..d``, including those it maps into an empty grade."""
+    grade = len(element[0][1])
+    ranks = {t: multiplication_matrix(model, element, t).rank() for t in range(model.d + 1)}
+    entries = {}
+    for t in range(model.d + 1):
+        coker = model.grade_dim(t) - ranks.get(t - grade, 0)
+        if coker:
+            entries[(t, 0)] = coker
+        ker = model.grade_dim(t) - ranks[t]
+        if ker:
+            entries[(t + grade, 1)] = ker
+    return ConeDimensionTable(model.d, grade, entries, ranks)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cone_oracle_ranks_only_into_nonempty_grades(p, monkeypatch):
+    built, real = [], lefschetz.multiplication_matrix
+    monkeypatch.setattr(lefschetz, "multiplication_matrix", lambda m, e, t: built.append(t) or real(m, e, t))
+    rng = random.Random(p)
+    for d in range(2, 9):
+        model = LefschetzModel(d, FieldSpec(p))
+        for grade in (g for g in (2, 4) if g <= d):
+            monos = list(combinations(range(1, d + 1), grade))
+            element = tuple((rng.randint(1, p - 1), mono) for mono in monos if rng.random() < 0.5) or ((1, monos[0]),)
+            built.clear()
+            table = cone_oracle(model, element)
+            assert built == list(range(d - grade + 1))
+            assert list(table.ranks) == list(range(d + 1))
+            assert all(table.ranks[t] == 0 for t in range(d - grade + 1, d + 1))
+            assert table == _cone_table_ranking_every_grade(model, element)
 
 
 def test_ratio_constancy():
