@@ -657,7 +657,8 @@ class Resolution:
     copies of one regular module (:func:`free_module`).  Building ``P_i``
     reads ``omega(i)``, so ``omega(1) .. omega(length)`` are built with the
     resolution, and ``omega(length + 1)``, the kernel of the last cover,
-    only when something reads it.
+    only when something reads it; :meth:`syzygy_cols` reads its basis
+    without building it.  :meth:`extend` resolves further.
     """
 
     def __init__(self, module: Module, length: int):
@@ -665,7 +666,7 @@ class Resolution:
             raise ValueError("length must be >= 0")
         self.module = module
         self.algebra = module.algebra
-        self.length = length
+        self.length = 0
         # the cover whose kernel is the next syzygy, until omega builds it
         self._cover = projective_cover(module)
         self.projectives = [self._cover.free]
@@ -679,7 +680,12 @@ class Resolution:
         self._coboundaries: dict[int, FpMatrix] = {}
         self._sections: dict[int, FpMatrix] = {}
         self._target_acts: np.ndarray | None = None
-        for i in range(1, length + 1):
+        self.extend(length)
+
+    def extend(self, length: int) -> None:
+        """Resolve up to ``P_length``, covering each syzygy not yet covered;
+        a length already reached builds nothing."""
+        for i in range(self.length + 1, length + 1):
             omega = self.omega(i)
             cov = self._cover = projective_cover(omega.module)
             omega.epi = cov.epi
@@ -688,6 +694,7 @@ class Resolution:
             self.projectives.append(cov.free)
             self.ranks.append(cov.rank)
             self._diffs.append(d)
+            self.length = i
 
     def diff(self, i: int) -> ModuleMorphism:
         if not 1 <= i <= self.length:
@@ -702,6 +709,16 @@ class Resolution:
             self._syzygies.append(Syzygy(self._cover.kernel, self._cover.kernel_incl))
             self._cover = None
         return self._syzygies[i - 1]
+
+    def syzygy_cols(self, i: int) -> FpMatrix:
+        """The echelonized basis of ``omega(i)`` in ``P_{i-1}``, 1-based: the
+        inclusion's matrix, or for ``omega(length + 1)`` not yet built the
+        last cover's kernel columns, read without building the submodule."""
+        if not 1 <= i <= self.length + 1:
+            raise IndexError(f"syzygy {i} not computed")
+        if i > len(self._syzygies):
+            return self._cover.ker_cols
+        return self._syzygies[i - 1].incl.matrix
 
     @property
     def syzygies(self) -> list[Syzygy]:

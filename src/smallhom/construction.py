@@ -125,34 +125,43 @@ def _diff_units(res: Resolution, a: int) -> FpMatrix:
     return res.diff(a + 1).matrix.take_columns([t * A.dim + A.unit_index for t in range(res.ranks[a + 1])])
 
 
-def _delta_matrix(res: Resolution, a: int) -> FpMatrix:
-    """The linear map Hom(P_a, T) -> Hom(P_{a+1}, T) on vectorized images.
+def _delta_matrix(res: Resolution, a: int, cols: FpMatrix) -> FpMatrix:
+    """The linear map ``V -> full(V) @ cols`` on vectorized images, from
+    Hom(P_a, T) to the maps on the span of ``cols``, columns of P_a.
 
-    Images are vectorized row-major.  With ``D`` the slot-unit columns of
-    d_{a+1}, ``D_k`` its rows ``s * dim A + k`` (one per slot ``s`` of P_a)
-    and ``act_k`` the action of ``basis[k]`` on T, the map is
-    ``V -> sum_k act_k V D_k``, so ``vec(act_k V D_k) = kron(act_k, D_k^T) vec(V)``
-    gives ``Delta = sum_k kron(act_k, D_k^T)``.  The sum over ``k`` is one
-    product: the ``act_k`` entries as rows, ``(r, c) x k``, times the ``D_k``
-    entries as columns, ``k x (s, t)``.
+    ``full(V)`` is the free-module map of slot-unit images ``V``
+    (:func:`free_images_matrix`).  With ``cols`` the slot-unit columns of
+    d_{a+1} (:func:`_diff_units`) this is the coboundary map
+    Hom(P_a, T) -> Hom(P_{a+1}, T); with the basis of ``Omega_{a+1}``
+    (:meth:`Resolution.syzygy_cols`) its kernel is the cocycles, as
+    ``f d_{a+1} = 0`` exactly when ``f`` kills ``Omega_{a+1}``, onto which
+    ``P_{a+1}`` maps.
+
+    Images are vectorized row-major.  With ``D_k`` the rows ``s * dim A + k``
+    of ``cols`` (one per slot ``s`` of P_a) and ``act_k`` the action of
+    ``basis[k]`` on T, the map is ``V -> sum_k act_k V D_k``, so
+    ``vec(act_k V D_k) = kron(act_k, D_k^T) vec(V)`` gives ``Delta = sum_k
+    kron(act_k, D_k^T)``.  The sum over ``k`` is one product: the ``act_k``
+    entries as rows, ``(r, c) x k``, times the ``D_k`` entries as columns,
+    ``k x (s, t)``.
     """
     A, T = res.algebra, res.module
-    b_a, b_next = res.ranks[a], res.ranks[a + 1]
+    b_a, width = res.ranks[a], cols.cols
     if res._target_acts is None:
         res._target_acts = mono_images(T, FpMatrix.identity(A.p, T.dim))  # acts[r, c, k]
     acts_rows = FpMatrix._adopt(A.p, res._target_acts.reshape(T.dim * T.dim, A.dim), reduced=True)
-    D = _diff_units(res, a).a.reshape(b_a, A.dim, b_next)  # D[s, k, t] = D_k[s, t]
-    d_cols = FpMatrix._adopt(A.p, D.transpose(1, 0, 2).reshape(A.dim, b_a * b_next), reduced=True)
+    D = cols.a.reshape(b_a, A.dim, width)  # D[s, k, t] = D_k[s, t]
+    d_cols = FpMatrix._adopt(A.p, D.transpose(1, 0, 2).reshape(A.dim, b_a * width), reduced=True)
     # summed[(r, c), (s, t)] = sum_k act_k[r, c] D_k[s, t] = Delta[(r, t), (c, s)]
-    summed = (acts_rows @ d_cols).a.reshape(T.dim, T.dim, b_a, b_next)
-    delta = summed.transpose(0, 3, 1, 2).reshape(T.dim * b_next, T.dim * b_a)
+    summed = (acts_rows @ d_cols).a.reshape(T.dim, T.dim, b_a, width)
+    delta = summed.transpose(0, 3, 1, 2).reshape(T.dim * width, T.dim * b_a)
     return FpMatrix._adopt(A.p, delta, reduced=True)
 
 
 def _coboundary_space(res: Resolution, n: int) -> FpMatrix:
     """Echelonized coboundaries in degree ``n >= 1``, built once per resolution."""
     if n not in res._coboundaries:
-        res._coboundaries[n] = _delta_matrix(res, n - 1).column_space()
+        res._coboundaries[n] = _delta_matrix(res, n - 1, _diff_units(res, n - 1)).column_space()
     return res._coboundaries[n]
 
 
@@ -173,7 +182,8 @@ def class_from_images(res: Resolution, n: int, images: FpMatrix) -> CohomologyCl
     """Build and validate a degree-n class, ``n >= 1``, from slot-unit images
     of its cocycle.
 
-    The images must define a cocycle, which must be a module map; its
+    The images must define a cocycle, a map killing the next syzygy
+    (:meth:`Resolution.syzygy_cols`), which must be a module map; its
     factorization ``Z = full S`` through the n-th syzygy
     (:func:`_syzygy_section`) is checked exactly, ``Z E == full``, and must
     be a module map; the class must be nonzero.
@@ -184,10 +194,10 @@ def class_from_images(res: Resolution, n: int, images: FpMatrix) -> CohomologyCl
     T = res.module
     if images.shape != (T.dim, res.ranks[n]):
         raise ValueError("images matrix has the wrong shape")
-    if res.length < n + 1:
+    if res.length < n:
         raise ValueError("resolution too short to validate the cocycle")
     full = free_images_matrix(A, T, images)
-    if not (full @ _diff_units(res, n)).is_zero():
+    if not (full @ res.syzygy_cols(n + 1)).is_zero():
         raise CertificationError("images do not define a cocycle")
     ModuleMorphism(res.projectives[n], T, full, check=True)  # the cocycle is a module map
     omega = res.omega(n)
@@ -205,17 +215,19 @@ def _class_images(res: Resolution, n: int) -> list[FpMatrix]:
     """Slot-unit images of a deterministic basis of the degree-n
     self-extensions of the target, ``n >= 1``, before any validation.
 
-    Cocycles modulo coboundaries on vectorized slot-unit images; for the
-    trivial coefficient module both spaces are degenerate (minimality) and
-    the representatives are exactly the slot duals in slot order.
+    Cocycles modulo coboundaries on vectorized slot-unit images, the
+    cocycles tested on the next syzygy's basis, so a resolution of length
+    ``n`` suffices; for the trivial coefficient module both spaces are
+    degenerate (minimality) and the representatives are exactly the slot
+    duals in slot order.
     """
     if n < 1:
         raise ValueError(f"Ext classes are built in degrees n >= 1, not {n}")
-    if res.length < n + 1:
+    if res.length < n:
         raise ValueError(f"resolution of length {res.length} cannot give degree {n} classes")
     T = res.module
     p = T.algebra.p
-    cocycles = _delta_matrix(res, n).kernel_basis()
+    cocycles = _delta_matrix(res, n, res.syzygy_cols(n + 1)).kernel_basis()
     bnd = _coboundary_space(res, n)
     stacked = FpMatrix(p, np.hstack([bnd.a, cocycles.a]))
     _, pivots = stacked.rref()
@@ -255,7 +267,9 @@ def yoneda_power(z: CohomologyClass, s: int) -> CohomologyClass:
 
     The cocycle lifts to maps phi_i: P_{n+i} -> P_i (exactness makes every
     stage solvable); composing the running power with phi at stage k*n
-    multiplies by the class once more.
+    multiplies by the class once more.  The lifts read ``d_{s n}`` at most
+    and the power's cocycle test the basis of ``Omega_{s n + 1}``, so a
+    resolution of length ``s n`` suffices.
     """
     if s < 1:
         raise ValueError("powers need s >= 1")
@@ -264,7 +278,7 @@ def yoneda_power(z: CohomologyClass, s: int) -> CohomologyClass:
     res, n = z.resolution, z.degree
     A = res.algebra
     T = res.module
-    need = s * n + 1
+    need = s * n
     if res.length < need:
         raise ValueError(f"resolution length {res.length} < {need} needed for power {s}")
     # lift the base class up to stage (s-1)*n; stage i is the slot-image
@@ -522,8 +536,10 @@ class ChainRun:
             "additive_function": "dim",
         }
 
-        res = minimal_resolution(trivial_module(A), n + 1)
-        report["betti"] = res.betti()
+        # classes of degree n need P_0 .. P_n only; the Betti row's P_{n+1} is
+        # built once the parameter search's size checks have passed
+        res = minimal_resolution(trivial_module(A), n)
+        report["betti"] = None
 
         base_ps = find_parameter_system(res, ctx, self.base_degree)
         if self.power == 1:
@@ -532,6 +548,8 @@ class ChainRun:
             classes = tuple(yoneda_power(z, self.power) for z in base_ps.classes)
             ps = ParameterSystem(classes, base_ps.indices)
             verify_parameter_system(ps, ctx)
+        res.extend(n + 1)
+        report["betti"] = res.betti()
         lemma_ok = ps.verified
         ktensor = ps.tensor
         report["parameter_indices"] = list(base_ps.indices)
@@ -702,8 +720,8 @@ class BimoduleRun:
             "enveloping_dim": env.algebra.dim,
         }
         bim = regular_bimodule(env)
-        res = minimal_resolution(bim, n + 1)
-        report["bimodule_betti"] = res.betti()
+        res = minimal_resolution(bim, n)  # the Betti row's P_{n+1} waits for the size checks
+        report["bimodule_betti"] = None
 
         classes = ext_classes(res, n)
         chosen = None
@@ -718,6 +736,8 @@ class BimoduleRun:
         if chosen is None:
             raise ValueError("no degree-n class gives a projective reduced pushout")
         idx, z, cc, reduced = chosen
+        res.extend(n + 1)
+        report["bimodule_betti"] = res.betti()
         report["class_index"] = idx
         report["class_count"] = len(classes)
         report["pushout_dim"] = cc.pushout.dim

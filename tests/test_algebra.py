@@ -175,6 +175,23 @@ def test_minimal_resolution_betti(truncated, two_vars):
     assert minimal_resolution(regular_module(truncated), 3).betti() == [1, 0, 0, 0]
 
 
+def test_an_extended_resolution_is_the_longer_resolution(two_vars):
+    # extend covers each syzygy not yet covered, as the constructor does;
+    # the last cover's kernel basis is read before and after it is built
+    res, direct = minimal_resolution(trivial_module(two_vars), 1), minimal_resolution(trivial_module(two_vars), 3)
+    top = res.syzygy_cols(2)
+    assert top is res._cover.ker_cols and len(res._syzygies) == 1
+    res.extend(3)
+    assert res.length == 3 and res.betti() == direct.betti() == [1, 2, 3, 4]
+    assert all(res.diff(i).matrix == direct.diff(i).matrix for i in range(1, 4))
+    assert res.omega(2).incl.matrix is top
+    assert all(res.syzygy_cols(i) == direct.syzygy_cols(i) == direct.omega(i).incl.matrix for i in range(1, 5))
+    res.extend(2)  # a length already reached builds nothing
+    assert res.length == 3 and len(res.projectives) == 4
+    with pytest.raises(IndexError):
+        res.syzygy_cols(5)
+
+
 def test_resolution_exactness_and_minimality(two_vars):
     res = minimal_resolution(trivial_module(two_vars), 3)
     for i in range(1, 3):

@@ -168,9 +168,10 @@ def test_flag_overrides_config(tmp_path, capsys):
 
 
 def test_budget_exit_code(capsys, monkeypatch, tensor_diagonal_calls, matmul_calls):
-    syzygies = []
-    real_submodule = algebra.submodule
+    syzygies, covered = [], []
+    real_submodule, real_cover = algebra.submodule, algebra.projective_cover
     monkeypatch.setattr(algebra, "submodule", lambda M, cols: syzygies.append(M.dim) or real_submodule(M, cols))
+    monkeypatch.setattr(algebra, "projective_cover", lambda M: covered.append(M.dim) or real_cover(M))
     code = run_cli(["certify", "--mode", "chain", "--char", "3",
                     "--exponents", "3 3 3", "--coproduct", "primitive"])
     assert code == 65
@@ -178,10 +179,13 @@ def test_budget_exit_code(capsys, monkeypatch, tensor_diagonal_calls, matmul_cal
     # sizes are checked before the parameter search builds its first tensor
     assert err == "budget error: parameter search: tensor 729 x 27 = 19683 exceeds budget 4096\n"
     assert tensor_diagonal_calls == []
-    # the resolution of length 3 builds omega(1) .. omega(3), in P_0 .. P_2;
-    # omega(4), the kernel of the last cover, is never read
-    assert syzygies == [27, 81, 162]
-    # P_3 (rank 10, dim 270) acts through its regular module: no dense action
+    # degree-2 classes need a resolution of length 2: it covers k, omega(1)
+    # and omega(2) (dims 1, 26, 55) and builds omega(1) and omega(2), in P_0
+    # and P_1; the cocycles are tested on omega(3)'s basis, the last cover's
+    # kernel columns, so the refused run builds no submodule in P_2 and no
+    # cover P_3 (rank 10, dim 270) for the Betti row
+    assert covered == [1, 26, 55]
+    assert syzygies == [27, 81]
     assert not [c for c in matmul_calls if c[:2] == (270, 270) or c[1:] == (270, 270)]
     # free-module maps take one product per monomial, not one per matvec
     # (5760 products when each slot and monomial was its own matvec)

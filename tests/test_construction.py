@@ -42,7 +42,9 @@ from smallhom.construction import (
     ParameterSystem,
     SymbolicRun,
     UnsupportedRank,
+    _class_images,
     _delta_matrix,
+    _diff_units,
     build_class_complex,
     build_thetas,
     class_from_images,
@@ -96,9 +98,17 @@ def test_ext_class_counts(res1, res2):
         ext_classes(res1, 0)  # no pipeline asks for degree 0
 
 
-def test_ext_class_degree_limit(res1):
-    with pytest.raises(ValueError):
-        ext_classes(res1, 5)  # needs d_6
+def test_ext_class_degree_limit(res1, one_var):
+    # cocycles are tested on the next syzygy, the last cover's kernel at
+    # the top, so a resolution of length 5 gives classes through degree 5
+    assert len(ext_classes(res1, 5)) == 1 and ext_classes(res1, 5)[0].degree == 5  # built and validated
+    with pytest.raises(ValueError, match="resolution of length 5 cannot give degree 6 classes"):
+        ext_classes(res1, 6)  # needs P_6
+    # the power s of a degree-n class reads d_{s n} at most: length s n
+    z = ext_classes(minimal_resolution(trivial_module(one_var), 4), 2)[0]
+    assert yoneda_power(z, 2).degree == 4
+    with pytest.raises(ValueError, match="resolution length 4 < 6 needed for power 3"):
+        yoneda_power(z, 3)
 
 
 def test_zero_class_rejected(res1, one_var):
@@ -110,12 +120,12 @@ NON_COCYCLE = """
 import sys
 import numpy as np
 from smallhom.algebra import CertificationError, enveloping, minimal_resolution, qci_algebra, regular_bimodule
-from smallhom.construction import _delta_matrix, class_from_images
+from smallhom.construction import _delta_matrix, _diff_units, class_from_images
 from smallhom.linalg import FieldSpec, FpMatrix
 assert False, "reached only without -O"
 res = minimal_resolution(regular_bimodule(enveloping(qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2}))), 3)
 cochain = np.zeros(res.module.dim * res.ranks[2], dtype=np.int64)
-cochain[_delta_matrix(res, 2).a.any(axis=0).argmax()] = 1
+cochain[_delta_matrix(res, 2, _diff_units(res, 2)).a.any(axis=0).argmax()] = 1
 try:
     class_from_images(res, 2, FpMatrix(5, cochain.reshape(res.module.dim, res.ranks[2])))
 except CertificationError as exc:
@@ -126,7 +136,7 @@ except CertificationError as exc:
 def test_non_cocycle_is_a_certification_error(run_optimized):
     # a standard cochain that the coboundary map does not kill
     res = minimal_resolution(regular_bimodule(enveloping(qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2}))), 3)
-    delta = _delta_matrix(res, 2)
+    delta = _delta_matrix(res, 2, _diff_units(res, 2))
     cochain = np.zeros(delta.cols, dtype=np.int64)
     cochain[delta.a.any(axis=0).argmax()] = 1
     assert not (delta @ FpMatrix(5, cochain.reshape(-1, 1))).is_zero()
@@ -136,12 +146,36 @@ def test_non_cocycle_is_a_certification_error(run_optimized):
     assert run.stdout == "optimize=1 images do not define a cocycle\n", run.stderr
 
 
+@pytest.mark.parametrize("target", [
+    lambda: trivial_module(qci_algebra(FieldSpec(2), [2, 2])),
+    lambda: trivial_module(qci_algebra(F3, [3, 3])),
+    lambda: trivial_module(qci_algebra(FieldSpec(5), [5])),
+    lambda: trivial_module(qci_algebra(F3, [3, 3, 3])),
+    lambda: regular_bimodule(enveloping(qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2}))),
+], ids=["F2-2-2", "F3-3-3", "F5-5", "F3-3-3-3", "bimodule-F5-2-3-q2"])
+def test_cocycles_on_the_next_syzygy_are_the_cocycles_through_the_next_differential(target):
+    # f d_{n+1} = 0 exactly when f kills Omega_{n+1}, onto which P_{n+1}
+    # maps: the kernels agree, whether Omega_{n+1} is a built syzygy (length
+    # n + 1) or the last cover's kernel (length n), and so do the classes
+    T = target()
+    longer = minimal_resolution(T, 3)
+    for n in (1, 2):
+        shorter = minimal_resolution(T, n)
+        assert shorter.length == n and len(shorter._syzygies) == n  # Omega_{n+1} is not built
+        through_d = _delta_matrix(longer, n, _diff_units(longer, n)).kernel_basis()
+        for res in (longer, shorter):
+            on_omega = _delta_matrix(res, n, res.syzygy_cols(n + 1)).kernel_basis()
+            assert on_omega.shape == through_d.shape and on_omega == through_d
+        assert len(shorter._syzygies) == n  # reading its basis built no submodule
+        assert _class_images(shorter, n) == _class_images(longer, n)
+
+
 def test_coboundary_is_a_zero_class():
     # over the regular bimodule the coboundaries are nonzero, unlike the
     # trivial module's; a class built from one must be rejected
     skew = qci_algebra(FieldSpec(5), [2, 3], {(0, 1): 2})
     res = minimal_resolution(regular_bimodule(enveloping(skew)), 3)
-    delta = _delta_matrix(res, 1)
+    delta = _delta_matrix(res, 1, _diff_units(res, 1))
     j = int(np.flatnonzero(delta.a.any(axis=0))[0])
     images = FpMatrix(5, delta.a[:, j].reshape(res.module.dim, res.ranks[2]))
     with pytest.raises(ValueError, match="zero in cohomology"):
@@ -169,7 +203,7 @@ def test_yoneda_power_identity_and_growth(res1):
     z2 = yoneda_power(z, 2)
     assert z2.degree == 4 and not z2.images.is_zero()
     with pytest.raises(ValueError):
-        yoneda_power(z, 3)  # resolution of length 5 < 3*2+1
+        yoneda_power(z, 3)  # resolution of length 5 < 3*2
 
 
 def test_yoneda_power_coherence(one_var):
@@ -375,7 +409,7 @@ def test_delta_matrix_matches_column_by_column_reference(free_images_reference, 
     for res in _delta_resolutions():
         stacked.clear()
         for a in range(res.length):
-            delta = _delta_matrix(res, a)
+            delta = _delta_matrix(res, a, _diff_units(res, a))
             assert np.array_equal(delta.a, _delta_column_by_column(res, a, free_images_reference))
         # the target's monomial actions are stacked once per resolution
         assert stacked == [res.module]
