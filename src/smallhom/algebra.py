@@ -981,7 +981,8 @@ class DiagonalTensor:
         the tensor tower's top term gets the parameter search's tensor.  A
         sum of one module is that module here (same basis, same action), so
         at rank 3 the tower's top term, ``(K_1 (x) K_2) (x) K_3`` with its
-        left factor a one-summand tower term, is the search's tensor too.
+        left factor a one-summand term of the partial product, is the
+        search's tensor too.
         The first call proves the coproduct and the antipode."""
         M, N = (X.summands[0] if X.summands is not None and len(X.summands) == 1 else X for X in (M, N))
         self.budget.check(M.dim * N.dim, factors=(M.dim, N.dim))

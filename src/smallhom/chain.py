@@ -13,8 +13,10 @@ built.  The sign conventions, fixed once and recorded in certificates:
 * the mapping cone of such a map has objects ``C_{i-1-m} (+) D_i`` (source
   part first) and differential blocks ``[-d_C, 0; -f, d_D]``;
 * tensor products of complexes use the Koszul rule
-  ``d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy`` with summands ordered by
-  ascending left degree, and multi-factor products associate to the left.
+  ``d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy``; a multi-factor product
+  is built as left-associated pairs, which fixes the order of its summands
+  (:func:`tensor_layout`), and a map on factor ``i`` carries the sign of
+  passing the factors before it.
 
 A basis of homology is one record per degree, :class:`HomologySpace`:
 cycles ``Z`` and cocycles ``W`` with ``W Z = I``, ``W d = 0``, the induced
@@ -34,24 +36,27 @@ summand), :func:`induced_on_homology` (the classes of ``f_j Z_j``) and, for
 a cone, :func:`cone_homology_dims`.  :func:`homology_rank_dims` is the
 independent rank route the tests compare with.
 
-Tower laws are checked on Kronecker blocks.  Every block of a tensor-pair
-differential, and of a map lifted from one factor, is a signed Kronecker
-product ``f (x) 1`` or ``1 (x) g`` of factor matrices, so
-:func:`tensor_pair` and :func:`_lift_through_pair` record it as such a term
-(:class:`~smallhom.linalg.KronBlocks`), and composites of lifts compose
-their terms.  One routine, :func:`vanishes`, checks ``d . d = 0``, every
-chain-map law and the homotopy identity, block by block at factor size, so
-no check multiplies two tower-size matrices.  A plain map is the one-block,
-one-term case.  Thin products against the Kunneth classes go through the
-blocks too, and a cone's differentials are grids of blocks, so no tower or
-cone matrix is assembled.
+Tower laws are checked on Kronecker blocks.  Every map on a tensor tower,
+its differential, a map lifted from one factor and the Kunneth contraction,
+is a sum of signed c-fold Kronecker products ``e_1 (x) ... (x) e_c`` of
+factor matrices, so :func:`_slot_blocks` records it as such terms
+(:class:`~smallhom.linalg.KronBlocks`), and composites compose their terms
+factor by factor.  One routine, :func:`vanishes`, checks ``d . d = 0``,
+every chain-map law and the homotopy identity, block by block at factor
+size, so no check multiplies two tower-size matrices.  A plain map is the
+one-block, one-term case.  Thin products against the Kunneth classes go
+through the blocks too, and a cone's differentials are grids of blocks, so
+no tower or cone matrix is assembled.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
+from itertools import accumulate
+from math import prod
+from operator import getitem
 from typing import Callable
 
 import numpy as np
@@ -69,7 +74,7 @@ from .algebra import (
 
 
 class BlockMorphism(ModuleMorphism):
-    """A module map between tensor-pair terms, kept as :class:`KronBlocks`
+    """A module map between tensor terms, kept as :class:`KronBlocks`
     and unchecked; its dense matrix is assembled on the first read of
     :attr:`matrix`.  Products, sums and zero tests stay on the blocks."""
 
@@ -352,8 +357,10 @@ def homology_rank_dims(C: ChainComplex) -> dict[int, int]:
     """Homology dimensions from differential ranks alone.
 
     ``dim H_i = dim C_i - rank d_i - rank d_{i+1}``; independent of the
-    subquotient machinery in :func:`homology_space` and much cheaper on
-    large complexes.
+    subquotient machinery in :func:`homology_space`, so the tests and the
+    selftest compare with it.  It ranks each differential's matrix, which
+    assembles a map kept as Kronecker blocks (:class:`BlockMorphism`): on a
+    tensor tower or a cone it is the reference, not the route.
     """
     ranks = {i: d.matrix.rank() for i, d in C.diffs.items()}
     out = {}
@@ -437,7 +444,7 @@ def compose_shifted(f: ChainMap, g: ChainMap) -> ChainMap:
     For self maps this is the multiplication making the shifts add; the
     components of a suspended map are unchanged, so the composite at degree
     ``j`` is ``f.comps[j + g.shift] o g.comps[j]``.  Two lifts on one tensor
-    pair compose their Kronecker terms (:class:`BlockMorphism`).
+    tower compose their Kronecker terms (:class:`BlockMorphism`).
     """
     if g.target is not f.source and g.target.dims() != f.source.dims():
         raise ValueError("composition endpoint mismatch")
@@ -567,35 +574,33 @@ def induced_on_homology(f: ChainMap, classes: dict[int, HomologySpace]) -> dict[
 # ----------------------------------------------------------------------
 @dataclass
 class SummandSlot:
-    left_degree: int
-    right_degree: int
-    dim: int
+    """One summand of a tensor term: a degree ``sigma_f`` of each factor and
+    the dimension of that factor's object there."""
+
+    degrees: tuple[int, ...]
+    dims: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return prod(self.dims)
 
 
-@dataclass
-class TensorPair:
-    """A two-factor tensor complex with its summand layout."""
-
-    left: ChainComplex
-    right: ChainComplex
-    complex: ChainComplex
-    layout: dict[int, list[SummandSlot]]
-
-
-def tensor_layout(left_dims: dict[int, int], right_dims: dict[int, int]) -> dict[int, list[SummandSlot]]:
-    """The summand slots of the tensor of two complexes with these graded
-    dimensions, in the order :func:`tensor_pair` builds them: by total
-    degree, then left degree.  Under the diagonal coproduct ``dim(M (x) N)
-    = dim M * dim N``, so the layout needs no module."""
+def tensor_layout(*factor_dims: dict[int, int]) -> dict[int, list[SummandSlot]]:
+    """The summand slots of the tensor of complexes with these graded
+    dimensions, in the order :func:`tensor_tower` builds them: by total
+    degree, then by the degree of each left-associated partial product, from
+    the longest down (the key ``accumulate(sigma)`` reversed).  Under the
+    diagonal coproduct ``dim(M (x) N) = dim M * dim N``, so the layout needs
+    no module."""
     layout: dict[int, list[SummandSlot]] = {}
-    for s, t in sorted(itertools.product(left_dims, right_dims), key=lambda st: (st[0] + st[1], st[0])):
-        layout.setdefault(s + t, []).append(SummandSlot(s, t, left_dims[s] * right_dims[t]))
+    for sigma in sorted(itertools.product(*factor_dims), key=lambda s: tuple(accumulate(s))[::-1]):
+        layout.setdefault(sum(sigma), []).append(SummandSlot(sigma, tuple(map(getitem, factor_dims, sigma))))
     return layout
 
 
-def check_tensor_sizes(ctx, stage: str, factor_dims: list[dict[int, int]]) -> None:
+def check_tensor_sizes(ctx, stage: str, factor_dims: list[dict[int, int]]) -> list[dict[int, list[SummandSlot]]]:
     """Check ``ctx``'s budget for every pair of a left-associated tensor
-    before any of them is built.
+    before any of them is built, and return the slots of each pair.
 
     ``factor_dims`` holds the graded dimensions of the factors, one dict
     per factor (a module is ``{0: dim}``).  Each stage's slots come from
@@ -603,141 +608,129 @@ def check_tensor_sizes(ctx, stage: str, factor_dims: list[dict[int, int]]) -> No
     stage's left factor, so this raises exactly when a later
     :meth:`~smallhom.algebra.DiagonalTensor.pair` call would.
     """
-    acc = factor_dims[0]
+    stages, acc = [], factor_dims[0]
     for nxt in factor_dims[1:]:
         layout = tensor_layout(acc, nxt)
         for slots in layout.values():
             for sl in slots:
-                ctx.budget.check(sl.dim, stage, (acc[sl.left_degree], nxt[sl.right_degree]))
+                ctx.budget.check(sl.dim, stage, sl.dims)
+        stages.append(layout)
         acc = {n: sum(sl.dim for sl in slots) for n, slots in layout.items()}
+    return stages
 
 
-def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorPair:
-    """Kunneth-style double complex totalization with Koszul signs.
-
-    ``ctx`` is a :class:`~smallhom.algebra.DiagonalTensor`, whose products
-    are Kronecker products, so maps between summands are too.  Each term is
-    the sum of its :func:`tensor_layout` slots.  The differential ``d (x) 1
-    + (-1)^s 1 (x) d`` is the left lift of ``d_{C1}`` plus the right lift of
-    ``d_{C2}``, each a map of shift -1, so it is recorded by
-    :func:`_slot_blocks` as Kronecker terms like any lifted map, and
-    ``d . d = 0`` is checked on those blocks.
-    """
-    layout = tensor_layout(C1.dims(), C2.dims())
-    objects = {n: direct_sum_modules([ctx.pair(C1.objects[sl.left_degree], C2.objects[sl.right_degree])
-                                      for sl in slots])
-               for n, slots in layout.items()}
-    blocks = _slot_blocks(C1, C2, layout, -1,
-                          {s: d.matrix for s, d in C1.diffs.items()},
-                          {t: d.matrix for t, d in C2.diffs.items()})
-    diffs = {n: BlockMorphism(objects[n], objects[n - 1], kb) for n, kb in blocks.items()}
-    cx = ChainComplex(C1.algebra, objects, diffs, check=True)
-    return TensorPair(C1, C2, cx, layout)
-
-
-def _slot_blocks(left: ChainComplex, right: ChainComplex, layout: dict[int, list[SummandSlot]],
-                 m: int, left_comps: dict[int, FpMatrix], right_comps: dict[int, FpMatrix],
-                 drop_koszul_sign: bool = False, right_left: dict[int, FpMatrix] | None = None,
+def _slot_blocks(p: int, layout: dict[int, list[SummandSlot]], i: int, m: int, comps: dict[int, FpMatrix],
+                 before: list[dict[int, FpMatrix]] | None = None, drop_koszul_sign: bool = False,
                  ) -> dict[int, KronBlocks]:
-    """Kronecker terms of ``f (x) 1 + (-1)^{m s} e (x) g`` between the summand slots.
+    """Kronecker terms of ``(-1)^{m (sigma_1 + ... + sigma_{i-1})} e_1 (x) ...
+    (x) e_{i-1} (x) f (x) 1 (x) ... (x) 1`` between the summand slots
+    ``sigma`` of ``layout``, keyed by source degree.
 
-    ``f`` and ``g`` are shift-``m`` maps of the left and right factor, given
-    by their components; the Koszul sign falls on the summand with left
-    degree ``s``, unless ``drop_koszul_sign`` corrupts the convention.
-    ``e`` is the identity, or ``right_left[s]`` (no term where that is absent).
-    Degrees where no block is nonzero are left out.
+    ``f`` is a shift-``m`` map of factor ``i``, given by its components.  Each
+    ``e_j`` is the identity, or ``before[j][sigma_j]`` (no term where that is
+    absent).  The Koszul sign is that of ``f`` passing the factors before it,
+    unless ``drop_koszul_sign`` corrupts the convention.  Degrees where no
+    block is nonzero are left out.
     """
-    p = left.algebra.p
-
-    def factor_dims(slots):
-        return [(left.objects[sl.left_degree].dim, right.objects[sl.right_degree].dim) for sl in slots]
-
     out = {}
     for n, slots in layout.items():
-        target_slots = layout.get(n + m)
-        if not target_slots:
+        target = layout.get(n + m)
+        if not target:
             continue
-        dst_index = {(sl.left_degree, sl.right_degree): k for k, sl in enumerate(target_slots)}
-        terms: dict[tuple[int, int], list] = {}
+        index = {sl.degrees: k for k, sl in enumerate(target)}
+        terms = {}
         for jsrc, sl in enumerate(slots):
-            s, t = sl.left_degree, sl.right_degree
-            f, jdst = left_comps.get(s), dst_index.get((s + m, t))
-            if f is not None and jdst is not None:
-                terms.setdefault((jdst, jsrc), []).append((1, f, None))
-            g, jdst = right_comps.get(t), dst_index.get((s, t + m))
-            e = None if right_left is None else right_left.get(s)
-            if g is not None and jdst is not None and (right_left is None or e is not None):
-                sign = -1 if (m * s) % 2 and not drop_koszul_sign else 1
-                terms.setdefault((jdst, jsrc), []).append((sign % p, e, g))
+            sigma = sl.degrees
+            f = comps.get(sigma[i])
+            if f is None:
+                continue
+            jdst = index.get(sigma[:i] + (sigma[i] + m,) + sigma[i + 1 :])
+            es = (None,) * i if before is None else tuple(b.get(s) for b, s in zip(before, sigma))
+            if jdst is None or before is not None and any(e is None for e in es):
+                continue
+            sign = -1 if m * sum(sigma[:i]) % 2 and not drop_koszul_sign else 1
+            terms[jdst, jsrc] = [(sign % p, *es, f) + (None,) * (len(sigma) - i - 1)]
         if terms:
-            out[n] = KronBlocks(p, factor_dims(target_slots), factor_dims(slots), terms)
+            out[n] = KronBlocks(p, [sl.dims for sl in target], [sl.dims for sl in slots], terms)
     return out
 
 
-def _lift_through_pair(tp: TensorPair, f: ChainMap, side: str, drop_koszul_sign: bool = False) -> ChainMap:
-    """Extend a self chain map of one factor to the tensor complex, unchecked:
-    callers test the lift with :meth:`ChainMap.is_chain_map`.
-
-    Only a map on the right factor picks up a Koszul sign
-    (:func:`_slot_blocks`).  ``drop_koszul_sign`` is a test hook that
-    deliberately corrupts the convention.
-    """
-    m = f.shift
-    comps = {j: c.matrix for j, c in f.comps.items()}
-    blocks = _slot_blocks(tp.left, tp.right, tp.layout, m,
-                          comps if side == "left" else {}, comps if side == "right" else {},
-                          drop_koszul_sign)
-    objects = tp.complex.objects
-    maps = {n: BlockMorphism(objects[n], objects[n + m], kb) for n, kb in blocks.items()}
-    return ChainMap(tp.complex, tp.complex, m, maps, check=False)
+def _add_blocks(parts) -> dict[int, KronBlocks]:
+    """The degreewise sum of maps given as Kronecker blocks by degree."""
+    out: dict[int, KronBlocks] = {}
+    for blocks in parts:
+        for n, kb in blocks.items():
+            out[n] = out[n] + kb if n in out else kb
+    return out
 
 
 @dataclass
 class TensorTower:
-    """Left-associated tensor of several complexes, with map lifting."""
+    """The tensor ``F_1 (x) ... (x) F_c`` of the complexes ``factors``: the
+    summand slots of each degree, ``layout``, and the tensor ``complex``.
+
+    Every map on the tower is recorded once, as c-fold Kronecker terms of
+    factor maps (:func:`_slot_blocks`): the differential, the lifts of factor
+    maps and, in :func:`kunneth_classes`, the contraction.
+    """
 
     factors: list[ChainComplex]
-    pairs: list[TensorPair]
-
-    @property
-    def complex(self) -> ChainComplex:
-        if self.pairs:
-            return self.pairs[-1].complex
-        return self.factors[0]
+    layout: dict[int, list[SummandSlot]]
+    complex: ChainComplex
 
     def lift_factor_map(self, i: int, f: ChainMap, drop_koszul_sign: bool = False) -> ChainMap:
+        """``1 (x) ... (x) f (x) ... (x) 1`` for a self chain map ``f`` of
+        factor ``i``, with the Koszul sign ``(-1)^{m (sigma_1 + ... +
+        sigma_{i-1})}`` of its shift ``m``, unchecked: callers test the lift
+        with :meth:`ChainMap.is_chain_map`.  ``drop_koszul_sign`` is a test
+        hook that deliberately corrupts the convention."""
         if not 0 <= i < len(self.factors):
             raise IndexError(f"no tensor factor {i}")
-        if not self.pairs:
+        if len(self.factors) == 1:
             return f
-        if i == 0:
-            g = _lift_through_pair(self.pairs[0], f, "left", drop_koszul_sign)
-            rest = self.pairs[1:]
-        else:
-            g = _lift_through_pair(self.pairs[i - 1], f, "right", drop_koszul_sign)
-            rest = self.pairs[i:]
-        for tp in rest:
-            g = _lift_through_pair(tp, g, "left", drop_koszul_sign)
-        return g
+        m = f.shift
+        blocks = _slot_blocks(self.complex.algebra.p, self.layout, i, m, {j: c.matrix for j, c in f.comps.items()},
+                              drop_koszul_sign=drop_koszul_sign)
+        objects = self.complex.objects
+        maps = {n: BlockMorphism(objects[n], objects[n + m], kb) for n, kb in blocks.items()}
+        return ChainMap(self.complex, self.complex, m, maps, check=False)
 
 
 def tensor_tower(factors: list[ChainComplex], ctx) -> TensorTower:
-    """Left-associated tensor of the factors.
+    """The tensor of the factors, with Koszul signs; one factor is its own tower.
 
-    ``ctx`` is a :class:`~smallhom.algebra.DiagonalTensor`: the size of
+    ``ctx`` is a :class:`~smallhom.algebra.DiagonalTensor`, whose products
+    are Kronecker products, so maps between summands are too.  The size of
     every summand of every stage is checked against its budget before the
-    first one is built (:func:`check_tensor_sizes`).
+    first one is built (:func:`check_tensor_sizes`).  Each term is then built
+    by left-associated pairs, stage by stage, each stage's term the sum of
+    its slots' tensors, so its summands follow :func:`tensor_layout`.  The
+    differential ``sum_i (-1)^{sigma_1 + ... + sigma_{i-1}} 1 (x) ... (x)
+    d_i (x) ... (x) 1`` is the sum of the factor differentials' lifts, each a
+    map of shift -1, recorded by :func:`_slot_blocks` as Kronecker terms, and
+    ``d . d = 0`` is checked on those blocks.
     """
     if not factors:
         raise ValueError("need at least one factor")
-    check_tensor_sizes(ctx, "tensor tower", [C.dims() for C in factors])
-    pairs = []
-    acc = factors[0]
-    for nxt in factors[1:]:
-        tp = tensor_pair(acc, nxt, ctx)
-        pairs.append(tp)
-        acc = tp.complex
-    return TensorTower(list(factors), pairs)
+    dims = [C.dims() for C in factors]
+    stages = check_tensor_sizes(ctx, "tensor tower", dims)
+    layout = tensor_layout(*dims)
+    if len(factors) == 1:
+        return TensorTower(list(factors), layout, factors[0])
+    objects = factors[0].objects
+    for C, stage in zip(factors[1:], stages):
+        objects = {n: direct_sum_modules([ctx.pair(objects[sl.degrees[0]], C.objects[sl.degrees[1]]) for sl in slots])
+                   for n, slots in stage.items()}
+    p = ctx.algebra.p
+    blocks = _add_blocks(_slot_blocks(p, layout, i, -1, {s: d.matrix for s, d in C.diffs.items()})
+                         for i, C in enumerate(factors))
+    diffs = {n: BlockMorphism(objects[n], objects[n - 1], kb) for n, kb in blocks.items()}
+    return TensorTower(list(factors), layout, ChainComplex(factors[0].algebra, objects, diffs, check=True))
+
+
+def tensor_pair(C1: ChainComplex, C2: ChainComplex, ctx) -> TensorTower:
+    """The tensor of two complexes (:func:`tensor_tower`)."""
+    return tensor_tower([C1, C2], ctx)
 
 
 # ----------------------------------------------------------------------
@@ -747,56 +740,43 @@ def kunneth_classes(tower: TensorTower) -> dict[int, HomologySpace]:
     """Homology records of the tower complex by Kunneth, unchecked, one for
     each degree of the tower.
 
-    Each stage places the Kronecker products of its left classes with the
-    right factor's classes (:func:`homology_space`) in the summand slots of
-    its layout: ``z (x) z'`` is a cycle and ``w (x) w'`` kills boundaries by
-    the Leibniz rule, and ``h_1 (x) 1 + (-1)^s (Z_1 W_1) (x) h_2`` contracts
-    the stage (the tensor trick).  :func:`certify_classes` checks all three.
+    Each slot ``sigma`` holds the Kronecker products of its factors'
+    records (:func:`homology_space`): ``Z_1 (x) ... (x) Z_c`` is a cycle and
+    ``W_1 (x) ... (x) W_c`` kills boundaries by the Leibniz rule, and
+    ``h = sum_i (-1)^{sigma_1 + ... + sigma_{i-1}} P_1 (x) ... (x) P_{i-1}
+    (x) h_i (x) 1 (x) ... (x) 1``, with ``P_j = Z_j W_j``, contracts the
+    tower (the tensor trick).  ``W``, ``Z W`` and ``h`` are kept as Kronecker
+    terms of factor matrices.  :func:`certify_classes` checks all three.
     """
-    def factor(C: ChainComplex) -> dict[int, HomologySpace]:
-        return {n: homology_space(C, n) for n in C.degrees()}
-
-    acc = factor(tower.factors[0])
-    for tp in tower.pairs:
-        acc = _pair_classes(tp, acc, factor(tp.right))
-    return acc
-
-
-def _pair_classes(tp: TensorPair, left: dict[int, HomologySpace],
-                  right: dict[int, HomologySpace]) -> dict[int, HomologySpace]:
-    """One stage: ``z (x) z'`` in its slot's rows, ``w (x) w'`` in its
-    columns, the latter kept as one Kronecker term per class slot."""
-    p = tp.complex.algebra.p
-
-    def projection(h: HomologySpace) -> FpMatrix:
-        return blocks_of(h.contraction[0]).dense()
+    records = [{n: homology_space(C, n) for n in C.degrees()} for C in tower.factors]
+    if len(records) == 1:
+        return records[0]
+    p = tower.complex.algebra.p
 
     @cache
     def homotopies() -> dict[int, KronBlocks]:
-        hs = [{n: blocks_of(h.contraction[1]).dense() for n, h in side.items() if h.contraction[1]}
-              for side in (left, right)]
-        return _slot_blocks(tp.left, tp.right, tp.layout, 1, *hs,
-                            right_left={s: projection(h) for s, h in left.items() if h.dim})
+        projections = [{n: h.contraction[0] for n, h in rec.items() if h.dim} for rec in records]
+        return _add_blocks(
+            _slot_blocks(p, tower.layout, i, 1, {n: h.contraction[1] for n, h in rec.items()
+                                                 if h.contraction[1] is not None}, projections[:i])
+            for i, rec in enumerate(records))
 
-    def contract(record: HomologySpace, n: int, factor_dims: list, hit: list) -> tuple:
-        P = {(k, k): [(1, projection(hl), projection(hr))] for k, hl, hr in hit}
-        return KronBlocks(p, factor_dims, factor_dims, P), homotopies().get(n)
+    def contract(record: HomologySpace, n: int, dims: list, hit: list) -> tuple:
+        P = {(k, k): [(1, *(h.contraction[0] for h in hs))] for k, hs in hit}
+        return KronBlocks(p, dims, dims, P), homotopies().get(n)
 
     out = {}
-    for n, slots in tp.layout.items():
-        pairs = [(k, left[sl.left_degree], right[sl.right_degree]) for k, sl in enumerate(slots)]
-        hit = [(k, hl, hr) for k, hl, hr in pairs if hl.dim and hr.dim]
-        zs = {k: hl.reps.kron(hr.reps) for k, hl, hr in hit}
-        dims = [sl.dim for sl in slots]
+    for n, slots in tower.layout.items():
+        hit = [(k, [rec[s] for rec, s in zip(records, sl.degrees)]) for k, sl in enumerate(slots)]
+        hit = [(k, hs) for k, hs in hit if all(h.dim for h in hs)]
+        zs = {k: reduce(FpMatrix.kron, (h.reps for h in hs)) for k, hs in hit}
         reps = block(p, [[zs[k] if k == j else None for j in zs] for k in range(len(slots))],
-                     dims, [z.cols for z in zs.values()])
-        factor_dims = [(tp.left.objects[sl.left_degree].dim, tp.right.objects[sl.right_degree].dim)
-                       for sl in slots]
-        duals = KronBlocks(p, [(hl.dim, hr.dim) for _, hl, hr in hit], factor_dims,
-                           {(r, k): [(1, blocks_of(hl.duals).dense(), blocks_of(hr.duals).dense())]
-                            for r, (k, hl, hr) in enumerate(hit)})
-        out[n] = HomologySpace(tp.complex.objects[n], tp.complex.diffs.get(n), reps, duals,
-                               partial(contract, n=n, factor_dims=factor_dims, hit=hit))
+                     [sl.dim for sl in slots], [z.cols for z in zs.values()])
+        dims = [sl.dims for sl in slots]
+        duals = KronBlocks(p, [tuple(h.dim for h in hs) for _, hs in hit], dims,
+                           {(r, k): [(1, *(h.duals for h in hs))] for r, (k, hs) in enumerate(hit)})
+        out[n] = HomologySpace(tower.complex.objects[n], tower.complex.diffs.get(n), reps, duals,
+                               partial(contract, n=n, dims=dims, hit=hit))
     return out
 
 
@@ -822,7 +802,7 @@ def certify_classes(C: ChainComplex, classes: dict[int, HomologySpace]) -> None:
             raise CertificationError(f"the degree-{n} classes do not pair to the identity")
         P, h_n = h.contraction
         slots = blocks_of(P).row_slots
-        one = KronBlocks(p, slots, slots, {(k, k): [(1, None, None)] for k in range(len(slots))})
+        one = KronBlocks(p, slots, slots, {(k, k): [(1, *[None] * len(sl))] for k, sl in enumerate(slots)})
         below = classes[n - 1].contraction[1] if n in C.diffs else None
         if not vanishes([(1, one, P), (-1, one, one), (1, C.diffs.get(n + 1), h_n), (1, below, C.diffs.get(n))]):
             raise CertificationError(f"the degree-{n} homotopy identity fails")

@@ -51,8 +51,10 @@ from lists in which a coordinate may repeat and a value may vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import accumulate
+from math import prod
 
 import numpy as np
 
@@ -485,16 +487,17 @@ def block(p: int, grid: list[list["FpMatrix | None"]], row_dims: list[int], col_
 class KronBlocks:
     """A matrix between two direct sums of tensor slots, kept as Kronecker terms.
 
-    Slot ``k`` of either side has factor dimensions ``(dl, dr)`` and size
-    ``dl * dr``.  Block ``(i, j)`` is the sum of its terms ``c * L (x) R``,
-    with ``L`` of shape ``dl_i x dl_j`` and ``R`` of shape ``dr_i x dr_j``;
-    ``None`` stands for an identity factor.  Products and sums stay in this
-    form by the mixed-product rule ``(L (x) R)(L' (x) R') = LL' (x) RR'``
-    (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
-    123, 2000), so they multiply factors only.  A thin matrix is multiplied
-    through the reshape identity (:meth:`apply`), a zero test runs at factor
-    size (:meth:`is_zero`), and the dense matrix is assembled only on
-    request (:meth:`dense`).  A plain matrix is the one-block, one-term case
+    Slot ``k`` of either side has factor dimensions ``(d_1, ..., d_c)`` and
+    size ``d_1 ... d_c``.  Block ``(i, j)`` is the sum of its terms
+    ``(c, F_1, ..., F_c)``, each ``c * F_1 (x) ... (x) F_c`` with ``F_f`` of
+    shape ``d_f(i) x d_f(j)``; ``None`` stands for an identity factor, and a
+    two-fold term is ``(c, L, R)``.  Products and sums stay in this form by the
+    mixed-product rule ``(F_1 (x) F_2)(G_1 (x) G_2) = F_1 G_1 (x) F_2 G_2``,
+    factor by factor (Van Loan, "The ubiquitous Kronecker product", J. Comput.
+    Appl. Math. 123, 2000), so they multiply factors only.  A thin matrix is
+    multiplied through the reshape identity (:meth:`apply`), a zero test runs
+    at factor size (:meth:`is_zero`), and the dense matrix is assembled only
+    on request (:meth:`dense`).  A plain matrix is the one-block, one-term case
     (:meth:`single`).
     """
 
@@ -504,7 +507,7 @@ class KronBlocks:
         self.p = p
         self.row_slots = tuple(row_slots)
         self.col_slots = tuple(col_slots)
-        self.terms = terms  # {(i, j): [(c, L, R), ...]}, no empty lists
+        self.terms = terms  # {(i, j): [(c, F_1, ..., F_c), ...]}, no empty lists
         self._dense: FpMatrix | None = None
 
     @classmethod
@@ -534,7 +537,7 @@ class KronBlocks:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return sum(l * r for l, r in self.row_slots), sum(l * r for l, r in self.col_slots)
+        return sum(map(prod, self.row_slots)), sum(map(prod, self.col_slots))
 
     def __matmul__(self, other: "KronBlocks") -> "KronBlocks":
         if self.col_slots != other.row_slots:
@@ -546,11 +549,16 @@ class KronBlocks:
         terms: dict = {}
         for (i, j), ts in self.terms.items():
             for k, us in by_row.get(j, ()):
-                for c, L, R in ts:
-                    for c2, L2, R2 in us:
-                        LL, RR = _factor_product(L, L2), _factor_product(R, R2)
-                        if (LL is None or not LL.is_zero()) and (RR is None or not RR.is_zero()):
-                            terms.setdefault((i, k), []).append((c * c2 % self.p, LL, RR))
+                for t in ts:
+                    for u in us:
+                        tu = [t[0] * u[0] % self.p]
+                        for f, g in zip(t[1:], u[1:]):
+                            fg = _factor_product(f, g)
+                            if fg is not None and fg.is_zero():
+                                break
+                            tu.append(fg)
+                        else:
+                            terms.setdefault((i, k), []).append(tuple(tu))
         return KronBlocks(self.p, self.row_slots, other.col_slots, terms)
 
     def __add__(self, other: "KronBlocks") -> "KronBlocks":
@@ -563,25 +571,22 @@ class KronBlocks:
 
     def scale(self, c: int) -> "KronBlocks":
         c %= self.p
-        terms = {key: [(c * c0 % self.p, L, R) for c0, L, R in ts] for key, ts in self.terms.items()}
+        terms = {key: [(c * c0 % self.p, *fs) for c0, *fs in ts] for key, ts in self.terms.items()}
         return KronBlocks(self.p, self.row_slots, self.col_slots, terms if c else {})
 
     def _add_block(self, i: int, j: int, out: np.ndarray) -> None:
         """Add block ``(i, j)``, summed from its terms, to ``out`` in place."""
-        rl, rr = self.row_slots[i]
-        for c, L, R in self.terms[(i, j)]:
-            term = kron_array(L.a if L is not None else np.eye(rl, dtype=np.int64),
-                              R.a if R is not None else np.eye(rr, dtype=np.int64))
-            if c != 1:
-                term *= c
-            out += term
+        for c, *fs in self.terms[(i, j)]:
+            mats = [f.a if f is not None else np.eye(n, dtype=np.int64) for f, n in zip(fs, self.row_slots[i])]
+            term = reduce(lambda x, y: kron_array(x % self.p, y), mats)
+            out += term if c == 1 else c * term
             out %= self.p
 
     def dense(self) -> FpMatrix:
         """The assembled matrix, built once, each block summed in place."""
         if self._dense is None:
-            row_off = list(accumulate((l * r for l, r in self.row_slots), initial=0))
-            col_off = list(accumulate((l * r for l, r in self.col_slots), initial=0))
+            row_off = list(accumulate(map(prod, self.row_slots), initial=0))
+            col_off = list(accumulate(map(prod, self.col_slots), initial=0))
             out = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
             for i, j in self.terms:
                 self._add_block(i, j, out[row_off[i] : row_off[i + 1], col_off[j] : col_off[j + 1]])
@@ -596,8 +601,8 @@ class KronBlocks:
         """``self @ V`` for a thin ``V``, term by term through
         :func:`kron_apply`, so no operand is larger than a factor or a slot
         of ``V``; slots where ``V`` is zero are skipped."""
-        col_off = list(accumulate((l * r for l, r in self.col_slots), initial=0))
-        row_off = list(accumulate((l * r for l, r in self.row_slots), initial=0))
+        col_off = list(accumulate(map(prod, self.col_slots), initial=0))
+        row_off = list(accumulate(map(prod, self.row_slots), initial=0))
         out = np.zeros((row_off[-1], V.cols), dtype=np.int64)
         # a slot of V that is zero contributes nothing: Kunneth classes sit in few slots
         pieces = [V.a[col_off[j] : col_off[j + 1]] for j in range(len(self.col_slots))]
@@ -607,35 +612,36 @@ class KronBlocks:
             if Vj is None:
                 continue
             acc = out[row_off[i] : row_off[i + 1]]
-            for c, L, R in ts:
-                acc += c * kron_apply(Vj, self.col_slots[j], L, R).a
+            for c, *fs in ts:
+                acc += c * kron_apply(Vj, self.col_slots[j], *fs).a
             acc %= self.p
         return FpMatrix._adopt(self.p, out, reduced=True)
 
 
-def kron_apply(V: FpMatrix, dims: tuple[int, int], left, right) -> FpMatrix:
-    """``(L (x) R) V`` without forming ``L (x) R``.
+def kron_apply(V: FpMatrix, dims: tuple[int, ...], *factors) -> FpMatrix:
+    """``(F_1 (x) ... (x) F_c) V`` without forming the Kronecker product.
 
-    Column ``v`` of ``V`` is the row-major ``vec(X)`` of a ``dl x dr``
-    matrix ``X``, ``dims = (dl, dr)``, and ``(L (x) R) vec(X) = vec(L X R^T)``
-    (the reshape identity; Van Loan, "The ubiquitous Kronecker product").
-    So ``L`` acts on the ``dl x (dr * cols)`` reshape of ``V`` and ``R`` on
-    the ``dr x (dl' * cols)`` one, each by one guarded product.  A factor is
-    an :class:`FpMatrix`, a map on the columns of a matrix (such as
-    ``Module.act`` of a tensor factor) or ``None`` for the identity.
+    Column ``v`` of ``V`` is the row-major vectorisation of a
+    ``d_1 x ... x d_c`` array ``X``, ``dims = (d_1, ..., d_c)``, and ``F_f``
+    acts on axis ``f`` of ``X`` alone; for two factors this is
+    ``(L (x) R) vec(X) = vec(L X R^T)`` (the reshape identity; Van Loan, "The
+    ubiquitous Kronecker product").  So each factor acts on the
+    ``d_f x (rest * cols)`` unfolding of ``X`` along its axis, by one guarded
+    product.  A factor is an :class:`FpMatrix`, a map on the columns of a
+    matrix (such as ``Module.act`` of a tensor factor) or ``None`` for the
+    identity.
     """
     p, k = V.p, V.cols
-    dl, dr = dims
-    X = V.a.reshape(dl, dr * k)
-    if left is not None:
-        X = _factor_apply(left, FpMatrix._adopt(p, X, reduced=True)).a
-        dl = X.shape[0]
-    if right is not None:
-        Y = X.reshape(dl, dr, k).transpose(1, 0, 2).reshape(dr, dl * k)
-        Y = _factor_apply(right, FpMatrix._adopt(p, Y, reduced=True)).a
-        dr = Y.shape[0]
-        X = Y.reshape(dr, dl, k).transpose(1, 0, 2)
-    return FpMatrix._adopt(p, X.reshape(dl * dr, k), reduced=True)
+    dims, X, pre = list(dims), V.a, 1
+    for axis, f in enumerate(factors):
+        if f is not None:
+            d, post = dims[axis], prod(dims[axis + 1 :]) * k
+            Y = X.reshape(d, post) if pre == 1 else X.reshape(pre, d, post).transpose(1, 0, 2).reshape(d, pre * post)
+            Y = _factor_apply(f, FpMatrix._adopt(p, Y, reduced=True)).a
+            dims[axis] = Y.shape[0]
+            X = Y if pre == 1 else Y.reshape(dims[axis], pre, post).transpose(1, 0, 2)
+        pre *= dims[axis]
+    return FpMatrix._adopt(p, X.reshape(prod(dims), k), reduced=True)
 
 
 def _factor_apply(f, X: FpMatrix) -> FpMatrix:
@@ -649,40 +655,39 @@ def _factor_product(x: FpMatrix | None, y: FpMatrix | None) -> FpMatrix | None:
     return x if y is None else x @ y
 
 
-def _kron_sum_is_zero(p: int, terms: list, rows: tuple[int, int]) -> bool:
-    """Whether ``sum c L (x) R`` over ``terms``, a block whose row slot has
-    factor dimensions ``rows``, is zero, at factor size.
+def _kron_sum_is_zero(p: int, terms: list, rows: tuple[int, ...]) -> bool:
+    """Whether ``sum c F_1 (x) ... (x) F_k`` over ``terms``, a block whose
+    row slot has factor dimensions ``rows``, is zero, at factor size.
 
-    When every term shares one factor object ``S`` on one side (a single
-    term among them), the block is ``S (x) F`` with ``F = sum c F_t`` the
-    combination of the other factors, and it is zero exactly when ``S`` is
-    zero or ``F`` vanishes mod p: both are read off directly.  Otherwise,
-    grouped by the factor object they share on one side (the side with fewer
-    groups), the terms are ``sum_g S_g (x) F_g``.  Row reduction of the
-    vectorised ``S_g`` writes ``S_g = sum_t a_tg V_t`` with ``V_t``
-    independent, and the block ``sum_t V_t (x) (sum_g a_tg F_g)`` is zero
-    exactly when each of these combinations is.
+    A factor object ``S`` shared by every term (an identity among them)
+    splits off: up to the order of the factors the block is ``S (x) F``, with
+    ``F`` the sum of the terms' other ``k - 1`` factors, so it is zero
+    exactly when ``S`` is or ``F`` is.  A one-fold sum is read off directly.
+    Otherwise the terms are grouped by their first factor object into
+    ``sum_g S_g (x) F_g``.  Row reduction of the matrix whose columns are the
+    vectorised ``S_g`` writes ``S_g = sum_t a_tg V_t``, the ``V_t`` its pivot
+    columns, so the block is ``sum_t V_t (x) (sum_g a_tg F_g)``, and with the
+    ``V_t`` independent it is zero exactly when each of these ``(k - 1)``-fold
+    combinations is.  The elimination is as wide as the number of groups.
     """
     def vec(f, n):  # a factor as a row, None being the n x n identity
         return (f.a if f is not None else np.eye(n, dtype=np.int64)).reshape(-1)
 
-    for side, (n_summed, n_shared) in ((2, rows), (1, rows[::-1])):  # a shared right factor, then left
-        S = terms[0][side]
-        if all(t[side] is S for t in terms):
-            F = sum(t[0] * vec(t[3 - side], n_summed) for t in terms) % p
-            return not (F.any() and vec(S, n_shared).any())
-    groupings = []
-    for side in (2, 1):  # shared right factors, then shared left ones
-        groups: dict = {}
-        for t in terms:
-            groups.setdefault(id(t[side]), (t[side], []))[1].append((t[0], t[3 - side]))
-        groupings.append((side, list(groups.values())))
-    side, groups = min(groupings, key=lambda sg: len(sg[1]))
-    n_summed, n_shared = (rows[0], rows[1])[:: 1 if side == 2 else -1]
-    summed = FpMatrix(p, [sum(c * vec(f, n_summed) for c, f in members) for _, members in groups])
-    red, pivots = summed.transpose().rref()
-    shared = np.array([vec(f, n_shared) for f, _ in groups])
-    return not (red.a[: len(pivots)] @ shared % p).any()
+    if len(rows) == 1:
+        return not (sum(c * vec(f, rows[0]) for c, f in terms) % p).any()
+    for k in range(len(rows)):
+        S = terms[0][k + 1]
+        if all(t[k + 1] is S for t in terms):
+            return (S is not None and S.is_zero()) or _kron_sum_is_zero(
+                p, [t[: k + 1] + t[k + 2 :] for t in terms], rows[:k] + rows[k + 1 :])
+    groups: dict = {}
+    for c, first, *rest in terms:
+        groups.setdefault(id(first), (first, []))[1].append((c, *rest))
+    red, pivots = FpMatrix(p, [vec(f, rows[0]) for f, _ in groups.values()]).transpose().rref()
+    members = [ms for _, ms in groups.values()]
+    return all(_kron_sum_is_zero(p, [(a * c % p, *rest) for a, ms in zip(coeffs, members) if a for c, *rest in ms],
+                                 rows[1:])
+               for coeffs in red.a[: len(pivots)].tolist())
 
 
 def nonpivot_columns(n: int, pivots) -> list[int]:

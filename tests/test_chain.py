@@ -1,6 +1,7 @@
 """Chain complexes, homology, cones, homotopies and tensor products."""
 
 import dataclasses
+import itertools
 import os
 import random
 import subprocess
@@ -498,13 +499,26 @@ def test_tower_checks_every_stage_before_building(two_term, algebra, tensor_diag
 def test_tensor_layout_is_the_build_order_of_tensor_pair(two_term, algebra):
     # by total degree, then left degree, whatever order the dicts are in
     layout = tensor_layout({1: 5, 0: 2}, {2: 3, 0: 7})
-    assert {n: [(sl.left_degree, sl.right_degree, sl.dim) for sl in slots] for n, slots in layout.items()} \
+    assert {n: [(*sl.degrees, sl.dim) for sl in slots] for n, slots in layout.items()} \
         == {0: [(0, 0, 14)], 1: [(1, 0, 35)], 2: [(0, 2, 6)], 3: [(1, 2, 15)]}
     assert list(layout) == [0, 1, 2, 3]
     tp = tensor_pair(two_term, two_term, DiagonalTensor(algebra))
     assert tp.layout == tensor_layout(two_term.dims(), two_term.dims())
     assert {n: [S.dim for S in M.summands] for n, M in tp.complex.objects.items()} \
         == {n: [sl.dim for sl in slots] for n, slots in tp.layout.items()}
+    # three factors: the order of the left-associated pairs, each pair slot
+    # (s_1 + s_2, s_3) expanding into the left stage's slots of degree s_1 + s_2
+    layout = tensor_layout({1: 5, 0: 2}, {2: 3, 0: 7}, {0: 1, 1: 4})
+    assert {n: [(*sl.degrees, sl.dim) for sl in slots] for n, slots in layout.items()} \
+        == {0: [(0, 0, 0, 14)], 1: [(0, 0, 1, 56), (1, 0, 0, 35)], 2: [(1, 0, 1, 140), (0, 2, 0, 6)],
+            3: [(0, 2, 1, 24), (1, 2, 0, 15)], 4: [(1, 2, 1, 60)]}
+    tower = tensor_tower([two_term] * 3, DiagonalTensor(algebra))
+    assert tower.layout == tensor_layout(*[two_term.dims()] * 3)
+    # each term's summands are the pairs (s_1 + s_2, s_3), its slots in a row
+    pairs = {n: [sum(sl.dim for sl in group)
+                 for _, group in itertools.groupby(slots, lambda sl: (sum(sl.degrees[:2]), sl.degrees[2]))]
+             for n, slots in tower.layout.items()}
+    assert {n: [S.dim for S in M.summands] for n, M in tower.complex.objects.items()} == pairs
 
 
 def test_check_tensor_sizes_walks_pairs_in_build_order(algebra):
@@ -793,8 +807,7 @@ def test_induced_on_homology_rejects_a_non_cycle_image_under_optimize(run_optimi
 
 
 def _assert_block_laws_match_dense(tower, thetas, class_complexes, dense_laws):
-    for tp in tower.pairs:
-        assert tp.complex.square_defects() == dense_laws.square_defects(tp.complex) == []
+    assert tower.complex.square_defects() == dense_laws.square_defects(tower.complex) == []
     for theta in thetas:
         assert theta.law_defects() == dense_laws.law_defects(theta) == []
     # with the Koszul sign dropped both see the same failing degrees; the
@@ -835,8 +848,7 @@ def test_rank3_lifts_agree_with_the_dense_reference(dense_laws):
     ccs = [build_class_complex(z) for z in ps.classes]
     tower = tensor_tower([cc.complex for cc in ccs], ctx)
     assert max(tower.complex.dims().values()) == 1536
-    for tp in tower.pairs:
-        assert tp.complex.square_defects() == dense_laws.square_defects(tp.complex) == []
+    assert tower.complex.square_defects() == dense_laws.square_defects(tower.complex) == []
     for theta in build_thetas(tower, ccs):
         assert theta.law_defects() == dense_laws.law_defects(theta) == []
 
@@ -877,9 +889,13 @@ def _tower_read_shapes(monkeypatch, args, chain_run_parts, tmp_path):
     return tower, shapes
 
 
+def _factor_term(tower) -> int:
+    """The largest term of the tower's factor complexes."""
+    return max(M.dim for C in tower.factors for M in C.objects.values())
+
+
 def _assert_tower_reads_at_factor_size(tower, shapes, smallest):
-    last = tower.pairs[-1]
-    factor_term = max(M.dim for C in (last.left, last.right) for M in C.objects.values())
+    factor_term = _factor_term(tower)
     # d . d of the tower, the thetas' laws, u's law, the action on the
     # Kunneth classes, the induced maps, the class certification and the
     # coproduct proof all ran on factors: every operand is smaller than any
@@ -898,22 +914,24 @@ def test_law_checks_multiply_no_tower_size_matrices(monkeypatch, chain_run_parts
 
 def test_rank3_tower_reads_multiply_no_tower_size_matrices(monkeypatch, chain_run_parts, tmp_path):
     tower, shapes = _tower_read_shapes(monkeypatch, RANK3_TEMPLATE, chain_run_parts, tmp_path)
+    assert _factor_term(tower) == 8
     _assert_tower_reads_at_factor_size(tower, shapes, 512)
 
 
 def _elimination_widths(monkeypatch) -> list:
-    """``(tower built, columns)`` for every ``rank`` and ``rref`` call of a run."""
-    widths, built = [], [False]
+    """The columns of every ``rank`` and ``rref`` call of a run, with
+    ``None`` where the tower was built, so clearing the list resets both."""
+    widths = []
     for name in ("rank", "rref"):
         def counted(a, real=getattr(FpMatrix, name)):
-            widths.append((built[0], a.cols))
+            widths.append(a.cols)
             return real(a)
         monkeypatch.setattr(FpMatrix, name, counted)
     tower = construction.tensor_tower
 
     def recorded(*args, **kwargs):
         out = tower(*args, **kwargs)
-        built[0] = True
+        widths.append(None)
         return out
 
     monkeypatch.setattr(construction, "tensor_tower", recorded)
@@ -937,17 +955,48 @@ def _assert_tower_and_cone_unbuilt(chain_run_parts, widths):
     # nothing as wide as a tower term was ranked or row-reduced; once the
     # tower exists, nothing wider than a factor homotopy's solve, which
     # eliminates d on its pivot columns against a factor term's identity
-    last = tower.pairs[-1]
-    factor_term = max(M.dim for C in (last.left, last.right) for M in C.objects.values())
-    assert max(w for _, w in widths) < min(tower.complex.dims().values())
-    assert any(built for built, _ in widths)
-    assert max(w for built, w in widths if built) <= 2 * factor_term
-    stages = [tp.complex for tp in tower.pairs]
-    # homology_space ran on the factor complexes, never on a tower stage,
-    # and no tower differential was row-reduced
+    built = widths.index(None)
+    before, after = widths[:built], widths[built + 1 :]
+    assert max(before + after) < min(tower.complex.dims().values())
+    assert after and max(after) <= 2 * _factor_term(tower)
+    # homology_space ran on the factor complexes, never on the tower, and no
+    # tower differential was assembled, so none was row-reduced
     called = chain_run_parts["homology_space"]
     assert called and all(any(C is F for F in tower.factors) for C in called)
-    assert sum(d.matrix._rref is not None for S in stages for d in S.diffs.values()) == 0
-    # no tower sum and no cone term had its action assembled
-    terms = [M for C in stages + [cone] for M in C.objects.values()]
+    assert all(d.blocks._dense is None for d in tower.complex.diffs.values())
+    # no tower sum, of the tower or of a partial product, and no cone term
+    # had its action assembled
+    terms = _stage_terms(tower) + list(cone.objects.values())
     assert terms and sum(M._action is not None for M in terms) == 0
+
+
+def _stage_terms(tower) -> list:
+    """The terms of the tower and of its left-associated partial products,
+    reached from the top terms through the left factors of their summands."""
+    leaves = {id(M) for C in tower.factors for M in C.objects.values()}
+    terms, seen, todo = [], set(), list(tower.complex.objects.values())
+    while todo:
+        M = todo.pop()
+        if id(M) in leaves or id(M) in seen:
+            continue
+        seen.add(id(M))
+        terms.append(M)
+        todo += [S.factors[0] for S in M.summands or (M,) if S.factors is not None]
+    return terms
+
+
+@pytest.mark.parametrize("config", ["chain-rank2", "chain-rank3-f2"])
+def test_chain_run_assembles_no_kronecker_blocks(config, monkeypatch, tmp_path):
+    # every tower map is one sum of c-fold terms of factor maps, so neither
+    # building the tower nor any check on it assembles a block matrix
+    assembled = []
+    real_dense = linalg.KronBlocks.dense
+
+    def dense(self):
+        if self._dense is None:
+            assembled.append(self.shape)
+        return real_dense(self)
+
+    monkeypatch.setattr(linalg.KronBlocks, "dense", dense)
+    assert cli.main(["certify", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(tmp_path / "run.cert")]) == 0
+    assert assembled == []

@@ -604,16 +604,16 @@ real_slot_blocks = chain._slot_blocks
 real_build_thetas = construction.build_thetas
 
 
-def flipped_slot_blocks(left, right, layout, m, left_comps, right_comps, drop_koszul_sign=False):
+def flipped_slot_blocks(p, layout, i, m, comps, before=None, drop_koszul_sign=False):
     # the first 1 (x) d block of a differential whose Koszul sign is -1 loses it
-    out = real_slot_blocks(left, right, layout, m, left_comps, right_comps, drop_koszul_sign)
+    out = real_slot_blocks(p, layout, i, m, comps, before, drop_koszul_sign)
     if m != -1:
         return out
     for kb in out.values():
         for key, terms in kb.terms.items():
-            (c, L, R), = terms
-            if L is None and c == left.algebra.p - 1:
-                kb.terms[key] = [(1, L, R)]
+            (c, L, *rest), = terms
+            if L is None and c == p - 1:
+                kb.terms[key] = [(1, L, *rest)]
                 return out
     return out
 

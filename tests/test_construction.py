@@ -671,10 +671,11 @@ CONFIGS = sorted(c for c in (Path(__file__).resolve().parent.parent / "configs")
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
 def test_tower_and_cone_summands_match_the_radical_test(config, chain_run_parts, projective_reference, tmp_path):
-    # every term of every tower stage and cone, and every summand of those
-    # terms down to the diagonal tensors and their factors' sums
+    # every term of every tower and cone, and every summand of those terms
+    # down to the diagonal tensors and their factors' sums, the terms of the
+    # tower's left-associated partial products among them
     assert cli.main(["certify", "--config", str(config), "--out", str(tmp_path / "run.cert")]) == 0
-    complexes = [tp.complex for t in chain_run_parts["towers"] for tp in t.pairs] + chain_run_parts["cones"]
+    complexes = [t.complex for t in chain_run_parts["towers"]] + chain_run_parts["cones"]
     seen, stack = {}, [M for C in complexes for M in C.objects.values()]
     while stack:
         M = stack.pop()

@@ -4,7 +4,8 @@
 and ``tests/data/selftest-seed<s>.cert`` that of ``smallhom selftest --seed
 <s>`` (which carries no timings) for seeds 0, 1 and 7, so the property
 suites' draws are pinned at three seeds; a change that alters any byte of
-one must re-record it on purpose.
+one must re-record it on purpose.  ``tests/data/slow/<name>.cert`` pins a
+large run under a raised budget the same way (``pytest -m slow``).
 """
 
 from pathlib import Path
@@ -37,3 +38,19 @@ def test_selftest_certificate_is_byte_identical(seed, tmp_path):
     out = tmp_path / "selftest.cert"
     assert cli.main(["selftest", "--seed", str(seed), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"selftest-seed{seed}.cert").read_bytes()
+
+
+RAISED = ["--budget-dim", "400000", "--budget-entries", "100000000000"]
+LARGE_RUNS = {
+    "f3-333-rank3-primitive": ["--char", "3", "--exponents", "3 3 3", "--coproduct", "primitive"],
+    "f3-333-rank3-shifted": ["--char", "3", "--exponents", "3 3 3", "--coproduct", "shifted"],
+    "f2-222-power2-primitive": ["--char", "2", "--exponents", "2 2 2", "--power", "2", "--coproduct", "primitive"],
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", LARGE_RUNS)
+def test_large_run_certificate_is_byte_identical(name, tmp_path):
+    out = tmp_path / f"{name}.cert"
+    assert cli.main(["certify", "--mode", "chain", *LARGE_RUNS[name], *RAISED, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "slow" / f"{name}.cert").read_bytes()
